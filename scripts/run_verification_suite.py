@@ -86,9 +86,9 @@ def main(argv=None):
                  ns.outdir, rows)
 
     width = max(len(r[0]) for r in rows)
-    print(f"\n{'run'.ljust(width)}  verdict                 time")
+    print(f"\n{'run'.ljust(width)}  {'verdict':22s}  {'time':>11}")
     for name, verdict, dt in rows:
-        print(f"{name.ljust(width)}  {verdict:22s}  {dt:6.1f}s")
+        print(f"{name.ljust(width)}  {verdict:22s}  {dt * 1e3:8.1f} ms")
     print(f"\nreports in {ns.outdir}/")
     return 0
 

@@ -18,6 +18,7 @@ The environment variable HL_THREADS caps BLAS/OpenMP parallelism.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -55,6 +56,30 @@ MODULUS_GRAMMAR = ("modulus grammar: power:gamma=0.5 | "
                    "power_loglog:gamma=0.5,lambda=1.0")
 
 
+# Accepted range of every float option; NaN and +-inf fail every one.
+_FLOAT_RANGES = {
+    "alpha": (lambda v: v > 0.25, "> 1/4"),
+    "p": (lambda v: 1.0 < v <= 2.0, "in (1, 2]"),
+    "nu": (lambda v: v >= 1.0, ">= 1"),
+    "radius_x": (lambda v: v > 0.0, "> 0"),
+    "radius_lambda": (lambda v: v > 0.0, "> 0"),
+    "delta0": (lambda v: v > 0.0, "> 0"),
+}
+
+
+def _check_floats(obj) -> None:
+    """Raise DomainError for the first float option of obj outside its range.
+
+    obj is a parsed argparse namespace or a RunConfig; options it does not
+    carry, or leaves at None, are skipped.
+    """
+    for name, (in_range, rule) in _FLOAT_RANGES.items():
+        v = getattr(obj, name, None)
+        if v is not None and not (math.isfinite(v) and in_range(v)):
+            raise DomainError(f"--{name.replace('_', '-')} must be finite and "
+                              f"{rule}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     alpha: float = 0.5
@@ -71,10 +96,7 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if not self.alpha > 0.25:
-            raise DomainError("alpha must exceed 1/4")
-        if not 1.0 < self.p <= 2.0:
-            raise DomainError("p must lie in (1, 2]")
+        _check_floats(self)
         if not self.h_max_exp < self.h_min_exp:
             raise DomainError("h-max-exp must be smaller than h-min-exp")
         if self.format not in ("csv", "json"):
@@ -296,6 +318,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        _check_floats(ns)
         return ns.func(ns)
     except PreconditionError as exc:
         print(f"precondition failed [{exc.condition}]: {exc}", file=sys.stderr)

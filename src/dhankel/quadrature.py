@@ -32,8 +32,11 @@ def weight_constant(alpha: float) -> float:
 class WeightedGrid:
     """Symmetric quadrature discretizing c_a |x|^{2a-1} dx on [-R, R] \\ {0}.
 
-    nodes/weights cover both signs; the pos_* arrays are the positive half
-    (weights there are the same as for the mirrored negative nodes).
+    nodes/weights cover both signs; the pos_* arrays are the positive half.
+    Invariant: nodes == [-pos_nodes[::-1], pos_nodes] and
+    weights == [pos_weights[::-1], pos_weights] exactly.  The kernel matrix
+    and multiplier builds in transform rely on it to evaluate the kernel on
+    the positive half-axis only.
     cell_lo/cell_hi bound the per-node cells on the positive axis: midpoints
     between consecutive nodes, with 0 and R closing the ends.
     """

@@ -121,22 +121,33 @@ def bessel_j_normalized(nu: float, x, *, series_tol: float = 1e-15,
     return float(out[0]) if scalar else out
 
 
+def kernel_parts(params: KernelParams, t):
+    """Even and odd parts of B_alpha at t = |u| >= 0.
+
+    Returns (E, O) with E(t) = j_{2a-1}(2 sqrt t) and
+    O(t) = t j_{2a+1}(2 sqrt t) / ((2a)(2a+1)), so that
+    B_alpha(u) = E(|u|) - sign(u) O(|u|).  Both depend on |u| alone, which
+    lets symmetric grids evaluate them once per distinct |u|.
+    """
+    a = params.alpha
+    t = np.asarray(t, dtype=float)
+    z = 2.0 * np.sqrt(t)
+    kw = dict(series_tol=params.series_tol,
+              asymptotic_switch=params.asymptotic_switch)
+    even = bessel_j_normalized(2.0 * a - 1.0, z, **kw)
+    odd = t * bessel_j_normalized(2.0 * a + 1.0, z, **kw) / ((2.0 * a) * (2.0 * a + 1.0))
+    return even, odd
+
+
 def kernel_B(params: KernelParams, u):
     """Deformed Hankel kernel B_alpha at u = lambda*x.
 
     Real, equal to 1 at u = 0, not even in u.
     """
-    a = params.alpha
-    u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    u_arr = np.atleast_1d(u_arr)
-    z = 2.0 * np.sqrt(np.abs(u_arr))
-    kw = dict(series_tol=params.series_tol,
-              asymptotic_switch=params.asymptotic_switch)
-    val = (bessel_j_normalized(2.0 * a - 1.0, z, **kw)
-           - u_arr * bessel_j_normalized(2.0 * a + 1.0, z, **kw)
-           / ((2.0 * a) * (2.0 * a + 1.0)))
-    return float(val[0]) if scalar else val
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    even, odd = kernel_parts(params, np.abs(u_arr))
+    val = np.where(u_arr < 0, even + odd, even - odd)
+    return float(val[0]) if np.ndim(u) == 0 else val
 
 
 def kernel_slope_bounds(alpha: float) -> tuple[float, float]:

@@ -6,8 +6,10 @@ frequency grid.  Translation T_h is defined spectrally through the
 multiplier identity F(T_h f)(lambda) = B(lambda h) F(f)(lambda), which is how
 it enters every norm computed here.  All data are real (the kernel is real).
 
-Kernel matrices B(lambda_j x_i) are dense and cached per grid pair; there is
-no fast-transform algorithm here by design.
+Every grid is symmetric under negation, so B(lambda_j x_i) and B(lambda_j h)
+are assembled from the kernel's even and odd parts (specfun.kernel_parts),
+evaluated once per distinct |lambda x| on the positive half-axes and mirrored.
+Kernel matrices are dense and cached per grid pair.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .quadrature import WeightedGrid, weighted_norm
-from .specfun import DomainError, KernelParams, kernel_B
+from .specfun import DomainError, KernelParams, kernel_B, kernel_parts
 
 
 class ConfigurationError(ValueError):
@@ -74,21 +76,40 @@ _matrix_cache: dict[tuple[int, int, float], np.ndarray] = {}
 
 
 def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
-    """Dense kernel matrix K[i, j] = B_alpha(lambda_j * x_i), cached."""
+    """Dense kernel matrix K[i, j] = B_alpha(lambda_j * x_i), cached.
+
+    The even and odd kernel parts E, O are evaluated once, on the positive
+    quarter block |lambda_j x_i| = outer(xgrid.pos_nodes, lgrid.pos_nodes).
+    Since nodes = [-pos[::-1], pos] on both grids, the four blocks are E - O
+    where lambda_j x_i > 0 and E + O where it is negative, with rows and
+    columns reversed on the negative half-axes.  Negation is exact, so every
+    entry equals kernel_B at the same product.
+    """
     if xgrid.alpha != lgrid.alpha:
         raise ConfigurationError("grids carry different alpha")
     key = (xgrid.uid, lgrid.uid, xgrid.alpha)
     mat = _matrix_cache.get(key)
     if mat is None:
-        params = KernelParams(alpha=xgrid.alpha)
-        mat = kernel_B(params, np.outer(xgrid.nodes, lgrid.nodes))
+        even, odd = kernel_parts(KernelParams(alpha=xgrid.alpha),
+                                 np.outer(xgrid.pos_nodes, lgrid.pos_nodes))
+        minus, plus = even - odd, even + odd
+        mat = np.block([[minus[::-1, ::-1], plus[::-1]],
+                        [plus[:, ::-1], minus]])
         mat.setflags(write=False)
         _matrix_cache[key] = mat
     return mat
 
 
-def clear_kernel_cache() -> None:
-    _matrix_cache.clear()
+def kernel_multiplier(lgrid: WeightedGrid, h: float) -> np.ndarray:
+    """Multiplier B(lambda_j h) on the frequency grid.
+
+    The kernel parts are evaluated on lgrid.pos_nodes * |h| and mirrored onto
+    the negative half-axis; entries equal kernel_B(.., lgrid.nodes * h).
+    """
+    even, odd = kernel_parts(KernelParams(alpha=lgrid.alpha),
+                             lgrid.pos_nodes * abs(h))
+    same, flipped = (even - odd, even + odd) if h >= 0 else (even + odd, even - odd)
+    return np.concatenate([flipped[::-1], same])
 
 
 def forward(f: FunctionSpec, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
@@ -109,7 +130,7 @@ def inverse(g: SpectralData, xgrid: WeightedGrid) -> FunctionSpec:
     def evaluator(x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
-            return float(kernel_B(params, x * lgrid.nodes) @ coeff)
+            return float(kernel_multiplier(lgrid, float(x)) @ coeff)
         if x.shape == xgrid.nodes.shape and np.array_equal(x, xgrid.nodes):
             return kernel_matrix(xgrid, lgrid) @ coeff
         return kernel_B(params, np.outer(x, lgrid.nodes)) @ coeff
@@ -143,7 +164,7 @@ def translate(f: FunctionSpec, h: float, xgrid: WeightedGrid,
               lgrid: WeightedGrid) -> FunctionSpec:
     """Generalized translation via the spectral multiplier B(lambda h)."""
     spec = forward(f, xgrid, lgrid)
-    mult = kernel_B(KernelParams(alpha=lgrid.alpha), lgrid.nodes * h)
+    mult = kernel_multiplier(lgrid, h)
     return inverse(replace(spec, values=mult * spec.values), xgrid)
 
 
@@ -159,7 +180,7 @@ def diff_norm(f: FunctionSpec, h: float, p: float, xgrid: WeightedGrid,
     if not 1.0 < p <= 2.0:
         raise DomainError(f"p must lie in (1, 2], got {p}")
     spec = forward(f, xgrid, lgrid)
-    mult = kernel_B(KernelParams(alpha=lgrid.alpha), lgrid.nodes * h)
+    mult = kernel_multiplier(lgrid, h)
     if route == "fast":
         if p != 2.0:
             raise DomainError("fast route requires p = 2")
@@ -174,6 +195,6 @@ def diff_norm(f: FunctionSpec, h: float, p: float, xgrid: WeightedGrid,
 
 def diff_norm_spectral(g: SpectralData, h: float) -> float:
     """Plancherel difference norm straight from spectral data (p = 2)."""
-    mult = kernel_B(KernelParams(alpha=g.alpha), g.lambda_grid.nodes * h)
+    mult = kernel_multiplier(g.lambda_grid, h)
     return float(np.sqrt(np.sum(
         g.lambda_grid.weights * (1.0 - mult) ** 2 * g.values ** 2)))

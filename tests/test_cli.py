@@ -108,3 +108,28 @@ def test_run_config_validation():
         RunConfig(h_max_exp=8, h_min_exp=3)
     with pytest.raises(DomainError):
         RunConfig(format="xml")
+
+
+TM = ("titchmarsh", "--modulus", "power:gamma=0.5")
+
+
+@pytest.mark.parametrize("argv", [
+    [*TM, "--radius-lambda", "nan"],
+    [*TM, "--radius-lambda", "inf"],
+    [*TM, "--radius-lambda=-5"],
+    [*TM, "--radius-lambda", "0"],
+    [*TM, "--alpha", "inf"],
+    [*TM, "--alpha", "nan"],
+    [*TM, "--p", "nan"],
+    [*TM, "--theorem", "fourier_Lnu", "--nu", "inf"],
+    [*TM, "--route-check", "--radius-x", "nan"],
+    [*TM, "--delta0", "nan"],
+    ["synth", "--modulus", "power:gamma=0.5", "--radius-lambda", "inf"],
+    ["transform", "--alpha", "inf"],
+])
+def test_bad_float_argument_is_one_line_usage_error(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "VERDICT" not in out
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert "Traceback" not in err

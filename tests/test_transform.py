@@ -9,7 +9,8 @@ from scipy.integrate import quad
 import dhankel as dh
 from dhankel.quadrature import weight_constant, weighted_integral
 from dhankel.specfun import DomainError, KernelParams, kernel_slope_bounds
-from dhankel.transform import ConfigurationError, diff_norm_spectral
+from dhankel.transform import (ConfigurationError, diff_norm_spectral,
+                               kernel_matrix, kernel_multiplier)
 
 ALPHA = 0.5
 
@@ -163,6 +164,26 @@ def test_multiplier_identity_via_physical_route(grids_resolved_small, bump_spec)
     scale = spec.norm(2.0)
     err = dh.weighted_norm(via_physical.values - mult * spec.values, lg, 2.0)
     assert err < 1e-6 * scale
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_kernel_matrix_quarter_block_is_exact(alpha):
+    # the quarter-block build must reproduce the kernel on the full outer
+    # product bit for bit, in the series region (z = 2 sqrt|u| <= 9) and
+    # beyond it, for integer (alpha = 0.5) and fractional Bessel orders
+    xg, lg = dh.make_resolved_grids(alpha, 20.0, 64.0)
+    u = np.outer(xg.nodes, lg.nodes)
+    assert (np.abs(u) <= 20.25).any() and (np.abs(u) > 20.25).any()
+    want = dh.kernel_B(KernelParams(alpha=alpha), u)
+    assert np.array_equal(kernel_matrix(xg, lg), want)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("h", [0.125, -0.3, 0.0])
+def test_kernel_multiplier_is_exact(alpha, h):
+    lg = dh.make_tail_grid(alpha, 8192.0)
+    want = dh.kernel_B(KernelParams(alpha=alpha), lg.nodes * h)
+    assert np.array_equal(kernel_multiplier(lg, h), want)
 
 
 def test_diff_norm_domain(grids_default, bump_spec):
