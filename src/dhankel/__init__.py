@@ -13,19 +13,19 @@ from .titchmarsh import (PreconditionError, SynthesisSpec, VerificationReport,
                          verify_equivalence, verify_fourier_Lnu,
                          verify_inclusion_Womega, verify_main1_part1,
                          verify_main1_part2, verify_main2)
-from .transform import (FunctionSpec, SpectralData, diff_norm, forward,
-                        inverse, tail_energy, translate)
+from .transform import (FunctionSpec, SpectralData, diff_norms, forward,
+                        inverse, tail_energy)
 
 __all__ = [
     "FunctionSpec", "IndexEstimate", "KernelParams", "ModulusSpec",
     "MonotonicityCertificate", "PreconditionError", "SpectralData",
     "SynthesisSpec", "VerificationReport", "WeightedGrid",
     "bessel_j_normalized", "build_W_omega", "build_graded_grid",
-    "build_weighted_grid", "check_almost_monotone", "diff_norm",
+    "build_weighted_grid", "check_almost_monotone", "diff_norms",
     "dlip_seminorm", "dyadic_h_grid", "estimate_indices", "forward", "gamma",
     "inverse", "kernel_B", "make_family", "make_resolved_grids",
     "make_tail_grid", "parse_family", "synthesize_from_tail", "tail_energy",
-    "translate", "verify_equivalence", "verify_fourier_Lnu",
+    "verify_equivalence", "verify_fourier_Lnu",
     "verify_inclusion_Womega", "verify_main1_part1", "verify_main1_part2",
     "verify_main2", "weighted_norm", "zygmund_Z0_constant",
     "zygmund_Z1_constant",

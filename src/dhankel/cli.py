@@ -86,7 +86,6 @@ class RunConfig:
     p: float = 2.0
     radius_x: float = 20.0
     radius_lambda: float = 64.0
-    panels: int = 64
     order: int = 16
     modulus_string: str = "power:gamma=0.5"
     theorem: str = "main1_part1"
@@ -171,11 +170,10 @@ def _cmd_synth(ns) -> int:
 
 def _cmd_titchmarsh(ns) -> int:
     cfg = RunConfig(alpha=ns.alpha, p=ns.p, radius_x=ns.radius_x,
-                    radius_lambda=ns.radius_lambda, panels=ns.panels,
-                    order=ns.order, modulus_string=ns.modulus,
-                    theorem=ns.theorem, h_max_exp=ns.h_max_exp,
-                    h_min_exp=ns.h_min_exp, output_path=ns.output or "",
-                    format=ns.format)
+                    radius_lambda=ns.radius_lambda, order=ns.order,
+                    modulus_string=ns.modulus, theorem=ns.theorem,
+                    h_max_exp=ns.h_max_exp, h_min_exp=ns.h_min_exp,
+                    output_path=ns.output or "", format=ns.format)
     w = parse_family(cfg.modulus_string, ns.delta0)
     h_all = dyadic_h_grid(w.delta0, cfg.h_max_exp, cfg.h_min_exp)
 
@@ -229,13 +227,17 @@ def _cmd_titchmarsh(ns) -> int:
     else:
         raise DomainError(f"unknown theorem {theorem!r}")
 
-    rep.extra["config"] = {
-        "alpha": cfg.alpha, "p": cfg.p, "radius_x": cfg.radius_x,
-        "radius_lambda": cfg.radius_lambda, "panels": cfg.panels,
-        "order": cfg.order, "modulus": cfg.modulus_string,
-        "theorem": cfg.theorem, "h_max_exp": cfg.h_max_exp,
-        "h_min_exp": cfg.h_min_exp, "synth": ns.synth,
+    # only settings that shaped the run, and the node counts they produced
+    config = {
+        "alpha": cfg.alpha, "p": cfg.p, "radius_lambda": cfg.radius_lambda,
+        "lambda_nodes": lg.nodes.size, "order": cfg.order,
+        "modulus": cfg.modulus_string, "theorem": cfg.theorem,
+        "h_max_exp": cfg.h_max_exp, "h_min_exp": cfg.h_min_exp,
+        "synth": ns.synth,
     }
+    if xg is not None:
+        config.update(radius_x=cfg.radius_x, x_nodes=xg.nodes.size)
+    rep.extra["config"] = config
     text = rep.to_json() if cfg.format == "json" else rep.to_csv()
     if cfg.output_path:
         _write(cfg.output_path, text)
@@ -296,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument("--nu", type=float, default=2.0, help="fourier_Lnu only")
     tm.add_argument("--radius-x", type=float, default=20.0)
     tm.add_argument("--radius-lambda", type=float, default=64.0)
-    tm.add_argument("--panels", type=int, default=64)
     tm.add_argument("--order", type=int, default=16)
     tm.add_argument("--h-max-exp", type=int, default=3)
     tm.add_argument("--h-min-exp", type=int, default=10)

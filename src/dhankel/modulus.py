@@ -77,7 +77,6 @@ class MonotonicityCertificate:
 class IndexEstimate:
     m_lower: float
     M_upper: float
-    epsilon_grid: np.ndarray
     t_grid: np.ndarray
     converged: bool
 
@@ -350,7 +349,7 @@ def estimate_indices(w: ModulusSpec) -> IndexEstimate:
     m, big_m = _index_from_tail(w, tail)
     m_prev, big_m_prev = _index_from_tail(w, tail_prev)
     converged = abs(m - m_prev) < 0.01 and abs(big_m - big_m_prev) < 0.01
-    return IndexEstimate(m_lower=m, M_upper=big_m, epsilon_grid=eps,
+    return IndexEstimate(m_lower=m, M_upper=big_m,
                          t_grid=np.concatenate([_M_T_GRID, _M_UPPER_T_GRID]),
                          converged=converged)
 

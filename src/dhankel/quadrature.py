@@ -53,10 +53,6 @@ class WeightedGrid:
     order: int
     uid: int = field(default_factory=lambda: next(_grid_ids))
 
-    @property
-    def cell_count(self) -> int:
-        return self.nodes.size
-
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 

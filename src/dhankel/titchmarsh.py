@@ -43,8 +43,8 @@ from .modulus import (ConstructionError, ModulusSpec, build_W_omega,
                       zygmund_Z1_constant)
 from .quadrature import WeightedGrid, build_graded_grid, build_weighted_grid
 from .specfun import DomainError
-from .transform import (SpectralData, diff_norm, diff_norm_spectral,
-                        forward, inverse, tail_energy, tail_truncated)
+from .transform import (SpectralData, diff_norms, forward, inverse,
+                        tail_energy, tail_truncated)
 
 THEOREM_IDS = ("main1_part1", "main1_part2", "equivalence", "fourier_Lnu",
                "main2_part1", "main2_part2", "inclusion_Womega")
@@ -285,18 +285,27 @@ def _measure_density(lgrid: WeightedGrid) -> np.ndarray:
 
 # ----------------------------- seminorm -----------------------------
 
-def _diff_trace(f_or_g, p: float, h_grid,
-                xgrid: WeightedGrid | None, lgrid: WeightedGrid | None):
-    """|T_h f - f|_{p,a} per h: spectral fast path for spectral data (p=2),
-    honest physical route for function input."""
-    h_grid = np.asarray(h_grid, dtype=float)
+def _as_spectral(f_or_g, xgrid, lgrid):
+    """(spectral data, x-grid samples) of verifier input: spectral data as
+    given with no samples, or a function sampled once on the x grid and
+    transformed from those samples."""
     if isinstance(f_or_g, SpectralData):
-        if p != 2.0:
-            raise DomainError("spectral-data input supports p = 2 only")
-        return np.array([diff_norm_spectral(f_or_g, h) for h in h_grid])
+        return f_or_g, None
     if xgrid is None or lgrid is None:
         raise DomainError("function input needs both grids")
-    return np.array([diff_norm(f_or_g, h, p, xgrid, lgrid) for h in h_grid])
+    fx = np.asarray(f_or_g(xgrid.nodes), dtype=float)
+    return forward(fx, xgrid, lgrid), fx
+
+
+def _diff_trace(f_or_g, w: ModulusSpec, p: float, h_grid: np.ndarray,
+                xgrid: WeightedGrid | None, lgrid: WeightedGrid | None):
+    """(spectral data, |T_h f - f|_{p,a} per h): Plancherel route for
+    spectral data (p = 2), honest physical route for function input."""
+    if np.any(h_grid <= 0) or np.any(h_grid > w.delta0):
+        raise DomainError("h grid must lie in (0, delta0]")
+    g, fx = _as_spectral(f_or_g, xgrid, lgrid)
+    fast, phys = diff_norms(g, h_grid, p, fx=fx, xgrid=xgrid)
+    return g, (fast if fx is None else phys)
 
 
 def dlip_seminorm(f_or_g, w: ModulusSpec, p: float, h_grid,
@@ -304,24 +313,12 @@ def dlip_seminorm(f_or_g, w: ModulusSpec, p: float, h_grid,
                   lgrid: WeightedGrid | None = None):
     """sup_h |T_h f - f|_{p,a} / omega(h) over the h grid, plus the trace."""
     h_grid = np.asarray(h_grid, dtype=float)
-    if np.any(h_grid <= 0) or np.any(h_grid > w.delta0):
-        raise DomainError("h grid must lie in (0, delta0]")
-    if not 1.0 < p <= 2.0:
-        raise DomainError(f"p must lie in (1, 2], got {p}")
-    diffs = _diff_trace(f_or_g, p, h_grid, xgrid, lgrid)
+    _, diffs = _diff_trace(f_or_g, w, p, h_grid, xgrid, lgrid)
     ratios = diffs / np.asarray(w.evaluator(h_grid), dtype=float)
     return float(np.max(ratios)), ratios
 
 
 # ----------------------------- verifiers -----------------------------
-
-def _as_spectral(f_or_g, xgrid, lgrid) -> SpectralData:
-    if isinstance(f_or_g, SpectralData):
-        return f_or_g
-    if xgrid is None or lgrid is None:
-        raise DomainError("function input needs both grids")
-    return forward(f_or_g, xgrid, lgrid)
-
 
 def _flags(lgrid: WeightedGrid, h_grid) -> np.ndarray:
     return np.array([tail_truncated(lgrid, h) for h in h_grid])
@@ -356,15 +353,15 @@ def verify_main1_part1(f_or_g, w: ModulusSpec, p: float, h_grid,
         raise PreconditionError(
             "lower Zygmund condition Z0 fails: int_0^t omega(x)/x dx "
             "is not dominated by omega(t)", condition="Z0")
-    g = _as_spectral(f_or_g, xgrid, lgrid)
     h_grid = np.asarray(h_grid, dtype=float)
     # spectral input only has the p = 2 fast path for the seminorm check
     sem_p = 2.0 if isinstance(f_or_g, SpectralData) else p
-    sem, _ = dlip_seminorm(f_or_g, w, sem_p, h_grid, xgrid, lgrid)
+    g, diffs = _diff_trace(f_or_g, w, sem_p, h_grid, xgrid, lgrid)
+    omega_h = np.asarray(w.evaluator(h_grid), dtype=float)
+    sem = float(np.max(diffs / omega_h))
     if not math.isfinite(sem):
         raise PreconditionError("Lipschitz seminorm is not finite on the h grid",
                                 condition="dlip_seminorm")
-    omega_h = np.asarray(w.evaluator(h_grid), dtype=float)
     ratios = np.array([tail_energy(g, h, q) for h in h_grid]) / omega_h ** q
     extra = _base_extra(g.alpha, w)
     extra.update({"p": p, "q": q, "zygmund_Z0": z0, "dlip_seminorm": sem})
@@ -397,20 +394,19 @@ def verify_main1_part2(g: SpectralData, w: ModulusSpec, h_grid,
         raise PreconditionError(
             "tail hypothesis fails: tail energy is not dominated by omega^2(h)",
             condition="tail_hypothesis")
-    diffs = np.array([diff_norm_spectral(g, h) for h in h_grid])
-    ratios = diffs / omega_h
+    ratios = diff_norms(g, h_grid)[0] / omega_h
     extra = _base_extra(g.alpha, w)
     extra.update({"p": 2.0, "zygmund_Z1": z1,
                   "tail_constant": float(np.max(tail_ratios)),
                   "route_agreement": None})
     if xgrid is not None:
-        f = inverse(g, xgrid)
-        worst = 0.0
-        for h in h_grid:
-            fast = diff_norm(f, h, 2.0, xgrid, g.lambda_grid, route="fast")
-            phys = diff_norm(f, h, 2.0, xgrid, g.lambda_grid, route="physical")
-            worst = max(worst, abs(fast - phys) / max(fast, 1e-300))
-        extra["route_agreement"] = worst
+        # both routes from one transform of inverse(g) sampled on the x grid,
+        # so the Plancherel sum is checked against an honest x-space norm
+        fx = inverse(g, xgrid)(xgrid.nodes)
+        spec = forward(fx, xgrid, g.lambda_grid)
+        fast, phys = diff_norms(spec, h_grid, fx=fx, xgrid=xgrid)
+        extra["route_agreement"] = float(np.max(
+            np.abs(fast - phys) / np.maximum(fast, 1e-300)))
     return VerificationReport(
         theorem_id="main1_part2", h_grid=h_grid, ratios=ratios,
         estimated_constant=float(np.max(ratios)),
@@ -503,7 +499,7 @@ def verify_fourier_Lnu(f_or_g, w: ModulusSpec, p: float, nu: float,
     z0 = zygmund_Z0_constant(w)
     if not math.isfinite(z0):
         raise PreconditionError("lower Zygmund condition Z0 fails", condition="Z0")
-    g = _as_spectral(f_or_g, xgrid, lgrid)
+    g = _as_spectral(f_or_g, xgrid, lgrid)[0]
     lam = g.lambda_grid
     if h_grid is None:
         h_grid = restrict_h_grid(dyadic_h_grid(w.delta0), lam)
@@ -574,16 +570,17 @@ def verify_inclusion_Womega(f_or_g, w: ModulusSpec, p: float, h_grid,
     except ConstructionError as exc:
         raise PreconditionError(str(exc), condition="womega_divergent")
     h_grid = np.asarray(h_grid, dtype=float)
-    sem_w, trace_w = dlip_seminorm(f_or_g, w, p, h_grid, xgrid, lgrid)
-    sem_cum, trace_cum = dlip_seminorm(f_or_g, w_cum, p, h_grid, xgrid, lgrid)
+    # one trace, divided by both moduli (they share delta0)
+    g, diffs = _diff_trace(f_or_g, w, p, h_grid, xgrid, lgrid)
+    trace_w = diffs / np.asarray(w.evaluator(h_grid), dtype=float)
+    trace_cum = diffs / np.asarray(w_cum.evaluator(h_grid), dtype=float)
+    sem_w, sem_cum = float(np.max(trace_w)), float(np.max(trace_cum))
     ratios = trace_cum / trace_w
-    alpha = f_or_g.alpha if isinstance(f_or_g, SpectralData) else xgrid.alpha
-    extra = _base_extra(alpha, w)
+    extra = _base_extra(g.alpha, w)
     extra.update({"p": p, "seminorm_omega": sem_w, "seminorm_womega": sem_cum,
                   "seminorm_ratio": sem_cum / sem_w})
-    lam = f_or_g.lambda_grid if isinstance(f_or_g, SpectralData) else lgrid
     return VerificationReport(
         theorem_id="inclusion_Womega", h_grid=h_grid, ratios=ratios,
         estimated_constant=float(sem_cum / sem_w),
         verdict=render_verdict(h_grid, ratios),
-        truncation_flags=_flags(lam, h_grid), extra=extra)
+        truncation_flags=_flags(g.lambda_grid, h_grid), extra=extra)

@@ -9,13 +9,18 @@ it enters every norm computed here.  All data are real (the kernel is real).
 Every grid is symmetric under negation, so B(lambda_j x_i) and B(lambda_j h)
 are assembled from the kernel's even and odd parts (specfun.kernel_parts),
 evaluated once per distinct |lambda x| on the positive half-axes and mirrored.
-Kernel matrices are dense and cached per grid pair.
+Kernel matrices are dense and cached for as long as their grid pair lives.
+
+Difference norms ||T_h f - f|| come for a whole h grid at once (diff_norms),
+from one multiplier matrix B(lambda_j h_k): reduced per h (Plancherel route)
+and applied in one product with the kernel matrix (physical route).
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +88,8 @@ def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
     Since nodes = [-pos[::-1], pos] on both grids, the four blocks are E - O
     where lambda_j x_i > 0 and E + O where it is negative, with rows and
     columns reversed on the negative half-axes.  Negation is exact, so every
-    entry equals kernel_B at the same product.
+    entry equals kernel_B at the same product.  The cached matrix is released
+    when either grid is garbage-collected.
     """
     if xgrid.alpha != lgrid.alpha:
         raise ConfigurationError("grids carry different alpha")
@@ -97,26 +103,35 @@ def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
                         [plus[:, ::-1], minus]])
         mat.setflags(write=False)
         _matrix_cache[key] = mat
+        for grid in (xgrid, lgrid):
+            weakref.finalize(grid, _matrix_cache.pop, key, None)
     return mat
 
 
-def kernel_multiplier(lgrid: WeightedGrid, h: float) -> np.ndarray:
-    """Multiplier B(lambda_j h) on the frequency grid.
+def kernel_multiplier(lgrid: WeightedGrid, h) -> np.ndarray:
+    """Multiplier B(lambda_j h) on the frequency grid, one row per h.
 
-    The kernel parts are evaluated on lgrid.pos_nodes * |h| and mirrored onto
-    the negative half-axis; entries equal kernel_B(.., lgrid.nodes * h).
+    h is a scalar (result shape (n,)) or a 1-D grid (shape (len(h), n)).  The
+    kernel parts are evaluated in one call on |h| * lgrid.pos_nodes and
+    mirrored onto the negative half-axis; for a scalar h the entries equal
+    kernel_B(.., lgrid.nodes * h).
     """
+    h = np.asarray(h, dtype=float)
     even, odd = kernel_parts(KernelParams(alpha=lgrid.alpha),
-                             lgrid.pos_nodes * abs(h))
-    same, flipped = (even - odd, even + odd) if h >= 0 else (even + odd, even - odd)
-    return np.concatenate([flipped[::-1], same])
+                             np.multiply.outer(np.abs(h), lgrid.pos_nodes))
+    sign = np.where(h < 0, -1.0, 1.0)[..., None]
+    return np.concatenate([(even + sign * odd)[..., ::-1], even - sign * odd],
+                          axis=-1)
 
 
-def forward(f: FunctionSpec, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
-    """Forward transform: values_j = sum_i w_i f(x_i) B(lambda_j x_i)."""
+def forward(f, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
+    """Forward transform: values_j = sum_i w_i f(x_i) B(lambda_j x_i), with
+    f a FunctionSpec (any vectorized callable) or its samples on xgrid.nodes."""
     if xgrid.alpha != lgrid.alpha:
         raise ConfigurationError("x and frequency grids carry different alpha")
-    fx = np.asarray(f(xgrid.nodes), dtype=float)
+    fx = np.asarray(f(xgrid.nodes) if callable(f) else f, dtype=float)
+    if fx.shape != xgrid.nodes.shape:
+        raise ConfigurationError("samples do not match the x grid")
     values = kernel_matrix(xgrid, lgrid).T @ (xgrid.weights * fx)
     return SpectralData(alpha=lgrid.alpha, lambda_grid=lgrid, values=values)
 
@@ -160,41 +175,33 @@ def tail_truncated(lgrid: WeightedGrid, h: float) -> bool:
     return 1.0 / h > lgrid.radius / 4.0
 
 
-def translate(f: FunctionSpec, h: float, xgrid: WeightedGrid,
-              lgrid: WeightedGrid) -> FunctionSpec:
-    """Generalized translation via the spectral multiplier B(lambda h)."""
-    spec = forward(f, xgrid, lgrid)
-    mult = kernel_multiplier(lgrid, h)
-    return inverse(replace(spec, values=mult * spec.values), xgrid)
+def diff_norms(g: SpectralData, h, p: float = 2.0, *, fx=None,
+               xgrid: WeightedGrid | None = None):
+    """(Plancherel, physical) routes of || T_h f - f ||_{p,a} for every h of
+    a 1-D grid (a scalar h is a one-element grid); g holds the transform of f.
 
-
-def diff_norm(f: FunctionSpec, h: float, p: float, xgrid: WeightedGrid,
-              lgrid: WeightedGrid, *, route: str = "physical") -> float:
-    """|| T_h f - f ||_{p,a} on the x grid.
-
-    route="physical" evaluates T_h f - f pointwise and takes the weighted
-    norm; route="fast" (p = 2 only) uses the Plancherel form
-    sqrt( sum_j w_j |1 - B(lambda_j h)|^2 |F_j|^2 ), which must agree with
-    the physical route on resolved grids.
+    Both come from one multiplier matrix M[k, j] = B(lambda_j h_k).  The
+    Plancherel route, sqrt( sum_j w_j |1 - M[k, j]|^2 |g_j|^2 ), exists for
+    p = 2 only (else None).  The physical route needs fx, the samples of f
+    on xgrid.nodes with g = forward(fx, xgrid, g.lambda_grid) (else None):
+    T_h f = K (w g M[k]) for all h in one product with the kernel matrix K,
+    then the weighted p-norm of T_h f - f per h.  On resolved grids the two
+    routes agree at p = 2.
     """
     if not 1.0 < p <= 2.0:
         raise DomainError(f"p must lie in (1, 2], got {p}")
-    spec = forward(f, xgrid, lgrid)
-    mult = kernel_multiplier(lgrid, h)
-    if route == "fast":
-        if p != 2.0:
-            raise DomainError("fast route requires p = 2")
-        return float(np.sqrt(np.sum(
-            lgrid.weights * (1.0 - mult) ** 2 * spec.values ** 2)))
-    if route != "physical":
-        raise DomainError(f"unknown route {route!r}")
-    tf = kernel_matrix(xgrid, lgrid) @ (lgrid.weights * mult * spec.values)
-    fx = np.asarray(f(xgrid.nodes), dtype=float)
-    return weighted_norm(tf - fx, xgrid, p)
-
-
-def diff_norm_spectral(g: SpectralData, h: float) -> float:
-    """Plancherel difference norm straight from spectral data (p = 2)."""
-    mult = kernel_multiplier(g.lambda_grid, h)
-    return float(np.sqrt(np.sum(
-        g.lambda_grid.weights * (1.0 - mult) ** 2 * g.values ** 2)))
+    if p != 2.0 and fx is None:
+        raise DomainError("p != 2 needs x-space samples: the Plancherel "
+                          "route is p = 2 only")
+    lgrid = g.lambda_grid
+    mult = kernel_multiplier(lgrid, np.atleast_1d(h))
+    fast = phys = None
+    if p == 2.0:
+        fast = np.sqrt(np.sum(lgrid.weights * (1.0 - mult) ** 2 * g.values ** 2,
+                              axis=1))
+    if fx is not None:
+        if xgrid is None:
+            raise DomainError("the physical route needs the x grid of fx")
+        tfs = (lgrid.weights * mult * g.values) @ kernel_matrix(xgrid, lgrid).T
+        phys = np.array([weighted_norm(tf - fx, xgrid, p) for tf in tfs])
+    return fast, phys

@@ -133,3 +133,36 @@ def test_bad_float_argument_is_one_line_usage_error(argv, capsys):
     assert "VERDICT" not in out
     assert err.startswith("error: --") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_titchmarsh_rejects_panels(capsys):
+    # the titchmarsh grids take no panel count; transform keeps --panels
+    assert main([*TM, "--panels", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "VERDICT" not in out
+    assert "--panels" in err
+
+
+CONFIG_KEYS = {"alpha", "p", "radius_lambda", "lambda_nodes", "order",
+               "modulus", "theorem", "h_max_exp", "h_min_exp", "synth"}
+
+
+@pytest.mark.parametrize("route_check", [False, True])
+def test_titchmarsh_config_records_what_shaped_the_run(route_check, tmp_path,
+                                                       capsys):
+    import dhankel as dh
+    out_file = tmp_path / "rep.json"
+    argv = [*TM, "--theorem", "main1_part2", "--format", "json",
+            "--output", str(out_file)]
+    assert main(argv + (["--route-check"] if route_check else [])) == 0
+    capsys.readouterr()
+    config = json.loads(out_file.read_text())["extra"]["config"]
+    if route_check:
+        xg, lg = dh.make_resolved_grids(0.5, 20.0, 64.0)
+        assert set(config) == CONFIG_KEYS | {"radius_x", "x_nodes"}
+        assert config["radius_x"] == 20.0
+        assert config["x_nodes"] == xg.nodes.size
+    else:
+        lg = dh.make_tail_grid(0.5, 64.0)
+        assert set(config) == CONFIG_KEYS
+    assert config["lambda_nodes"] == lg.nodes.size

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import dhankel as dh
+import dhankel.titchmarsh
+import dhankel.transform
 from dhankel.modulus import ConstructionError, ModulusSpec
 from dhankel.specfun import DomainError
 from dhankel.titchmarsh import (check_transform_integrability, render_verdict,
@@ -371,6 +373,46 @@ def test_inclusion_corpus(tail_grid_8192):
         rep = dh.verify_inclusion_Womega(g, w, 2.0, h)
         assert rep.extra["seminorm_ratio"] <= 1.5
         assert rep.theorem_id == "inclusion_Womega"
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_route_check_reads_kernel_matrix_at_most_three_times(
+        grids_resolved_small, monkeypatch):
+    # inverse(g) on the x grid, its forward transform and one product for
+    # the whole physical-route trace, however long the h grid is
+    xg, lg = grids_resolved_small
+    w = dh.make_family("power", {"gamma": 0.5})
+    g = smooth(w, lg)
+    reads = count_calls(monkeypatch, dhankel.transform, "kernel_matrix")
+    for h in (dh.dyadic_h_grid(D0, 3, 4), dh.dyadic_h_grid(D0, 3, 10)):
+        reads.clear()
+        rep = dh.verify_main1_part2(g, w, h, xgrid=xg)
+        assert rep.extra["route_agreement"] is not None
+        assert len(reads) <= 3
+
+
+def test_inclusion_computes_one_trace(grids_resolved_small, bump_spec,
+                                      monkeypatch):
+    # the omega and W_omega seminorms divide the same difference-norm trace
+    xg, lg = grids_resolved_small
+    w = dh.make_family("power", {"gamma": 0.5})
+    traces = count_calls(monkeypatch, dhankel.titchmarsh, "diff_norms")
+    reads = count_calls(monkeypatch, dhankel.transform, "kernel_matrix")
+    rep = dh.verify_inclusion_Womega(bump_spec, w, 1.5, dh.dyadic_h_grid(D0),
+                                     xgrid=xg, lgrid=lg)
+    assert len(traces) == 1 and len(reads) <= 2
+    assert rep.estimated_constant == rep.extra["seminorm_ratio"]
 
 
 def test_inclusion_log_inverse_completes(tail_grid_8192):

@@ -1,4 +1,6 @@
+import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from scipy.integrate import quad
 import dhankel as dh
 from dhankel.quadrature import weight_constant, weighted_integral
 from dhankel.specfun import DomainError, KernelParams, kernel_slope_bounds
-from dhankel.transform import (ConfigurationError, diff_norm_spectral,
+from dhankel.transform import (ConfigurationError, _matrix_cache,
                                kernel_matrix, kernel_multiplier)
 
 ALPHA = 0.5
@@ -135,32 +137,43 @@ def test_tail_energy_monotone_in_h(grids_default, h, factor):
     assert dh.tail_energy(g, h, 2.0) <= dh.tail_energy(g, h * factor, 2.0) + 1e-15
 
 
+def physical_input(f, xg, lg):
+    """(transform, x-grid samples) of f: the physical-route input of diff_norms."""
+    fx = f(xg.nodes)
+    return dh.forward(fx, xg, lg), fx
+
+
 def test_translate_identity_at_zero(grids_resolved_small, bump_spec):
+    # B(0) = 1 exactly, so T_0 f on the x grid is the round trip of f
     xg, lg = grids_resolved_small
-    t0 = dh.translate(bump_spec, 0.0, xg, lg)
+    spec, fx = physical_input(bump_spec, xg, lg)
+    d0 = dh.diff_norms(spec, 0.0, fx=fx, xgrid=xg)[1][0]
     rt = dh.inverse(dh.forward(bump_spec, xg, lg), xg)
-    assert np.allclose(t0(xg.nodes), rt(xg.nodes), rtol=0, atol=1e-12)
+    assert d0 == pytest.approx(dh.weighted_norm(rt(xg.nodes) - fx, xg, 2.0),
+                               rel=0, abs=1e-12)
     # identity up to round-trip error
-    nf = dh.weighted_norm(bump_spec(xg.nodes), xg, 2.0)
-    assert dh.weighted_norm(t0(xg.nodes) - bump_spec(xg.nodes), xg, 2.0) < 1e-6 * nf
+    nf = dh.weighted_norm(fx, xg, 2.0)
+    assert d0 < 1e-6 * nf
 
 
 def test_translate_contraction(grids_resolved_small, bump_spec):
+    # against zero samples the physical route returns ||T_h f|| itself
     xg, lg = grids_resolved_small
-    nf = dh.weighted_norm(bump_spec(xg.nodes), xg, 2.0)
-    for h in (0.05, 0.3, 1.0):
-        tf = dh.translate(bump_spec, h, xg, lg)
-        assert dh.weighted_norm(tf(xg.nodes), xg, 2.0) <= nf * (1 + 1e-6)
+    spec, fx = physical_input(bump_spec, xg, lg)
+    nf = dh.weighted_norm(fx, xg, 2.0)
+    _, tf = dh.diff_norms(spec, [0.05, 0.3, 1.0], fx=np.zeros_like(fx), xgrid=xg)
+    assert np.all(tf <= nf * (1 + 1e-6))
 
 
 def test_multiplier_identity_via_physical_route(grids_resolved_small, bump_spec):
-    # forward(translate(f,h)) recomputed through x space must equal the
-    # pointwise multiplication that defines the translation
+    # forward(T_h f) recomputed through x space must equal the pointwise
+    # multiplication that defines the translation
     xg, lg = grids_resolved_small
     h = 0.125
     spec = dh.forward(bump_spec, xg, lg)
     mult = dh.kernel_B(KernelParams(alpha=ALPHA), lg.nodes * h)
-    via_physical = dh.forward(dh.translate(bump_spec, h, xg, lg), xg, lg)
+    translated = dh.inverse(replace(spec, values=mult * spec.values), xg)
+    via_physical = dh.forward(translated, xg, lg)
     scale = spec.norm(2.0)
     err = dh.weighted_norm(via_physical.values - mult * spec.values, lg, 2.0)
     assert err < 1e-6 * scale
@@ -186,26 +199,81 @@ def test_kernel_multiplier_is_exact(alpha, h):
     assert np.array_equal(kernel_multiplier(lg, h), want)
 
 
+def test_kernel_multiplier_rows_match_single_h():
+    # one kernel_parts call for the whole h grid: the series then runs until
+    # the worst entry of the grid converges, which moves entries by < 1e-14
+    for alpha in (0.3, 0.5, 0.7):
+        lg = dh.make_tail_grid(alpha, 8192.0)
+        hs = np.array([0.5, 0.125, 0.01, 1e-4, 0.0, -0.3])
+        mat = kernel_multiplier(lg, hs)
+        assert mat.shape == (hs.size, lg.nodes.size)
+        for row, h in zip(mat, hs):
+            assert np.max(np.abs(row - kernel_multiplier(lg, h))) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_diff_norms_match_per_h_reference(alpha, p, bump_spec):
+    xg, lg = dh.make_resolved_grids(alpha, 20.0, 64.0)
+    hs = np.array([0.5, 0.125, 0.01, -0.3])
+    spec, fx = physical_input(bump_spec, xg, lg)
+    params = KernelParams(alpha=alpha)
+    phys_ref, fast_ref = [], []
+    for h in hs:
+        mult = dh.kernel_B(params, lg.nodes * h)
+        tf = kernel_matrix(xg, lg) @ (lg.weights * mult * spec.values)
+        phys_ref.append(dh.weighted_norm(tf - fx, xg, p))
+        fast_ref.append(math.sqrt(np.sum(lg.weights * (1.0 - mult) ** 2
+                                         * spec.values ** 2)))
+    fast, phys = dh.diff_norms(spec, hs, p, fx=fx, xgrid=xg)
+    np.testing.assert_allclose(phys, phys_ref, rtol=1e-12, atol=0)
+    if p == 2.0:
+        np.testing.assert_allclose(fast, fast_ref, rtol=1e-12, atol=0)
+        fast_only, no_phys = dh.diff_norms(spec, hs)
+        assert np.array_equal(fast_only, fast) and no_phys is None
+    else:
+        assert fast is None
+        with pytest.raises(DomainError):
+            dh.diff_norms(spec, hs, p)
+
+
+def test_kernel_cache_entry_dies_with_its_grids():
+    xg = dh.build_weighted_grid(ALPHA, 2.0, 4, 4)
+    lg = dh.build_weighted_grid(ALPHA, 4.0, 4, 4)
+    gc.collect()
+    before = len(_matrix_cache)
+    key = (xg.uid, lg.uid, ALPHA)
+    kernel_matrix(xg, lg)
+    assert key in _matrix_cache and len(_matrix_cache) == before + 1
+    del xg, lg
+    gc.collect()
+    assert key not in _matrix_cache and len(_matrix_cache) == before
+
+
 def test_diff_norm_domain(grids_default, bump_spec):
     xg, lg = grids_default
+    spec, fx = physical_input(bump_spec, xg, lg)
     with pytest.raises(DomainError):
-        dh.diff_norm(bump_spec, 0.1, 1.0, xg, lg)
+        dh.diff_norms(spec, 0.1, 1.0, fx=fx, xgrid=xg)
     with pytest.raises(DomainError):
-        dh.diff_norm(bump_spec, 0.1, 2.5, xg, lg)
+        dh.diff_norms(spec, 0.1, 2.5, fx=fx, xgrid=xg)
+    with pytest.raises(DomainError):
+        dh.diff_norms(spec, 0.1, 2.0, fx=fx)
 
 
 def test_diff_norm_small_at_zero_h(grids_resolved_small, bump_spec):
     xg, lg = grids_resolved_small
-    nf = dh.weighted_norm(bump_spec(xg.nodes), xg, 2.0)
-    assert dh.diff_norm(bump_spec, 1e-9, 2.0, xg, lg) < 1e-6 * nf
+    spec, fx = physical_input(bump_spec, xg, lg)
+    nf = dh.weighted_norm(fx, xg, 2.0)
+    assert dh.diff_norms(spec, 1e-9, fx=fx, xgrid=xg)[1][0] < 1e-6 * nf
 
 
 def test_diff_norm_routes_agree_on_smooth_function(grids_resolved_small, bump_spec):
     xg, lg = grids_resolved_small
-    for h in (0.0625, 0.125, 0.25):
-        fast = dh.diff_norm(bump_spec, h, 2.0, xg, lg, route="fast")
-        phys = dh.diff_norm(bump_spec, h, 2.0, xg, lg, route="physical")
-        assert abs(fast - phys) / fast < 1e-6
+    spec, fx = physical_input(bump_spec, xg, lg)
+    hs = [0.0625, 0.125, 0.25]
+    fast, phys = dh.diff_norms(spec, hs, fx=fx, xgrid=xg)
+    assert np.all(np.abs(fast - phys) / fast < 1e-6)
 
 
 def test_diff_norm_bandlimited_rate(grids_default):
@@ -216,8 +284,7 @@ def test_diff_norm_bandlimited_rate(grids_default):
     c_neg, c_pos = kernel_slope_bounds(ALPHA)
     lam = lg.nodes
     total = math.sqrt(float(np.sum(lg.weights * g.values ** 2)))
-    for h in (1e-3, 1e-4):
-        got = diff_norm_spectral(g, h)
+    for h, got in zip((1e-3, 1e-4), dh.diff_norms(g, [1e-3, 1e-4])[0]):
         slopes = np.where(lam >= 0, c_pos, c_neg)
         oracle = math.sqrt(float(np.sum(
             lg.weights * (slopes * np.abs(lam) * h) ** 2 * g.values ** 2)))
