@@ -21,7 +21,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -67,39 +66,15 @@ _FLOAT_RANGES = {
 }
 
 
-def _check_floats(obj) -> None:
-    """Raise DomainError for the first float option of obj outside its range.
-
-    obj is a parsed argparse namespace or a RunConfig; options it does not
-    carry, or leaves at None, are skipped.
-    """
+def _check_floats(ns) -> None:
+    """Raise DomainError for the first float option of a parsed namespace
+    outside its range; options the subcommand does not carry, or leaves at
+    None, are skipped."""
     for name, (in_range, rule) in _FLOAT_RANGES.items():
-        v = getattr(obj, name, None)
+        v = getattr(ns, name, None)
         if v is not None and not (math.isfinite(v) and in_range(v)):
             raise DomainError(f"--{name.replace('_', '-')} must be finite and "
                               f"{rule}, got {v!r}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    alpha: float = 0.5
-    p: float = 2.0
-    radius_x: float = 20.0
-    radius_lambda: float = 64.0
-    order: int = 16
-    modulus_string: str = "power:gamma=0.5"
-    theorem: str = "main1_part1"
-    h_max_exp: int = 3
-    h_min_exp: int = 10
-    output_path: str = ""
-    format: str = "csv"
-
-    def __post_init__(self):
-        _check_floats(self)
-        if not self.h_max_exp < self.h_min_exp:
-            raise DomainError("h-max-exp must be smaller than h-min-exp")
-        if self.format not in ("csv", "json"):
-            raise DomainError("format must be csv or json")
 
 
 TEST_FUNCTIONS = {
@@ -168,21 +143,41 @@ def _cmd_synth(ns) -> int:
     return 0
 
 
+def _spectral(src, xg, lg) -> SpectralData:
+    """Spectral data as synthesized, or the transform of a test function."""
+    return src if isinstance(src, SpectralData) else forward(src, xg, lg)
+
+
+# theorem id -> (verifier call on (source, modulus, h grid, x grid, frequency
+# grid, parsed options), the options among p and nu that the call reads)
+THEOREMS = {
+    "main1_part1": (lambda s, w, h, xg, lg, ns: verify_main1_part1(
+        s, w, ns.p, h, xgrid=xg, lgrid=lg), ("p",)),
+    "main1_part2": (lambda s, w, h, xg, lg, ns: verify_main1_part2(
+        _spectral(s, xg, lg), w, h, xgrid=xg), ()),
+    "equivalence": (lambda s, w, h, xg, lg, ns: verify_equivalence(
+        _spectral(s, xg, lg), w, h, xgrid=xg), ()),
+    "fourier_Lnu": (lambda s, w, h, xg, lg, ns: verify_fourier_Lnu(
+        s, w, ns.p, ns.nu, xgrid=xg, lgrid=lg, h_grid=h), ("p", "nu")),
+    "main2_part1": (lambda s, w, h, xg, lg, ns: verify_main2(
+        s, w, "part1", h, xgrid=xg, lgrid=lg), ()),
+    "main2_part2": (lambda s, w, h, xg, lg, ns: verify_main2(
+        _spectral(s, xg, lg), w, "part2", h, xgrid=xg, lgrid=lg), ()),
+    "inclusion_Womega": (lambda s, w, h, xg, lg, ns: verify_inclusion_Womega(
+        s, w, ns.p, h, xgrid=xg, lgrid=lg), ("p",)),
+}
+
+
 def _cmd_titchmarsh(ns) -> int:
-    cfg = RunConfig(alpha=ns.alpha, p=ns.p, radius_x=ns.radius_x,
-                    radius_lambda=ns.radius_lambda, order=ns.order,
-                    modulus_string=ns.modulus, theorem=ns.theorem,
-                    h_max_exp=ns.h_max_exp, h_min_exp=ns.h_min_exp,
-                    output_path=ns.output or "", format=ns.format)
-    w = parse_family(cfg.modulus_string, ns.delta0)
-    h_all = dyadic_h_grid(w.delta0, cfg.h_max_exp, cfg.h_min_exp)
+    w = parse_family(ns.modulus, ns.delta0)
+    h_all = dyadic_h_grid(w.delta0, ns.h_max_exp, ns.h_min_exp)
 
     needs_x = ns.synth.startswith("function:") or ns.route_check
     if needs_x:
-        xg, lg = make_resolved_grids(cfg.alpha, cfg.radius_x, cfg.radius_lambda,
-                                     cfg.order)
+        xg, lg = make_resolved_grids(ns.alpha, ns.radius_x, ns.radius_lambda,
+                                     ns.order)
     else:
-        xg, lg = None, make_tail_grid(cfg.alpha, cfg.radius_lambda, cfg.order)
+        xg, lg = None, make_tail_grid(ns.alpha, ns.radius_lambda, ns.order)
     h_grid = restrict_h_grid(h_all, lg)
     if h_grid.size == 0:
         raise DomainError("no usable h: raise --radius-lambda or --h-max-exp")
@@ -193,54 +188,34 @@ def _cmd_titchmarsh(ns) -> int:
     profile = "smooth_tail" if ns.route_check else "sharp_tail"
     if ns.synth == "matched":
         src = synthesize_from_tail(
-            SynthesisSpec(w, cfg.alpha, cfg.radius_lambda, profile), lg)
+            SynthesisSpec(w, ns.alpha, ns.radius_lambda, profile), lg)
     elif ns.synth.startswith("mismatched:"):
         w_tail = parse_family(ns.synth.split(":", 1)[1], ns.delta0)
         src = synthesize_from_tail(
-            SynthesisSpec(w_tail, cfg.alpha, cfg.radius_lambda, profile), lg)
+            SynthesisSpec(w_tail, ns.alpha, ns.radius_lambda, profile), lg)
     elif ns.synth.startswith("function:"):
         src = _test_function(ns.synth.split(":", 1)[1])
     else:
         raise DomainError(f"unknown --synth {ns.synth!r}; use matched, "
                           "mismatched:<modulus>, or function:<name>")
 
-    theorem = cfg.theorem
-    if theorem == "main1_part1":
-        rep = verify_main1_part1(src, w, cfg.p, h_grid, xgrid=xg, lgrid=lg)
-    elif theorem == "main1_part2":
-        g = src if isinstance(src, SpectralData) else forward(src, xg, lg)
-        rep = verify_main1_part2(g, w, h_grid, xgrid=xg)
-    elif theorem == "equivalence":
-        g = src if isinstance(src, SpectralData) else forward(src, xg, lg)
-        rep = verify_equivalence(g, w, h_grid, xgrid=xg)
-    elif theorem == "fourier_Lnu":
-        rep = verify_fourier_Lnu(src, w, cfg.p, ns.nu, xgrid=xg, lgrid=lg,
-                                 h_grid=h_grid)
-    elif theorem in ("main2_part1", "main2_part2"):
-        mode = theorem.split("_")[1]
-        data = src
-        if mode == "part2" and not isinstance(src, SpectralData):
-            data = forward(src, xg, lg)
-        rep = verify_main2(data, w, mode, h_grid, xgrid=xg, lgrid=lg)
-    elif theorem == "inclusion_Womega":
-        rep = verify_inclusion_Womega(src, w, cfg.p, h_grid, xgrid=xg, lgrid=lg)
-    else:
-        raise DomainError(f"unknown theorem {theorem!r}")
+    verify, reads = THEOREMS[ns.theorem]
+    rep = verify(src, w, h_grid, xg, lg, ns)
 
     # only settings that shaped the run, and the node counts they produced
     config = {
-        "alpha": cfg.alpha, "p": cfg.p, "radius_lambda": cfg.radius_lambda,
-        "lambda_nodes": lg.nodes.size, "order": cfg.order,
-        "modulus": cfg.modulus_string, "theorem": cfg.theorem,
-        "h_max_exp": cfg.h_max_exp, "h_min_exp": cfg.h_min_exp,
-        "synth": ns.synth,
+        "alpha": ns.alpha, "radius_lambda": ns.radius_lambda,
+        "lambda_nodes": lg.nodes.size, "order": ns.order,
+        "modulus": ns.modulus, "theorem": ns.theorem,
+        "h_max_exp": ns.h_max_exp, "h_min_exp": ns.h_min_exp,
+        "synth": ns.synth, **{name: getattr(ns, name) for name in reads},
     }
     if xg is not None:
-        config.update(radius_x=cfg.radius_x, x_nodes=xg.nodes.size)
+        config.update(radius_x=ns.radius_x, x_nodes=xg.nodes.size)
     rep.extra["config"] = config
-    text = rep.to_json() if cfg.format == "json" else rep.to_csv()
-    if cfg.output_path:
-        _write(cfg.output_path, text)
+    text = rep.to_json() if ns.format == "json" else rep.to_csv()
+    if ns.output:
+        _write(ns.output, text)
     print(f"VERDICT={rep.verdict}")
     return 0
 
@@ -289,10 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tm = sub.add_parser("titchmarsh", help="run one theorem verification")
     _add_modulus_args(tm)
-    tm.add_argument("--theorem", default="main1_part1",
-                    choices=["main1_part1", "main1_part2", "equivalence",
-                             "fourier_Lnu", "main2_part1", "main2_part2",
-                             "inclusion_Womega"])
+    tm.add_argument("--theorem", default="main1_part1", choices=list(THEOREMS))
     tm.add_argument("--alpha", type=float, default=0.5)
     tm.add_argument("--p", type=float, default=2.0)
     tm.add_argument("--nu", type=float, default=2.0, help="fourier_Lnu only")

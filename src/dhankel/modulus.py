@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import roots_legendre
 
+from .quadrature import panel_integrals
 from .specfun import DomainError
 
 
@@ -168,8 +168,10 @@ def parse_family(text: str, delta0: float | None = None) -> ModulusSpec:
 
 # ----------------------------- monotonicity -----------------------------
 
-def _monotone_constant(fn, lo: float, hi: float, n: int, direction: str) -> float:
-    t = np.geomspace(lo, hi, n)
+def almost_monotone_constant(fn, lo: float, hi: float, direction: str,
+                             samples: int = 2000) -> float:
+    """Sampled almost-monotonicity constant of an arbitrary positive fn."""
+    t = np.geomspace(lo, hi, samples)
     v = np.asarray(fn(t), dtype=float)
     if not np.all(np.isfinite(v)) or np.any(v <= 0):
         raise ConstructionError("evaluator non-finite or non-positive on samples")
@@ -182,12 +184,6 @@ def _monotone_constant(fn, lo: float, hi: float, n: int, direction: str) -> floa
         prefix_min = np.minimum.accumulate(v)
         return float(np.max(v / prefix_min))
     raise DomainError(f"unknown direction {direction!r}")
-
-
-def almost_monotone_constant(fn, lo: float, hi: float, direction: str,
-                             samples: int = 2000) -> float:
-    """Sampled almost-monotonicity constant of an arbitrary positive fn."""
-    return _monotone_constant(fn, lo, hi, samples, direction)
 
 
 def check_almost_monotone(w: ModulusSpec, direction: str,
@@ -208,8 +204,8 @@ def check_almost_monotone(w: ModulusSpec, direction: str,
     else:
         raise DomainError(f"unknown direction {direction!r}")
     lo = w.delta0 * 1e-10
-    c0 = _monotone_constant(fn, lo, w.delta0, samples, direction)
-    c1 = _monotone_constant(fn, lo * 0.1, w.delta0, 2 * samples, direction)
+    c0 = almost_monotone_constant(fn, lo, w.delta0, direction, samples)
+    c1 = almost_monotone_constant(fn, lo * 0.1, w.delta0, direction, 2 * samples)
     passed = math.isfinite(c1) and c1 <= c0 * 1.01
     return MonotonicityCertificate(direction=direction, constant=max(c0, c1),
                                    sample_size=samples, passed=passed)
@@ -235,34 +231,26 @@ _SENTINEL_GROWTH = 1.10
 _TAIL_FRACTION = 0.02    # unresolved-tail trigger, see zygmund_Z0_constant
 
 
-def _panel_values(w: ModulusSpec, mode: str):
-    """Panelized Gauss data in u = ln(1/x) coordinates.
+def _log_panels(w: ModulusSpec, decades: int, per_decade: int, integrand):
+    """Descending edges x = delta0*10^{-k/per_decade} and the Gauss integral
+    over each panel [edges[i+1], edges[i]], in u = ln(1/x) coordinates:
+    integrand(u) is the integrand times dx/du, e.g. omega(e^{-u}) for
+    omega(x)/x dx."""
+    ks = np.arange(0, decades * per_decade + 1)
+    edges_t = w.delta0 * 10.0 ** (-ks / per_decade)
+    return edges_t, panel_integrals(integrand, np.log(1.0 / edges_t), _GAUSS_ORDER)
 
-    Returns (edges_t, panel_integrals) where edges_t are descending x values
-    delta0*10^{-k/8} and each panel integral covers [edges_t[i+1], edges_t[i]].
-    mode "z0" integrates omega(x)/x dx = omega(e^{-u}) du; mode "z1"
-    integrates omega(x)/x^2 dx = omega(e^{-u}) e^u du.
+
+def _sampled_sup(ratio: np.ndarray) -> float:
+    """Running sup of a ratio on the t grid, or math.inf when it diverges.
+
+    The sup is read at decade depths 4 .. _T_DECADES; divergent when each of
+    the last three decade extensions grew it by more than 10%.
     """
-    total = _T_DECADES + (_EXTRA_DECADES if mode == "z0" else 0)
-    ks = np.arange(0, total * _T_PER_DECADE + 1)
-    edges_t = w.delta0 * 10.0 ** (-ks / _T_PER_DECADE)
-    u_edges = np.log(1.0 / edges_t)
-    tg, wg = roots_legendre(_GAUSS_ORDER)
-    a, b = u_edges[:-1], u_edges[1:]
-    mid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * tg[None, :]
-    x = np.exp(-mid)
-    vals = w.evaluator(x)
-    if mode == "z1":
-        vals = vals * np.exp(mid)
-    integrals = np.sum(vals * wg[None, :], axis=1) * 0.5 * (b - a)
-    return edges_t, integrals
-
-
-def _sentinel(sups: np.ndarray) -> bool:
-    # sups indexed by decade depth; divergent when each of the last three
-    # decade extensions grew the sup by more than 10%.
+    sups = np.array([np.max(ratio[:d * _T_PER_DECADE + 1])
+                     for d in range(4, _T_DECADES + 1)])
     r = sups[1:] / sups[:-1]
-    return bool(np.all(r[-3:] > _SENTINEL_GROWTH))
+    return math.inf if np.all(r[-3:] > _SENTINEL_GROWTH) else float(sups[-1])
 
 
 def zygmund_Z0_constant(w: ModulusSpec) -> float:
@@ -275,33 +263,25 @@ def zygmund_Z0_constant(w: ModulusSpec) -> float:
     deeper grid (catches iterated-log rates the sentinel cannot see through
     truncation).
     """
-    edges_t, integrals = _panel_values(w, "z0")
+    edges_t, integrals = _log_panels(w, _T_DECADES + _EXTRA_DECADES, _T_PER_DECADE,
+                                     lambda u: w.evaluator(np.exp(-u)))
     # cumulative from the bottom: I(edges_t[i]) = sum of panels below it
     cum = np.concatenate([[0.0], np.cumsum(integrals[::-1])])[::-1]
     n_t = _T_DECADES * _T_PER_DECADE + 1
     t = edges_t[:n_t]
-    ratio = cum[:n_t] / w.evaluator(t)
-    sups = np.array([np.max(ratio[:d * _T_PER_DECADE + 1])
-                     for d in range(4, _T_DECADES + 1)])
-    if _sentinel(sups):
-        return math.inf
+    sup = _sampled_sup(cum[:n_t] / w.evaluator(t))
     last_decade = float(np.sum(integrals[-_T_PER_DECADE:]))
     if last_decade > _TAIL_FRACTION * cum[n_t - 1]:
         return math.inf
-    return float(sups[-1])
+    return sup
 
 
 def zygmund_Z1_constant(w: ModulusSpec) -> float:
     """sup_t of t*(int_t^d0 omega/x^2 dx) / omega(t), or math.inf if divergent."""
-    edges_t, integrals = _panel_values(w, "z1")
+    edges_t, integrals = _log_panels(w, _T_DECADES, _T_PER_DECADE,
+                                     lambda u: w.evaluator(np.exp(-u)) * np.exp(u))
     cum = np.concatenate([[0.0], np.cumsum(integrals)])  # from delta0 down to t
-    t = edges_t
-    ratio = t * cum / w.evaluator(t)
-    sups = np.array([np.max(ratio[:d * _T_PER_DECADE + 1])
-                     for d in range(4, _T_DECADES + 1)])
-    if _sentinel(sups):
-        return math.inf
-    return float(sups[-1])
+    return _sampled_sup(edges_t * cum / w.evaluator(edges_t))
 
 
 # ----------------------------- growth indices -----------------------------
@@ -371,14 +351,7 @@ def build_W_omega(w: ModulusSpec) -> ModulusSpec:
     """
     per = 24
     total = _T_DECADES + _W_EXTRA_DECADES
-    ks = np.arange(0, total * per + 1)
-    edges_t = w.delta0 * 10.0 ** (-ks / per)
-    u_edges = np.log(1.0 / edges_t)
-    tg, wg = roots_legendre(_GAUSS_ORDER)
-    a, b = u_edges[:-1], u_edges[1:]
-    mid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * tg[None, :]
-    vals = w.evaluator(np.exp(-mid))
-    integrals = np.sum(vals * wg[None, :], axis=1) * 0.5 * (b - a)
+    edges_t, integrals = _log_panels(w, total, per, lambda u: w.evaluator(np.exp(-u)))
     cum = np.concatenate([[0.0], np.cumsum(integrals[::-1])])[::-1]
 
     # bottom-decade increments must fade relative to the reporting scale

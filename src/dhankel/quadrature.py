@@ -152,6 +152,18 @@ def weighted_norm(f, grid: WeightedGrid, p: float) -> float:
     return float(np.sum(grid.weights * np.abs(vals) ** p) ** (1.0 / p))
 
 
+def panel_integrals(fn, edges, order: int) -> np.ndarray:
+    """Gauss-Legendre integrals of fn(s) ds over the panels [edges[i], edges[i+1]].
+
+    fn is vectorized; it is called once, on the (panels, order) node array.
+    """
+    edges = np.asarray(edges, dtype=float)
+    tg, wg = roots_legendre(order)
+    a, b = edges[:-1], edges[1:]
+    s = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * tg[None, :]
+    return np.sum(fn(s) * wg[None, :], axis=1) * 0.5 * (b - a)
+
+
 def weighted_integral(f, grid: WeightedGrid) -> float:
     """Integral of f against c_a |x|^{2a-1} dx on the grid (signed)."""
     vals = f(grid.nodes) if callable(f) else np.asarray(f, dtype=float)

@@ -33,23 +33,19 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erf, roots_legendre
+from scipy.special import erf
 
 from .modulus import (ConstructionError, ModulusSpec, build_W_omega,
                       check_almost_monotone, zygmund_Z0_constant,
                       zygmund_Z1_constant)
-from .quadrature import WeightedGrid, build_graded_grid, build_weighted_grid
+from .quadrature import (WeightedGrid, build_graded_grid, build_weighted_grid,
+                         panel_integrals)
 from .specfun import DomainError
-from .transform import (SpectralData, diff_norms, forward, inverse,
-                        tail_energy, tail_truncated)
-
-THEOREM_IDS = ("main1_part1", "main1_part2", "equivalence", "fourier_Lnu",
-               "main2_part1", "main2_part2", "inclusion_Womega")
-
-VERDICTS = ("bounded", "unbounded", "inconclusive", "hypothesis_failed")
+from .transform import (SpectralData, diff_norms, forward, round_trip_norms,
+                        spectral_mass, tail_energy, tail_truncated)
 
 
 class PreconditionError(RuntimeError):
@@ -162,8 +158,7 @@ def dyadic_h_grid(delta0: float, h_max_exp: int = 3, h_min_exp: int = 10) -> np.
 def restrict_h_grid(h_grid, lgrid: WeightedGrid) -> np.ndarray:
     """Drop h whose tail 1/h falls in the unresolved quarter of the grid."""
     h_grid = np.asarray(h_grid, dtype=float)
-    keep = 1.0 / h_grid <= lgrid.radius / 4.0
-    return h_grid[keep]
+    return h_grid[~tail_truncated(lgrid, h_grid)]
 
 
 def make_tail_grid(alpha: float, radius: float, order: int = 16) -> WeightedGrid:
@@ -320,10 +315,6 @@ def dlip_seminorm(f_or_g, w: ModulusSpec, p: float, h_grid,
 
 # ----------------------------- verifiers -----------------------------
 
-def _flags(lgrid: WeightedGrid, h_grid) -> np.ndarray:
-    return np.array([tail_truncated(lgrid, h) for h in h_grid])
-
-
 def _base_extra(alpha: float, w: ModulusSpec) -> dict:
     return {
         "alpha": alpha,
@@ -362,14 +353,14 @@ def verify_main1_part1(f_or_g, w: ModulusSpec, p: float, h_grid,
     if not math.isfinite(sem):
         raise PreconditionError("Lipschitz seminorm is not finite on the h grid",
                                 condition="dlip_seminorm")
-    ratios = np.array([tail_energy(g, h, q) for h in h_grid]) / omega_h ** q
+    ratios = tail_energy(g, h_grid, q) / omega_h ** q
     extra = _base_extra(g.alpha, w)
     extra.update({"p": p, "q": q, "zygmund_Z0": z0, "dlip_seminorm": sem})
     return VerificationReport(
         theorem_id="main1_part1", h_grid=h_grid, ratios=ratios,
         estimated_constant=float(np.max(ratios)),
         verdict=render_verdict(h_grid, ratios),
-        truncation_flags=_flags(g.lambda_grid, h_grid), extra=extra)
+        truncation_flags=tail_truncated(g.lambda_grid, h_grid), extra=extra)
 
 
 def verify_main1_part2(g: SpectralData, w: ModulusSpec, h_grid,
@@ -389,29 +380,28 @@ def verify_main1_part2(g: SpectralData, w: ModulusSpec, h_grid,
             "is not dominated by omega(t)/t", condition="Z1")
     h_grid = np.asarray(h_grid, dtype=float)
     omega_h = np.asarray(w.evaluator(h_grid), dtype=float)
-    tail_ratios = np.array([tail_energy(g, h, 2.0) for h in h_grid]) / omega_h ** 2
+    tail_ratios = tail_energy(g, h_grid, 2.0) / omega_h ** 2
     if render_verdict(h_grid, tail_ratios) == "unbounded":
         raise PreconditionError(
             "tail hypothesis fails: tail energy is not dominated by omega^2(h)",
             condition="tail_hypothesis")
-    ratios = diff_norms(g, h_grid)[0] / omega_h
+    agreement = None
+    if xgrid is None:
+        trace = diff_norms(g, h_grid)[0]
+    else:
+        # the Plancherel sum checked against an honest x-space norm
+        trace, fast, phys = round_trip_norms(g, h_grid, xgrid)
+        agreement = float(np.max(np.abs(fast - phys) / np.maximum(fast, 1e-300)))
+    ratios = trace / omega_h
     extra = _base_extra(g.alpha, w)
     extra.update({"p": 2.0, "zygmund_Z1": z1,
                   "tail_constant": float(np.max(tail_ratios)),
-                  "route_agreement": None})
-    if xgrid is not None:
-        # both routes from one transform of inverse(g) sampled on the x grid,
-        # so the Plancherel sum is checked against an honest x-space norm
-        fx = inverse(g, xgrid)(xgrid.nodes)
-        spec = forward(fx, xgrid, g.lambda_grid)
-        fast, phys = diff_norms(spec, h_grid, fx=fx, xgrid=xgrid)
-        extra["route_agreement"] = float(np.max(
-            np.abs(fast - phys) / np.maximum(fast, 1e-300)))
+                  "route_agreement": agreement})
     return VerificationReport(
         theorem_id="main1_part2", h_grid=h_grid, ratios=ratios,
         estimated_constant=float(np.max(ratios)),
         verdict=render_verdict(h_grid, ratios),
-        truncation_flags=_flags(g.lambda_grid, h_grid), extra=extra)
+        truncation_flags=tail_truncated(g.lambda_grid, h_grid), extra=extra)
 
 
 def verify_equivalence(g: SpectralData, w: ModulusSpec, h_grid,
@@ -428,30 +418,15 @@ def verify_equivalence(g: SpectralData, w: ModulusSpec, h_grid,
                   "converse_constant": conv.estimated_constant,
                   "converse_ratios": [float(r) for r in conv.ratios],
                   "route_agreement": conv.extra["route_agreement"]})
-    return VerificationReport(
-        theorem_id="equivalence", h_grid=np.asarray(h_grid, dtype=float),
-        ratios=fwd.ratios,
-        estimated_constant=max(fwd.estimated_constant, conv.estimated_constant),
-        verdict=both, truncation_flags=fwd.truncation_flags, extra=extra)
+    return replace(fwd, theorem_id="equivalence", verdict=both, extra=extra,
+                   estimated_constant=max(fwd.estimated_constant,
+                                          conv.estimated_constant))
 
 
 # ----------------------------- L_nu membership -----------------------------
 
 _NU_DECADES = 12
 _NU_GAUSS = 12
-
-
-def _decade_sums(w: ModulusSpec, exponent_fn, decades: int):
-    """Integrals of f(t) = exponent_fn over (d0*10^-d, d0*10^-(d-1)]."""
-    tg, wg = roots_legendre(_NU_GAUSS)
-    out = []
-    for d in range(1, decades + 1):
-        hi = w.delta0 * 10.0 ** -(d - 1)
-        lo = w.delta0 * 10.0 ** -d
-        a, b = math.log(lo), math.log(hi)
-        t = np.exp(0.5 * (a + b) + 0.5 * (b - a) * tg)
-        out.append(float(np.sum(exponent_fn(t) * t * wg) * 0.5 * (b - a)))
-    return np.array(out)
 
 
 def check_transform_integrability(w: ModulusSpec, alpha: float, p: float,
@@ -468,8 +443,16 @@ def check_transform_integrability(w: ModulusSpec, alpha: float, p: float,
     """
     q = p / (p - 1.0)
     s = 2.0 * alpha * (1.0 - nu / q)
-    integrand = lambda t: np.asarray(w.evaluator(t), dtype=float) ** nu / t ** (s + 1.0)
-    sums = _decade_sums(w, integrand, _NU_DECADES)
+
+    def integrand(u):  # omega^nu(t) / t^{s+1} dt in u = ln t
+        t = np.exp(u)
+        return np.asarray(w.evaluator(t), dtype=float) ** nu / t ** (s + 1.0) * t
+
+    # decade d covers (delta0*10^-d, delta0*10^-(d-1)], d = 1 .. _NU_DECADES;
+    # scalar powers, since numpy's array power can differ in the last bit
+    log_edges = np.array([math.log(w.delta0 * 10.0 ** -d)
+                          for d in range(_NU_DECADES, -1, -1)])
+    sums = panel_integrals(integrand, log_edges, _NU_GAUSS)[::-1]
     r = sums[1:] / sums[:-1]
     integrable = bool(np.all(r[-3:] <= 0.98))
     hs = w.delta0 * 10.0 ** -np.arange(0, _NU_DECADES + 1, dtype=float)
@@ -506,10 +489,7 @@ def verify_fourier_Lnu(f_or_g, w: ModulusSpec, p: float, nu: float,
     h_grid = np.asarray(h_grid, dtype=float)
     cond = check_transform_integrability(w, g.alpha, p, nu)
     radii = lam.radius / np.array([8.0, 4.0, 2.0, 1.0])
-    absvals = np.abs(g.values)
-    partial = np.array([np.sum(
-        lam.weights[np.abs(lam.nodes) <= r] * absvals[np.abs(lam.nodes) <= r] ** nu)
-        for r in radii]) ** (1.0 / nu)
+    partial = spectral_mass(g, nu, radii, beyond=False) ** (1.0 / nu)
     growth = partial[1:] / partial[:-1] - 1.0
     extra = _base_extra(g.alpha, w)
     extra.update({"p": p, "q": q, "nu": nu, "conditions": cond,
@@ -525,7 +505,7 @@ def verify_fourier_Lnu(f_or_g, w: ModulusSpec, p: float, nu: float,
     return VerificationReport(
         theorem_id="fourier_Lnu", h_grid=h_grid, ratios=ratios,
         estimated_constant=constant, verdict=verdict,
-        truncation_flags=_flags(lam, h_grid), extra=extra)
+        truncation_flags=tail_truncated(lam, h_grid), extra=extra)
 
 
 # ----------------------------- W_omega variants -----------------------------
@@ -547,13 +527,9 @@ def verify_main2(f_or_g, w: ModulusSpec, mode: str, h_grid,
     else:
         rep = verify_main1_part2(f_or_g, w_cum, h_grid, xgrid=xgrid)
         theorem_id = "main2_part2"
-    extra = dict(rep.extra)
-    extra["base_modulus_family"] = w.family_tag
-    extra["base_modulus_params"] = dict(w.params)
-    return VerificationReport(
-        theorem_id=theorem_id, h_grid=rep.h_grid, ratios=rep.ratios,
-        estimated_constant=rep.estimated_constant, verdict=rep.verdict,
-        truncation_flags=rep.truncation_flags, extra=extra)
+    extra = dict(rep.extra, base_modulus_family=w.family_tag,
+                 base_modulus_params=dict(w.params))
+    return replace(rep, theorem_id=theorem_id, extra=extra)
 
 
 def verify_inclusion_Womega(f_or_g, w: ModulusSpec, p: float, h_grid,
@@ -583,4 +559,4 @@ def verify_inclusion_Womega(f_or_g, w: ModulusSpec, p: float, h_grid,
         theorem_id="inclusion_Womega", h_grid=h_grid, ratios=ratios,
         estimated_constant=float(sem_cum / sem_w),
         verdict=render_verdict(h_grid, ratios),
-        truncation_flags=_flags(g.lambda_grid, h_grid), extra=extra)
+        truncation_flags=tail_truncated(g.lambda_grid, h_grid), extra=extra)

@@ -13,7 +13,9 @@ Kernel matrices are dense and cached for as long as their grid pair lives.
 
 Difference norms ||T_h f - f|| come for a whole h grid at once (diff_norms),
 from one multiplier matrix B(lambda_j h_k): reduced per h (Plancherel route)
-and applied in one product with the kernel matrix (physical route).
+and applied in one product with the kernel matrix (physical route).  Tail
+energies and the partial norms over |lambda| <= r come from one spectral-mass
+primitive (spectral_mass), also for a whole grid of cuts at once.
 """
 
 from __future__ import annotations
@@ -144,35 +146,50 @@ def inverse(g: SpectralData, xgrid: WeightedGrid) -> FunctionSpec:
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return float(kernel_multiplier(lgrid, float(x)) @ coeff)
         if x.shape == xgrid.nodes.shape and np.array_equal(x, xgrid.nodes):
             return kernel_matrix(xgrid, lgrid) @ coeff
-        return kernel_B(params, np.outer(x, lgrid.nodes)) @ coeff
+        return kernel_B(params, np.multiply.outer(x, lgrid.nodes)) @ coeff
 
     return FunctionSpec(evaluator=evaluator, support_radius=xgrid.radius,
                         smoothness_tag="spectral_synthesized", spectral=g)
 
 
-def tail_energy(g: SpectralData, h: float, q: float) -> float:
-    """Spectral mass sum_{|lambda_j| >= 1/h} w_j |g_j|^q.
+def spectral_mass(g: SpectralData, q: float, radii, beyond: bool) -> np.ndarray:
+    """sum_j w_j |g_j|^q over |lambda_j| >= r (beyond) or |lambda_j| <= r,
+    for each r of a 1-D array of radii.
 
-    Zero (degenerate) when 1/h is at or beyond the grid radius; use
+    The per-node mass is computed once and each cut is one searchsorted on
+    the positive nodes; every sum runs over the selected nodes in grid order.
+    """
+    lgrid = g.lambda_grid
+    mass = lgrid.weights * np.abs(g.values) ** q
+    n = lgrid.pos_nodes.size
+    if beyond:
+        counts = n - np.searchsorted(lgrid.pos_nodes, radii, side="left")
+        return np.array([np.sum(np.concatenate((mass[:k], mass[2 * n - k:])))
+                         for k in counts])
+    counts = np.searchsorted(lgrid.pos_nodes, radii, side="right")
+    return np.array([np.sum(mass[n - k:n + k]) for k in counts])
+
+
+def tail_energy(g: SpectralData, h, q: float):
+    """Spectral mass sum_{|lambda_j| >= 1/h} w_j |g_j|^q for every h of a
+    1-D grid (a float for a scalar h).
+
+    Zero (degenerate) when 1/h is beyond the outermost node; use
     tail_truncated() to flag that situation.
     """
-    if not h > 0:
+    h = np.asarray(h, dtype=float)
+    if not np.all(h > 0):
         raise DomainError("h must be positive")
-    cut = 1.0 / h
-    mask = np.abs(g.lambda_grid.nodes) >= cut
-    if not mask.any():
-        return 0.0
-    w = g.lambda_grid.weights[mask]
-    return float(np.sum(w * np.abs(g.values[mask]) ** q))
+    tails = spectral_mass(g, q, 1.0 / np.atleast_1d(h), beyond=True)
+    return float(tails[0]) if h.ndim == 0 else tails
 
 
-def tail_truncated(lgrid: WeightedGrid, h: float) -> bool:
-    """True when 1/h is too close to the grid edge for the tail to be resolved."""
-    return 1.0 / h > lgrid.radius / 4.0
+def tail_truncated(lgrid: WeightedGrid, h):
+    """True where 1/h is too close to the grid edge for the tail to be
+    resolved (1/h > radius/4); elementwise over an h grid."""
+    return 1.0 / np.asarray(h, dtype=float) > lgrid.radius / 4.0
 
 
 def diff_norms(g: SpectralData, h, p: float = 2.0, *, fx=None,
@@ -193,15 +210,36 @@ def diff_norms(g: SpectralData, h, p: float = 2.0, *, fx=None,
     if p != 2.0 and fx is None:
         raise DomainError("p != 2 needs x-space samples: the Plancherel "
                           "route is p = 2 only")
+    if fx is not None and xgrid is None:
+        raise DomainError("the physical route needs the x grid of fx")
+    mult = kernel_multiplier(g.lambda_grid, np.atleast_1d(h))
+    return _routes(g, mult, p, fx, xgrid)
+
+
+def round_trip_norms(g: SpectralData, h, xgrid: WeightedGrid):
+    """Plancherel trace of g, then (Plancherel, physical) routes for its
+    round trip f = inverse(g) sampled on xgrid and transformed back.
+
+    This is the two-route check of diff_norms on an honest x-space function;
+    all three traces share one multiplier matrix, as g and its round trip
+    live on the same frequency grid.
+    """
     lgrid = g.lambda_grid
     mult = kernel_multiplier(lgrid, np.atleast_1d(h))
+    fx = inverse(g, xgrid)(xgrid.nodes)
+    spec = forward(fx, xgrid, lgrid)
+    return (_routes(g, mult, 2.0, None, None)[0],
+            *_routes(spec, mult, 2.0, fx, xgrid))
+
+
+def _routes(g: SpectralData, mult: np.ndarray, p: float, fx, xgrid):
+    """diff_norms for a given multiplier matrix mult[k, j] = B(lambda_j h_k)."""
+    lgrid = g.lambda_grid
     fast = phys = None
     if p == 2.0:
         fast = np.sqrt(np.sum(lgrid.weights * (1.0 - mult) ** 2 * g.values ** 2,
                               axis=1))
     if fx is not None:
-        if xgrid is None:
-            raise DomainError("the physical route needs the x grid of fx")
         tfs = (lgrid.weights * mult * g.values) @ kernel_matrix(xgrid, lgrid).T
         phys = np.array([weighted_norm(tf - fx, xgrid, p) for tf in tfs])
     return fast, phys

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from dhankel.cli import RunConfig, main
-from dhankel.specfun import DomainError
+from dhankel.cli import THEOREMS, build_parser, main
 
 
 def test_indices_output(capsys):
@@ -99,18 +98,17 @@ def test_transform_csv(tmp_path, capsys):
     assert out_file.read_text().startswith("# alpha=0.5 radius=64.0")
 
 
-def test_run_config_validation():
-    with pytest.raises(DomainError):
-        RunConfig(alpha=0.2)
-    with pytest.raises(DomainError):
-        RunConfig(p=2.5)
-    with pytest.raises(DomainError):
-        RunConfig(h_max_exp=8, h_min_exp=3)
-    with pytest.raises(DomainError):
-        RunConfig(format="xml")
-
-
 TM = ("titchmarsh", "--modulus", "power:gamma=0.5")
+
+
+def test_run_config_validation(capsys):
+    # argparse, the float-range table and dyadic_h_grid reject bad settings
+    for bad in (["--alpha", "0.2"], ["--p", "2.5"],
+                ["--h-max-exp", "8", "--h-min-exp", "3"], ["--format", "xml"]):
+        assert main([*TM, *bad]) == 1
+        out, err = capsys.readouterr()
+        assert "VERDICT" not in out
+        assert err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -143,26 +141,58 @@ def test_titchmarsh_rejects_panels(capsys):
     assert "--panels" in err
 
 
-CONFIG_KEYS = {"alpha", "p", "radius_lambda", "lambda_nodes", "order",
+CONFIG_KEYS = {"alpha", "radius_lambda", "lambda_nodes", "order",
                "modulus", "theorem", "h_max_exp", "h_min_exp", "synth"}
+
+# the options among --p and --nu each theorem's verifier reads
+READS = {"main1_part1": {"p"}, "main1_part2": set(), "equivalence": set(),
+         "fourier_Lnu": {"p", "nu"}, "main2_part1": set(),
+         "main2_part2": set(), "inclusion_Womega": {"p"}}
 
 
 @pytest.mark.parametrize("route_check", [False, True])
-def test_titchmarsh_config_records_what_shaped_the_run(route_check, tmp_path,
-                                                       capsys):
+@pytest.mark.parametrize("theorem", sorted(READS))
+def test_titchmarsh_config_records_what_shaped_the_run(theorem, route_check,
+                                                       tmp_path, capsys):
     import dhankel as dh
     out_file = tmp_path / "rep.json"
-    argv = [*TM, "--theorem", "main1_part2", "--format", "json",
+    argv = [*TM, "--theorem", theorem, "--nu", "1.5", "--format", "json",
             "--output", str(out_file)]
-    assert main(argv + (["--route-check"] if route_check else [])) == 0
+    # p != 2 needs x-space input, so the tail run keeps the default p = 2
+    p = 1.5 if route_check else 2.0
+    if route_check:
+        argv += ["--route-check", "--synth", "function:gauss", "--p", "1.5"]
+    assert main(argv) == 0
     capsys.readouterr()
-    config = json.loads(out_file.read_text())["extra"]["config"]
+    report = json.loads(out_file.read_text())["extra"]
+    config = report["config"]
     if route_check:
         xg, lg = dh.make_resolved_grids(0.5, 20.0, 64.0)
-        assert set(config) == CONFIG_KEYS | {"radius_x", "x_nodes"}
+        assert set(config) == CONFIG_KEYS | READS[theorem] | {"radius_x", "x_nodes"}
         assert config["radius_x"] == 20.0
         assert config["x_nodes"] == xg.nodes.size
     else:
         lg = dh.make_tail_grid(0.5, 64.0)
-        assert set(config) == CONFIG_KEYS
+        assert set(config) == CONFIG_KEYS | READS[theorem]
     assert config["lambda_nodes"] == lg.nodes.size
+    # a recorded option is the value the verifier ran with
+    for name in READS[theorem]:
+        assert config[name] == report[name] == {"p": p, "nu": 1.5}[name]
+
+
+def test_theorem_choices_are_the_table():
+    tm = build_parser()._subparsers._group_actions[0].choices["titchmarsh"]
+    theorem = next(a for a in tm._actions if a.dest == "theorem")
+    assert list(theorem.choices) == list(THEOREMS)
+    assert set(THEOREMS) == set(READS)
+
+
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_every_theorem_runs_through_the_cli(theorem, capsys):
+    code = main([*TM, "--theorem", theorem, "--radius-lambda", "8192",
+                 "--nu", "1.5"])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.splitlines()[-1].startswith("VERDICT=")
+    else:
+        assert code == 2 and err.startswith("precondition failed [")

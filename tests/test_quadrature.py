@@ -6,13 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dhankel.quadrature import (build_graded_grid, build_weighted_grid,
-                                weight_constant, weighted_integral,
-                                weighted_norm)
+                                panel_integrals, weight_constant,
+                                weighted_integral, weighted_norm)
 from dhankel.specfun import DomainError
 
 
 def closed_form_mass(alpha, radius):
     return weight_constant(alpha) * radius ** (2 * alpha) / alpha
+
+
+def test_panel_integrals_exact_for_polynomials():
+    # an order-n Gauss rule integrates degree 2n - 1 exactly on every panel
+    edges = np.array([-1.0, 0.0, 0.5, 2.0, 3.5])
+    got = panel_integrals(lambda s: 5 * s ** 9 - s ** 2, edges, 5)
+    prim = lambda s: s ** 10 / 2 - s ** 3 / 3
+    assert np.allclose(got, prim(edges[1:]) - prim(edges[:-1]), rtol=1e-13)
 
 
 def test_total_mass_examples():

@@ -298,6 +298,18 @@ def test_integrability_threshold():
         assert check_transform_integrability(w, ALPHA, 2.0, nu)["accepted"]
 
 
+@pytest.mark.parametrize("gamma,alpha,p,nu", [(0.5, 0.5, 2.0, 1.5),
+                                               (0.3, 0.7, 1.5, 2.0),
+                                               (0.9, 0.3, 1.25, 1.0)])
+def test_decade_ratios_of_a_power_are_geometric(gamma, alpha, p, nu):
+    # omega = t^gamma: each decade integral of t^{gamma nu - s - 1} is the
+    # previous one times 10^{-(gamma nu - s)}
+    w = dh.make_family("power", {"gamma": gamma})
+    cond = check_transform_integrability(w, alpha, p, nu)
+    want = 10.0 ** -(gamma * nu - cond["exponent"])
+    assert np.allclose(cond["decade_ratios"], want, rtol=1e-12, atol=0.0)
+
+
 def test_integrability_at_nu_equals_q():
     # nu = q: the exponent collapses and omega^q(t)/t is integrable
     w = dh.make_family("power", {"gamma": 0.5})
@@ -400,6 +412,18 @@ def test_route_check_reads_kernel_matrix_at_most_three_times(
         rep = dh.verify_main1_part2(g, w, h, xgrid=xg)
         assert rep.extra["route_agreement"] is not None
         assert len(reads) <= 3
+
+
+def test_route_check_builds_one_multiplier(grids_resolved_small, monkeypatch):
+    # the ratio trace on g and both routes of its round trip share one
+    # multiplier matrix B(lambda_j h_k)
+    xg, lg = grids_resolved_small
+    w = dh.make_family("power", {"gamma": 0.5})
+    g = smooth(w, lg)
+    builds = count_calls(monkeypatch, dhankel.transform, "kernel_multiplier")
+    rep = dh.verify_main1_part2(g, w, dh.dyadic_h_grid(D0, 3, 5), xgrid=xg)
+    assert rep.extra["route_agreement"] is not None
+    assert len(builds) == 1
 
 
 def test_inclusion_computes_one_trace(grids_resolved_small, bump_spec,

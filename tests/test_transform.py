@@ -12,7 +12,7 @@ import dhankel as dh
 from dhankel.quadrature import weight_constant, weighted_integral
 from dhankel.specfun import DomainError, KernelParams, kernel_slope_bounds
 from dhankel.transform import (ConfigurationError, _matrix_cache,
-                               kernel_matrix, kernel_multiplier)
+                               kernel_matrix, kernel_multiplier, spectral_mass)
 
 ALPHA = 0.5
 
@@ -125,6 +125,35 @@ def test_tail_energy_basics(grids_default):
     from dhankel.transform import tail_truncated
     assert tail_truncated(lg, 1.0 / (lg.radius + 1))
     assert not tail_truncated(lg, 1.0)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_spectral_mass_matches_masked_sums(tail_grid_4096, q):
+    # the h-grid tail equals a per-h masked sum in grid order, bit for bit,
+    # on a non-even spectrum that vanishes beyond |lambda| = R/2
+    lg = tail_grid_4096
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal(lg.nodes.size) * (np.abs(lg.nodes) < lg.radius / 2)
+    g = dh.SpectralData(alpha=lg.alpha, lambda_grid=lg, values=vals)
+    hs = np.concatenate([dh.dyadic_h_grid(0.5, 0, 12),
+                         [1.5 / lg.radius,            # tail misses the support
+                          1.0 / lg.pos_nodes[7],      # cut on a node
+                          0.5 / lg.radius]])          # 1/h beyond the radius
+    want = np.array([np.sum(lg.weights[np.abs(lg.nodes) >= 1.0 / h]
+                            * np.abs(vals[np.abs(lg.nodes) >= 1.0 / h]) ** q)
+                     for h in hs])
+    got = dh.tail_energy(g, hs, q)
+    assert np.array_equal(got, want)
+    assert got[-3] == 0.0 and got[-1] == 0.0 and got[-2] > 0.0
+    assert all(dh.tail_energy(g, h, q) == t for h, t in zip(hs, got))
+    with pytest.raises(DomainError):
+        dh.tail_energy(g, np.array([0.1, 0.0]), q)
+    # the same primitive's partial masses over |lambda| <= r
+    radii = np.array([0.0, 1.0, lg.pos_nodes[7], lg.radius / 4, lg.radius, 1e9])
+    inner = np.array([np.sum(lg.weights[np.abs(lg.nodes) <= r]
+                             * np.abs(vals[np.abs(lg.nodes) <= r]) ** q)
+                      for r in radii])
+    assert np.array_equal(spectral_mass(g, q, radii, beyond=False), inner)
 
 
 @given(h=st.floats(min_value=0.02, max_value=0.9),
