@@ -30,7 +30,8 @@ class KernelParams:
     """Evaluation parameters for the kernel B_alpha.
 
     alpha: deformation order, must exceed 1/4.
-    series_tol: absolute magnitude below which the power series is truncated.
+    series_tol: the power series stops after the first term whose magnitude
+        at z = asymptotic_switch is below series_tol.
     asymptotic_switch: |argument| of j_nu above which the large-argument
         evaluation is used instead of the series.
     """
@@ -49,6 +50,7 @@ class KernelParams:
 
 
 _SERIES_MAX_TERMS = 500
+_SERIES_BLOCK = 8192
 
 
 def gamma(x: float) -> float:
@@ -58,32 +60,58 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def _series(nu: float, z: np.ndarray, tol: float) -> np.ndarray:
-    # j_nu(z) = sum_k (-1)^k / (k! (nu+1)_k) (z/2)^{2k}; terms near z ~ 9 reach
-    # ~3e2, so a Neumaier-compensated sum keeps the absolute error ~1e-13.
-    q = z * z * 0.25
-    s = np.ones_like(z)
-    c = np.zeros_like(z)
-    t = np.ones_like(z)
+def _series_terms(nu: float, tol: float, switch: float) -> int:
+    # Terms of the series at z = switch, the largest argument it is used for:
+    # the scalar recurrence below stops at the first term under tol.  Term k
+    # grows with z, so this count suffices for every z <= switch.
+    q = switch * switch * 0.25
+    t = 1.0
     for k in range(_SERIES_MAX_TERMS):
         t = t * (-q) / ((k + 1.0) * (k + nu + 1.0))
-        s_new = s + t
-        swap = np.abs(s) < np.abs(t)
-        big = np.where(swap, t, s)
-        small = np.where(swap, s, t)
-        c += (big - s_new) + small
-        s = s_new
-        if np.max(np.abs(t)) < tol:
-            break
-    return s + c
+        if abs(t) < tol:
+            return k + 1
+    return _SERIES_MAX_TERMS
+
+
+def _series(nu: float, z: np.ndarray, tol: float, switch: float) -> np.ndarray:
+    # j_nu(z) = sum_k (-1)^k / (k! (nu+1)_k) (z/2)^{2k}; terms near z ~ 9 reach
+    # ~3e2, so a Neumaier-compensated sum keeps the absolute error ~1e-13.
+    # Every entry takes the same number of terms, so its value does not depend
+    # on the other entries of the call; the sum runs in place over blocks of
+    # _SERIES_BLOCK entries so that its work arrays stay in cache.
+    terms = _series_terms(nu, tol, switch)
+    out = np.empty_like(z)
+    for lo in range(0, z.size, _SERIES_BLOCK):
+        zb = z[lo:lo + _SERIES_BLOCK]
+        mq = zb * zb * -0.25
+        t, s, c = np.ones_like(zb), np.ones_like(zb), np.zeros_like(zb)
+        s_new, big, small = np.empty_like(zb), np.empty_like(zb), np.empty_like(zb)
+        swap = np.empty(zb.shape, dtype=bool)
+        for k in range(terms):
+            t *= mq
+            t /= (k + 1.0) * (k + nu + 1.0)
+            np.add(s, t, out=s_new)
+            # c += (big - s_new) + small, big the larger of s and t in size
+            np.less(np.abs(s, out=big), np.abs(t, out=small), out=swap)
+            np.copyto(big, s)
+            np.copyto(big, t, where=swap)
+            np.copyto(small, t)
+            np.copyto(small, s, where=swap)
+            big -= s_new
+            big += small
+            c += big
+            s, s_new = s_new, s
+        out[lo:lo + _SERIES_BLOCK] = s + c
+    return out
 
 
 def _large_argument(nu: float, z: np.ndarray) -> np.ndarray:
     # Normalized value Gamma(nu+1) (2/z)^nu J_nu(z).  Integer and half-integer
     # orders get the fast cephes/spherical paths; the upward recurrence for
-    # J_n is stable here because it is only used where z > n.
+    # J_n is stable only where z > n, so jv takes the entries with z <= n
+    # (none when asymptotic_switch >= 8).
     n = round(nu)
-    if nu == n and 0 <= n <= 8 and np.min(z) > n:
+    if nu == n and 0 <= n <= 8:
         jn_prev = j0(z)
         if n == 0:
             big_j = jn_prev
@@ -92,6 +120,8 @@ def _large_argument(nu: float, z: np.ndarray) -> np.ndarray:
             for k in range(1, n):
                 jn_prev, jn_cur = jn_cur, (2.0 * k / z) * jn_cur - jn_prev
             big_j = jn_cur
+        low = z <= n
+        big_j[low] = jv(nu, z[low])
     elif abs(nu - n) == 0.5 and nu > 0:
         big_j = np.sqrt(2.0 * z / np.pi) * spherical_jn(int(nu - 0.5), z)
     else:
@@ -104,7 +134,9 @@ def bessel_j_normalized(nu: float, x, *, series_tol: float = 1e-15,
     """Normalized Bessel function of the first kind, j_nu(0) = 1.
 
     Even in x.  Power series below |x| = asymptotic_switch, large-argument
-    evaluation above; absolute error ~1e-13 throughout.
+    evaluation above; absolute error ~1e-13 throughout.  The series takes the
+    same number of terms at every argument, so each entry's value does not
+    depend on the other entries of x.
     """
     if not nu > -1.0:
         raise DomainError(f"order must exceed -1, got {nu}")
@@ -114,7 +146,7 @@ def bessel_j_normalized(nu: float, x, *, series_tol: float = 1e-15,
     out = np.empty_like(z)
     near = z <= asymptotic_switch
     if near.any():
-        out[near] = _series(nu, z[near], series_tol)
+        out[near] = _series(nu, z[near], series_tol, asymptotic_switch)
     far = ~near
     if far.any():
         out[far] = _large_argument(nu, z[far])

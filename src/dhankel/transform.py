@@ -7,13 +7,15 @@ multiplier identity F(T_h f)(lambda) = B(lambda h) F(f)(lambda), which is how
 it enters every norm computed here.  All data are real (the kernel is real).
 
 Every grid is symmetric under negation, so B(lambda_j x_i) and B(lambda_j h)
-are assembled from the kernel's even and odd parts (specfun.kernel_parts),
-evaluated once per distinct |lambda x| on the positive half-axes and mirrored.
-Kernel matrices are dense and cached for as long as their grid pair lives.
+come from the kernel's even and odd parts (specfun.kernel_parts), evaluated
+once per distinct |lambda x| on the positive half-axes.  A grid pair's kernel
+is cached as those two half-line blocks [E | O] (half the dense matrix) for
+as long as the pair lives, and every transform applies it as two half-size
+products, E on the even and O on the odd combination of the coefficients.
 
 Difference norms ||T_h f - f|| come for a whole h grid at once (diff_norms),
 from one multiplier matrix B(lambda_j h_k): reduced per h (Plancherel route)
-and applied in one product with the kernel matrix (physical route).  Tail
+and applied with one product per kernel block (physical route).  Tail
 energies and the partial norms over |lambda| <= r come from one spectral-mass
 primitive (spectral_mass), also for a whole grid of cuts at once.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import WeightedGrid, weighted_norm
-from .specfun import DomainError, KernelParams, kernel_B, kernel_parts
+from .specfun import DomainError, KernelParams, kernel_parts
 
 
 class ConfigurationError(ValueError):
@@ -80,43 +82,67 @@ class SpectralData:
 
 
 _matrix_cache: dict[tuple[int, int, float], np.ndarray] = {}
+# Rows of the quarter block per kernel_parts call in a kernel_matrix build.
+_BUILD_ROWS = 16
 
 
 def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
-    """Dense kernel matrix K[i, j] = B_alpha(lambda_j * x_i), cached.
+    """Half-line kernel blocks [E | O] of the grid pair, cached.
 
-    The even and odd kernel parts E, O are evaluated once, on the positive
-    quarter block |lambda_j x_i| = outer(xgrid.pos_nodes, lgrid.pos_nodes).
-    Since nodes = [-pos[::-1], pos] on both grids, the four blocks are E - O
-    where lambda_j x_i > 0 and E + O where it is negative, with rows and
-    columns reversed on the negative half-axes.  Negation is exact, so every
-    entry equals kernel_B at the same product.  The cached matrix is released
-    when either grid is garbage-collected.
+    E[i, j] and O[i, j] are the even and odd kernel parts at
+    |lambda_j x_i| = xgrid.pos_nodes[i] * lgrid.pos_nodes[j]; the result has
+    shape (len(xgrid.pos_nodes), 2 * len(lgrid.pos_nodes)) and is read-only.
+    Since nodes = [-pos[::-1], pos] on both grids, they determine the dense
+    kernel B(lambda_j x_i) = E - sign(lambda_j x_i) O in half its memory;
+    _apply applies it from them.  The blocks are filled a few rows at a time,
+    each piece one kernel_parts call on its rows' outer product, and are
+    released when either grid is garbage-collected.
     """
     if xgrid.alpha != lgrid.alpha:
         raise ConfigurationError("grids carry different alpha")
     key = (xgrid.uid, lgrid.uid, xgrid.alpha)
-    mat = _matrix_cache.get(key)
-    if mat is None:
-        even, odd = kernel_parts(KernelParams(alpha=xgrid.alpha),
-                                 np.outer(xgrid.pos_nodes, lgrid.pos_nodes))
-        minus, plus = even - odd, even + odd
-        mat = np.block([[minus[::-1, ::-1], plus[::-1]],
-                        [plus[:, ::-1], minus]])
-        mat.setflags(write=False)
-        _matrix_cache[key] = mat
+    blocks = _matrix_cache.get(key)
+    if blocks is None:
+        params = KernelParams(alpha=xgrid.alpha)
+        xpos, lpos = xgrid.pos_nodes, lgrid.pos_nodes
+        n = lpos.size
+        blocks = np.empty((xpos.size, 2 * n))
+        for lo in range(0, xpos.size, _BUILD_ROWS):
+            rows = slice(lo, lo + _BUILD_ROWS)
+            blocks[rows, :n], blocks[rows, n:] = kernel_parts(
+                params, np.outer(xpos[rows], lpos))
+        blocks.setflags(write=False)
+        _matrix_cache[key] = blocks
         for grid in (xgrid, lgrid):
             weakref.finalize(grid, _matrix_cache.pop, key, None)
-    return mat
+    return blocks
+
+
+def _apply(even, odd, c):
+    """Kernel sums sum_j B(u_j) c_j along the last axis of c, from the
+    half-line blocks.
+
+    c holds coefficients on a symmetric grid [-pos[::-1], pos] of n positive
+    nodes; even and odd are (m, n) blocks of the kernel parts E, O at m
+    points p_i >= 0 times pos.  With s = c(pos) + c(-pos) and
+    d = c(pos) - c(-pos), the sum is E s - O d at p and E s + O d at -p, so
+    the result, shape (..., 2m), is [rev(E s + O d), E s - O d]: the values
+    on the mirrored points [-p[::-1], p], from two half-size products.
+    """
+    n = c.shape[-1] // 2
+    plus, minus = c[..., n:], c[..., n - 1::-1]
+    es = (plus + minus) @ even.T
+    od = (plus - minus) @ odd.T
+    return np.concatenate([(es + od)[..., ::-1], es - od], axis=-1)
 
 
 def kernel_multiplier(lgrid: WeightedGrid, h) -> np.ndarray:
     """Multiplier B(lambda_j h) on the frequency grid, one row per h.
 
-    h is a scalar (result shape (n,)) or a 1-D grid (shape (len(h), n)).  The
-    kernel parts are evaluated in one call on |h| * lgrid.pos_nodes and
-    mirrored onto the negative half-axis; for a scalar h the entries equal
-    kernel_B(.., lgrid.nodes * h).
+    h is a scalar (result shape (n,)) or an array, such as an h grid (result
+    shape h.shape + (n,)).  The kernel parts are evaluated in one call on
+    |h| * lgrid.pos_nodes and mirrored onto the negative half-axis; for a
+    scalar h the entries equal kernel_B(.., lgrid.nodes * h).
     """
     h = np.asarray(h, dtype=float)
     even, odd = kernel_parts(KernelParams(alpha=lgrid.alpha),
@@ -134,21 +160,26 @@ def forward(f, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
     fx = np.asarray(f(xgrid.nodes) if callable(f) else f, dtype=float)
     if fx.shape != xgrid.nodes.shape:
         raise ConfigurationError("samples do not match the x grid")
-    values = kernel_matrix(xgrid, lgrid).T @ (xgrid.weights * fx)
+    even, odd = np.hsplit(kernel_matrix(xgrid, lgrid), 2)
+    values = _apply(even.T, odd.T, xgrid.weights * fx)
     return SpectralData(alpha=lgrid.alpha, lambda_grid=lgrid, values=values)
 
 
 def inverse(g: SpectralData, xgrid: WeightedGrid) -> FunctionSpec:
-    """Inverse transform as an evaluable function x -> sum_j w_j g_j B(lambda_j x)."""
+    """Inverse transform as an evaluable function x -> sum_j w_j g_j B(lambda_j x).
+
+    On xgrid.nodes it applies the cached blocks; elsewhere the kernel rows
+    B(lambda_j x) are kernel_multiplier(lgrid, x), one evaluation of the
+    kernel parts at |x| * lgrid.pos_nodes.  A scalar x gives a scalar.
+    """
     lgrid = g.lambda_grid
     coeff = lgrid.weights * g.values
-    params = KernelParams(alpha=g.alpha)
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
         if x.shape == xgrid.nodes.shape and np.array_equal(x, xgrid.nodes):
-            return kernel_matrix(xgrid, lgrid) @ coeff
-        return kernel_B(params, np.multiply.outer(x, lgrid.nodes)) @ coeff
+            return _apply(*np.hsplit(kernel_matrix(xgrid, lgrid), 2), coeff)
+        return kernel_multiplier(lgrid, x) @ coeff
 
     return FunctionSpec(evaluator=evaluator, support_radius=xgrid.radius,
                         smoothness_tag="spectral_synthesized", spectral=g)
@@ -201,7 +232,7 @@ def diff_norms(g: SpectralData, h, p: float = 2.0, *, fx=None,
     Plancherel route, sqrt( sum_j w_j |1 - M[k, j]|^2 |g_j|^2 ), exists for
     p = 2 only (else None).  The physical route needs fx, the samples of f
     on xgrid.nodes with g = forward(fx, xgrid, g.lambda_grid) (else None):
-    T_h f = K (w g M[k]) for all h in one product with the kernel matrix K,
+    T_h f = K (w g M[k]) for all h at once, one product per kernel block,
     then the weighted p-norm of T_h f - f per h.  On resolved grids the two
     routes agree at p = 2.
     """
@@ -240,6 +271,7 @@ def _routes(g: SpectralData, mult: np.ndarray, p: float, fx, xgrid):
         fast = np.sqrt(np.sum(lgrid.weights * (1.0 - mult) ** 2 * g.values ** 2,
                               axis=1))
     if fx is not None:
-        tfs = (lgrid.weights * mult * g.values) @ kernel_matrix(xgrid, lgrid).T
+        even, odd = np.hsplit(kernel_matrix(xgrid, lgrid), 2)
+        tfs = _apply(even, odd, lgrid.weights * mult * g.values)
         phys = np.array([weighted_norm(tf - fx, xgrid, p) for tf in tfs])
     return fast, phys

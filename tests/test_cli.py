@@ -196,3 +196,25 @@ def test_every_theorem_runs_through_the_cli(theorem, capsys):
         assert out.splitlines()[-1].startswith("VERDICT=")
     else:
         assert code == 2 and err.startswith("precondition failed [")
+
+
+@pytest.mark.parametrize("theorem, radius, note", [
+    ("main1_part1", "64", "7 h value(s) dropped (tail 1/h beyond "
+                          "radius_lambda/4); the verdict rests on 1 ratio(s)"),
+    ("main1_part1", "128", "6 h value(s) dropped (tail 1/h beyond "
+                           "radius_lambda/4); the verdict rests on 2 ratio(s)"),
+    ("main1_part1", "256", "5 h value(s) dropped (tail 1/h beyond "
+                           "radius_lambda/4)"),
+    # its verdict reads partial norms over four radii, not the h trace
+    ("fourier_Lnu", "64", "7 h value(s) dropped (tail 1/h beyond "
+                          "radius_lambda/4)"),
+])
+def test_note_says_how_many_ratios_remain(theorem, radius, note, capsys):
+    # a verdict from fewer than three ratios is flagged on stderr; stdout
+    # and the report are as before
+    code = main(["titchmarsh", "--modulus", "power:gamma=0.5", "--synth",
+                 "mismatched:power:gamma=0.2", "--theorem", theorem,
+                 "--radius-lambda", radius])
+    out, err = capsys.readouterr()
+    assert code == 0 and out.startswith("VERDICT=")
+    assert err == f"note: {note}\n"

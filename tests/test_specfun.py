@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from dhankel.specfun import (DomainError, KernelParams, bessel_j_normalized,
-                             gamma, kernel_B, kernel_slope_bounds)
+from dhankel.specfun import (_SERIES_BLOCK, DomainError, KernelParams,
+                             bessel_j_normalized, gamma, kernel_B,
+                             kernel_slope_bounds)
 
 mp.mp.dps = 40
 
@@ -71,6 +72,22 @@ def test_bessel_oracle_sweep():
        nu=st.sampled_from([-0.4, 0.0, 0.5, 2.0]))
 def test_bessel_even(nu, x):
     assert bessel_j_normalized(nu, x) == bessel_j_normalized(nu, -x)
+
+
+@pytest.mark.parametrize("nu, switch", [(-0.4, 9.0), (0.0, 9.0), (1.6, 9.0),
+                                        (2.4, 9.0), (6.0, 4.0)])
+def test_bessel_entry_does_not_depend_on_its_batch(nu, switch):
+    # every series entry takes the same number of terms, and the integer-order
+    # large-argument path is chosen per entry, whatever the other entries of
+    # the call; the array spans the series/asymptotic switch and more than
+    # one series block, in shuffled order
+    z = np.random.default_rng(7).permutation(
+        np.linspace(0.0, 12.0, _SERIES_BLOCK + 901))
+    whole = bessel_j_normalized(nu, z, asymptotic_switch=switch)
+    near_edge = int(np.argmax(np.where(z <= switch, z, 0.0)))
+    for k in list(range(0, z.size, 97)) + [near_edge]:
+        one = bessel_j_normalized(nu, z[k:k + 1], asymptotic_switch=switch)
+        assert whole[k] == one[0]
 
 
 def test_bessel_domain():

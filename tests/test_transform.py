@@ -1,6 +1,7 @@
 import gc
 import math
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from scipy.integrate import quad
 
 import dhankel as dh
 from dhankel.quadrature import weight_constant, weighted_integral
-from dhankel.specfun import DomainError, KernelParams, kernel_slope_bounds
-from dhankel.transform import (ConfigurationError, _matrix_cache,
+from dhankel.specfun import (DomainError, KernelParams, kernel_parts,
+                             kernel_slope_bounds)
+from dhankel.transform import (_BUILD_ROWS, ConfigurationError, _matrix_cache,
                                kernel_matrix, kernel_multiplier, spectral_mass)
 
 ALPHA = 0.5
@@ -208,16 +210,91 @@ def test_multiplier_identity_via_physical_route(grids_resolved_small, bump_spec)
     assert err < 1e-6 * scale
 
 
+@cache
+def resolved_with_dense_kernel(alpha):
+    """Resolved (20, 64) grid pair and its dense kernel B(lambda_j x_i),
+    evaluated by kernel_B on the full outer product."""
+    xg, lg = dh.make_resolved_grids(alpha, 20.0, 64.0)
+    dense = dh.kernel_B(KernelParams(alpha=alpha), np.outer(xg.nodes, lg.nodes))
+    return xg, lg, dense
+
+
+def dense_kernel(blocks):
+    """Dense K[i, j] = B(lambda_j x_i) assembled from the [E | O] blocks:
+    E - O where lambda_j x_i > 0, E + O where it is negative, with rows and
+    columns reversed on the negative half-axes."""
+    even, odd = np.hsplit(blocks, 2)
+    minus, plus = even - odd, even + odd
+    return np.block([[minus[::-1, ::-1], plus[::-1]],
+                     [plus[:, ::-1], minus]])
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_kernel_matrix_quarter_block_is_exact(alpha):
-    # the quarter-block build must reproduce the kernel on the full outer
-    # product bit for bit, in the series region (z = 2 sqrt|u| <= 9) and
-    # beyond it, for integer (alpha = 0.5) and fractional Bessel orders
-    xg, lg = dh.make_resolved_grids(alpha, 20.0, 64.0)
-    u = np.outer(xg.nodes, lg.nodes)
-    assert (np.abs(u) <= 20.25).any() and (np.abs(u) > 20.25).any()
-    want = dh.kernel_B(KernelParams(alpha=alpha), u)
-    assert np.array_equal(kernel_matrix(xg, lg), want)
+    # the cached blocks are the kernel parts on the positive quarter block,
+    # and they determine the kernel on the full outer product bit for bit,
+    # in the series region (z = 2 sqrt|u| <= 9) and beyond it, for integer
+    # (alpha = 0.5) and fractional Bessel orders
+    xg, lg, dense = resolved_with_dense_kernel(alpha)
+    u = np.abs(np.outer(xg.nodes, lg.nodes))
+    assert (u <= 20.25).any() and (u > 20.25).any()
+    blocks = kernel_matrix(xg, lg)
+    even, odd = kernel_parts(KernelParams(alpha=alpha),
+                             np.outer(xg.pos_nodes, lg.pos_nodes))
+    assert np.array_equal(blocks, np.hstack([even, odd]))
+    assert np.array_equal(dense_kernel(blocks), dense)
+
+
+def test_kernel_matrix_row_blocks_match_one_shot_build():
+    # the blocks are built a few rows at a time; each entry of the series
+    # takes a fixed number of terms, so the pieces equal one kernel_parts
+    # call on the whole quarter block, also in a ragged last piece
+    xg = dh.build_weighted_grid(0.7, 20.0, 9, 8)
+    lg = dh.build_weighted_grid(0.7, 64.0, 24, 8)
+    assert xg.pos_nodes.size > 2 * _BUILD_ROWS
+    assert xg.pos_nodes.size % _BUILD_ROWS != 0
+    even, odd = kernel_parts(KernelParams(alpha=0.7),
+                             np.outer(xg.pos_nodes, lg.pos_nodes))
+    blocks = kernel_matrix(xg, lg)
+    assert blocks.flags.c_contiguous and not blocks.flags.writeable
+    assert np.array_equal(blocks, np.hstack([even, odd]))
+
+
+def neither_even_nor_odd(x):
+    return np.exp(-0.5 * (x - 1.3) ** 2) * (1.0 + 0.3 * np.sin(x))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_half_line_apply_matches_dense_kernel(alpha):
+    # forward, inverse on the grid and the physical route apply the kernel
+    # as two products with the half-line blocks; the reference is the dense
+    # matrix.  f is neither even nor odd, so both halves of every
+    # coefficient vector differ and the odd block enters with both signs.
+    xg, lg, dense = resolved_with_dense_kernel(alpha)
+    params = KernelParams(alpha=alpha)
+    assert kernel_matrix(xg, lg).nbytes * 2 == 8 * xg.nodes.size * lg.nodes.size
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    fx = neither_even_nor_odd(xg.nodes)
+    spec = dh.forward(fx, xg, lg)
+    close(spec.values, dense.T @ (xg.weights * fx))
+    coeff = lg.weights * spec.values
+    back = dh.inverse(spec, xg)
+    close(back(xg.nodes), dense @ coeff)
+    # off the grid the kernel rows are the multiplier's, entry for entry
+    x_off = np.array([[-3.3, -0.2], [0.0, 5.1]])
+    want = dh.kernel_B(params, np.multiply.outer(x_off, lg.nodes)) @ coeff
+    assert np.array_equal(back(x_off), want)
+    one = back(-0.7)
+    assert np.ndim(one) == 0
+    assert one == dh.kernel_B(params, -0.7 * lg.nodes) @ coeff
+    hs = np.array([0.5, 0.125, 0.01, -0.3])
+    phys = dh.diff_norms(spec, hs, 2.0, fx=fx, xgrid=xg)[1]
+    for h, got in zip(hs, phys):
+        tf = dense @ (coeff * dh.kernel_B(params, lg.nodes * h))
+        close(got, dh.weighted_norm(tf - fx, xg, 2.0))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
@@ -229,28 +306,28 @@ def test_kernel_multiplier_is_exact(alpha, h):
 
 
 def test_kernel_multiplier_rows_match_single_h():
-    # one kernel_parts call for the whole h grid: the series then runs until
-    # the worst entry of the grid converges, which moves entries by < 1e-14
+    # one kernel_parts call for the whole h grid; every series entry takes
+    # the same number of terms, so each row equals its own single-h build
     for alpha in (0.3, 0.5, 0.7):
         lg = dh.make_tail_grid(alpha, 8192.0)
         hs = np.array([0.5, 0.125, 0.01, 1e-4, 0.0, -0.3])
         mat = kernel_multiplier(lg, hs)
         assert mat.shape == (hs.size, lg.nodes.size)
         for row, h in zip(mat, hs):
-            assert np.max(np.abs(row - kernel_multiplier(lg, h))) <= 1e-14
+            assert np.array_equal(row, kernel_multiplier(lg, h))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_diff_norms_match_per_h_reference(alpha, p, bump_spec):
-    xg, lg = dh.make_resolved_grids(alpha, 20.0, 64.0)
+    xg, lg, dense = resolved_with_dense_kernel(alpha)
     hs = np.array([0.5, 0.125, 0.01, -0.3])
     spec, fx = physical_input(bump_spec, xg, lg)
     params = KernelParams(alpha=alpha)
     phys_ref, fast_ref = [], []
     for h in hs:
         mult = dh.kernel_B(params, lg.nodes * h)
-        tf = kernel_matrix(xg, lg) @ (lg.weights * mult * spec.values)
+        tf = dense @ (lg.weights * mult * spec.values)
         phys_ref.append(dh.weighted_norm(tf - fx, xg, p))
         fast_ref.append(math.sqrt(np.sum(lg.weights * (1.0 - mult) ** 2
                                          * spec.values ** 2)))
