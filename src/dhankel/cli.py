@@ -287,10 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing does not change the parser, and in-process callers
+# would otherwise rebuild every subcommand's parser on each call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

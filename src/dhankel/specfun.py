@@ -14,10 +14,13 @@ All functions are pure and accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
+from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, j0, j1, jv, spherical_jn
 
 
@@ -33,7 +36,10 @@ class KernelParams:
     series_tol: the power series stops after the first term whose magnitude
         at z = asymptotic_switch is below series_tol.
     asymptotic_switch: |argument| of j_nu above which the large-argument
-        evaluation is used instead of the series.
+        evaluation is used instead of the series.  At the default 9 every
+        large argument of a fractional order takes the Chebyshev band or
+        Hankel's expansion (see bessel_j_normalized); a switch below 9 sends
+        the arguments up to 9 to scipy's jv.
     """
 
     alpha: float
@@ -105,11 +111,58 @@ def _series(nu: float, z: np.ndarray, tol: float, switch: float) -> np.ndarray:
     return out
 
 
+# Far field of the orders without a closed-form path: a Chebyshev
+# interpolant of J_nu on the band (_BAND_FROM, _HANKEL_FROM], Hankel's
+# expansion above it.  Measured against mpmath over z in (9, 2000], both keep
+# the normalized j within 1.5e-14 for -1/2 < nu <= _FAST_ORDER_MAX, about as
+# close as jv itself.  The 8-term expansion at z = 18 is off by 2e-14 at
+# nu = 10.75 and 1e-13 at nu = 12, so higher orders keep jv; the power series
+# at z = 18 would be off by 1.6e-10 (nu = -0.4).
+_BAND_FROM, _HANKEL_FROM = 9.0, 18.0
+_BAND_MID = 0.5 * (_HANKEL_FROM + _BAND_FROM)
+_BAND_HALF = 0.5 * (_HANKEL_FROM - _BAND_FROM)
+_BAND_DEGREE = 40
+_HANKEL_TERMS = 8
+_FAST_ORDER_MAX = 10.0
+
+
+@functools.cache
+def _band_coefficients(nu: float) -> np.ndarray:
+    # Chebyshev coefficients of J_nu on the band mapped onto [-1, 1],
+    # interpolated from jv at the Chebyshev points.
+    c = chebinterpolate(lambda t: jv(nu, _BAND_MID + _BAND_HALF * t),
+                        _BAND_DEGREE)
+    c.setflags(write=False)
+    return c
+
+
+def _hankel(nu: float, z: np.ndarray) -> np.ndarray:
+    # J_nu(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - c with
+    # c = (nu/2 + 1/4) pi (DLMF 10.17.3).  P and Q are Horner sums in 1/z^2
+    # of the coefficients a_k = a_{k-1} (4 nu^2 - (2k-1)^2) / (8k), with
+    # signs + - + - on the even (P) and on the odd (Q) ones.  cos chi and
+    # sin chi are expanded through cos z and sin z, so z - c is never rounded.
+    k = np.arange(1, 2 * _HANKEL_TERMS)
+    a = np.cumprod(np.concatenate(
+        ([1.0], (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))))
+    a[2::4] *= -1.0
+    a[3::4] *= -1.0
+    w = 1.0 / (z * z)
+    p = polyval(w, a[0::2])
+    q = polyval(w, a[1::2]) / z
+    c = (0.5 * nu + 0.25) * math.pi
+    cos_c, sin_c = math.cos(c), math.sin(c)
+    return np.sqrt(2.0 / (math.pi * z)) * (
+        np.cos(z) * (p * cos_c + q * sin_c) + np.sin(z) * (p * sin_c - q * cos_c))
+
+
 def _large_argument(nu: float, z: np.ndarray) -> np.ndarray:
     # Normalized value Gamma(nu+1) (2/z)^nu J_nu(z).  Integer and half-integer
     # orders get the fast cephes/spherical paths; the upward recurrence for
     # J_n is stable only where z > n, so jv takes the entries with z <= n
-    # (none when asymptotic_switch >= 8).
+    # (none when asymptotic_switch >= 8).  Other orders up to _FAST_ORDER_MAX
+    # take the Chebyshev band and Hankel's expansion, and jv the entries with
+    # z <= _BAND_FROM (none when asymptotic_switch >= 9); higher orders take jv.
     n = round(nu)
     if nu == n and 0 <= n <= 8:
         jn_prev = j0(z)
@@ -124,6 +177,15 @@ def _large_argument(nu: float, z: np.ndarray) -> np.ndarray:
         big_j[low] = jv(nu, z[low])
     elif abs(nu - n) == 0.5 and nu > 0:
         big_j = np.sqrt(2.0 * z / np.pi) * spherical_jn(int(nu - 0.5), z)
+    elif nu <= _FAST_ORDER_MAX:
+        big_j = np.empty_like(z)
+        hankel = z > _HANKEL_FROM
+        band = (z > _BAND_FROM) & ~hankel
+        low = ~(hankel | band)
+        big_j[hankel] = _hankel(nu, z[hankel])
+        big_j[band] = chebval((z[band] - _BAND_MID) / _BAND_HALF,
+                              _band_coefficients(nu))
+        big_j[low] = jv(nu, z[low])
     else:
         big_j = jv(nu, z)
     return np.exp(gammaln(nu + 1.0) + nu * (math.log(2.0) - np.log(z))) * big_j
@@ -134,9 +196,13 @@ def bessel_j_normalized(nu: float, x, *, series_tol: float = 1e-15,
     """Normalized Bessel function of the first kind, j_nu(0) = 1.
 
     Even in x.  Power series below |x| = asymptotic_switch, large-argument
-    evaluation above; absolute error ~1e-13 throughout.  The series takes the
-    same number of terms at every argument, so each entry's value does not
-    depend on the other entries of x.
+    evaluation above: the j0/j1 recurrence for integer orders 0-8, spherical
+    Bessel functions for positive half-integer orders, and for other orders
+    up to 10 a Chebyshev interpolant on (9, 18] and Hankel's asymptotic
+    expansion beyond 18; scipy's jv takes the rest.  Absolute error ~1e-13
+    throughout.  The series takes the same number of terms at every argument
+    and every path is chosen per entry, so each entry's value does not depend
+    on the other entries of x.
     """
     if not nu > -1.0:
         raise DomainError(f"order must exceed -1, got {nu}")
@@ -181,14 +247,3 @@ def kernel_B(params: KernelParams, u):
     val = np.where(u_arr < 0, even + odd, even - odd)
     return float(val[0]) if np.ndim(u) == 0 else val
 
-
-def kernel_slope_bounds(alpha: float) -> tuple[float, float]:
-    """Leading coefficients of 1 - B_alpha(u) ~ c*u near zero.
-
-    Returns (c_neg, c_pos): B(u) - 1 = -c_pos*u + O(u^2) for u > 0 and
-    = -c_neg*|u| + O(u^2) for u < 0.  Both are positive for alpha > 1/4,
-    which is the near-zero coercivity |B(u) - 1| >= c|u|.
-    """
-    c_pos = (alpha + 1.0) / (alpha * (2.0 * alpha + 1.0))
-    c_neg = 1.0 / (2.0 * alpha + 1.0)
-    return c_neg, c_pos

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dhankel import cli
 from dhankel.cli import THEOREMS, build_parser, main
 
 
@@ -40,6 +41,19 @@ def test_usage_error_bad_modulus(capsys):
 
 def test_usage_error_unknown_subcommand():
     assert main(["frobnicate"]) == 1
+
+
+def test_main_uses_the_parser_built_at_import(monkeypatch, capsys):
+    def rebuild():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    assert main(["indices", "--modulus", "power_log:gamma=0.5,theta=1.0"]) == 0
+    assert capsys.readouterr().out.startswith("m=")
+    assert main(["frobnicate"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["titchmarsh", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: dhankel titchmarsh")
 
 
 def test_titchmarsh_matched_verdict(tmp_path, capsys):

@@ -5,13 +5,26 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import jv
+from scipy.special import gammaln, jv
 
+from dhankel import make_resolved_grids
 from dhankel.specfun import (_SERIES_BLOCK, DomainError, KernelParams,
                              bessel_j_normalized, gamma, kernel_B,
-                             kernel_slope_bounds)
+                             kernel_parts)
 
 mp.mp.dps = 40
+
+
+def kernel_slope_bounds(alpha: float) -> tuple[float, float]:
+    """Leading coefficients of 1 - B_alpha(u) ~ c*u near zero.
+
+    Returns (c_neg, c_pos): B(u) - 1 = -c_pos*u + O(u^2) for u > 0 and
+    = -c_neg*|u| + O(u^2) for u < 0.  Both are positive for alpha > 1/4,
+    which is the near-zero coercivity |B(u) - 1| >= c|u|.
+    """
+    c_pos = (alpha + 1.0) / (alpha * (2.0 * alpha + 1.0))
+    c_neg = 1.0 / (2.0 * alpha + 1.0)
+    return c_neg, c_pos
 
 
 def j_oracle(nu, x, terms=300):
@@ -22,6 +35,16 @@ def j_oracle(nu, x, terms=300):
     for k in range(terms):
         s += (-1) ** k / (mp.factorial(k) * mp.gamma(k + nu + 1)) * (x / 2) ** (2 * k)
     return float(mp.gamma(1 + nu) * s)
+
+
+def j_mp(nu, x):
+    """Normalized j_nu from mpmath's besselj, for large arguments."""
+    x, nu = mp.mpf(x), mp.mpf(nu)
+    return float(mp.gamma(1 + nu) * (2 / x) ** nu * mp.besselj(nu, x))
+
+
+# z across the Chebyshev band (9, 18] and Hankel's expansion (18, 300]
+FAR_Z = np.concatenate([np.linspace(9.05, 18.0, 14), np.geomspace(18.2, 300.0, 20)])
 
 
 def test_gamma_classical_values():
@@ -88,6 +111,58 @@ def test_bessel_entry_does_not_depend_on_its_batch(nu, switch):
     for k in list(range(0, z.size, 97)) + [near_edge]:
         one = bessel_j_normalized(nu, z[k:k + 1], asymptotic_switch=switch)
         assert whole[k] == one[0]
+
+
+@pytest.mark.parametrize("nu", [-0.48, -0.4, 0.4, 1.6, 2.4, 3.4, 7.4])
+def test_fractional_order_far_field_oracle(nu):
+    got = bessel_j_normalized(nu, FAR_Z)
+    for z, j in zip(FAR_Z, got):
+        assert abs(j - j_mp(nu, z)) < 1e-13, z
+
+
+@pytest.mark.parametrize("nu", [20.4, 30.4])
+def test_large_orders_stay_accurate(nu):
+    # the 8-term Hankel expansion is off by O(1) at z = 18 for nu = 20.4,
+    # so these orders must not take it
+    got = bessel_j_normalized(nu, FAR_Z)
+    for z, j in zip(FAR_Z, got):
+        assert abs(j - j_mp(nu, z)) < 1e-12, z
+
+
+@pytest.mark.parametrize("nu", [-0.4, 0.4, 1.6, 7.4])
+@pytest.mark.parametrize("edge", [9.0, 18.0])
+def test_fractional_order_continuous_at_band_edges(nu, edge):
+    for z in (edge - 1e-9, edge, np.nextafter(edge, 20.0), edge + 1e-9):
+        assert abs(bessel_j_normalized(nu, z) - j_mp(nu, z)) < 1e-13, z
+
+
+@pytest.mark.parametrize("nu", [-0.4, 1.6, 2.4])
+def test_far_field_entry_does_not_depend_on_its_batch(nu):
+    # a shuffled array across the series, the Chebyshev band and Hankel's
+    # expansion, longer than one series block
+    z = np.random.default_rng(11).permutation(
+        np.linspace(0.0, 40.0, _SERIES_BLOCK + 901))
+    whole = bessel_j_normalized(nu, z)
+    for k in range(0, z.size, 89):
+        assert whole[k] == bessel_j_normalized(nu, z[k:k + 1])[0]
+
+
+def test_kernel_parts_fractional_alpha_matches_jv():
+    # the quarter block's large-argument entries (z > 9, about half of them);
+    # the series below the switch has its own oracle tests above
+    a = 0.3
+    xg, lg = make_resolved_grids(a, 20.0, 128.0)
+    t = np.multiply.outer(xg.pos_nodes, lg.pos_nodes)
+    z = 2.0 * np.sqrt(t)
+    far = z > 9.0
+
+    def j_ref(nu):
+        return np.exp(gammaln(nu + 1.0) + nu * np.log(2.0 / z[far])) * jv(nu, z[far])
+
+    even, odd = kernel_parts(KernelParams(alpha=a), t)
+    assert np.max(np.abs(even[far] - j_ref(2 * a - 1))) < 1e-13
+    odd_ref = t[far] * j_ref(2 * a + 1) / (2 * a * (2 * a + 1))
+    assert np.max(np.abs(odd[far] - odd_ref)) < 1e-13
 
 
 def test_bessel_domain():

@@ -11,10 +11,10 @@ from scipy.integrate import quad
 
 import dhankel as dh
 from dhankel.quadrature import weight_constant, weighted_integral
-from dhankel.specfun import (DomainError, KernelParams, kernel_parts,
-                             kernel_slope_bounds)
+from dhankel.specfun import DomainError, KernelParams, kernel_parts
 from dhankel.transform import (_BUILD_ROWS, ConfigurationError, _matrix_cache,
                                kernel_matrix, kernel_multiplier, spectral_mass)
+from test_specfun import kernel_slope_bounds
 
 ALPHA = 0.5
 
