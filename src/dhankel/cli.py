@@ -90,8 +90,7 @@ def _test_function(name: str) -> FunctionSpec:
     except KeyError:
         raise DomainError(f"unknown test function {name!r}; "
                           f"choose from {sorted(TEST_FUNCTIONS)}")
-    return FunctionSpec(evaluator=ev, support_radius=16.0,
-                        smoothness_tag="smooth_compact")
+    return FunctionSpec(evaluator=ev, support_radius=16.0)
 
 
 def _write(path: str, text: str) -> None:

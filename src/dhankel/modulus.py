@@ -77,7 +77,6 @@ class MonotonicityCertificate:
 class IndexEstimate:
     m_lower: float
     M_upper: float
-    t_grid: np.ndarray
     converged: bool
 
 
@@ -291,8 +290,7 @@ _EPS_BOT_EXP = 40.0      # ... down to delta0*1e-40 (index bias ~ 1/ln(1/eps))
 _EPS_PER_DECADE = 10
 _TAIL_DECADES = 2.0
 
-_M_T_GRID = np.array([0.5, 0.25, 0.1, 0.05])
-_M_UPPER_T_GRID = np.array([2.0, 5.0, 10.0, 20.0])
+_M_T, _M_UPPER_T = 0.05, 20.0   # t at which the lower/upper index is read
 
 
 def _limsup_ratio(w: ModulusSpec, t: float, eps: np.ndarray) -> float:
@@ -300,9 +298,8 @@ def _limsup_ratio(w: ModulusSpec, t: float, eps: np.ndarray) -> float:
 
 
 def _index_from_tail(w: ModulusSpec, eps_tail: np.ndarray):
-    m = math.log(_limsup_ratio(w, _M_T_GRID[-1], eps_tail)) / math.log(_M_T_GRID[-1])
-    big_m = math.log(_limsup_ratio(w, _M_UPPER_T_GRID[-1], eps_tail)) \
-        / math.log(_M_UPPER_T_GRID[-1])
+    m = math.log(_limsup_ratio(w, _M_T, eps_tail)) / math.log(_M_T)
+    big_m = math.log(_limsup_ratio(w, _M_UPPER_T, eps_tail)) / math.log(_M_UPPER_T)
     return m, big_m
 
 
@@ -311,15 +308,15 @@ def estimate_indices(w: ModulusSpec) -> IndexEstimate:
 
     The inner limsup_{eps->0} omega(eps t)/omega(eps) is approximated by the
     max over the deepest two decades of a geometric eps grid; the outer limit
-    is read at the extreme t of a short grid (t = 0.05 for the lower index,
-    t = 20 for the upper).  converged is set when shifting the eps tail one
-    decade shallower moves both estimates by less than 0.01.
+    is read at a single t (t = 0.05 for the lower index, t = 20 for the
+    upper).  converged is set when shifting the eps tail one decade
+    shallower moves both estimates by less than 0.01.
     """
     bot = _EPS_BOT_EXP
     while bot > _EPS_TOP_EXP + 3:
         exps = np.arange(_EPS_TOP_EXP * _EPS_PER_DECADE, bot * _EPS_PER_DECADE + 1)
         eps = w.delta0 * 10.0 ** (-exps / _EPS_PER_DECADE)
-        probe = w.evaluator(eps * _M_T_GRID[-1])
+        probe = w.evaluator(eps * _M_T)
         if np.all(np.isfinite(probe)) and np.all(probe > 0):
             break
         bot -= 1.0  # underflow guard: shrink the eps range
@@ -329,9 +326,7 @@ def estimate_indices(w: ModulusSpec) -> IndexEstimate:
     m, big_m = _index_from_tail(w, tail)
     m_prev, big_m_prev = _index_from_tail(w, tail_prev)
     converged = abs(m - m_prev) < 0.01 and abs(big_m - big_m_prev) < 0.01
-    return IndexEstimate(m_lower=m, M_upper=big_m,
-                         t_grid=np.concatenate([_M_T_GRID, _M_UPPER_T_GRID]),
-                         converged=converged)
+    return IndexEstimate(m_lower=m, M_upper=big_m, converged=converged)
 
 
 # ----------------------------- cumulative weight -----------------------------
@@ -383,9 +378,3 @@ def build_W_omega(w: ModulusSpec) -> ModulusSpec:
     return ModulusSpec(evaluator=evaluator, delta0=w.delta0,
                        family_tag="cumulative",
                        params=dict(w.params, source=w.family_tag))
-
-
-def dyadic_sum_constant(w: ModulusSpec, q: float, h: float, terms: int) -> float:
-    """sum_{k=0}^{terms} omega^q(h/2^k) / omega^q(h)."""
-    ks = np.arange(terms + 1)
-    return float(np.sum(w.evaluator(h * 0.5 ** ks) ** q) / w.evaluator(h) ** q)

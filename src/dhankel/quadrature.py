@@ -53,25 +53,19 @@ class WeightedGrid:
     order: int
     uid: int = field(default_factory=lambda: next(_grid_ids))
 
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
 
 def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int) -> WeightedGrid:
     ca = weight_constant(alpha)
     beta = 2.0 * alpha - 1.0
-    xs, ws = [], []
     tj, wj = roots_jacobi(order, 0.0, beta)
     h = edges[1]
-    xs.append(h * (tj + 1.0) / 2.0)
-    ws.append(wj * (h / 2.0) ** (2.0 * alpha) * ca)
+    # the outer panels [a, b] are the rows of one (panels - 1, order) array
     tl, wl = roots_legendre(order)
-    for a, b in zip(edges[1:-1], edges[2:]):
-        x = 0.5 * (a + b) + 0.5 * (b - a) * tl
-        xs.append(x)
-        ws.append(wl * 0.5 * (b - a) * ca * x ** beta)
-    pos = np.concatenate(xs)
-    wpos = np.concatenate(ws)
+    a, b = edges[1:-1, None], edges[2:, None]
+    x = 0.5 * (a + b) + 0.5 * (b - a) * tl
+    pos = np.concatenate([h * (tj + 1.0) / 2.0, x.ravel()])
+    wpos = np.concatenate([wj * (h / 2.0) ** (2.0 * alpha) * ca,
+                           (wl * 0.5 * (b - a) * ca * x ** beta).ravel()])
     idx = np.argsort(pos)
     pos, wpos = pos[idx], wpos[idx]
     cell_lo = np.concatenate([[0.0], 0.5 * (pos[1:] + pos[:-1])])
@@ -162,9 +156,3 @@ def panel_integrals(fn, edges, order: int) -> np.ndarray:
     a, b = edges[:-1], edges[1:]
     s = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * tg[None, :]
     return np.sum(fn(s) * wg[None, :], axis=1) * 0.5 * (b - a)
-
-
-def weighted_integral(f, grid: WeightedGrid) -> float:
-    """Integral of f against c_a |x|^{2a-1} dx on the grid (signed)."""
-    vals = f(grid.nodes) if callable(f) else np.asarray(f, dtype=float)
-    return float(np.sum(grid.weights * vals))

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebinterpolate, chebval
 from numpy.polynomial.polynomial import polyval
+from scipy.fft import dct
 from scipy.special import gammaln, j0, j1, jv, spherical_jn
 
 
@@ -33,30 +33,20 @@ class KernelParams:
     """Evaluation parameters for the kernel B_alpha.
 
     alpha: deformation order, must exceed 1/4.
-    series_tol: the power series stops after the first term whose magnitude
-        at z = asymptotic_switch is below series_tol.
-    asymptotic_switch: |argument| of j_nu above which the large-argument
-        evaluation is used instead of the series.  At the default 9 every
-        large argument of a fractional order takes the Chebyshev band or
-        Hankel's expansion (see bessel_j_normalized); a switch below 9 sends
-        the arguments up to 9 to scipy's jv.
+    asymptotic_switch: |argument| of j_nu up to which the near-field
+        Chebyshev interpolant in z^2/4 is used, at most 18.  At the default 9
+        every larger argument of a fractional order takes the Chebyshev band
+        or Hankel's expansion (see bessel_j_normalized); a switch below 9
+        sends the arguments up to 9 to scipy's jv.
     """
 
     alpha: float
-    series_tol: float = 1e-15
     asymptotic_switch: float = 9.0
 
     def __post_init__(self):
         if not self.alpha > 0.25:
             raise DomainError(f"alpha must exceed 1/4, got {self.alpha}")
-        if not self.series_tol > 0:
-            raise DomainError("series_tol must be positive")
-        if not self.asymptotic_switch > 0:
-            raise DomainError("asymptotic_switch must be positive")
-
-
-_SERIES_MAX_TERMS = 500
-_SERIES_BLOCK = 8192
+        _check_switch(self.asymptotic_switch)
 
 
 def gamma(x: float) -> float:
@@ -66,58 +56,95 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def _series_terms(nu: float, tol: float, switch: float) -> int:
-    # Terms of the series at z = switch, the largest argument it is used for:
-    # the scalar recurrence below stops at the first term under tol.  Term k
-    # grows with z, so this count suffices for every z <= switch.
-    q = switch * switch * 0.25
-    t = 1.0
-    for k in range(_SERIES_MAX_TERMS):
-        t = t * (-q) / ((k + 1.0) * (k + nu + 1.0))
-        if abs(t) < tol:
-            return k + 1
-    return _SERIES_MAX_TERMS
+# Entries per block of _clenshaw, so that its work arrays stay in cache.
+_CLENSHAW_BLOCK = 8192
 
 
-def _series(nu: float, z: np.ndarray, tol: float, switch: float) -> np.ndarray:
-    # j_nu(z) = sum_k (-1)^k / (k! (nu+1)_k) (z/2)^{2k}; terms near z ~ 9 reach
-    # ~3e2, so a Neumaier-compensated sum keeps the absolute error ~1e-13.
-    # Every entry takes the same number of terms, so its value does not depend
-    # on the other entries of the call; the sum runs in place over blocks of
-    # _SERIES_BLOCK entries so that its work arrays stay in cache.
-    terms = _series_terms(nu, tol, switch)
-    out = np.empty_like(z)
-    for lo in range(0, z.size, _SERIES_BLOCK):
-        zb = z[lo:lo + _SERIES_BLOCK]
-        mq = zb * zb * -0.25
-        t, s, c = np.ones_like(zb), np.ones_like(zb), np.zeros_like(zb)
-        s_new, big, small = np.empty_like(zb), np.empty_like(zb), np.empty_like(zb)
-        swap = np.empty(zb.shape, dtype=bool)
-        for k in range(terms):
-            t *= mq
-            t /= (k + 1.0) * (k + nu + 1.0)
-            np.add(s, t, out=s_new)
-            # c += (big - s_new) + small, big the larger of s and t in size
-            np.less(np.abs(s, out=big), np.abs(t, out=small), out=swap)
-            np.copyto(big, s)
-            np.copyto(big, t, where=swap)
-            np.copyto(small, t)
-            np.copyto(small, s, where=swap)
-            big -= s_new
-            big += small
-            c += big
-            s, s_new = s_new, s
-        out[lo:lo + _SERIES_BLOCK] = s + c
+def _chebyshev_fit(f, degree: int) -> np.ndarray:
+    # Read-only coefficients of f's interpolant at the Chebyshev points of the
+    # first kind on [-1, 1] (not +-1).  A type-II DCT gets them ten times
+    # closer to exact than numpy's chebinterpolate; the near field multiplies
+    # their error by q, up to 20 at the default switch.
+    n = degree + 1
+    c = dct(f(np.cos(np.pi * (np.arange(n) + 0.5) / n)), type=2) / n
+    c[0] *= 0.5
+    c.setflags(write=False)
+    return c
+
+
+def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # sum_k c_k T_k(x) by Clenshaw's recurrence in numpy's chebval order of
+    # operations, in place over blocks of _CLENSHAW_BLOCK entries; each entry
+    # is computed on its own, so its value does not depend on the batch.
+    out = np.empty_like(x)
+    for lo in range(0, x.size, _CLENSHAW_BLOCK):
+        xb = x[lo:lo + _CLENSHAW_BLOCK]
+        x2 = xb + xb
+        c0, c1 = np.full_like(xb, c[-2]), np.full_like(xb, c[-1])
+        tmp = np.empty_like(xb)
+        for ck in c[-3::-1]:
+            np.subtract(ck, c1, out=tmp)
+            c1 *= x2
+            c1 += c0
+            c0, tmp = tmp, c0
+        c1 *= xb
+        c1 += c0
+        out[lo:lo + _CLENSHAW_BLOCK] = c1
     return out
 
 
+def _normalized(nu: float, z: np.ndarray, big_j: np.ndarray) -> np.ndarray:
+    # Gamma(nu+1) (2/z)^nu J_nu(z) from J_nu(z), z > 0
+    return np.exp(gammaln(nu + 1.0) + nu * (math.log(2.0) - np.log(z))) * big_j
+
+
+# Near field |z| <= asymptotic_switch: j_nu(2 sqrt q) = 1 - q g(q), which
+# keeps j_nu(0) = 1 exactly, with g, entire in q = z^2/4, interpolated on
+# [0, switch^2/4] by one Chebyshev polynomial per (order, switch).  Against
+# mpmath, the normalized j is within 1e-14 for -1/2 < nu <= 10 at switch 9
+# and within 2e-14 at switch 18, but 7.7e-13 at 24 (nu = -0.49).
+_NEAR_DEGREE = 24
+_SWITCH_MAX = 18.0
+_G_TERMS = 20
+
+
+def _check_switch(switch: float) -> None:
+    if not 0 < switch <= _SWITCH_MAX:
+        raise DomainError(f"asymptotic_switch must lie in (0, {_SWITCH_MAX:g}], "
+                          f"got {switch}")
+
+
+@functools.cache
+def _near_coefficients(nu: float, switch: float) -> np.ndarray:
+    # g(q) = (1 - j_nu(2 sqrt q)) / q = sum_k (-q)^k / ((k+1)! (nu+1)_{k+1}).
+    # Where q <= nu + 2 its terms fall at least twofold per step, so the sum
+    # is good to a few ulp (and jv underflows at large orders); elsewhere
+    # 1 - j from jv loses nothing to cancellation.
+    half = 0.125 * switch ** 2
+
+    def g(t):
+        q = half * (1.0 + t)
+        out = np.empty_like(q)
+        small = q <= nu + 2.0
+        k = np.arange(1.0, _G_TERMS)
+        terms = np.cumprod(-q[small, None] / ((k + 1.0) * (k + nu + 1.0)),
+                           axis=1) / (nu + 1.0)
+        out[small] = terms[:, ::-1].sum(axis=1) + 1.0 / (nu + 1.0)
+        qb = q[~small]
+        zb = 2.0 * np.sqrt(qb)
+        out[~small] = (1.0 - _normalized(nu, zb, jv(nu, zb))) / qb
+        return out
+
+    return _chebyshev_fit(g, _NEAR_DEGREE)
+
+
 # Far field of the orders without a closed-form path: a Chebyshev
-# interpolant of J_nu on the band (_BAND_FROM, _HANKEL_FROM], Hankel's
-# expansion above it.  Measured against mpmath over z in (9, 2000], both keep
-# the normalized j within 1.5e-14 for -1/2 < nu <= _FAST_ORDER_MAX, about as
-# close as jv itself.  The 8-term expansion at z = 18 is off by 2e-14 at
-# nu = 10.75 and 1e-13 at nu = 12, so higher orders keep jv; the power series
-# at z = 18 would be off by 1.6e-10 (nu = -0.4).
+# interpolant of J_nu on the band (_BAND_FROM, _HANKEL_FROM], which starts at
+# the default switch, and Hankel's expansion above it.  Measured against
+# mpmath over z in (9, 2000], both keep the normalized j within 1.5e-14 for
+# -1/2 < nu <= _FAST_ORDER_MAX, about as close as jv itself.  The 8-term
+# expansion at z = 18 is off by 2e-14 at nu = 10.75 and 1e-13 at nu = 12, so
+# higher orders keep jv.
 _BAND_FROM, _HANKEL_FROM = 9.0, 18.0
 _BAND_MID = 0.5 * (_HANKEL_FROM + _BAND_FROM)
 _BAND_HALF = 0.5 * (_HANKEL_FROM - _BAND_FROM)
@@ -128,12 +155,8 @@ _FAST_ORDER_MAX = 10.0
 
 @functools.cache
 def _band_coefficients(nu: float) -> np.ndarray:
-    # Chebyshev coefficients of J_nu on the band mapped onto [-1, 1],
-    # interpolated from jv at the Chebyshev points.
-    c = chebinterpolate(lambda t: jv(nu, _BAND_MID + _BAND_HALF * t),
-                        _BAND_DEGREE)
-    c.setflags(write=False)
-    return c
+    # J_nu on the band mapped onto [-1, 1]
+    return _chebyshev_fit(lambda t: jv(nu, _BAND_MID + _BAND_HALF * t), _BAND_DEGREE)
 
 
 def _hankel(nu: float, z: np.ndarray) -> np.ndarray:
@@ -183,36 +206,39 @@ def _large_argument(nu: float, z: np.ndarray) -> np.ndarray:
         band = (z > _BAND_FROM) & ~hankel
         low = ~(hankel | band)
         big_j[hankel] = _hankel(nu, z[hankel])
-        big_j[band] = chebval((z[band] - _BAND_MID) / _BAND_HALF,
-                              _band_coefficients(nu))
+        big_j[band] = _clenshaw(_band_coefficients(nu),
+                                (z[band] - _BAND_MID) / _BAND_HALF)
         big_j[low] = jv(nu, z[low])
     else:
         big_j = jv(nu, z)
-    return np.exp(gammaln(nu + 1.0) + nu * (math.log(2.0) - np.log(z))) * big_j
+    return _normalized(nu, z, big_j)
 
 
-def bessel_j_normalized(nu: float, x, *, series_tol: float = 1e-15,
-                        asymptotic_switch: float = 9.0):
+def bessel_j_normalized(nu: float, x, *, asymptotic_switch: float = 9.0):
     """Normalized Bessel function of the first kind, j_nu(0) = 1.
 
-    Even in x.  Power series below |x| = asymptotic_switch, large-argument
-    evaluation above: the j0/j1 recurrence for integer orders 0-8, spherical
-    Bessel functions for positive half-integer orders, and for other orders
-    up to 10 a Chebyshev interpolant on (9, 18] and Hankel's asymptotic
-    expansion beyond 18; scipy's jv takes the rest.  Absolute error ~1e-13
-    throughout.  The series takes the same number of terms at every argument
-    and every path is chosen per entry, so each entry's value does not depend
-    on the other entries of x.
+    Even in x.  Up to |x| = asymptotic_switch (at most 18) a Chebyshev
+    interpolant in x^2/4, fitted once per order and switch; above it the
+    j0/j1 recurrence for integer orders 0-8, spherical Bessel functions for
+    positive half-integer orders, and for other orders up to 10 a Chebyshev
+    interpolant on (9, 18] and Hankel's asymptotic expansion beyond 18;
+    scipy's jv takes the rest.  Absolute error below 2e-14 for orders in
+    (-1/2, 10] at the default switch.  Every path is chosen per entry and
+    computes each entry on its own, so each entry's value does not depend on
+    the other entries of x.
     """
     if not nu > -1.0:
         raise DomainError(f"order must exceed -1, got {nu}")
+    _check_switch(asymptotic_switch)
     z = np.abs(np.asarray(x, dtype=float))
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     out = np.empty_like(z)
     near = z <= asymptotic_switch
     if near.any():
-        out[near] = _series(nu, z[near], series_tol, asymptotic_switch)
+        q = 0.25 * z[near] ** 2
+        out[near] = 1.0 - q * _clenshaw(_near_coefficients(nu, asymptotic_switch),
+                                        q / (0.125 * asymptotic_switch ** 2) - 1.0)
     far = ~near
     if far.any():
         out[far] = _large_argument(nu, z[far])
@@ -230,8 +256,7 @@ def kernel_parts(params: KernelParams, t):
     a = params.alpha
     t = np.asarray(t, dtype=float)
     z = 2.0 * np.sqrt(t)
-    kw = dict(series_tol=params.series_tol,
-              asymptotic_switch=params.asymptotic_switch)
+    kw = dict(asymptotic_switch=params.asymptotic_switch)
     even = bessel_j_normalized(2.0 * a - 1.0, z, **kw)
     odd = t * bessel_j_normalized(2.0 * a + 1.0, z, **kw) / ((2.0 * a) * (2.0 * a + 1.0))
     return even, odd

@@ -47,8 +47,6 @@ class FunctionSpec:
 
     evaluator: object
     support_radius: float
-    smoothness_tag: str = "smooth_compact"
-    spectral: "SpectralData | None" = None
 
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=float))
@@ -68,9 +66,6 @@ class SpectralData:
 
     def norm(self, q: float) -> float:
         return weighted_norm(self.values, self.lambda_grid, q)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -181,8 +176,7 @@ def inverse(g: SpectralData, xgrid: WeightedGrid) -> FunctionSpec:
             return _apply(*np.hsplit(kernel_matrix(xgrid, lgrid), 2), coeff)
         return kernel_multiplier(lgrid, x) @ coeff
 
-    return FunctionSpec(evaluator=evaluator, support_radius=xgrid.radius,
-                        smoothness_tag="spectral_synthesized", spectral=g)
+    return FunctionSpec(evaluator=evaluator, support_radius=xgrid.radius)
 
 
 def spectral_mass(g: SpectralData, q: float, radii, beyond: bool) -> np.ndarray:

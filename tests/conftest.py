@@ -50,5 +50,4 @@ def sqrt_annulus_bump(x):
 
 @pytest.fixture(scope="session")
 def bump_spec():
-    return dh.FunctionSpec(evaluator=sqrt_annulus_bump, support_radius=16.0,
-                           smoothness_tag="smooth_compact")
+    return dh.FunctionSpec(evaluator=sqrt_annulus_bump, support_radius=16.0)

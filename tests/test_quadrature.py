@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi, roots_legendre
 
-from dhankel.quadrature import (build_graded_grid, build_weighted_grid,
-                                panel_integrals, weight_constant,
-                                weighted_integral, weighted_norm)
+from dhankel.quadrature import (_assemble, build_graded_grid,
+                                build_weighted_grid, panel_integrals,
+                                weight_constant, weighted_norm)
 from dhankel.specfun import DomainError
+
+
+def weighted_integral(f, grid):
+    """Integral of f against c_a |x|^{2a-1} dx on the grid (signed)."""
+    return float(np.sum(grid.weights * f(grid.nodes)))
 
 
 def closed_form_mass(alpha, radius):
@@ -25,9 +31,9 @@ def test_panel_integrals_exact_for_polynomials():
 
 def test_total_mass_examples():
     g = build_weighted_grid(0.5, 1.0, 8, 8)
-    assert abs(g.total_mass() - 1.0) < 1e-12
+    assert abs(np.sum(g.weights) - 1.0) < 1e-12
     g = build_weighted_grid(1.0, 2.0, 8, 8)
-    assert abs(g.total_mass() - 2.0) < 1e-12
+    assert abs(np.sum(g.weights) - 2.0) < 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 1.0, 2.5])
@@ -35,7 +41,7 @@ def test_total_mass_examples():
 def test_mass_matches_closed_form(alpha, grading):
     g = build_weighted_grid(alpha, 5.0, 16, 12, grading=grading)
     want = closed_form_mass(alpha, 5.0)
-    assert abs(g.total_mass() - want) <= 1e-10 * want
+    assert abs(np.sum(g.weights) - want) <= 1e-10 * want
 
 
 def test_grid_invariants():
@@ -51,6 +57,37 @@ def test_grid_invariants():
     assert g.cell_hi[-1] == g.radius
     assert np.all(g.cell_lo < g.pos_nodes) and np.all(g.pos_nodes < g.cell_hi)
     assert np.allclose(g.cell_hi[:-1], g.cell_lo[1:])
+
+
+def panel_by_panel(alpha, edges, order):
+    """Positive nodes and weights of a grid, one Gauss rule per panel."""
+    ca = weight_constant(alpha)
+    beta = 2.0 * alpha - 1.0
+    tj, wj = roots_jacobi(order, 0.0, beta)
+    h = edges[1]
+    xs, ws = [h * (tj + 1.0) / 2.0], [wj * (h / 2.0) ** (2.0 * alpha) * ca]
+    tl, wl = roots_legendre(order)
+    for a, b in zip(edges[1:-1], edges[2:]):
+        x = 0.5 * (a + b) + 0.5 * (b - a) * tl
+        xs.append(x)
+        ws.append(wl * 0.5 * (b - a) * ca * x ** beta)
+    pos, wpos = np.concatenate(xs), np.concatenate(ws)
+    idx = np.argsort(pos)
+    return pos[idx], wpos[idx]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_assemble_matches_panel_loop(alpha):
+    # uniform, a tail grid's geometric edges, and a graded grid's edges
+    graded = 0.01 * np.exp(0.08 * np.arange(60))
+    for edges in (np.linspace(0.0, 5.0, 17),
+                  np.concatenate([[0.0], 0.25 * 1.07 ** np.arange(170)]),
+                  np.concatenate([[0.0], graded])):
+        for order in (8, 16):
+            g = _assemble(alpha, edges[-1], edges, order)
+            pos, wpos = panel_by_panel(alpha, edges, order)
+            assert np.array_equal(g.pos_nodes, pos)
+            assert np.array_equal(g.pos_weights, wpos)
 
 
 def test_odd_integrand_vanishes():
@@ -114,7 +151,7 @@ def test_refinement_convergence():
 def test_graded_grid_mass_and_resolution():
     g = build_graded_grid(0.5, 512.0, 16, 10.0, 40.0)
     want = closed_form_mass(0.5, 512.0)
-    assert abs(g.total_mass() - want) <= 1e-10 * want
+    assert abs(np.sum(g.weights) - want) <= 1e-10 * want
     # first panel small enough that the kernel phase 2 sqrt(dual*x) < budget
     assert 2.0 * math.sqrt(40.0 * g.pos_nodes[0]) < 10.0
 

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 from scipy.special import gammaln, jv
 
 from dhankel import make_resolved_grids
-from dhankel.specfun import (_SERIES_BLOCK, DomainError, KernelParams,
-                             bessel_j_normalized, gamma, kernel_B,
-                             kernel_parts)
+from dhankel.specfun import (_CLENSHAW_BLOCK, DomainError, KernelParams,
+                             _band_coefficients, _clenshaw,
+                             _near_coefficients, bessel_j_normalized, gamma,
+                             kernel_B, kernel_parts)
 
 mp.mp.dps = 40
 
@@ -45,6 +47,8 @@ def j_mp(nu, x):
 
 # z across the Chebyshev band (9, 18] and Hankel's expansion (18, 300]
 FAR_Z = np.concatenate([np.linspace(9.05, 18.0, 14), np.geomspace(18.2, 300.0, 20)])
+# z across the near-field interpolant (0, 9], crowded towards the switch
+NEAR_Z = np.concatenate([np.linspace(0.05, 9.0, 180), 9.0 - np.geomspace(1e-12, 0.3, 24)])
 
 
 def test_gamma_classical_values():
@@ -97,15 +101,32 @@ def test_bessel_even(nu, x):
     assert bessel_j_normalized(nu, x) == bessel_j_normalized(nu, -x)
 
 
+def test_clenshaw_matches_chebval():
+    # the blocked in-place recurrence repeats numpy's operations bit for bit
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, _CLENSHAW_BLOCK + 901)
+    for c in (_band_coefficients(-0.4), _near_coefficients(1.6, 9.0)):
+        assert np.array_equal(_clenshaw(c, x), chebval(x, c))
+
+
+@pytest.mark.parametrize("nu", [-0.49, -0.4, 0.0, 0.5, 1.0, 2.0, 3.5, 10.0,
+                                12.0, 20.4, 30.4, 199.0])
+def test_near_field_oracle(nu):
+    # the power series was off by 1.9e-13 at nu = -0.49, and coefficients
+    # from numpy's chebinterpolate instead of the DCT by 2e-14; at nu = 199
+    # jv underflows at the small fit nodes, which the series of g takes
+    got = bessel_j_normalized(nu, NEAR_Z)
+    assert max(abs(j - j_mp(nu, z)) for z, j in zip(NEAR_Z, got)) <= 1e-14
+
+
 @pytest.mark.parametrize("nu, switch", [(-0.4, 9.0), (0.0, 9.0), (1.6, 9.0),
                                         (2.4, 9.0), (6.0, 4.0)])
 def test_bessel_entry_does_not_depend_on_its_batch(nu, switch):
-    # every series entry takes the same number of terms, and the integer-order
-    # large-argument path is chosen per entry, whatever the other entries of
-    # the call; the array spans the series/asymptotic switch and more than
-    # one series block, in shuffled order
+    # the near-field interpolant and the integer-order large-argument path
+    # compute every entry on its own, whatever the other entries of the call;
+    # the array spans the switch and more than one Clenshaw block, in
+    # shuffled order
     z = np.random.default_rng(7).permutation(
-        np.linspace(0.0, 12.0, _SERIES_BLOCK + 901))
+        np.linspace(0.0, 12.0, _CLENSHAW_BLOCK + 901))
     whole = bessel_j_normalized(nu, z, asymptotic_switch=switch)
     near_edge = int(np.argmax(np.where(z <= switch, z, 0.0)))
     for k in list(range(0, z.size, 97)) + [near_edge]:
@@ -138,10 +159,10 @@ def test_fractional_order_continuous_at_band_edges(nu, edge):
 
 @pytest.mark.parametrize("nu", [-0.4, 1.6, 2.4])
 def test_far_field_entry_does_not_depend_on_its_batch(nu):
-    # a shuffled array across the series, the Chebyshev band and Hankel's
-    # expansion, longer than one series block
+    # a shuffled array across the near field, the Chebyshev band and
+    # Hankel's expansion, longer than one Clenshaw block
     z = np.random.default_rng(11).permutation(
-        np.linspace(0.0, 40.0, _SERIES_BLOCK + 901))
+        np.linspace(0.0, 40.0, _CLENSHAW_BLOCK + 901))
     whole = bessel_j_normalized(nu, z)
     for k in range(0, z.size, 89):
         assert whole[k] == bessel_j_normalized(nu, z[k:k + 1])[0]
@@ -149,7 +170,7 @@ def test_far_field_entry_does_not_depend_on_its_batch(nu):
 
 def test_kernel_parts_fractional_alpha_matches_jv():
     # the quarter block's large-argument entries (z > 9, about half of them);
-    # the series below the switch has its own oracle tests above
+    # the near field below the switch has its own oracle test above
     a = 0.3
     xg, lg = make_resolved_grids(a, 20.0, 128.0)
     t = np.multiply.outer(xg.pos_nodes, lg.pos_nodes)
@@ -173,18 +194,20 @@ def test_bessel_domain():
 def test_branch_agreement_at_switch():
     for nu in (-0.4, 0.0, 0.5, 2.0, 6.0):
         z = 9.0
-        series = bessel_j_normalized(nu, z, asymptotic_switch=z + 1.0)
+        near = bessel_j_normalized(nu, z, asymptotic_switch=z + 1.0)
         asym = bessel_j_normalized(nu, z, asymptotic_switch=z - 1.0)
-        assert abs(series - asym) < 1e-9
+        assert abs(near - asym) < 1e-9
 
 
 def test_kernel_params_validation():
     with pytest.raises(DomainError):
         KernelParams(alpha=0.25)
     with pytest.raises(DomainError):
-        KernelParams(alpha=0.5, series_tol=0.0)
-    with pytest.raises(DomainError):
         KernelParams(alpha=0.5, asymptotic_switch=-1.0)
+    with pytest.raises(DomainError):
+        KernelParams(alpha=0.5, asymptotic_switch=20.0)
+    with pytest.raises(DomainError):
+        bessel_j_normalized(0.0, 1.0, asymptotic_switch=20.0)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 2.5])
