@@ -8,11 +8,10 @@ from .quadrature import (WeightedGrid, build_graded_grid, build_weighted_grid,
                          weighted_norm)
 from .specfun import KernelParams, bessel_j_normalized, gamma, kernel_B
 from .titchmarsh import (PreconditionError, SynthesisSpec, VerificationReport,
-                         dlip_seminorm, dyadic_h_grid, make_resolved_grids,
-                         make_tail_grid, synthesize_from_tail,
-                         verify_equivalence, verify_fourier_Lnu,
-                         verify_inclusion_Womega, verify_main1_part1,
-                         verify_main1_part2, verify_main2)
+                         dyadic_h_grid, make_resolved_grids, make_tail_grid,
+                         synthesize_from_tail, verify_equivalence,
+                         verify_fourier_Lnu, verify_inclusion_Womega,
+                         verify_main1_part1, verify_main1_part2, verify_main2)
 from .transform import (FunctionSpec, SpectralData, diff_norms, forward,
                         inverse, tail_energy)
 
@@ -22,7 +21,7 @@ __all__ = [
     "SynthesisSpec", "VerificationReport", "WeightedGrid",
     "bessel_j_normalized", "build_W_omega", "build_graded_grid",
     "build_weighted_grid", "check_almost_monotone", "diff_norms",
-    "dlip_seminorm", "dyadic_h_grid", "estimate_indices", "forward", "gamma",
+    "dyadic_h_grid", "estimate_indices", "forward", "gamma",
     "inverse", "kernel_B", "make_family", "make_resolved_grids",
     "make_tail_grid", "parse_family", "synthesize_from_tail", "tail_energy",
     "verify_equivalence", "verify_fourier_Lnu",

@@ -12,40 +12,30 @@ Zygmund condition the requested run needs does not hold).
 
 Identical configurations produce bit-identical report files: grids are
 deterministic, nothing is timestamped, floats are written with repr.
-The environment variable HL_THREADS caps BLAS/OpenMP parallelism.
+BLAS/OpenMP parallelism follows the standard variables (OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS), which must be set before Python
+starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
-
-def _cap_threads() -> None:
-    n = os.environ.get("HL_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
-_cap_threads()
-
-import numpy as np  # noqa: E402  (thread caps must precede numpy)
+import numpy as np
 
 from .modulus import (ConstructionError, estimate_indices, parse_family,
                       zygmund_Z0_constant, zygmund_Z1_constant)
-from .specfun import DomainError  # noqa: E402
+from .specfun import DomainError
 from .titchmarsh import (PreconditionError, SynthesisSpec, dyadic_h_grid,
                          make_resolved_grids, make_tail_grid, restrict_h_grid,
                          synthesize_from_tail, verify_equivalence,
                          verify_fourier_Lnu, verify_inclusion_Womega,
                          verify_main1_part1, verify_main1_part2, verify_main2)
-from .transform import FunctionSpec, SpectralData, forward  # noqa: E402
-from .quadrature import build_weighted_grid  # noqa: E402
+from .transform import FunctionSpec, SpectralData, forward
+from .quadrature import build_weighted_grid
 
 USAGE_ERROR, PRECONDITION_ERROR = 1, 2
 

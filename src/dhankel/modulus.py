@@ -67,9 +67,7 @@ class ModulusSpec:
 
 @dataclass(frozen=True)
 class MonotonicityCertificate:
-    direction: str            # "almost_increasing" | "almost_decreasing"
     constant: float
-    sample_size: int
     passed: bool
 
 
@@ -206,8 +204,7 @@ def check_almost_monotone(w: ModulusSpec, direction: str,
     c0 = almost_monotone_constant(fn, lo, w.delta0, direction, samples)
     c1 = almost_monotone_constant(fn, lo * 0.1, w.delta0, direction, 2 * samples)
     passed = math.isfinite(c1) and c1 <= c0 * 1.01
-    return MonotonicityCertificate(direction=direction, constant=max(c0, c1),
-                                   sample_size=samples, passed=passed)
+    return MonotonicityCertificate(constant=max(c0, c1), passed=passed)
 
 
 def is_modulus(w: ModulusSpec) -> dict:

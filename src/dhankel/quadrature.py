@@ -11,6 +11,7 @@ the total weight mass equals c_a R^{2a} / a.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,18 +50,26 @@ class WeightedGrid:
     pos_weights: np.ndarray
     cell_lo: np.ndarray
     cell_hi: np.ndarray
-    panels: int
-    order: int
     uid: int = field(default_factory=lambda: next(_grid_ids))
+
+
+@functools.cache
+def _gauss_rule(order: int, beta: float | None = None):
+    # read-only Gauss-Legendre nodes and weights, or Gauss-Jacobi ones for
+    # the weight (1 + t)^beta when beta is given
+    rule = roots_legendre(order) if beta is None else roots_jacobi(order, 0.0, beta)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int) -> WeightedGrid:
     ca = weight_constant(alpha)
     beta = 2.0 * alpha - 1.0
-    tj, wj = roots_jacobi(order, 0.0, beta)
+    tj, wj = _gauss_rule(order, beta)
     h = edges[1]
     # the outer panels [a, b] are the rows of one (panels - 1, order) array
-    tl, wl = roots_legendre(order)
+    tl, wl = _gauss_rule(order)
     a, b = edges[1:-1, None], edges[2:, None]
     x = 0.5 * (a + b) + 0.5 * (b - a) * tl
     pos = np.concatenate([h * (tj + 1.0) / 2.0, x.ravel()])
@@ -76,8 +85,7 @@ def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int) -> Wei
         arr.setflags(write=False)
     return WeightedGrid(alpha=alpha, radius=radius, nodes=nodes, weights=weights,
                         pos_nodes=pos, pos_weights=wpos,
-                        cell_lo=cell_lo, cell_hi=cell_hi,
-                        panels=len(edges) - 1, order=order)
+                        cell_lo=cell_lo, cell_hi=cell_hi)
 
 
 def build_weighted_grid(alpha: float, radius: float, panels: int, order: int,
@@ -152,7 +160,7 @@ def panel_integrals(fn, edges, order: int) -> np.ndarray:
     fn is vectorized; it is called once, on the (panels, order) node array.
     """
     edges = np.asarray(edges, dtype=float)
-    tg, wg = roots_legendre(order)
+    tg, wg = _gauss_rule(order)
     a, b = edges[:-1], edges[1:]
     s = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * tg[None, :]
     return np.sum(fn(s) * wg[None, :], axis=1) * 0.5 * (b - a)

@@ -33,20 +33,13 @@ class KernelParams:
     """Evaluation parameters for the kernel B_alpha.
 
     alpha: deformation order, must exceed 1/4.
-    asymptotic_switch: |argument| of j_nu up to which the near-field
-        Chebyshev interpolant in z^2/4 is used, at most 18.  At the default 9
-        every larger argument of a fractional order takes the Chebyshev band
-        or Hankel's expansion (see bessel_j_normalized); a switch below 9
-        sends the arguments up to 9 to scipy's jv.
     """
 
     alpha: float
-    asymptotic_switch: float = 9.0
 
     def __post_init__(self):
         if not self.alpha > 0.25:
             raise DomainError(f"alpha must exceed 1/4, got {self.alpha}")
-        _check_switch(self.asymptotic_switch)
 
 
 def gamma(x: float) -> float:
@@ -64,7 +57,7 @@ def _chebyshev_fit(f, degree: int) -> np.ndarray:
     # Read-only coefficients of f's interpolant at the Chebyshev points of the
     # first kind on [-1, 1] (not +-1).  A type-II DCT gets them ten times
     # closer to exact than numpy's chebinterpolate; the near field multiplies
-    # their error by q, up to 20 at the default switch.
+    # their error by q, up to 20 at the seam.
     n = degree + 1
     c = dct(f(np.cos(np.pi * (np.arange(n) + 0.5) / n)), type=2) / n
     c[0] *= 0.5
@@ -98,32 +91,25 @@ def _normalized(nu: float, z: np.ndarray, big_j: np.ndarray) -> np.ndarray:
     return np.exp(gammaln(nu + 1.0) + nu * (math.log(2.0) - np.log(z))) * big_j
 
 
-# Near field |z| <= asymptotic_switch: j_nu(2 sqrt q) = 1 - q g(q), which
-# keeps j_nu(0) = 1 exactly, with g, entire in q = z^2/4, interpolated on
-# [0, switch^2/4] by one Chebyshev polynomial per (order, switch).  Against
-# mpmath, the normalized j is within 1e-14 for -1/2 < nu <= 10 at switch 9
-# and within 2e-14 at switch 18, but 7.7e-13 at 24 (nu = -0.49).
+# Near field |z| <= _SEAM: j_nu(2 sqrt q) = 1 - q g(q), which keeps
+# j_nu(0) = 1 exactly, with g, entire in q = z^2/4, interpolated on
+# [0, _SEAM^2/4] by one Chebyshev polynomial per order.  Against mpmath, the
+# normalized j is within 1e-14 for -1/2 < nu <= 10.  The same degree reaches
+# 2e-14 on [0, 18] but 7.7e-13 on [0, 24] (nu = -0.49).
+_SEAM = 9.0
+_NEAR_HALF = 0.125 * _SEAM ** 2     # half the width of the q interval
 _NEAR_DEGREE = 24
-_SWITCH_MAX = 18.0
 _G_TERMS = 20
 
 
-def _check_switch(switch: float) -> None:
-    if not 0 < switch <= _SWITCH_MAX:
-        raise DomainError(f"asymptotic_switch must lie in (0, {_SWITCH_MAX:g}], "
-                          f"got {switch}")
-
-
 @functools.cache
-def _near_coefficients(nu: float, switch: float) -> np.ndarray:
+def _near_coefficients(nu: float) -> np.ndarray:
     # g(q) = (1 - j_nu(2 sqrt q)) / q = sum_k (-q)^k / ((k+1)! (nu+1)_{k+1}).
     # Where q <= nu + 2 its terms fall at least twofold per step, so the sum
     # is good to a few ulp (and jv underflows at large orders); elsewhere
     # 1 - j from jv loses nothing to cancellation.
-    half = 0.125 * switch ** 2
-
     def g(t):
-        q = half * (1.0 + t)
+        q = _NEAR_HALF * (1.0 + t)
         out = np.empty_like(q)
         small = q <= nu + 2.0
         k = np.arange(1.0, _G_TERMS)
@@ -139,15 +125,14 @@ def _near_coefficients(nu: float, switch: float) -> np.ndarray:
 
 
 # Far field of the orders without a closed-form path: a Chebyshev
-# interpolant of J_nu on the band (_BAND_FROM, _HANKEL_FROM], which starts at
-# the default switch, and Hankel's expansion above it.  Measured against
-# mpmath over z in (9, 2000], both keep the normalized j within 1.5e-14 for
-# -1/2 < nu <= _FAST_ORDER_MAX, about as close as jv itself.  The 8-term
-# expansion at z = 18 is off by 2e-14 at nu = 10.75 and 1e-13 at nu = 12, so
-# higher orders keep jv.
-_BAND_FROM, _HANKEL_FROM = 9.0, 18.0
-_BAND_MID = 0.5 * (_HANKEL_FROM + _BAND_FROM)
-_BAND_HALF = 0.5 * (_HANKEL_FROM - _BAND_FROM)
+# interpolant of J_nu on the band (_SEAM, _HANKEL_FROM] and Hankel's
+# expansion above it.  Measured against mpmath over z in (9, 2000], both keep
+# the normalized j within 1.5e-14 for -1/2 < nu <= _FAST_ORDER_MAX, about as
+# close as jv itself.  The 8-term expansion at z = 18 is off by 2e-14 at
+# nu = 10.75 and 1e-13 at nu = 12, so higher orders keep jv.
+_HANKEL_FROM = 18.0
+_BAND_MID = 0.5 * (_HANKEL_FROM + _SEAM)
+_BAND_HALF = 0.5 * (_HANKEL_FROM - _SEAM)
 _BAND_DEGREE = 40
 _HANKEL_TERMS = 8
 _FAST_ORDER_MAX = 10.0
@@ -180,12 +165,12 @@ def _hankel(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def _large_argument(nu: float, z: np.ndarray) -> np.ndarray:
-    # Normalized value Gamma(nu+1) (2/z)^nu J_nu(z).  Integer and half-integer
-    # orders get the fast cephes/spherical paths; the upward recurrence for
-    # J_n is stable only where z > n, so jv takes the entries with z <= n
-    # (none when asymptotic_switch >= 8).  Other orders up to _FAST_ORDER_MAX
-    # take the Chebyshev band and Hankel's expansion, and jv the entries with
-    # z <= _BAND_FROM (none when asymptotic_switch >= 9); higher orders take jv.
+    # Normalized value Gamma(nu+1) (2/z)^nu J_nu(z) for z > _SEAM.  Integer
+    # and half-integer orders get the fast cephes/spherical paths; the upward
+    # recurrence for J_n is stable where z > n, which z > _SEAM >= 8 ensures.
+    # Other orders up to _FAST_ORDER_MAX take the Chebyshev band, which also
+    # takes a NaN entry and keeps it NaN, and Hankel's expansion; higher
+    # orders take jv.
     n = round(nu)
     if nu == n and 0 <= n <= 8:
         jn_prev = j0(z)
@@ -196,49 +181,42 @@ def _large_argument(nu: float, z: np.ndarray) -> np.ndarray:
             for k in range(1, n):
                 jn_prev, jn_cur = jn_cur, (2.0 * k / z) * jn_cur - jn_prev
             big_j = jn_cur
-        low = z <= n
-        big_j[low] = jv(nu, z[low])
     elif abs(nu - n) == 0.5 and nu > 0:
         big_j = np.sqrt(2.0 * z / np.pi) * spherical_jn(int(nu - 0.5), z)
     elif nu <= _FAST_ORDER_MAX:
         big_j = np.empty_like(z)
         hankel = z > _HANKEL_FROM
-        band = (z > _BAND_FROM) & ~hankel
-        low = ~(hankel | band)
+        band = ~hankel
         big_j[hankel] = _hankel(nu, z[hankel])
         big_j[band] = _clenshaw(_band_coefficients(nu),
                                 (z[band] - _BAND_MID) / _BAND_HALF)
-        big_j[low] = jv(nu, z[low])
     else:
         big_j = jv(nu, z)
     return _normalized(nu, z, big_j)
 
 
-def bessel_j_normalized(nu: float, x, *, asymptotic_switch: float = 9.0):
+def bessel_j_normalized(nu: float, x):
     """Normalized Bessel function of the first kind, j_nu(0) = 1.
 
-    Even in x.  Up to |x| = asymptotic_switch (at most 18) a Chebyshev
-    interpolant in x^2/4, fitted once per order and switch; above it the
-    j0/j1 recurrence for integer orders 0-8, spherical Bessel functions for
-    positive half-integer orders, and for other orders up to 10 a Chebyshev
-    interpolant on (9, 18] and Hankel's asymptotic expansion beyond 18;
-    scipy's jv takes the rest.  Absolute error below 2e-14 for orders in
-    (-1/2, 10] at the default switch.  Every path is chosen per entry and
-    computes each entry on its own, so each entry's value does not depend on
-    the other entries of x.
+    Even in x.  Up to |x| = 9 a Chebyshev interpolant in x^2/4, fitted once
+    per order; above it the j0/j1 recurrence for integer orders 0-8,
+    spherical Bessel functions for positive half-integer orders, and for
+    other orders up to 10 a Chebyshev interpolant on (9, 18] and Hankel's
+    asymptotic expansion beyond 18; scipy's jv takes the rest.  Absolute
+    error below 2e-14 for orders in (-1/2, 10].  A NaN argument gives NaN.
+    Every path is chosen per entry and computes each entry on its own, so
+    each entry's value does not depend on the other entries of x.
     """
     if not nu > -1.0:
         raise DomainError(f"order must exceed -1, got {nu}")
-    _check_switch(asymptotic_switch)
     z = np.abs(np.asarray(x, dtype=float))
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     out = np.empty_like(z)
-    near = z <= asymptotic_switch
+    near = z <= _SEAM
     if near.any():
         q = 0.25 * z[near] ** 2
-        out[near] = 1.0 - q * _clenshaw(_near_coefficients(nu, asymptotic_switch),
-                                        q / (0.125 * asymptotic_switch ** 2) - 1.0)
+        out[near] = 1.0 - q * _clenshaw(_near_coefficients(nu), q / _NEAR_HALF - 1.0)
     far = ~near
     if far.any():
         out[far] = _large_argument(nu, z[far])
@@ -256,9 +234,8 @@ def kernel_parts(params: KernelParams, t):
     a = params.alpha
     t = np.asarray(t, dtype=float)
     z = 2.0 * np.sqrt(t)
-    kw = dict(asymptotic_switch=params.asymptotic_switch)
-    even = bessel_j_normalized(2.0 * a - 1.0, z, **kw)
-    odd = t * bessel_j_normalized(2.0 * a + 1.0, z, **kw) / ((2.0 * a) * (2.0 * a + 1.0))
+    even = bessel_j_normalized(2.0 * a - 1.0, z)
+    odd = t * bessel_j_normalized(2.0 * a + 1.0, z) / ((2.0 * a) * (2.0 * a + 1.0))
     return even, odd
 
 

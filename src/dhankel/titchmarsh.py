@@ -42,7 +42,7 @@ from .modulus import (ConstructionError, ModulusSpec, build_W_omega,
                       check_almost_monotone, zygmund_Z0_constant,
                       zygmund_Z1_constant)
 from .quadrature import (WeightedGrid, build_graded_grid, build_weighted_grid,
-                         panel_integrals)
+                         panel_integrals, weight_constant)
 from .specfun import DomainError
 from .transform import (SpectralData, diff_norms, forward, round_trip_norms,
                         spectral_mass, tail_energy, tail_truncated)
@@ -169,14 +169,15 @@ def make_tail_grid(alpha: float, radius: float, order: int = 16) -> WeightedGrid
 
 
 def make_resolved_grids(alpha: float, radius_x: float, radius_lambda: float,
-                        order: int = 16, phase_budget: float = 10.0):
+                        order: int = 16):
     """(x grid, frequency grid) pair resolving the kernel's oscillations.
 
-    Use for runs that evaluate functions in physical space (inverse
-    synthesis, the physical diff-norm route).
+    Each panel sees at most 10 radians of kernel phase.  Use for runs that
+    evaluate functions in physical space (inverse synthesis, the physical
+    diff-norm route).
     """
-    xg = build_graded_grid(alpha, radius_x, order, phase_budget, radius_lambda)
-    lg = build_graded_grid(alpha, radius_lambda, order, phase_budget, radius_x)
+    xg = build_graded_grid(alpha, radius_x, order, 10.0, radius_lambda)
+    lg = build_graded_grid(alpha, radius_lambda, order, 10.0, radius_x)
     return xg, lg
 
 
@@ -265,17 +266,11 @@ def synthesize_from_tail(spec: SynthesisSpec, lgrid: WeightedGrid) -> SpectralDa
         w_win = 0.5 * (1.0 + erf((center_hi - yb) / (math.sqrt(2.0) * sigma_hi)))
         dens[band] = np.maximum(-dphi, 0.0) * u_win * w_win
         # density is d(tail)/dy; both signs share it: g(y)^2 = dens/(2 c_a y^{2a-1})
-        g2_pos = dens / (2.0 * _measure_density(lgrid))
+        ca = weight_constant(spec.alpha)
+        g2_pos = dens / (2.0 * (ca * y ** (2.0 * spec.alpha - 1.0)))
     g_pos = np.sqrt(g2_pos)
     values = np.concatenate([g_pos[::-1], g_pos])
     return SpectralData(alpha=spec.alpha, lambda_grid=lgrid, values=values)
-
-
-def _measure_density(lgrid: WeightedGrid) -> np.ndarray:
-    """d(mu)/dy at the positive nodes: c_a y^{2a-1}."""
-    from .quadrature import weight_constant
-    ca = weight_constant(lgrid.alpha)
-    return ca * lgrid.pos_nodes ** (2.0 * lgrid.alpha - 1.0)
 
 
 # ----------------------------- seminorm -----------------------------
@@ -301,16 +296,6 @@ def _diff_trace(f_or_g, w: ModulusSpec, p: float, h_grid: np.ndarray,
     g, fx = _as_spectral(f_or_g, xgrid, lgrid)
     fast, phys = diff_norms(g, h_grid, p, fx=fx, xgrid=xgrid)
     return g, (fast if fx is None else phys)
-
-
-def dlip_seminorm(f_or_g, w: ModulusSpec, p: float, h_grid,
-                  xgrid: WeightedGrid | None = None,
-                  lgrid: WeightedGrid | None = None):
-    """sup_h |T_h f - f|_{p,a} / omega(h) over the h grid, plus the trace."""
-    h_grid = np.asarray(h_grid, dtype=float)
-    _, diffs = _diff_trace(f_or_g, w, p, h_grid, xgrid, lgrid)
-    ratios = diffs / np.asarray(w.evaluator(h_grid), dtype=float)
-    return float(np.max(ratios)), ratios
 
 
 # ----------------------------- verifiers -----------------------------

@@ -10,7 +10,7 @@ from scipy.special import gammaln, jv
 
 from dhankel import make_resolved_grids
 from dhankel.specfun import (_CLENSHAW_BLOCK, DomainError, KernelParams,
-                             _band_coefficients, _clenshaw,
+                             _band_coefficients, _clenshaw, _large_argument,
                              _near_coefficients, bessel_j_normalized, gamma,
                              kernel_B, kernel_parts)
 
@@ -104,7 +104,7 @@ def test_bessel_even(nu, x):
 def test_clenshaw_matches_chebval():
     # the blocked in-place recurrence repeats numpy's operations bit for bit
     x = np.random.default_rng(3).uniform(-1.0, 1.0, _CLENSHAW_BLOCK + 901)
-    for c in (_band_coefficients(-0.4), _near_coefficients(1.6, 9.0)):
+    for c in (_band_coefficients(-0.4), _near_coefficients(1.6)):
         assert np.array_equal(_clenshaw(c, x), chebval(x, c))
 
 
@@ -118,19 +118,18 @@ def test_near_field_oracle(nu):
     assert max(abs(j - j_mp(nu, z)) for z, j in zip(NEAR_Z, got)) <= 1e-14
 
 
-@pytest.mark.parametrize("nu, switch", [(-0.4, 9.0), (0.0, 9.0), (1.6, 9.0),
-                                        (2.4, 9.0), (6.0, 4.0)])
-def test_bessel_entry_does_not_depend_on_its_batch(nu, switch):
+@pytest.mark.parametrize("nu", [-0.4, 0.0, 1.6, 2.4, 6.0])
+def test_bessel_entry_does_not_depend_on_its_batch(nu):
     # the near-field interpolant and the integer-order large-argument path
     # compute every entry on its own, whatever the other entries of the call;
-    # the array spans the switch and more than one Clenshaw block, in
+    # the array spans the seam at 9 and more than one Clenshaw block, in
     # shuffled order
     z = np.random.default_rng(7).permutation(
         np.linspace(0.0, 12.0, _CLENSHAW_BLOCK + 901))
-    whole = bessel_j_normalized(nu, z, asymptotic_switch=switch)
-    near_edge = int(np.argmax(np.where(z <= switch, z, 0.0)))
+    whole = bessel_j_normalized(nu, z)
+    near_edge = int(np.argmax(np.where(z <= 9.0, z, 0.0)))
     for k in list(range(0, z.size, 97)) + [near_edge]:
-        one = bessel_j_normalized(nu, z[k:k + 1], asymptotic_switch=switch)
+        one = bessel_j_normalized(nu, z[k:k + 1])
         assert whole[k] == one[0]
 
 
@@ -192,22 +191,26 @@ def test_bessel_domain():
 
 
 def test_branch_agreement_at_switch():
+    # the near field and the large-argument paths meet at the seam z = 9
     for nu in (-0.4, 0.0, 0.5, 2.0, 6.0):
-        z = 9.0
-        near = bessel_j_normalized(nu, z, asymptotic_switch=z + 1.0)
-        asym = bessel_j_normalized(nu, z, asymptotic_switch=z - 1.0)
+        near = bessel_j_normalized(nu, 9.0)
+        asym = _large_argument(nu, np.array([9.0]))[0]
         assert abs(near - asym) < 1e-9
+
+
+@pytest.mark.parametrize("nu", [0.0, 2.0, 0.5, -0.4, 1.6, 12.0])
+def test_nan_argument_gives_nan(nu):
+    # one order per large-argument path: j0, the j0/j1 recurrence, spherical
+    # Bessel, the Chebyshev band and Hankel's expansion (two fractional
+    # orders), and jv above order 10
+    got = bessel_j_normalized(nu, np.array([1.0, np.nan, 30.0]))
+    assert np.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]]))
+    assert math.isnan(bessel_j_normalized(nu, math.nan))
 
 
 def test_kernel_params_validation():
     with pytest.raises(DomainError):
         KernelParams(alpha=0.25)
-    with pytest.raises(DomainError):
-        KernelParams(alpha=0.5, asymptotic_switch=-1.0)
-    with pytest.raises(DomainError):
-        KernelParams(alpha=0.5, asymptotic_switch=20.0)
-    with pytest.raises(DomainError):
-        bessel_j_normalized(0.0, 1.0, asymptotic_switch=20.0)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 2.5])
