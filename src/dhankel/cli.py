@@ -155,6 +155,8 @@ THEOREMS = {
     "inclusion_Womega": (lambda s, w, h, xg, lg, ns: verify_inclusion_Womega(
         s, w, ns.p, h, xgrid=xg, lgrid=lg), ("p",)),
 }
+# the theorems whose verifier runs a second difference-norm route on an x grid
+SECOND_ROUTE = ("main1_part2", "equivalence", "main2_part2")
 
 
 def _cmd_titchmarsh(ns) -> int:
@@ -176,6 +178,10 @@ def _cmd_titchmarsh(ns) -> int:
                else f"; the verdict rests on {h_grid.size} ratio(s)")
         print(f"note: {h_all.size - h_grid.size} h value(s) dropped "
               f"(tail 1/h beyond radius_lambda/4){few}", file=sys.stderr)
+
+    if ns.route_check and ns.theorem not in SECOND_ROUTE:
+        print(f"note: --route-check runs no second route for {ns.theorem}; "
+              "the report has no route_agreement", file=sys.stderr)
 
     profile = "smooth_tail" if ns.route_check else "sharp_tail"
     if ns.synth == "matched":
@@ -268,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument("--synth", default="matched",
                     help="matched | mismatched:<modulus> | function:<name>")
     tm.add_argument("--route-check", action="store_true",
-                    help="use resolved x/frequency grids and report the "
+                    help="use resolved x/frequency grids; "
+                         + ", ".join(SECOND_ROUTE) + " also report the "
                          "two-route difference-norm agreement")
     tm.add_argument("--output", default="")
     tm.add_argument("--format", default="csv", choices=["csv", "json"])

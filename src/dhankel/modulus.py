@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .quadrature import panel_integrals
 from .specfun import DomainError
@@ -331,6 +330,48 @@ def estimate_indices(w: ModulusSpec) -> IndexEstimate:
 _W_EXTRA_DECADES = 30    # cumulative grid reaches delta0 * 1e-40
 
 
+def _pchip_end(h0, h1, m0, m1):
+    # one-sided three-point derivative, clamped to preserve shape (Moler)
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x, y):
+    """Monotone piecewise-cubic Hermite interpolant (PCHIP) through (x, y),
+    x increasing, for arguments in [x[0], x[-1]].
+
+    Fritsch-Butland derivatives with Moler's end rule, evaluated in the
+    power basis of each interval; every operation is in the order of scipy's
+    PchipInterpolator, so the values agree with it bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    # the weighted harmonic mean of the slopes, or 0 where they change
+    # sign or one of them vanishes (the divisions there are discarded)
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d[1:-1] = np.where(flat, 0.0, inner)
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def interp(xv):
+        i = np.clip(np.searchsorted(x, xv, side="right") - 1, 0, x.size - 2)
+        s = xv - x[i]
+        s2 = s * s
+        return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+
+    return interp
+
+
 def build_W_omega(w: ModulusSpec) -> ModulusSpec:
     """Cumulative weight W(t) = int_0^t omega(s)/s ds as a ModulusSpec.
 
@@ -354,7 +395,7 @@ def build_W_omega(w: ModulusSpec) -> ModulusSpec:
 
     t_grid = edges_t[:-1][::-1]
     w_grid = cum[:-1][::-1]
-    interp = PchipInterpolator(np.log(t_grid), np.log(w_grid), extrapolate=False)
+    interp = _pchip(np.log(t_grid), np.log(w_grid))
     t_min = t_grid[0]
     w_min = w_grid[0]
     slope = (math.log(w_grid[per]) - math.log(w_grid[0])) \

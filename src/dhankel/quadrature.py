@@ -64,6 +64,9 @@ def _gauss_rule(order: int, beta: float | None = None):
 
 
 def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int) -> WeightedGrid:
+    # every grid builder ends here, so the rule order is checked once
+    if order < 2:
+        raise DomainError(f"order must be >= 2, got {order}")
     ca = weight_constant(alpha)
     beta = 2.0 * alpha - 1.0
     tj, wj = _gauss_rule(order, beta)
@@ -101,8 +104,8 @@ def build_weighted_grid(alpha: float, radius: float, panels: int, order: int,
         raise DomainError(f"alpha must exceed 1/4, got {alpha}")
     if not radius > 0:
         raise DomainError("radius must be positive")
-    if panels < 2 or order < 2:
-        raise DomainError("panels and order must both be >= 2")
+    if panels < 2:
+        raise DomainError("panels must be >= 2")
     if grading == "uniform":
         edges = np.linspace(0.0, radius, panels + 1)
     elif grading == "geometric":

@@ -287,12 +287,16 @@ def _as_spectral(f_or_g, xgrid, lgrid):
     return forward(fx, xgrid, lgrid), fx
 
 
+def _check_h_grid(w: ModulusSpec, h_grid: np.ndarray) -> None:
+    if np.any(h_grid <= 0) or np.any(h_grid > w.delta0):
+        raise DomainError("h grid must lie in (0, delta0]")
+
+
 def _diff_trace(f_or_g, w: ModulusSpec, p: float, h_grid: np.ndarray,
                 xgrid: WeightedGrid | None, lgrid: WeightedGrid | None):
     """(spectral data, |T_h f - f|_{p,a} per h): Plancherel route for
     spectral data (p = 2), honest physical route for function input."""
-    if np.any(h_grid <= 0) or np.any(h_grid > w.delta0):
-        raise DomainError("h grid must lie in (0, delta0]")
+    _check_h_grid(w, h_grid)
     g, fx = _as_spectral(f_or_g, xgrid, lgrid)
     fast, phys = diff_norms(g, h_grid, p, fx=fx, xgrid=xgrid)
     return g, (fast if fx is None else phys)
@@ -313,6 +317,15 @@ def _base_extra(alpha: float, w: ModulusSpec) -> dict:
     }
 
 
+def _lower_zygmund(w: ModulusSpec) -> float:
+    z0 = zygmund_Z0_constant(w)
+    if not math.isfinite(z0):
+        raise PreconditionError(
+            "lower Zygmund condition Z0 fails: int_0^t omega(x)/x dx "
+            "is not dominated by omega(t)", condition="Z0")
+    return z0
+
+
 def verify_main1_part1(f_or_g, w: ModulusSpec, p: float, h_grid,
                        xgrid: WeightedGrid | None = None,
                        lgrid: WeightedGrid | None = None) -> VerificationReport:
@@ -323,16 +336,18 @@ def verify_main1_part1(f_or_g, w: ModulusSpec, p: float, h_grid,
     """
     if not 1.0 < p <= 2.0:
         raise DomainError(f"p must lie in (1, 2], got {p}")
-    q = p / (p - 1.0)
-    z0 = zygmund_Z0_constant(w)
-    if not math.isfinite(z0):
-        raise PreconditionError(
-            "lower Zygmund condition Z0 fails: int_0^t omega(x)/x dx "
-            "is not dominated by omega(t)", condition="Z0")
+    z0 = _lower_zygmund(w)
     h_grid = np.asarray(h_grid, dtype=float)
     # spectral input only has the p = 2 fast path for the seminorm check
     sem_p = 2.0 if isinstance(f_or_g, SpectralData) else p
     g, diffs = _diff_trace(f_or_g, w, sem_p, h_grid, xgrid, lgrid)
+    return _forward_report(g, w, p, h_grid, z0, diffs)
+
+
+def _forward_report(g: SpectralData, w: ModulusSpec, p: float, h_grid, z0: float,
+                    diffs: np.ndarray) -> VerificationReport:
+    """main1_part1's report from the difference-norm trace of its data."""
+    q = p / (p - 1.0)
     omega_h = np.asarray(w.evaluator(h_grid), dtype=float)
     sem = float(np.max(diffs / omega_h))
     if not math.isfinite(sem):
@@ -358,12 +373,17 @@ def verify_main1_part2(g: SpectralData, w: ModulusSpec, h_grid,
     physical route is evaluated too and the worst relative disagreement is
     reported as extra["route_agreement"].
     """
+    return _converse(g, w, np.asarray(h_grid, dtype=float), xgrid)[0]
+
+
+def _converse(g: SpectralData, w: ModulusSpec, h_grid: np.ndarray,
+              xgrid: WeightedGrid | None):
+    """(main1_part2's report, the Plancherel trace of g it rests on)."""
     z1 = zygmund_Z1_constant(w)
     if not math.isfinite(z1):
         raise PreconditionError(
             "upper Zygmund condition Z1 fails: int_t^d0 omega(x)/x^2 dx "
             "is not dominated by omega(t)/t", condition="Z1")
-    h_grid = np.asarray(h_grid, dtype=float)
     omega_h = np.asarray(w.evaluator(h_grid), dtype=float)
     tail_ratios = tail_energy(g, h_grid, 2.0) / omega_h ** 2
     if render_verdict(h_grid, tail_ratios) == "unbounded":
@@ -382,18 +402,27 @@ def verify_main1_part2(g: SpectralData, w: ModulusSpec, h_grid,
     extra.update({"p": 2.0, "zygmund_Z1": z1,
                   "tail_constant": float(np.max(tail_ratios)),
                   "route_agreement": agreement})
-    return VerificationReport(
+    report = VerificationReport(
         theorem_id="main1_part2", h_grid=h_grid, ratios=ratios,
         estimated_constant=float(np.max(ratios)),
         verdict=render_verdict(h_grid, ratios),
         truncation_flags=tail_truncated(g.lambda_grid, h_grid), extra=extra)
+    return report, trace
 
 
 def verify_equivalence(g: SpectralData, w: ModulusSpec, h_grid,
                        xgrid: WeightedGrid | None = None) -> VerificationReport:
-    """Both directions at p = 2; bounded only when each direction is."""
-    fwd = verify_main1_part1(g, w, 2.0, h_grid, xgrid=xgrid, lgrid=g.lambda_grid)
-    conv = verify_main1_part2(g, w, h_grid, xgrid=xgrid)
+    """Both directions at p = 2; bounded only when each direction is.
+
+    At p = 2 the forward seminorm check reads the same Plancherel trace of g
+    as the converse, so the trace is computed once, by the converse, after
+    the hypotheses of both directions have been checked.
+    """
+    z0 = _lower_zygmund(w)
+    h_grid = np.asarray(h_grid, dtype=float)
+    _check_h_grid(w, h_grid)
+    conv, trace = _converse(g, w, h_grid, xgrid)
+    fwd = _forward_report(g, w, 2.0, h_grid, z0, trace)
     both = "bounded" if (fwd.verdict == "bounded" and conv.verdict == "bounded") \
         else ("unbounded" if "unbounded" in (fwd.verdict, conv.verdict)
               else "inconclusive")
@@ -464,9 +493,7 @@ def verify_fourier_Lnu(f_or_g, w: ModulusSpec, p: float, nu: float,
     q = p / (p - 1.0)
     if not 1.0 <= nu <= q:
         raise DomainError(f"nu must lie in [1, q] = [1, {q}], got {nu}")
-    z0 = zygmund_Z0_constant(w)
-    if not math.isfinite(z0):
-        raise PreconditionError("lower Zygmund condition Z0 fails", condition="Z0")
+    _lower_zygmund(w)
     g = _as_spectral(f_or_g, xgrid, lgrid)[0]
     lam = g.lambda_grid
     if h_grid is None:

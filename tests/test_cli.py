@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dhankel
 from dhankel import cli
 from dhankel.cli import THEOREMS, build_parser, main
 
@@ -232,3 +237,60 @@ def test_note_says_how_many_ratios_remain(theorem, radius, note, capsys):
     out, err = capsys.readouterr()
     assert code == 0 and out.startswith("VERDICT=")
     assert err == f"note: {note}\n"
+
+
+IMPORTED_SCIPY = """
+import sys
+import dhankel.cli
+print("scipy.interpolate" in sys.modules)
+print(" ".join(sorted(name for name, mod in list(sys.modules.items())
+                      if name.count(".") == 1 and name.startswith("scipy.")
+                      and not name.startswith("scipy._")
+                      and hasattr(mod, "__path__"))))
+"""
+
+
+def test_cli_import_loads_only_scipy_special_and_fft():
+    # start-up cost: a fresh interpreter importing the CLI loads no scipy
+    # subpackage beyond special and fft (interpolate alone pulled in
+    # optimize, linalg and spatial)
+    src = str(Path(dhankel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORTED_SCIPY], env=env,
+                          capture_output=True, text=True, check=True)
+    interpolate, packages = done.stdout.splitlines()
+    assert interpolate == "False"
+    assert packages.split() == ["scipy.fft", "scipy.special"]
+
+
+@pytest.mark.parametrize("order", ["1", "0", "-3"])
+@pytest.mark.parametrize("route_check", [False, True])
+def test_order_below_two_is_one_line_usage_error(order, route_check, capsys):
+    # the tail grid and both resolved grids reject a rule of fewer than two
+    # nodes with the same error
+    argv = [*TM, "--order", order] + (["--route-check"] if route_check else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "VERDICT" not in out
+    assert err == f"error: order must be >= 2, got {order}\n"
+
+
+ROUTE_NOTE = ("note: --route-check runs no second route for {}; "
+              "the report has no route_agreement\n")
+
+
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_route_check_without_second_route_says_so(theorem, tmp_path, capsys):
+    # stdout, the exit code and the report are those of the run without
+    # the note; only the theorems with a second route report its agreement
+    out_file = tmp_path / "rep.json"
+    code = main([*TM, "--theorem", theorem, "--route-check", "--nu", "1.5",
+                 "--radius-lambda", "256", "--format", "json",
+                 "--output", str(out_file)])
+    out, err = capsys.readouterr()
+    assert code == 0 and out.splitlines()[-1].startswith("VERDICT=")
+    extra = json.loads(out_file.read_text())["extra"]
+    noted = ROUTE_NOTE.format(theorem) in err
+    assert noted == (theorem not in cli.SECOND_ROUTE)
+    assert noted == (extra.get("route_agreement") is None)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dhankel as dh
+from dhankel import modulus
 from dhankel.modulus import (ConstructionError, ModulusSpec,
                              almost_monotone_constant, is_modulus)
 
@@ -263,6 +264,54 @@ def test_w_omega_divergent_integrand():
     w = ModulusSpec(evaluator=lambda t: np.log(np.e / t) ** -0.5, delta0=0.5)
     with pytest.raises(ConstructionError):
         dh.build_W_omega(w)
+
+
+# W_omega's interpolant is a numpy PCHIP written to give scipy's bits
+PCHIP_FAMILIES = [
+    "power:gamma=0.3", "power:gamma=0.5", "power:gamma=1.0",
+    "power_log:gamma=0.5,theta=1.0", "power_log:gamma=0.5,theta=-1.0",
+    "power_loglog:gamma=0.5,lambda=1.0", "log_inverse:beta=2.0",
+    "power_logexponent:gamma=0.5,C=1.0,lambda=2.0",
+]
+
+
+def scipy_pchip(x, y):
+    from scipy.interpolate import PchipInterpolator
+    return PchipInterpolator(x, y, extrapolate=False)
+
+
+@pytest.mark.parametrize("text", PCHIP_FAMILIES)
+def test_pchip_matches_scipy(text, monkeypatch):
+    # the knots (ln t, ln W) of build_W_omega, caught on their way in
+    knots, pchip = [], modulus._pchip
+
+    def recording(x, y):
+        knots.append((x, y))
+        return pchip(x, y)
+
+    monkeypatch.setattr(modulus, "_pchip", recording)
+    w = dh.parse_family(text)
+    W = dh.build_W_omega(w)
+    (x, y), = knots
+    mine, ref = pchip(x, y), scipy_pchip(x, y)
+    mid = 0.5 * (x[1:] + x[:-1])
+    for pts in (x, mid, np.log([w.delta0])):
+        assert np.array_equal(mine(pts), ref(pts))
+    t = np.exp(mid)
+    assert np.array_equal(W(t), np.exp(ref(np.log(t))))
+
+
+def test_pchip_shape_branches_match_scipy():
+    # sign changes, zero slopes and both end clamps, which the monotone
+    # W_omega knots never reach
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.uniform(0.1, 2.0, 60))
+    y = np.round(rng.normal(size=60), 1)
+    y[10:14] = 0.5
+    y[:3] = [0.0, 1.0, -2.0]
+    y[-3:] = [1.0, 3.0, 3.1]
+    pts = np.concatenate([x, np.linspace(x[0], x[-1], 5001)])
+    assert np.array_equal(modulus._pchip(x, y)(pts), scipy_pchip(x, y)(pts))
 
 
 # ----------------------------- derived properties -----------------------------

@@ -434,6 +434,30 @@ def test_route_check_builds_one_multiplier(grids_resolved_small, monkeypatch):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("route", [False, True])
+def test_equivalence_builds_one_multiplier(route, grids_resolved_small,
+                                           tail_grid_8192, monkeypatch):
+    # both directions read one Plancherel trace of g, and the route check
+    # its round trip, from one multiplier matrix B(lambda_j h_k)
+    xg, lg = grids_resolved_small if route else (None, tail_grid_8192)
+    w = dh.make_family("power", {"gamma": 0.5})
+    g = smooth(w, lg) if route else sharp(w, lg)
+    h = restrict_h_grid(dh.dyadic_h_grid(D0), lg)
+    builds = count_calls(monkeypatch, dhankel.transform, "kernel_multiplier")
+    rep = dh.verify_equivalence(g, w, h, xgrid=xg)
+    assert len(builds) == 1
+    assert (rep.extra["route_agreement"] is not None) == route
+    # the same numbers as the two verifiers run one by one
+    fwd = dh.verify_main1_part1(g, w, 2.0, h, xgrid=xg, lgrid=lg)
+    conv = dh.verify_main1_part2(g, w, h, xgrid=xg)
+    assert np.array_equal(rep.ratios, fwd.ratios)
+    assert rep.extra["forward_constant"] == fwd.estimated_constant
+    assert rep.extra["converse_ratios"] == conv.ratios.tolist()
+    assert rep.extra["route_agreement"] == conv.extra["route_agreement"]
+    assert rep.estimated_constant == max(fwd.estimated_constant,
+                                         conv.estimated_constant)
+
+
 def test_inclusion_computes_one_trace(grids_resolved_small, bump_spec,
                                       monkeypatch):
     # the omega and W_omega seminorms divide the same difference-norm trace
