@@ -22,6 +22,10 @@ from scipy.special import roots_jacobi, roots_legendre
 from .specfun import DomainError, gamma
 
 _grid_ids = itertools.count()
+# Largest Gauss rule order per panel.  A grid's nodes grow with
+# order x panels, and a kernel matrix with their square; every grid of the
+# CLI defaults to order 16.
+_MAX_ORDER = 64
 
 
 def weight_constant(alpha: float) -> float:
@@ -40,6 +44,11 @@ class WeightedGrid:
     the positive half-axis only.
     cell_lo/cell_hi bound the per-node cells on the positive axis: midpoints
     between consecutive nodes, with 0 and R closing the ends.
+    pos_nodes holds `order` nodes per panel, panel after panel from the
+    Gauss-Jacobi panel at the origin.
+    log_ratio is set on the grids of build_graded_grid: every panel but the
+    first and the last is [e, e * exp(log_ratio)] up to the rounding of its
+    iterated edges.  It is None on the other grids.
     """
 
     alpha: float
@@ -50,6 +59,8 @@ class WeightedGrid:
     pos_weights: np.ndarray
     cell_lo: np.ndarray
     cell_hi: np.ndarray
+    order: int
+    log_ratio: float | None = None
     uid: int = field(default_factory=lambda: next(_grid_ids))
 
 
@@ -63,10 +74,13 @@ def _gauss_rule(order: int, beta: float | None = None):
     return rule
 
 
-def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int) -> WeightedGrid:
+def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int,
+              log_ratio: float | None = None) -> WeightedGrid:
     # every grid builder ends here, so the rule order is checked once
     if order < 2:
         raise DomainError(f"order must be >= 2, got {order}")
+    if order > _MAX_ORDER:
+        raise DomainError(f"order must be <= {_MAX_ORDER}, got {order}")
     ca = weight_constant(alpha)
     beta = 2.0 * alpha - 1.0
     tj, wj = _gauss_rule(order, beta)
@@ -88,7 +102,8 @@ def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int) -> Wei
         arr.setflags(write=False)
     return WeightedGrid(alpha=alpha, radius=radius, nodes=nodes, weights=weights,
                         pos_nodes=pos, pos_weights=wpos,
-                        cell_lo=cell_lo, cell_hi=cell_hi)
+                        cell_lo=cell_lo, cell_hi=cell_hi, order=order,
+                        log_ratio=log_ratio)
 
 
 def build_weighted_grid(alpha: float, radius: float, panels: int, order: int,
@@ -140,7 +155,7 @@ def build_graded_grid(alpha: float, radius: float, order: int,
         if len(edges) > 100000:
             raise DomainError("grading produced too many panels")
     edges[-1] = radius
-    return _assemble(alpha, radius, np.asarray(edges), order)
+    return _assemble(alpha, radius, np.asarray(edges), order, lnrho)
 
 
 def weighted_norm(f, grid: WeightedGrid, p: float) -> float:

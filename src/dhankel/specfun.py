@@ -43,10 +43,13 @@ class KernelParams:
 
 
 def gamma(x: float) -> float:
-    """Gamma function on the positive half-line."""
+    """Gamma function on the positive half-line, below its overflow near 171.6."""
     if not x > 0:
         raise DomainError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma({x}) overflows a double") from None
 
 
 # Entries per block of _clenshaw, so that its work arrays stay in cache.

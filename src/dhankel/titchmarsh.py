@@ -148,11 +148,25 @@ def render_verdict(h_grid, ratios) -> str:
 
 # ----------------------------- grids & h grids -----------------------------
 
+# Largest |k| of a dyadic h grid: 2^{-k} stays a normal double.
+_H_EXP_LIMIT = 1000
+
+
 def dyadic_h_grid(delta0: float, h_max_exp: int = 3, h_min_exp: int = 10) -> np.ndarray:
-    """h_k = delta0 * 2^{-k}, k = h_max_exp .. h_min_exp (largest h first)."""
+    """h_k = delta0 * 2^{-k}, k = h_max_exp .. h_min_exp (largest h first).
+
+    Every h and 1/h must be a positive finite double.
+    """
     if not h_max_exp < h_min_exp:
         raise DomainError("h_max_exp must be smaller than h_min_exp")
-    return delta0 * 2.0 ** -np.arange(h_max_exp, h_min_exp + 1, dtype=float)
+    if not (-_H_EXP_LIMIT <= h_max_exp and h_min_exp <= _H_EXP_LIMIT):
+        raise DomainError(f"h exponents must lie in [-{_H_EXP_LIMIT}, "
+                          f"{_H_EXP_LIMIT}], got {h_max_exp} and {h_min_exp}")
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        h = delta0 * 2.0 ** -np.arange(h_max_exp, h_min_exp + 1, dtype=float)
+        if not np.all((h > 0) & np.isfinite(h) & np.isfinite(1.0 / h)):
+            raise DomainError("h grid delta0 * 2^-k leaves the range of doubles")
+    return h
 
 
 def restrict_h_grid(h_grid, lgrid: WeightedGrid) -> np.ndarray:

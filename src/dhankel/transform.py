@@ -8,7 +8,9 @@ it enters every norm computed here.  All data are real (the kernel is real).
 
 Every grid is symmetric under negation, so B(lambda_j x_i) and B(lambda_j h)
 come from the kernel's even and odd parts (specfun.kernel_parts), evaluated
-once per distinct |lambda x| on the positive half-axes.  A grid pair's kernel
+once per distinct |lambda x| on the positive half-axes, and between the
+interior panels of a resolved pair once per class of products that differ
+in the last bits only (kernel_matrix).  A grid pair's kernel
 is cached as those two half-line blocks [E | O] (half the dense matrix) for
 as long as the pair lives, and every transform applies it as two half-size
 products, E on the even and O on the odd combination of the coefficients.
@@ -77,8 +79,42 @@ class SpectralData:
 
 
 _matrix_cache: dict[tuple[int, int, float], np.ndarray] = {}
-# Rows of the quarter block per kernel_parts call in a kernel_matrix build.
+# Rows of the quarter block per kernel_parts call (more on narrower pieces).
 _BUILD_ROWS = 16
+
+
+def _interior_panels(xgrid: WeightedGrid, lgrid: WeightedGrid) -> tuple[int, int]:
+    """Numbers of interior panels (all but the first and the last) of the two
+    grids when their panels grow by one common ratio with one rule order,
+    else (0, 0).
+
+    On such a pair the interior products x_i * lambda_j depend, up to a few
+    ulps, only on the sum of the two panel indices and the two in-panel
+    node indices.
+    """
+    if (xgrid.log_ratio is None or xgrid.log_ratio != lgrid.log_ratio
+            or xgrid.order != lgrid.order):
+        return 0, 0
+    kx = xgrid.pos_nodes.size // xgrid.order - 2
+    kl = lgrid.pos_nodes.size // lgrid.order - 2
+    return (kx, kl) if kx > 0 and kl > 0 else (0, 0)
+
+
+def _table_arguments(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
+    """Kernel arguments of the interior table of kernel_matrix, shape
+    (order, kx + kl - 1, order) with (kx, kl) = _interior_panels(...).
+
+    T[m, s, m'] is one representative product x * lambda of node m of an
+    interior x panel and node m' of an interior lambda panel whose interior
+    panel indices sum to s: the x panel is the first one that has a partner.
+    """
+    o = xgrid.order
+    kx, kl = _interior_panels(xgrid, lgrid)
+    xs = xgrid.pos_nodes[o:o + kx * o].reshape(kx, o)
+    ls = lgrid.pos_nodes[o:o + kl * o].reshape(kl, o)
+    s = np.arange(kx + kl - 1)
+    k = np.maximum(s - (kl - 1), 0)
+    return xs[k].T[:, :, None] * ls[s - k][None, :, :]
 
 
 def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
@@ -89,27 +125,60 @@ def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
     shape (len(xgrid.pos_nodes), 2 * len(lgrid.pos_nodes)) and is read-only.
     Since nodes = [-pos[::-1], pos] on both grids, they determine the dense
     kernel B(lambda_j x_i) = E - sign(lambda_j x_i) O in half its memory;
-    _apply applies it from them.  The blocks are filled a few rows at a time,
-    each piece one kernel_parts call on its rows' outer product, and are
-    released when either grid is garbage-collected.
+    _apply applies it from them.  The blocks are released when either grid
+    is garbage-collected.
+
+    The kernel depends on lambda x alone.  When the panels of both grids
+    grow by one ratio (_interior_panels), an entry between two interior
+    panels is read from a table, the kernel parts at _table_arguments, one
+    representative product per panel-index sum and node pair; the entries of
+    the first and the last panel of either grid are the kernel parts at
+    the rows' outer product, a few rows per kernel_parts call.  A grid pair
+    without a common ratio has no interior and is built that way throughout.
     """
     if xgrid.alpha != lgrid.alpha:
         raise ConfigurationError("grids carry different alpha")
     key = (xgrid.uid, lgrid.uid, xgrid.alpha)
     blocks = _matrix_cache.get(key)
     if blocks is None:
-        params = KernelParams(alpha=xgrid.alpha)
-        xpos, lpos = xgrid.pos_nodes, lgrid.pos_nodes
-        n = lpos.size
-        blocks = np.empty((xpos.size, 2 * n))
-        for lo in range(0, xpos.size, _BUILD_ROWS):
-            rows = slice(lo, lo + _BUILD_ROWS)
-            blocks[rows, :n], blocks[rows, n:] = kernel_parts(
-                params, np.outer(xpos[rows], lpos))
+        blocks = _build_blocks(xgrid, lgrid)
         blocks.setflags(write=False)
         _matrix_cache[key] = blocks
         for grid in (xgrid, lgrid):
             weakref.finalize(grid, _matrix_cache.pop, key, None)
+    return blocks
+
+
+def _build_blocks(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
+    params = KernelParams(alpha=xgrid.alpha)
+    xpos, lpos = xgrid.pos_nodes, lgrid.pos_nodes
+    n = lpos.size
+    blocks = np.empty((xpos.size, 2 * n))
+    parts = blocks[:, :n], blocks[:, n:]
+    o = xgrid.order
+    kx, kl = _interior_panels(xgrid, lgrid)
+    # interior rows [r0, r1) and columns [c0, c1), empty without a table
+    r0, r1 = (o, o + kx * o) if kx else (0, 0)
+    c0, c1 = o, o + kl * o
+    # at most _BUILD_ROWS * n entries per kernel_parts call: the table's
+    # rows of in-panel x nodes m0 .. m1 - 1, then the direct entries
+    if kx:
+        args = _table_arguments(xgrid, lgrid)
+        step = max(1, _BUILD_ROWS * n // args[0].size)
+        for m0 in range(0, o, step):
+            m1 = min(m0 + step, o)
+            for part, tab in zip(parts, kernel_parts(params, args[m0:m1])):
+                for k in range(kx):
+                    rows = slice(r0 + k * o + m0, r0 + k * o + m1)
+                    np.reshape(part[rows, c0:c1], (m1 - m0, kl, o),
+                               copy=False)[...] = tab[:, k:k + kl]
+    for lo, hi, cols in ((0, r0, slice(None)), (r1, xpos.size, slice(None)),
+                         (r0, r1, np.r_[0:c0, c1:n])):
+        step = _BUILD_ROWS * n // lpos[cols].size
+        for start in range(lo, hi, step):
+            rows = slice(start, min(start + step, hi))
+            parts[0][rows, cols], parts[1][rows, cols] = kernel_parts(
+                params, np.outer(xpos[rows], lpos[cols]))
     return blocks
 
 

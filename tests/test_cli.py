@@ -276,6 +276,45 @@ def test_order_below_two_is_one_line_usage_error(order, route_check, capsys):
     assert err == f"error: order must be >= 2, got {order}\n"
 
 
+@pytest.mark.parametrize("order", ["65", "100000"])
+@pytest.mark.parametrize("route_check", [False, True])
+def test_order_above_limit_is_one_line_usage_error(order, route_check, capsys):
+    # rejected before any rule is computed, so a huge order ends at once
+    argv = [*TM, "--order", order] + (["--route-check"] if route_check else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "VERDICT" not in out
+    assert err == f"error: order must be <= 64, got {order}\n"
+
+
+@pytest.mark.parametrize("command", [TM, ("synth", "--modulus", "power:gamma=0.5"),
+                                     ("transform",)])
+def test_gamma_overflow_is_one_line_usage_error(command, capsys):
+    # c_a = 1/(2 Gamma(2a)) overflows from alpha = 86 on
+    assert main([*command, "--alpha", "86"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: gamma(172.0) overflows a double\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["--h-max-exp", "-1100"],
+     "h exponents must lie in [-1000, 1000], got -1100 and 10"),
+    (["--h-min-exp", "2000"], "h exponents must lie in [-1000, 1000], got 3 and 2000"),
+    (["--delta0", "1e300", "--h-max-exp", "-1000"],
+     "h grid delta0 * 2^-k leaves the range of doubles"),
+    (["--delta0", "1e-300", "--h-min-exp", "100"],
+     "h grid delta0 * 2^-k leaves the range of doubles"),
+])
+def test_h_exponents_out_of_range_are_one_line_usage_errors(argv, message, capsys):
+    # any numpy warning fails the test, so the error line is all of stderr
+    assert main([*TM, *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 ROUTE_NOTE = ("note: --route-check runs no second route for {}; "
               "the report has no route_agreement\n")
 

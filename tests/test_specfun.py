@@ -70,6 +70,12 @@ def test_gamma_domain():
         gamma(-2.5)
 
 
+def test_gamma_overflow_is_a_domain_error():
+    assert math.isfinite(gamma(171.0))
+    with pytest.raises(DomainError, match="overflows"):
+        gamma(172.0)
+
+
 @pytest.mark.parametrize("nu", [-0.4, 0.0, 0.5, 1.5, 2.0, 6.0])
 def test_bessel_at_zero(nu):
     assert bessel_j_normalized(nu, 0.0) == 1.0

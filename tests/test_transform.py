@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from functools import cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import dhankel as dh
-from dhankel.quadrature import weight_constant
+from dhankel.quadrature import _grid_ids, weight_constant
 from dhankel.specfun import DomainError, KernelParams, kernel_parts
-from dhankel.transform import (_BUILD_ROWS, ConfigurationError, _matrix_cache,
-                               kernel_matrix, kernel_multiplier, spectral_mass)
+import dhankel.transform as transform
+from dhankel.transform import (_BUILD_ROWS, ConfigurationError, _interior_panels,
+                               _matrix_cache, _table_arguments, kernel_matrix,
+                               kernel_multiplier, spectral_mass)
 from test_quadrature import weighted_integral
-from test_specfun import kernel_slope_bounds
+from test_specfun import j_mp, kernel_slope_bounds
 
 ALPHA = 0.5
 
@@ -230,20 +233,156 @@ def dense_kernel(blocks):
                      [plus[:, ::-1], minus]])
 
 
+def build_arguments(xg, lg):
+    """The arguments kernel_matrix evaluates the kernel parts at: the outer
+    product of the positive nodes, with every block of an interior x panel
+    and an interior lambda panel taken from the table of its panel sum."""
+    u = np.outer(xg.pos_nodes, lg.pos_nodes)
+    kx, kl = _interior_panels(xg, lg)
+    o = xg.order
+    if kx:
+        table = _table_arguments(xg, lg)
+        for k in range(kx):
+            for l in range(kl):
+                u[o + k * o:o + (k + 1) * o, o + l * o:o + (l + 1) * o] = \
+                    table[:, k + l, :]
+    return u
+
+
+def mirrored(u):
+    """Signed products lambda_j x_i on the full grids from the positive
+    quarter block u, in the node order [-pos[::-1], pos] of both grids."""
+    return np.block([[u[::-1, ::-1], -u[::-1]], [-u[:, ::-1], u]])
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_kernel_matrix_quarter_block_is_exact(alpha):
-    # the cached blocks are the kernel parts on the positive quarter block,
-    # and they determine the kernel on the full outer product bit for bit,
-    # in the series region (z = 2 sqrt|u| <= 9) and beyond it, for integer
+    # the cached blocks are the kernel parts at the build's arguments (the
+    # outer product on the first and last panels, the table's
+    # representatives between interior panels), and they determine the
+    # kernel at the mirrored arguments on the full grids bit for bit, in the
+    # near field (z = 2 sqrt|u| <= 9) and beyond it, for integer
     # (alpha = 0.5) and fractional Bessel orders
-    xg, lg, dense = resolved_with_dense_kernel(alpha)
-    u = np.abs(np.outer(xg.nodes, lg.nodes))
+    xg, lg = dh.make_resolved_grids(alpha, 20.0, 64.0)
+    u = build_arguments(xg, lg)
     assert (u <= 20.25).any() and (u > 20.25).any()
+    assert _interior_panels(xg, lg)[0] > 0
     blocks = kernel_matrix(xg, lg)
-    even, odd = kernel_parts(KernelParams(alpha=alpha),
+    params = KernelParams(alpha=alpha)
+    assert np.array_equal(blocks, np.hstack(kernel_parts(params, u)))
+    assert np.array_equal(dense_kernel(blocks), dh.kernel_B(params, mirrored(u)))
+
+
+def kernel_parts_mp(alpha, t):
+    """(E, O) at t from mpmath's besselj, 30 digits."""
+    with mp.workdps(30):
+        z = 2 * mp.sqrt(mp.mpf(t))
+        return (j_mp(2 * alpha - 1, z),
+                t * j_mp(2 * alpha + 1, z) / ((2 * alpha) * (2 * alpha + 1)))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_kernel_matrix_table_entries_match_direct_and_mpmath(alpha):
+    # the table takes one product per panel sum for all the interior panel
+    # pairs with that sum; the products differ in the last bits only, so on
+    # the largest resolved pair (40, 512) every entry stays within 1e-13 of
+    # the kernel parts at its own outer-product argument, and the entries
+    # that moved most, plus random ones, within 1e-13 of mpmath
+    xg, lg = dh.make_resolved_grids(alpha, 40.0, 512.0)
+    blocks = kernel_matrix(xg, lg)
+    n = lg.pos_nodes.size
+    params = KernelParams(alpha=alpha)
+    moved = np.empty((xg.pos_nodes.size, n))
+    for lo in range(0, xg.pos_nodes.size, 256):
+        rows = slice(lo, lo + 256)
+        even, odd = kernel_parts(params, np.outer(xg.pos_nodes[rows], lg.pos_nodes))
+        moved[rows] = np.maximum(np.abs(blocks[rows, :n] - even),
+                                 np.abs(blocks[rows, n:] - odd))
+    assert moved.max() <= 1e-13
+    assert moved.max() > 0
+    worst = np.argsort(moved, axis=None)[-12:]
+    rng = np.random.default_rng(7)
+    sampled = rng.integers(0, moved.size, 24)
+    for i, j in zip(*np.unravel_index(np.concatenate([worst, sampled]), moved.shape)):
+        even, odd = kernel_parts_mp(alpha, xg.pos_nodes[i] * lg.pos_nodes[j])
+        assert abs(blocks[i, j] - even) <= 1e-13
+        assert abs(blocks[i, n + j] - odd) <= 1e-13
+
+
+def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch):
+    # the (40, 512) pair: direct rows and columns plus the table, instead of
+    # all 1568^2 entries of the quarter block
+    seen = []
+
+    def counting(params, t):
+        seen.append(np.size(t))
+        return kernel_parts(params, t)
+
+    monkeypatch.setattr(transform, "kernel_parts", counting)
+    xg, lg = dh.make_resolved_grids(0.5, 40.0, 512.0)
+    kernel_matrix(xg, lg)
+    quarter = xg.pos_nodes.size * lg.pos_nodes.size
+    assert quarter == 1568 ** 2
+    assert sum(seen) <= 0.1 * quarter
+
+
+def pairs_without_table():
+    """Grid pairs whose panels share no ratio and rule order: uniform,
+    geometric by direct powers, resolved for different radii, and resolved
+    with different orders."""
+    a = 0.5
+    return {
+        "uniform": (dh.build_weighted_grid(a, 20.0, 9, 8),
+                    dh.build_weighted_grid(a, 64.0, 24, 8)),
+        "geometric": (dh.build_weighted_grid(a, 20.0, 12, 8, grading="geometric"),
+                      dh.build_weighted_grid(a, 64.0, 12, 8, grading="geometric")),
+        "mixed_ratio": (dh.make_resolved_grids(a, 20.0, 64.0)[0],
+                        dh.make_resolved_grids(a, 20.0, 128.0)[1]),
+        "mixed_order": (dh.build_graded_grid(a, 20.0, 8, 10.0, 64.0),
+                        dh.build_graded_grid(a, 64.0, 16, 10.0, 20.0)),
+    }
+
+
+@pytest.mark.parametrize("name", ["uniform", "geometric", "mixed_ratio", "mixed_order"])
+def test_kernel_matrix_without_common_ratio_is_the_outer_product(name):
+    xg, lg = pairs_without_table()[name]
+    assert _interior_panels(xg, lg) == (0, 0)
+    even, odd = kernel_parts(KernelParams(alpha=0.5),
                              np.outer(xg.pos_nodes, lg.pos_nodes))
-    assert np.array_equal(blocks, np.hstack([even, odd]))
-    assert np.array_equal(dense_kernel(blocks), dense)
+    assert np.array_equal(kernel_matrix(xg, lg), np.hstack([even, odd]))
+
+
+def assert_built_from_table(xg, lg, alpha):
+    blocks = kernel_matrix(xg, lg)
+    params = KernelParams(alpha=alpha)
+    assert np.array_equal(blocks, np.hstack(kernel_parts(params, build_arguments(xg, lg))))
+    even, odd = kernel_parts(params, np.outer(xg.pos_nodes, lg.pos_nodes))
+    assert np.max(np.abs(blocks - np.hstack([even, odd]))) <= 1e-14
+
+
+@pytest.mark.parametrize("radii, panels", [((0.5, 2.0), 2), ((0.5, 128.0), 3),
+                                           ((1.0, 200.0), 4)])
+def test_kernel_matrix_on_grids_with_few_panels(radii, panels):
+    # a grid of two panels has no interior, so the pair is built from outer
+    # products; with three panels the table covers one interior panel
+    xg, lg = dh.make_resolved_grids(0.7, *radii, order=6)
+    assert xg.pos_nodes.size == lg.pos_nodes.size == 6 * panels
+    assert _interior_panels(xg, lg) == ((0, 0) if panels < 3 else (panels - 2,) * 2)
+    assert_built_from_table(xg, lg, 0.7)
+
+
+@pytest.mark.parametrize("dropped", [1, 3])
+def test_kernel_matrix_table_on_unequal_interiors(dropped):
+    # graded grids with one ratio have equal panel counts; a frequency grid
+    # cut short by whole panels keeps the ratio and has fewer interior
+    # panels, which the table's representatives must still cover
+    xg, lg = dh.make_resolved_grids(0.7, 20.0, 64.0)
+    o = lg.order
+    short = replace(lg, pos_nodes=lg.pos_nodes[:-dropped * o], uid=next(_grid_ids))
+    kx, kl = _interior_panels(xg, short)
+    assert kl == kx - dropped > 0
+    assert_built_from_table(xg, short, 0.7)
+    assert_built_from_table(short, xg, 0.7)
 
 
 def test_kernel_matrix_row_blocks_match_one_shot_build():
