@@ -170,8 +170,8 @@ def _build_blocks(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
             for part, tab in zip(parts, kernel_parts(params, args[m0:m1])):
                 for k in range(kx):
                     rows = slice(r0 + k * o + m0, r0 + k * o + m1)
-                    np.reshape(part[rows, c0:c1], (m1 - m0, kl, o),
-                               copy=False)[...] = tab[:, k:k + kl]
+                    part[rows, c0:c1] = tab[:, k:k + kl].reshape(
+                        m1 - m0, kl * o)
     for lo, hi, cols in ((0, r0, slice(None)), (r1, xpos.size, slice(None)),
                          (r0, r1, np.r_[0:c0, c1:n])):
         step = _BUILD_ROWS * n // lpos[cols].size

@@ -327,13 +327,11 @@ def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch)
 
 
 def pairs_without_table():
-    """Grid pairs whose panels share no ratio and rule order: uniform,
-    geometric by direct powers, resolved for different radii, and resolved
-    with different orders."""
+    """Grid pairs whose panels share no ratio and rule order: geometric by
+    direct powers, resolved for different radii, and resolved with different
+    orders (uniform pairs: test_kernel_matrix_row_blocks_match_one_shot_build)."""
     a = 0.5
     return {
-        "uniform": (dh.build_weighted_grid(a, 20.0, 9, 8),
-                    dh.build_weighted_grid(a, 64.0, 24, 8)),
         "geometric": (dh.build_weighted_grid(a, 20.0, 12, 8, grading="geometric"),
                       dh.build_weighted_grid(a, 64.0, 12, 8, grading="geometric")),
         "mixed_ratio": (dh.make_resolved_grids(a, 20.0, 64.0)[0],
@@ -343,7 +341,7 @@ def pairs_without_table():
     }
 
 
-@pytest.mark.parametrize("name", ["uniform", "geometric", "mixed_ratio", "mixed_order"])
+@pytest.mark.parametrize("name", ["geometric", "mixed_ratio", "mixed_order"])
 def test_kernel_matrix_without_common_ratio_is_the_outer_product(name):
     xg, lg = pairs_without_table()[name]
     assert _interior_panels(xg, lg) == (0, 0)
@@ -393,6 +391,7 @@ def test_kernel_matrix_row_blocks_match_one_shot_build():
     lg = dh.build_weighted_grid(0.7, 64.0, 24, 8)
     assert xg.pos_nodes.size > 2 * _BUILD_ROWS
     assert xg.pos_nodes.size % _BUILD_ROWS != 0
+    assert _interior_panels(xg, lg) == (0, 0)
     even, odd = kernel_parts(KernelParams(alpha=0.7),
                              np.outer(xg.pos_nodes, lg.pos_nodes))
     blocks = kernel_matrix(xg, lg)
