@@ -46,9 +46,9 @@ class WeightedGrid:
     between consecutive nodes, with 0 and R closing the ends.
     pos_nodes holds `order` nodes per panel, panel after panel from the
     Gauss-Jacobi panel at the origin.
-    log_ratio is set on the grids of build_graded_grid: every panel but the
-    first and the last is [e, e * exp(log_ratio)] up to the rounding of its
-    iterated edges.  It is None on the other grids.
+    log_ratio is ln rho on every grid of build_graded_grid: every panel but
+    the first and the last is [e, e * rho] up to the rounding of its edges.
+    It is None on the uniform grids of build_weighted_grid.
     """
 
     alpha: float
@@ -74,13 +74,20 @@ def _gauss_rule(order: int, beta: float | None = None):
     return rule
 
 
-def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int,
-              log_ratio: float | None = None) -> WeightedGrid:
-    # every grid builder ends here, so the rule order is checked once
+def check_grid_inputs(alpha: float, radius: float, order: int) -> None:
+    """The input checks of every grid, made before any edge is computed."""
+    if not alpha > 0.25:
+        raise DomainError(f"alpha must exceed 1/4, got {alpha}")
+    if not 0 < radius < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {radius}")
     if order < 2:
         raise DomainError(f"order must be >= 2, got {order}")
     if order > _MAX_ORDER:
         raise DomainError(f"order must be <= {_MAX_ORDER}, got {order}")
+
+
+def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int,
+              log_ratio: float | None = None) -> WeightedGrid:
     ca = weight_constant(alpha)
     beta = 2.0 * alpha - 1.0
     tj, wj = _gauss_rule(order, beta)
@@ -90,8 +97,12 @@ def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int,
     a, b = edges[1:-1, None], edges[2:, None]
     x = 0.5 * (a + b) + 0.5 * (b - a) * tl
     pos = np.concatenate([h * (tj + 1.0) / 2.0, x.ravel()])
-    wpos = np.concatenate([wj * (h / 2.0) ** (2.0 * alpha) * ca,
-                           (wl * 0.5 * (b - a) * ca * x ** beta).ravel()])
+    with np.errstate(over="ignore", under="ignore"):
+        wpos = np.concatenate([wj * (h / 2.0) ** (2.0 * alpha) * ca,
+                               (wl * 0.5 * (b - a) * ca * x ** beta).ravel()])
+    if not np.all((wpos > 0) & (wpos < math.inf)):
+        raise DomainError(f"alpha = {alpha} takes the quadrature weights out "
+                          "of the range of doubles")
     idx = np.argsort(pos)
     pos, wpos = pos[idx], wpos[idx]
     cell_lo = np.concatenate([[0.0], 0.5 * (pos[1:] + pos[:-1])])
@@ -106,56 +117,35 @@ def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int,
                         log_ratio=log_ratio)
 
 
-def build_weighted_grid(alpha: float, radius: float, panels: int, order: int,
-                        *, grading: str = "uniform",
-                        first_panel: float | None = None) -> WeightedGrid:
-    """Build a WeightedGrid with `panels` panels per half-axis.
-
-    grading="uniform" places equal panels on [0, R]; grading="geometric"
-    grows panels geometrically from `first_panel` (default R/2^(panels-1)
-    capped at R/panels), which resolves small |x| while reaching large R.
-    """
-    if not alpha > 0.25:
-        raise DomainError(f"alpha must exceed 1/4, got {alpha}")
-    if not radius > 0:
-        raise DomainError("radius must be positive")
+def build_weighted_grid(alpha: float, radius: float, panels: int,
+                        order: int) -> WeightedGrid:
+    """Build a WeightedGrid with `panels` equal panels on [0, R]."""
+    check_grid_inputs(alpha, radius, order)
     if panels < 2:
         raise DomainError("panels must be >= 2")
-    if grading == "uniform":
-        edges = np.linspace(0.0, radius, panels + 1)
-    elif grading == "geometric":
-        if first_panel is None:
-            first_panel = radius / panels
-        if not 0 < first_panel < radius:
-            raise DomainError("first_panel must lie in (0, radius)")
-        rho = (radius / first_panel) ** (1.0 / (panels - 1))
-        edges = np.concatenate([[0.0], first_panel * rho ** np.arange(panels)])
-        edges[-1] = radius
-    else:
-        raise DomainError(f"unknown grading {grading!r}")
-    return _assemble(alpha, radius, edges, order)
+    return _assemble(alpha, radius, np.linspace(0.0, radius, panels + 1), order)
 
 
 def build_graded_grid(alpha: float, radius: float, order: int,
-                      phase_budget: float, dual_radius: float) -> WeightedGrid:
-    """Geometric grid resolving kernel oscillations B(lambda*x).
+                      first_panel: float, rho: float) -> WeightedGrid:
+    """Geometric grid with panel edges 0 and first_panel * rho^k, k = 0 .. K.
 
-    The kernel phase is 2 sqrt(lambda*x); a panel [a, b] on this axis sees at
-    most lnrho*sqrt(dual_radius*b) radians when the dual variable runs to
-    dual_radius.  Panel growth and the first panel width are chosen so every
-    panel stays below phase_budget radians, keeping Gauss rules of moderate
-    order spectrally accurate.
+    K is the first k with first_panel * rho^k >= R (to a relative 1e-12),
+    and that last edge is set to R.  Every panel but the first and the last
+    is [e, e * rho] up to the rounding of the powers; the grid records
+    log_ratio = ln rho.
     """
-    lnrho = phase_budget / math.sqrt(radius * dual_radius)
-    first = phase_budget ** 2 / (4.0 * dual_radius)
-    first = min(first, radius / 4.0)
-    edges = [0.0, first]
-    while edges[-1] < radius * (1.0 - 1e-12):
-        edges.append(min(edges[-1] * math.exp(lnrho), radius))
-        if len(edges) > 100000:
-            raise DomainError("grading produced too many panels")
-    edges[-1] = radius
-    return _assemble(alpha, radius, np.asarray(edges), order, lnrho)
+    check_grid_inputs(alpha, radius, order)
+    if not (0 < first_panel < radius and 1 < rho < math.inf):
+        raise DomainError("first_panel must lie in (0, radius) and rho in "
+                          f"(1, inf), got {first_panel} and {rho}")
+    count = math.log(radius / first_panel) / math.log(rho)
+    if not count < 100000:
+        raise DomainError("grading produced too many panels")
+    edges = first_panel * rho ** np.arange(int(count) + 2)
+    last = np.argmax(edges >= radius * (1.0 - 1e-12))
+    edges = np.concatenate([[0.0], edges[:last], [radius]])
+    return _assemble(alpha, radius, edges, order, math.log(rho))
 
 
 def weighted_norm(f, grid: WeightedGrid, p: float) -> float:

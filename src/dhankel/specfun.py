@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.fft import dct
-from scipy.special import gammaln, j0, j1, jv, spherical_jn
+from scipy.special import gammaln, j0, j1, jv
 
 
 class DomainError(ValueError):
@@ -169,11 +169,10 @@ def _hankel(nu: float, z: np.ndarray) -> np.ndarray:
 
 def _large_argument(nu: float, z: np.ndarray) -> np.ndarray:
     # Normalized value Gamma(nu+1) (2/z)^nu J_nu(z) for z > _SEAM.  Integer
-    # and half-integer orders get the fast cephes/spherical paths; the upward
-    # recurrence for J_n is stable where z > n, which z > _SEAM >= 8 ensures.
-    # Other orders up to _FAST_ORDER_MAX take the Chebyshev band, which also
-    # takes a NaN entry and keeps it NaN, and Hankel's expansion; higher
-    # orders take jv.
+    # orders 0-8 get the fast cephes j0/j1 path; the upward recurrence for
+    # J_n is stable where z > n, which z > _SEAM >= 8 ensures.  Other orders
+    # up to _FAST_ORDER_MAX take the Chebyshev band, which also takes a NaN
+    # entry and keeps it NaN, and Hankel's expansion; higher orders take jv.
     n = round(nu)
     if nu == n and 0 <= n <= 8:
         jn_prev = j0(z)
@@ -184,8 +183,6 @@ def _large_argument(nu: float, z: np.ndarray) -> np.ndarray:
             for k in range(1, n):
                 jn_prev, jn_cur = jn_cur, (2.0 * k / z) * jn_cur - jn_prev
             big_j = jn_cur
-    elif abs(nu - n) == 0.5 and nu > 0:
-        big_j = np.sqrt(2.0 * z / np.pi) * spherical_jn(int(nu - 0.5), z)
     elif nu <= _FAST_ORDER_MAX:
         big_j = np.empty_like(z)
         hankel = z > _HANKEL_FROM
@@ -202,13 +199,12 @@ def bessel_j_normalized(nu: float, x):
     """Normalized Bessel function of the first kind, j_nu(0) = 1.
 
     Even in x.  Up to |x| = 9 a Chebyshev interpolant in x^2/4, fitted once
-    per order; above it the j0/j1 recurrence for integer orders 0-8,
-    spherical Bessel functions for positive half-integer orders, and for
-    other orders up to 10 a Chebyshev interpolant on (9, 18] and Hankel's
-    asymptotic expansion beyond 18; scipy's jv takes the rest.  Absolute
-    error below 2e-14 for orders in (-1/2, 10].  A NaN argument gives NaN.
-    Every path is chosen per entry and computes each entry on its own, so
-    each entry's value does not depend on the other entries of x.
+    per order; above it the j0/j1 recurrence for integer orders 0-8, and
+    for other orders up to 10 a Chebyshev interpolant on (9, 18] and
+    Hankel's asymptotic expansion beyond 18; scipy's jv takes the rest.
+    Absolute error below 2e-14 for orders in (-1/2, 10].  A NaN argument
+    gives NaN.  Every path is chosen per entry and computes each entry on
+    its own, so each entry's value does not depend on the other entries of x.
     """
     if not nu > -1.0:
         raise DomainError(f"order must exceed -1, got {nu}")

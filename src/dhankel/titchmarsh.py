@@ -41,7 +41,7 @@ from scipy.special import erf
 from .modulus import (ConstructionError, ModulusSpec, build_W_omega,
                       check_almost_monotone, zygmund_Z0_constant,
                       zygmund_Z1_constant)
-from .quadrature import (WeightedGrid, build_graded_grid, build_weighted_grid,
+from .quadrature import (WeightedGrid, build_graded_grid, check_grid_inputs,
                          panel_integrals, weight_constant)
 from .specfun import DomainError
 from .transform import (SpectralData, diff_norms, forward, round_trip_norms,
@@ -176,23 +176,31 @@ def restrict_h_grid(h_grid, lgrid: WeightedGrid) -> np.ndarray:
 
 
 def make_tail_grid(alpha: float, radius: float, order: int = 16) -> WeightedGrid:
-    """Geometric frequency grid for tail-energy work (no x-space dual)."""
-    panels = max(8, int(math.ceil(math.log(radius / 0.25) / 0.065)))
-    return build_weighted_grid(alpha, radius, panels, order,
-                               grading="geometric", first_panel=0.25)
+    """Geometric frequency grid for tail-energy work (no x-space dual): its
+    panels grow by one ratio from 0.25 to R, at least 8 of them and one per
+    0.065 of ln(R / 0.25)."""
+    check_grid_inputs(alpha, radius, order)
+    panels = max(8, math.ceil(math.log(radius / 0.25) / 0.065))
+    return build_graded_grid(alpha, radius, order, 0.25,
+                             (radius / 0.25) ** (1.0 / (panels - 1)))
 
 
 def make_resolved_grids(alpha: float, radius_x: float, radius_lambda: float,
                         order: int = 16):
     """(x grid, frequency grid) pair resolving the kernel's oscillations.
 
-    Each panel sees at most 10 radians of kernel phase.  Use for runs that
-    evaluate functions in physical space (inverse synthesis, the physical
-    diff-norm route).
+    Both grids grow by one ratio rho = exp(10 / sqrt(R_x R_lambda)), and
+    each starts with a panel of min(25 / R_dual, R / 4), R_dual the other
+    grid's radius.  The kernel phase 2 sqrt(lambda x) then changes by at
+    most 10 radians across any panel while the dual variable stays within
+    R_dual.  Use for runs that evaluate functions in physical space (inverse
+    synthesis, the physical diff-norm route).
     """
-    xg = build_graded_grid(alpha, radius_x, order, 10.0, radius_lambda)
-    lg = build_graded_grid(alpha, radius_lambda, order, 10.0, radius_x)
-    return xg, lg
+    for radius in (radius_x, radius_lambda):
+        check_grid_inputs(alpha, radius, order)
+    rho = math.exp(10.0 / math.sqrt(radius_x * radius_lambda))
+    return tuple(build_graded_grid(alpha, r, order, min(25.0 / dual, r / 4.0), rho)
+                 for r, dual in ((radius_x, radius_lambda), (radius_lambda, radius_x)))
 
 
 # ----------------------------- synthesis -----------------------------

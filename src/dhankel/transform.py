@@ -29,6 +29,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import WeightedGrid, weighted_norm
 from .specfun import DomainError, KernelParams, kernel_parts
@@ -79,8 +80,6 @@ class SpectralData:
 
 
 _matrix_cache: dict[tuple[int, int, float], np.ndarray] = {}
-# Rows of the quarter block per kernel_parts call (more on narrower pieces).
-_BUILD_ROWS = 16
 
 
 def _interior_panels(xgrid: WeightedGrid, lgrid: WeightedGrid) -> tuple[int, int]:
@@ -133,8 +132,8 @@ def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
     panels is read from a table, the kernel parts at _table_arguments, one
     representative product per panel-index sum and node pair; the entries of
     the first and the last panel of either grid are the kernel parts at
-    the rows' outer product, a few rows per kernel_parts call.  A grid pair
-    without a common ratio has no interior and is built that way throughout.
+    the rows' outer product, one kernel_parts call per strip of them.  A grid
+    pair without a common ratio has no interior and is built in one call.
     """
     if xgrid.alpha != lgrid.alpha:
         raise ConfigurationError("grids carry different alpha")
@@ -160,25 +159,20 @@ def _build_blocks(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
     # interior rows [r0, r1) and columns [c0, c1), empty without a table
     r0, r1 = (o, o + kx * o) if kx else (0, 0)
     c0, c1 = o, o + kl * o
-    # at most _BUILD_ROWS * n entries per kernel_parts call: the table's
-    # rows of in-panel x nodes m0 .. m1 - 1, then the direct entries
     if kx:
-        args = _table_arguments(xgrid, lgrid)
-        step = max(1, _BUILD_ROWS * n // args[0].size)
-        for m0 in range(0, o, step):
-            m1 = min(m0 + step, o)
-            for part, tab in zip(parts, kernel_parts(params, args[m0:m1])):
-                for k in range(kx):
-                    rows = slice(r0 + k * o + m0, r0 + k * o + m1)
-                    part[rows, c0:c1] = tab[:, k:k + kl].reshape(
-                        m1 - m0, kl * o)
-    for lo, hi, cols in ((0, r0, slice(None)), (r1, xpos.size, slice(None)),
-                         (r0, r1, np.r_[0:c0, c1:n])):
-        step = _BUILD_ROWS * n // lpos[cols].size
-        for start in range(lo, hi, step):
-            rows = slice(start, min(start + step, hi))
-            parts[0][rows, cols], parts[1][rows, cols] = kernel_parts(
-                params, np.outer(xpos[rows], lpos[cols]))
+        # the interior viewed as (kx, o, kl, o), still a view as the reshape
+        # only splits axes: its block (k, l) is the table slice T[:, k + l]
+        tabs = kernel_parts(params, _table_arguments(xgrid, lgrid))
+        for part, tab in zip(parts, tabs):
+            part[r0:r1, c0:c1].reshape(kx, o, kl, o)[...] = (
+                sliding_window_view(tab, kl, axis=1).transpose(1, 0, 3, 2))
+    # the edge strips: the first and the last x panel's rows, and the
+    # interior rows' first and last lambda panel columns (without a table,
+    # the second strip is the whole block)
+    for rows, cols in ((slice(0, r0), slice(None)), (slice(r1, None), slice(None)),
+                       (slice(r0, r1), np.r_[0:c0, c1:n])):
+        parts[0][rows, cols], parts[1][rows, cols] = kernel_parts(
+            params, np.outer(xpos[rows], lpos[cols]))
     return blocks
 
 

@@ -298,6 +298,19 @@ def test_gamma_overflow_is_one_line_usage_error(command, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route_check", [False, True])
+def test_weight_underflow_is_one_line_usage_error(route_check, capsys):
+    # at alpha = 85, c_a x^{2a-1} underflows to 0 near the origin; the grid
+    # build rejects it before any data are synthesized
+    argv = [*TM, "--alpha", "85"] + (["--route-check"] if route_check else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: alpha = 85.0 takes the quadrature weights out of "
+                   "the range of doubles\n")
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, message", [
     (["--h-max-exp", "-1100"],
      "h exponents must lie in [-1000, 1000], got -1100 and 10"),

@@ -39,7 +39,10 @@ def test_total_mass_examples():
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 1.0, 2.5])
 @pytest.mark.parametrize("grading", ["uniform", "geometric"])
 def test_mass_matches_closed_form(alpha, grading):
-    g = build_weighted_grid(alpha, 5.0, 16, 12, grading=grading)
+    # 16 panels either way: equal ones, or growing from 5/16 by 16^(1/15)
+    g = (build_weighted_grid(alpha, 5.0, 16, 12) if grading == "uniform"
+         else build_graded_grid(alpha, 5.0, 12, 5.0 / 16, 16.0 ** (1 / 15)))
+    assert g.pos_nodes.size == 16 * 12
     want = closed_form_mass(alpha, 5.0)
     assert abs(np.sum(g.weights) - want) <= 1e-10 * want
 
@@ -149,11 +152,29 @@ def test_refinement_convergence():
 
 
 def test_graded_grid_mass_and_resolution():
-    g = build_graded_grid(0.5, 512.0, 16, 10.0, 40.0)
+    # the frequency grid of make_resolved_grids(0.5, 40, 512)
+    g = build_graded_grid(0.5, 512.0, 16, 25.0 / 40.0,
+                          math.exp(10.0 / math.sqrt(512.0 * 40.0)))
     want = closed_form_mass(0.5, 512.0)
     assert abs(np.sum(g.weights) - want) <= 1e-10 * want
     # first panel small enough that the kernel phase 2 sqrt(dual*x) < budget
     assert 2.0 * math.sqrt(40.0 * g.pos_nodes[0]) < 10.0
+
+
+@pytest.mark.parametrize("radius, panels", [(10.0, 5), (8.0, 4),
+                                            (8.0 * (1 + 1e-13), 4),
+                                            (8.0 * (1 + 1e-11), 5)])
+def test_graded_grid_edges(radius, panels):
+    # edges 0, 1, 2, 4, ... up to the first power of 2 that reaches the
+    # radius to a relative 1e-12, which is then moved onto the radius
+    g = build_graded_grid(0.5, radius, 4, 1.0, 2.0)
+    assert g.log_ratio == math.log(2.0)
+    assert g.pos_nodes.size == 4 * panels
+    edges = [0.0, *(2.0 ** k for k in range(panels - 1)), radius]
+    for lo, hi, nodes in zip(edges, edges[1:], g.pos_nodes.reshape(panels, 4)):
+        assert lo < nodes.min() and nodes.max() < hi
+    assert g.cell_hi[-1] == radius
+    assert build_weighted_grid(0.5, radius, 4, 4).log_ratio is None
 
 
 def test_construction_errors():
@@ -163,5 +184,31 @@ def test_construction_errors():
         build_weighted_grid(0.5, -1.0, 4, 4)
     with pytest.raises(DomainError):
         build_weighted_grid(0.5, 1.0, 1, 4)
-    with pytest.raises(DomainError):
-        build_weighted_grid(0.5, 1.0, 4, 4, grading="exotic")
+    for radius in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="radius must be positive"):
+            build_weighted_grid(0.5, radius, 4, 4)
+        with pytest.raises(DomainError, match="radius must be positive"):
+            build_graded_grid(0.5, radius, 4, 0.25, 1.1)
+    with pytest.raises(DomainError, match="alpha must exceed"):
+        build_graded_grid(0.2, 1.0, 4, 0.25, 1.1)
+    with pytest.raises(DomainError, match="order must be"):
+        build_graded_grid(0.5, 1.0, 1, 0.25, 1.1)
+    # first_panel in (0, radius), rho in (1, inf)
+    for first, rho in ((1.0, 1.1), (0.0, 1.1), (math.nan, 1.1), (0.25, 1.0),
+                       (0.25, 0.5), (0.25, math.inf), (0.25, math.nan)):
+        with pytest.raises(DomainError, match="first_panel must lie"):
+            build_graded_grid(0.5, 1.0, 4, first, rho)
+    with pytest.raises(DomainError, match="too many panels"):
+        build_graded_grid(0.5, 1.0, 4, 0.25, 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_graded_grid(85.0, 64.0, 16, 0.25, 1.07),     # underflow
+    lambda: build_weighted_grid(85.0, 1e4, 4, 4),               # overflow
+])
+def test_weights_out_of_range_are_rejected(build):
+    # c_a x^{2a-1} leaves the doubles at large alpha; no numpy warning
+    # escapes (pytest turns RuntimeWarning into an error)
+    with pytest.raises(DomainError, match="alpha = 85.0 takes the quadrature "
+                                          "weights out of the range of doubles"):
+        build()

@@ -206,9 +206,9 @@ def test_branch_agreement_at_switch():
 
 @pytest.mark.parametrize("nu", [0.0, 2.0, 0.5, -0.4, 1.6, 12.0])
 def test_nan_argument_gives_nan(nu):
-    # one order per large-argument path: j0, the j0/j1 recurrence, spherical
-    # Bessel, the Chebyshev band and Hankel's expansion (two fractional
-    # orders), and jv above order 10
+    # one order per large-argument path: j0, the j0/j1 recurrence, the
+    # Chebyshev band and Hankel's expansion (three fractional orders, one of
+    # them half-integer), and jv above order 10
     got = bessel_j_normalized(nu, np.array([1.0, np.nan, 30.0]))
     assert np.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]]))
     assert math.isnan(bessel_j_normalized(nu, math.nan))

@@ -70,6 +70,32 @@ def test_h_grid_helpers():
     assert np.all(1.0 / kept <= 16.0)
 
 
+@pytest.mark.parametrize("args", [(0.2, 20.0, 64.0), (0.5, -1.0, 64.0),
+                                  (0.5, 20.0, 0.0), (0.5, math.nan, 64.0),
+                                  (0.5, 20.0, math.inf)])
+def test_resolved_grids_reject_bad_input(args):
+    # alpha at most 1/4, and radii that are not positive and finite
+    with pytest.raises(DomainError):
+        dh.make_resolved_grids(*args)
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, 0.25])
+def test_tail_grid_rejects_bad_radius(radius):
+    # radii that are not positive and finite, and one that does not exceed
+    # the first panel, 0.25
+    with pytest.raises(DomainError):
+        dh.make_tail_grid(ALPHA, radius)
+
+
+def test_tail_and_resolved_grids_grow_by_one_ratio():
+    tail = dh.make_tail_grid(ALPHA, 8192.0)
+    panels = math.ceil(math.log(8192.0 / 0.25) / 0.065)
+    assert tail.pos_nodes.size == 16 * panels
+    assert tail.log_ratio == pytest.approx(math.log(8192.0 / 0.25) / (panels - 1))
+    xg, lg = dh.make_resolved_grids(ALPHA, 40.0, 512.0)
+    assert xg.log_ratio == lg.log_ratio == pytest.approx(10.0 / math.sqrt(40.0 * 512.0))
+
+
 # ----------------------------- synthesis -----------------------------
 
 def test_sharp_synthesis_telescopes(tail_grid_8192):

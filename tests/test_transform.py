@@ -14,7 +14,7 @@ import dhankel as dh
 from dhankel.quadrature import _grid_ids, weight_constant
 from dhankel.specfun import DomainError, KernelParams, kernel_parts
 import dhankel.transform as transform
-from dhankel.transform import (_BUILD_ROWS, ConfigurationError, _interior_panels,
+from dhankel.transform import (ConfigurationError, _interior_panels,
                                _matrix_cache, _table_arguments, kernel_matrix,
                                kernel_multiplier, spectral_mass)
 from test_quadrature import weighted_integral
@@ -327,17 +327,19 @@ def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch)
 
 
 def pairs_without_table():
-    """Grid pairs whose panels share no ratio and rule order: geometric by
-    direct powers, resolved for different radii, and resolved with different
-    orders (uniform pairs: test_kernel_matrix_row_blocks_match_one_shot_build)."""
+    """Grid pairs whose panels share no ratio and rule order: graded with two
+    ratios, resolved for different radii, and graded with one ratio but
+    different orders (uniform pairs:
+    test_kernel_matrix_row_blocks_match_one_shot_build)."""
     a = 0.5
+    rho = math.exp(10.0 / math.sqrt(20.0 * 64.0))
     return {
-        "geometric": (dh.build_weighted_grid(a, 20.0, 12, 8, grading="geometric"),
-                      dh.build_weighted_grid(a, 64.0, 12, 8, grading="geometric")),
+        "geometric": (dh.build_graded_grid(a, 20.0, 8, 20.0 / 12, 1.25),
+                      dh.build_graded_grid(a, 64.0, 8, 64.0 / 12, 1.3)),
         "mixed_ratio": (dh.make_resolved_grids(a, 20.0, 64.0)[0],
                         dh.make_resolved_grids(a, 20.0, 128.0)[1]),
-        "mixed_order": (dh.build_graded_grid(a, 20.0, 8, 10.0, 64.0),
-                        dh.build_graded_grid(a, 64.0, 16, 10.0, 20.0)),
+        "mixed_order": (dh.build_graded_grid(a, 20.0, 8, 25.0 / 64.0, rho),
+                        dh.build_graded_grid(a, 64.0, 16, 25.0 / 20.0, rho)),
     }
 
 
@@ -384,13 +386,10 @@ def test_kernel_matrix_table_on_unequal_interiors(dropped):
 
 
 def test_kernel_matrix_row_blocks_match_one_shot_build():
-    # the blocks are built a few rows at a time; each entry of the series
-    # takes a fixed number of terms, so the pieces equal one kernel_parts
-    # call on the whole quarter block, also in a ragged last piece
+    # a uniform pair has no table: its blocks are one kernel_parts call on
+    # the whole quarter block, split into [E | O]
     xg = dh.build_weighted_grid(0.7, 20.0, 9, 8)
     lg = dh.build_weighted_grid(0.7, 64.0, 24, 8)
-    assert xg.pos_nodes.size > 2 * _BUILD_ROWS
-    assert xg.pos_nodes.size % _BUILD_ROWS != 0
     assert _interior_panels(xg, lg) == (0, 0)
     even, odd = kernel_parts(KernelParams(alpha=0.7),
                              np.outer(xg.pos_nodes, lg.pos_nodes))
