@@ -29,12 +29,13 @@ import numpy as np
 from .modulus import (ConstructionError, estimate_indices, parse_family,
                       zygmund_Z0_constant, zygmund_Z1_constant)
 from .specfun import DomainError
-from .titchmarsh import (PreconditionError, SynthesisSpec, dyadic_h_grid,
-                         make_resolved_grids, make_tail_grid, restrict_h_grid,
-                         synthesize_from_tail, verify_equivalence,
-                         verify_fourier_Lnu, verify_inclusion_Womega,
-                         verify_main1_part1, verify_main1_part2, verify_main2)
-from .transform import FunctionSpec, SpectralData, forward
+from .titchmarsh import (PreconditionError, SynthesisSpec, VerificationReport,
+                         _as_spectral, dyadic_h_grid, make_resolved_grids,
+                         make_tail_grid, restrict_h_grid, synthesize_from_tail,
+                         verify_equivalence, verify_fourier_Lnu,
+                         verify_inclusion_Womega, verify_main1_part1,
+                         verify_main1_part2, verify_main2)
+from .transform import FunctionSpec, forward
 from .quadrature import build_weighted_grid
 
 USAGE_ERROR, PRECONDITION_ERROR = 1, 2
@@ -132,26 +133,21 @@ def _cmd_synth(ns) -> int:
     return 0
 
 
-def _spectral(src, xg, lg) -> SpectralData:
-    """Spectral data as synthesized, or the transform of a test function."""
-    return src if isinstance(src, SpectralData) else forward(src, xg, lg)
-
-
 # theorem id -> (verifier call on (source, modulus, h grid, x grid, frequency
 # grid, parsed options), the options among p and nu that the call reads)
 THEOREMS = {
     "main1_part1": (lambda s, w, h, xg, lg, ns: verify_main1_part1(
         s, w, ns.p, h, xgrid=xg, lgrid=lg), ("p",)),
     "main1_part2": (lambda s, w, h, xg, lg, ns: verify_main1_part2(
-        _spectral(s, xg, lg), w, h, xgrid=xg), ()),
+        _as_spectral(s, xg, lg)[0], w, h, xgrid=xg), ()),
     "equivalence": (lambda s, w, h, xg, lg, ns: verify_equivalence(
-        _spectral(s, xg, lg), w, h, xgrid=xg), ()),
+        _as_spectral(s, xg, lg)[0], w, h, xgrid=xg), ()),
     "fourier_Lnu": (lambda s, w, h, xg, lg, ns: verify_fourier_Lnu(
         s, w, ns.p, ns.nu, xgrid=xg, lgrid=lg, h_grid=h), ("p", "nu")),
     "main2_part1": (lambda s, w, h, xg, lg, ns: verify_main2(
         s, w, "part1", h, xgrid=xg, lgrid=lg), ()),
     "main2_part2": (lambda s, w, h, xg, lg, ns: verify_main2(
-        _spectral(s, xg, lg), w, "part2", h, xgrid=xg, lgrid=lg), ()),
+        _as_spectral(s, xg, lg)[0], w, "part2", h, xgrid=xg, lgrid=lg), ()),
     "inclusion_Womega": (lambda s, w, h, xg, lg, ns: verify_inclusion_Womega(
         s, w, ns.p, h, xgrid=xg, lgrid=lg), ("p",)),
 }
@@ -159,16 +155,22 @@ THEOREMS = {
 SECOND_ROUTE = ("main1_part2", "equivalence", "main2_part2")
 
 
-def _cmd_titchmarsh(ns) -> int:
+def titchmarsh_grids(ns):
+    """(x grid or None, frequency grid) of a titchmarsh run: a resolved pair
+    when the run evaluates a function in physical space (function input or
+    --route-check), else a tail grid alone."""
+    if ns.synth.startswith("function:") or ns.route_check:
+        return make_resolved_grids(ns.alpha, ns.radius_x, ns.radius_lambda,
+                                   ns.order)
+    return None, make_tail_grid(ns.alpha, ns.radius_lambda, ns.order)
+
+
+def titchmarsh_report(ns, xg, lg) -> VerificationReport:
+    """The report of a titchmarsh run on the grids titchmarsh_grids(ns)
+    gives, with the run's settings in extra["config"]; notes on dropped h
+    values and on a route check without a second route go to stderr."""
     w = parse_family(ns.modulus, ns.delta0)
     h_all = dyadic_h_grid(w.delta0, ns.h_max_exp, ns.h_min_exp)
-
-    needs_x = ns.synth.startswith("function:") or ns.route_check
-    if needs_x:
-        xg, lg = make_resolved_grids(ns.alpha, ns.radius_x, ns.radius_lambda,
-                                     ns.order)
-    else:
-        xg, lg = None, make_tail_grid(ns.alpha, ns.radius_lambda, ns.order)
     h_grid = restrict_h_grid(h_all, lg)
     if h_grid.size == 0:
         raise DomainError("no usable h: raise --radius-lambda or --h-max-exp")
@@ -211,6 +213,11 @@ def _cmd_titchmarsh(ns) -> int:
     if xg is not None:
         config.update(radius_x=ns.radius_x, x_nodes=xg.nodes.size)
     rep.extra["config"] = config
+    return rep
+
+
+def _cmd_titchmarsh(ns) -> int:
+    rep = titchmarsh_report(ns, *titchmarsh_grids(ns))
     text = rep.to_json() if ns.format == "json" else rep.to_csv()
     if ns.output:
         _write(ns.output, text)

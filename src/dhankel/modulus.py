@@ -164,6 +164,9 @@ def parse_family(text: str, delta0: float | None = None) -> ModulusSpec:
 
 # ----------------------------- monotonicity -----------------------------
 
+_MONOTONE_SAMPLES = 2000
+
+
 def almost_monotone_constant(fn, lo: float, hi: float, direction: str,
                              samples: int = 2000) -> float:
     """Sampled almost-monotonicity constant of an arbitrary positive fn."""
@@ -182,8 +185,7 @@ def almost_monotone_constant(fn, lo: float, hi: float, direction: str,
     raise DomainError(f"unknown direction {direction!r}")
 
 
-def check_almost_monotone(w: ModulusSpec, direction: str,
-                          samples: int = 2000) -> MonotonicityCertificate:
+def check_almost_monotone(w: ModulusSpec, direction: str) -> MonotonicityCertificate:
     """Certify omega almost increasing, or omega(t)/t almost decreasing.
 
     The certificate passes when the constant is stable (< 1% growth) under
@@ -191,8 +193,6 @@ def check_almost_monotone(w: ModulusSpec, direction: str,
     A genuine violation of almost-monotonicity by even t^{0.01} grows the
     constant by 10^{0.01} per decade, which this threshold detects.
     """
-    if samples < 100:
-        raise DomainError("need at least 100 samples")
     if direction == "almost_increasing":
         fn = w.evaluator
     elif direction == "almost_decreasing":
@@ -200,8 +200,9 @@ def check_almost_monotone(w: ModulusSpec, direction: str,
     else:
         raise DomainError(f"unknown direction {direction!r}")
     lo = w.delta0 * 1e-10
-    c0 = almost_monotone_constant(fn, lo, w.delta0, direction, samples)
-    c1 = almost_monotone_constant(fn, lo * 0.1, w.delta0, direction, 2 * samples)
+    c0 = almost_monotone_constant(fn, lo, w.delta0, direction, _MONOTONE_SAMPLES)
+    c1 = almost_monotone_constant(fn, lo * 0.1, w.delta0, direction,
+                                  2 * _MONOTONE_SAMPLES)
     passed = math.isfinite(c1) and c1 <= c0 * 1.01
     return MonotonicityCertificate(constant=max(c0, c1), passed=passed)
 

@@ -80,6 +80,8 @@ class SpectralData:
 
 
 _matrix_cache: dict[tuple[int, int, float], np.ndarray] = {}
+# largest number of kernel entries _build_blocks evaluates in one call
+_SLAB_ENTRIES = 65536
 
 
 def _interior_panels(xgrid: WeightedGrid, lgrid: WeightedGrid) -> tuple[int, int]:
@@ -132,8 +134,9 @@ def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
     panels is read from a table, the kernel parts at _table_arguments, one
     representative product per panel-index sum and node pair; the entries of
     the first and the last panel of either grid are the kernel parts at
-    the rows' outer product, one kernel_parts call per strip of them.  A grid
-    pair without a common ratio has no interior and is built in one call.
+    the rows' outer product, evaluated in row slabs of at most _SLAB_ENTRIES
+    entries.  A grid pair without a common ratio has no interior and is
+    built from such slabs alone.
     """
     if xgrid.alpha != lgrid.alpha:
         raise ConfigurationError("grids carry different alpha")
@@ -168,11 +171,15 @@ def _build_blocks(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
                 sliding_window_view(tab, kl, axis=1).transpose(1, 0, 3, 2))
     # the edge strips: the first and the last x panel's rows, and the
     # interior rows' first and last lambda panel columns (without a table,
-    # the second strip is the whole block)
-    for rows, cols in ((slice(0, r0), slice(None)), (slice(r1, None), slice(None)),
-                       (slice(r0, r1), np.r_[0:c0, c1:n])):
-        parts[0][rows, cols], parts[1][rows, cols] = kernel_parts(
-            params, np.outer(xpos[rows], lpos[cols]))
+    # the second strip is the whole block), in row slabs that bound the
+    # temporaries of kernel_parts
+    for rows, cols in ((range(r0), slice(None)), (range(r1, xpos.size), slice(None)),
+                       (range(r0, r1), np.r_[0:c0, c1:n])):
+        step = max(1, _SLAB_ENTRIES // lpos[cols].size)
+        for i in range(rows.start, rows.stop, step):
+            slab = slice(i, min(i + step, rows.stop))
+            parts[0][slab, cols], parts[1][slab, cols] = kernel_parts(
+                params, np.outer(xpos[slab], lpos[cols]))
     return blocks
 
 

@@ -386,8 +386,8 @@ def test_kernel_matrix_table_on_unequal_interiors(dropped):
 
 
 def test_kernel_matrix_row_blocks_match_one_shot_build():
-    # a uniform pair has no table: its blocks are one kernel_parts call on
-    # the whole quarter block, split into [E | O]
+    # a uniform pair has no table: its blocks are kernel_parts on the whole
+    # quarter block (here one slab), split into [E | O]
     xg = dh.build_weighted_grid(0.7, 20.0, 9, 8)
     lg = dh.build_weighted_grid(0.7, 64.0, 24, 8)
     assert _interior_panels(xg, lg) == (0, 0)
@@ -395,6 +395,27 @@ def test_kernel_matrix_row_blocks_match_one_shot_build():
                              np.outer(xg.pos_nodes, lg.pos_nodes))
     blocks = kernel_matrix(xg, lg)
     assert blocks.flags.c_contiguous and not blocks.flags.writeable
+    assert np.array_equal(blocks, np.hstack([even, odd]))
+
+
+def test_kernel_matrix_without_table_is_built_in_bounded_slabs(monkeypatch):
+    # a uniform pair of 800 x 640 positive nodes: row slabs of at most 65536
+    # entries (102 rows), the last one short, equal to the one-shot build
+    xg = dh.build_weighted_grid(0.5, 20.0, 50, 16)
+    lg = dh.build_weighted_grid(0.5, 64.0, 40, 16)
+    assert _interior_panels(xg, lg) == (0, 0)
+    sizes = []
+
+    def counting(params, u):
+        sizes.append(np.size(u))
+        return kernel_parts(params, u)
+
+    monkeypatch.setattr(transform, "kernel_parts", counting)
+    blocks = kernel_matrix(xg, lg)
+    monkeypatch.undo()
+    assert max(sizes) <= 65536 and sum(sizes) == 800 * 640 and len(sizes) == 8
+    even, odd = kernel_parts(KernelParams(alpha=0.5),
+                             np.outer(xg.pos_nodes, lg.pos_nodes))
     assert np.array_equal(blocks, np.hstack([even, odd]))
 
 
