@@ -8,16 +8,18 @@ it enters every norm computed here.  All data are real (the kernel is real).
 
 Every grid is symmetric under negation, so B(lambda_j x_i) and B(lambda_j h)
 come from the kernel's even and odd parts (specfun.kernel_parts), evaluated
-once per distinct |lambda x| on the positive half-axes, and between the
-interior panels of a resolved pair once per class of products that differ
-in the last bits only (kernel_matrix).  A grid pair's kernel
-is cached as those two half-line blocks [E | O] (half the dense matrix) for
-as long as the pair lives, and every transform applies it as two half-size
-products, E on the even and O on the odd combination of the coefficients.
+once per distinct |lambda x| on the positive half-axes.  A grid pair's
+kernel is cached (kernel_matrix) as a KernelEntry for as long as the pair
+lives: dense edge strips for the first and the last panel of either grid,
+and, between the interior panels of a resolved pair, where block (k, l) is
+slice k + l of one table of the kernel parts, that table's real FFT along
+the panel-sum axis.  Every transform applies the entry matrix-free (_apply):
+E on the even and O on the odd combination of the coefficients, the strips
+by small dense products and the interior by one FFT correlation.
 
 Difference norms ||T_h f - f|| come for a whole h grid at once (diff_norms),
 from one multiplier matrix B(lambda_j h_k): reduced per h (Plancherel route)
-and applied with one product per kernel block (physical route).  Tail
+and applied to all h in one apply of the kernel entry (physical route).  Tail
 energies and the partial norms over |lambda| <= r come from one spectral-mass
 primitive (spectral_mass), also for a whole grid of cuts at once.
 """
@@ -29,7 +31,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import WeightedGrid, weighted_norm
 from .specfun import DomainError, KernelParams, kernel_parts
@@ -79,8 +80,9 @@ class SpectralData:
         return buf.getvalue()
 
 
-_matrix_cache: dict[tuple[int, int, float], np.ndarray] = {}
-# largest number of kernel entries _build_blocks evaluates in one call
+_matrix_cache: dict[tuple[int, int, float], "KernelEntry"] = {}
+# largest number of kernel entries one kernel_parts call of an edge strip
+# evaluates
 _SLAB_ENTRIES = 65536
 
 
@@ -118,86 +120,167 @@ def _table_arguments(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
     return xs[k].T[:, :, None] * ls[s - k][None, :, :]
 
 
-def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
-    """Half-line kernel blocks [E | O] of the grid pair, cached.
+def _fft_length(kx: int, kl: int) -> int:
+    """Smallest power of two L >= kx + kl - 1, the length of the table.
+
+    The interior outputs are the valid part of a circular correlation of
+    the table with the coefficients of k_in interior panels (kx or kl):
+    output k reads table entries k .. k + k_in - 1 <= kx + kl - 2 < L only,
+    so none wraps around in either orientation.
+    """
+    return 1 << (kx + kl - 2).bit_length()
+
+
+@dataclass(frozen=True, eq=False)
+class KernelEntry:
+    """Cached kernel of a grid pair, E and O stacked on the first axis.
 
     E[i, j] and O[i, j] are the even and odd kernel parts at
-    |lambda_j x_i| = xgrid.pos_nodes[i] * lgrid.pos_nodes[j]; the result has
-    shape (len(xgrid.pos_nodes), 2 * len(lgrid.pos_nodes)) and is read-only.
-    Since nodes = [-pos[::-1], pos] on both grids, they determine the dense
-    kernel B(lambda_j x_i) = E - sign(lambda_j x_i) O in half its memory;
-    _apply applies it from them.  The blocks are released when either grid
+    xgrid.pos_nodes[i] * lgrid.pos_nodes[j] (see kernel_matrix).  The
+    entry keeps them as
+    - rows: (2, len(edge_rows), n_lambda), the rows edge_rows of the first
+      and the last x panel (every row on a pair without interior);
+    - side: (2, kx * order, len(edge_cols)), the interior rows' columns
+      edge_cols of the first and the last lambda panel;
+    - spectra: (2, L // 2 + 1, order, order), the real FFT along the
+      panel-sum axis of the interior table, tab[m, s, m'] ->
+      spectra[:, f, m, m'], at L = _fft_length(kx, kl) (empty without an
+      interior).
+    """
+
+    rows: np.ndarray
+    side: np.ndarray
+    spectra: np.ndarray
+    edge_rows: np.ndarray
+    edge_cols: np.ndarray
+    panels: tuple[int, int]
+    order: int
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of kernel data held: strips and spectra."""
+        return self.rows.nbytes + self.side.nbytes + self.spectra.nbytes
+
+    @property
+    def size(self) -> int:
+        """Kernel entries held: strip entries and complex spectrum entries."""
+        return self.rows.size + self.side.size + self.spectra.size
+
+
+def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
+    """Kernel of the grid pair as a KernelEntry (edge strips plus interior
+    spectra), cached.
+
+    The half-line blocks E, O (kernel parts at |lambda_j x_i| on the
+    positive nodes) determine the dense kernel B(lambda_j x_i) =
+    E - sign(lambda_j x_i) O on the symmetric grids; _apply applies it from
+    the entry without forming them.  The entry is released when either grid
     is garbage-collected.
 
     The kernel depends on lambda x alone.  When the panels of both grids
-    grow by one ratio (_interior_panels), an entry between two interior
-    panels is read from a table, the kernel parts at _table_arguments, one
-    representative product per panel-index sum and node pair; the entries of
-    the first and the last panel of either grid are the kernel parts at
-    the rows' outer product, evaluated in row slabs of at most _SLAB_ENTRIES
-    entries.  A grid pair without a common ratio has no interior and is
-    built from such slabs alone.
+    grow by one ratio (_interior_panels), the block of interior x panel k
+    and interior lambda panel l is the slice [:, k + l, :] of one table, the
+    kernel parts at _table_arguments (one representative product per
+    panel-index sum and node pair); the entry keeps the table's real FFT
+    along that panel-sum axis, so that the interior product is one
+    correlation.  The edge strips (the first and the last panel of either
+    grid) are the kernel parts at the rows' outer product, evaluated in row
+    slabs of at most _SLAB_ENTRIES entries.  A grid pair without a common
+    ratio has no interior and is held as one strip of all rows.
     """
     if xgrid.alpha != lgrid.alpha:
         raise ConfigurationError("grids carry different alpha")
     key = (xgrid.uid, lgrid.uid, xgrid.alpha)
-    blocks = _matrix_cache.get(key)
-    if blocks is None:
-        blocks = _build_blocks(xgrid, lgrid)
-        blocks.setflags(write=False)
-        _matrix_cache[key] = blocks
+    entry = _matrix_cache.get(key)
+    if entry is None:
+        entry = _build_entry(xgrid, lgrid)
+        _matrix_cache[key] = entry
         for grid in (xgrid, lgrid):
             weakref.finalize(grid, _matrix_cache.pop, key, None)
-    return blocks
+    return entry
 
 
-def _build_blocks(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
+def _build_entry(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     params = KernelParams(alpha=xgrid.alpha)
     xpos, lpos = xgrid.pos_nodes, lgrid.pos_nodes
-    n = lpos.size
-    blocks = np.empty((xpos.size, 2 * n))
-    parts = blocks[:, :n], blocks[:, n:]
     o = xgrid.order
     kx, kl = _interior_panels(xgrid, lgrid)
     # interior rows [r0, r1) and columns [c0, c1), empty without a table
     r0, r1 = (o, o + kx * o) if kx else (0, 0)
     c0, c1 = o, o + kl * o
+    edge_rows = np.r_[0:r0, r1:xpos.size]
+    edge_cols = np.r_[0:c0, c1:lpos.size]
+    rows = np.empty((2, edge_rows.size, lpos.size))
+    side = np.empty((2, r1 - r0, edge_cols.size))
+    # each strip in row slabs that bound the temporaries of kernel_parts
+    for strip, xs, ls in ((rows, xpos[edge_rows], lpos),
+                          (side, xpos[r0:r1], lpos[edge_cols])):
+        step = max(1, _SLAB_ENTRIES // ls.size)
+        for i in range(0, xs.size, step):
+            slab = slice(i, i + step)
+            strip[0, slab], strip[1, slab] = kernel_parts(params, np.outer(xs[slab], ls))
     if kx:
-        # the interior viewed as (kx, o, kl, o), still a view as the reshape
-        # only splits axes: its block (k, l) is the table slice T[:, k + l]
-        tabs = kernel_parts(params, _table_arguments(xgrid, lgrid))
-        for part, tab in zip(parts, tabs):
-            part[r0:r1, c0:c1].reshape(kx, o, kl, o)[...] = (
-                sliding_window_view(tab, kl, axis=1).transpose(1, 0, 3, 2))
-    # the edge strips: the first and the last x panel's rows, and the
-    # interior rows' first and last lambda panel columns (without a table,
-    # the second strip is the whole block), in row slabs that bound the
-    # temporaries of kernel_parts
-    for rows, cols in ((range(r0), slice(None)), (range(r1, xpos.size), slice(None)),
-                       (range(r0, r1), np.r_[0:c0, c1:n])):
-        step = max(1, _SLAB_ENTRIES // lpos[cols].size)
-        for i in range(rows.start, rows.stop, step):
-            slab = slice(i, min(i + step, rows.stop))
-            parts[0][slab, cols], parts[1][slab, cols] = kernel_parts(
-                params, np.outer(xpos[slab], lpos[cols]))
-    return blocks
+        tab = np.stack(kernel_parts(params, _table_arguments(xgrid, lgrid)))
+        spectra = np.fft.rfft(tab, n=_fft_length(kx, kl), axis=2).transpose(0, 2, 1, 3)
+        spectra = np.ascontiguousarray(spectra)
+    else:
+        spectra = np.empty((2, 0, o, o), dtype=complex)
+    for arr in (rows, side, spectra, edge_rows, edge_cols):
+        arr.setflags(write=False)
+    return KernelEntry(rows=rows, side=side, spectra=spectra, edge_rows=edge_rows,
+                       edge_cols=edge_cols, panels=(kx, kl), order=o)
 
 
-def _apply(even, odd, c):
-    """Kernel sums sum_j B(u_j) c_j along the last axis of c, from the
-    half-line blocks.
+def _interior(spectra: np.ndarray, c: np.ndarray, k_in: int, k_out: int) -> np.ndarray:
+    """Interior products y[.., k, :] = sum_l c[.., l, :] @ tab[:, k + l, :] for
+    the stacked E and O tables whose spectra (2, F, order, order) are given
+    (transpose their node axes for tab[m', k + l, m]): rfft of the reversed
+    coefficients, one matmul over frequencies, irfft.  c has shape
+    (2, b, k_in * order); the result (2, b, k_out * order)."""
+    b, o = c.shape[1], spectra.shape[-1]
+    n = _fft_length(k_in, k_out)
+    # (2, k_in, b, o) with the panel axis reversed: the correlation becomes
+    # a convolution whose outputs k_in - 1 .. k_in + k_out - 2 are wanted
+    rev = c.reshape(2, b, k_in, o)[:, :, ::-1].transpose(0, 2, 1, 3)
+    spec = np.fft.rfft(rev, n=n, axis=1) @ spectra
+    y = np.fft.irfft(spec, n=n, axis=1)[:, k_in - 1:k_in - 1 + k_out]
+    return y.transpose(0, 2, 1, 3).reshape(2, b, k_out * o)
 
-    c holds coefficients on a symmetric grid [-pos[::-1], pos] of n positive
-    nodes; even and odd are (m, n) blocks of the kernel parts E, O at m
-    points p_i >= 0 times pos.  With s = c(pos) + c(-pos) and
-    d = c(pos) - c(-pos), the sum is E s - O d at p and E s + O d at -p, so
-    the result, shape (..., 2m), is [rev(E s + O d), E s - O d]: the values
-    on the mirrored points [-p[::-1], p], from two half-size products.
+
+def _apply(entry: KernelEntry, c, transposed: bool = False):
+    """Kernel sums sum_j B(u_j) c_j along the last axis of c, from the entry.
+
+    Untransposed, c holds coefficients on the frequency grid and the sums
+    are taken at the x nodes (inverse, physical route); transposed, c lives
+    on the x grid and the sums are at the frequency nodes (forward).  Both
+    grids are symmetric, [-pos[::-1], pos]; with s = c(pos) + c(-pos) and
+    d = c(pos) - c(-pos), the sum is E s - O d at the positive output nodes
+    p and E s + O d at -p, so the result, shape (..., 2m), is
+    [rev(E s + O d), E s - O d] on the m positive output nodes.  E s and
+    O d come from the edge strips by small dense products and from the
+    interior spectra by one correlation, E and O stacked throughout.
     """
     n = c.shape[-1] // 2
     plus, minus = c[..., n:], c[..., n - 1::-1]
-    es = (plus + minus) @ even.T
-    od = (plus - minus) @ odd.T
+    sd = np.stack([plus + minus, plus - minus]).reshape(2, c[..., 0].size, n)
+    rows, side, (kx, kl) = entry.rows, entry.side, entry.panels
+    ri, ci = entry.edge_rows, entry.edge_cols
+    inner_rows = slice(entry.order, entry.order * (kx + 1))
+    inner_cols = slice(entry.order, entry.order * (kl + 1))
+    if transposed:
+        out = sd[:, :, ri] @ rows
+        if kx:
+            inner = sd[:, :, inner_rows]
+            out[:, :, ci] += inner @ side
+            out[:, :, inner_cols] += _interior(entry.spectra, inner, kx, kl)
+    else:
+        out = np.empty((2, sd.shape[1], rows.shape[1] + side.shape[1]))
+        out[:, :, ri] = sd @ rows.transpose(0, 2, 1)
+        if kx:
+            spectra = entry.spectra.transpose(0, 1, 3, 2)
+            out[:, :, inner_rows] = (sd[:, :, ci] @ side.transpose(0, 2, 1)
+                                     + _interior(spectra, sd[:, :, inner_cols], kl, kx))
+    es, od = out.reshape((2,) + c.shape[:-1] + out.shape[-1:])
     return np.concatenate([(es + od)[..., ::-1], es - od], axis=-1)
 
 
@@ -225,15 +308,14 @@ def forward(f, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
     fx = np.asarray(f(xgrid.nodes) if callable(f) else f, dtype=float)
     if fx.shape != xgrid.nodes.shape:
         raise ConfigurationError("samples do not match the x grid")
-    even, odd = np.hsplit(kernel_matrix(xgrid, lgrid), 2)
-    values = _apply(even.T, odd.T, xgrid.weights * fx)
+    values = _apply(kernel_matrix(xgrid, lgrid), xgrid.weights * fx, transposed=True)
     return SpectralData(alpha=lgrid.alpha, lambda_grid=lgrid, values=values)
 
 
 def inverse(g: SpectralData, xgrid: WeightedGrid) -> FunctionSpec:
     """Inverse transform as an evaluable function x -> sum_j w_j g_j B(lambda_j x).
 
-    On xgrid.nodes it applies the cached blocks; elsewhere the kernel rows
+    On xgrid.nodes it applies the cached kernel entry; elsewhere the kernel rows
     B(lambda_j x) are kernel_multiplier(lgrid, x), one evaluation of the
     kernel parts at |x| * lgrid.pos_nodes.  A scalar x gives a scalar.
     """
@@ -243,7 +325,7 @@ def inverse(g: SpectralData, xgrid: WeightedGrid) -> FunctionSpec:
     def evaluator(x):
         x = np.asarray(x, dtype=float)
         if x.shape == xgrid.nodes.shape and np.array_equal(x, xgrid.nodes):
-            return _apply(*np.hsplit(kernel_matrix(xgrid, lgrid), 2), coeff)
+            return _apply(kernel_matrix(xgrid, lgrid), coeff)
         return kernel_multiplier(lgrid, x) @ coeff
 
     return FunctionSpec(evaluator=evaluator, support_radius=xgrid.radius)
@@ -296,7 +378,7 @@ def diff_norms(g: SpectralData, h, p: float = 2.0, *, fx=None,
     Plancherel route, sqrt( sum_j w_j |1 - M[k, j]|^2 |g_j|^2 ), exists for
     p = 2 only (else None).  The physical route needs fx, the samples of f
     on xgrid.nodes with g = forward(fx, xgrid, g.lambda_grid) (else None):
-    T_h f = K (w g M[k]) for all h at once, one product per kernel block,
+    T_h f = K (w g M[k]) for all h at once, one apply of the kernel entry,
     then the weighted p-norm of T_h f - f per h.  On resolved grids the two
     routes agree at p = 2.
     """
@@ -335,7 +417,6 @@ def _routes(g: SpectralData, mult: np.ndarray, p: float, fx, xgrid):
         fast = np.sqrt(np.sum(lgrid.weights * (1.0 - mult) ** 2 * g.values ** 2,
                               axis=1))
     if fx is not None:
-        even, odd = np.hsplit(kernel_matrix(xgrid, lgrid), 2)
-        tfs = _apply(even, odd, lgrid.weights * mult * g.values)
+        tfs = _apply(kernel_matrix(xgrid, lgrid), lgrid.weights * mult * g.values)
         phys = np.array([weighted_norm(tf - fx, xgrid, p) for tf in tfs])
     return fast, phys

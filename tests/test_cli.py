@@ -346,3 +346,30 @@ def test_route_check_without_second_route_says_so(theorem, tmp_path, capsys):
     noted = ROUTE_NOTE.format(theorem) in err
     assert noted == (theorem not in cli.SECOND_ROUTE)
     assert noted == (extra.get("route_agreement") is None)
+
+
+ROUTE_CHECK_RSS = """
+import resource, sys
+from dhankel.cli import main
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_route_check_past_the_dense_kernel_memory_wall(tmp_path):
+    # at (40, 8192) the dense [E | O] blocks alone would take 1.21 GB; the
+    # entry (edge strips and interior spectra) keeps a fresh CLI process
+    # under 300 MB, with the two routes still in agreement
+    src = str(Path(dhankel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    report = tmp_path / "equivalence.json"
+    argv = ["titchmarsh", "--theorem", "equivalence", "--route-check",
+            "--modulus", "power:gamma=0.5", "--alpha", "0.5", "--radius-x", "40",
+            "--radius-lambda", "8192", "--format", "json", "--output", str(report)]
+    done = subprocess.run([sys.executable, "-c", ROUTE_CHECK_RSS, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, maxrss_kb = map(int, done.stdout.split()[-2:])
+    assert code == 0
+    assert maxrss_kb <= 300 * 1024
+    assert json.loads(report.read_text())["extra"]["route_agreement"] <= 1e-6

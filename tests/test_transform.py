@@ -233,6 +233,35 @@ def dense_kernel(blocks):
                      [plus[:, ::-1], minus]])
 
 
+def entry_blocks(xg, lg):
+    """The half-line blocks [E | O] that the cache entry of the pair stands
+    for: its edge strips, and between interior panels the kernel parts at
+    the table's arguments.  Checks on the way that the entry's spectra are
+    the real FFT of that table, bit for bit."""
+    entry = kernel_matrix(xg, lg)
+    kx, kl = entry.panels
+    o = entry.order
+    blocks = np.full((2, xg.pos_nodes.size, lg.pos_nodes.size), np.nan)
+    blocks[:, entry.edge_rows] = entry.rows
+    inner_rows = np.arange(o, o + kx * o)
+    blocks[:, inner_rows[:, None], entry.edge_cols] = entry.side
+    if kx:
+        tab = np.stack(kernel_parts(KernelParams(alpha=xg.alpha),
+                                    transform._table_arguments(xg, lg)))
+        length = transform._fft_length(kx, kl)
+        assert length >= kx + kl - 1 and length & (length - 1) == 0
+        assert np.array_equal(entry.spectra, np.fft.rfft(tab, n=length, axis=2)
+                              .transpose(0, 2, 1, 3))
+        for k in range(kx):
+            for l in range(kl):
+                blocks[:, o + k * o:o + (k + 1) * o, o + l * o:o + (l + 1) * o] = \
+                    tab[:, :, k + l, :]
+    else:
+        assert entry.spectra.size == 0 and entry.side.size == 0
+    assert not np.isnan(blocks).any()
+    return np.hstack(blocks)
+
+
 def build_arguments(xg, lg):
     """The arguments kernel_matrix evaluates the kernel parts at: the outer
     product of the positive nodes, with every block of an interior x panel
@@ -267,7 +296,7 @@ def test_kernel_matrix_quarter_block_is_exact(alpha):
     u = build_arguments(xg, lg)
     assert (u <= 20.25).any() and (u > 20.25).any()
     assert _interior_panels(xg, lg)[0] > 0
-    blocks = kernel_matrix(xg, lg)
+    blocks = entry_blocks(xg, lg)
     params = KernelParams(alpha=alpha)
     assert np.array_equal(blocks, np.hstack(kernel_parts(params, u)))
     assert np.array_equal(dense_kernel(blocks), dh.kernel_B(params, mirrored(u)))
@@ -289,7 +318,7 @@ def test_kernel_matrix_table_entries_match_direct_and_mpmath(alpha):
     # the kernel parts at its own outer-product argument, and the entries
     # that moved most, plus random ones, within 1e-13 of mpmath
     xg, lg = dh.make_resolved_grids(alpha, 40.0, 512.0)
-    blocks = kernel_matrix(xg, lg)
+    blocks = entry_blocks(xg, lg)
     n = lg.pos_nodes.size
     params = KernelParams(alpha=alpha)
     moved = np.empty((xg.pos_nodes.size, n))
@@ -311,7 +340,8 @@ def test_kernel_matrix_table_entries_match_direct_and_mpmath(alpha):
 
 def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch):
     # the (40, 512) pair: direct rows and columns plus the table, instead of
-    # all 1568^2 entries of the quarter block
+    # all 1568^2 entries of the quarter block; the entry holds the strips
+    # and the table's spectra in at most 5 MB, where [E | O] took 39.3 MB
     seen = []
 
     def counting(params, t):
@@ -320,10 +350,13 @@ def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch)
 
     monkeypatch.setattr(transform, "kernel_parts", counting)
     xg, lg = dh.make_resolved_grids(0.5, 40.0, 512.0)
-    kernel_matrix(xg, lg)
+    entry = kernel_matrix(xg, lg)
     quarter = xg.pos_nodes.size * lg.pos_nodes.size
     assert quarter == 1568 ** 2
     assert sum(seen) <= 0.1 * quarter
+    parts = (entry.rows, entry.side, entry.spectra)
+    assert entry.nbytes == sum(a.nbytes for a in parts) <= 5e6
+    assert entry.size == sum(a.size for a in parts)
 
 
 def pairs_without_table():
@@ -349,11 +382,12 @@ def test_kernel_matrix_without_common_ratio_is_the_outer_product(name):
     assert _interior_panels(xg, lg) == (0, 0)
     even, odd = kernel_parts(KernelParams(alpha=0.5),
                              np.outer(xg.pos_nodes, lg.pos_nodes))
-    assert np.array_equal(kernel_matrix(xg, lg), np.hstack([even, odd]))
+    assert np.array_equal(kernel_matrix(xg, lg).rows, np.stack([even, odd]))
+    assert np.array_equal(entry_blocks(xg, lg), np.hstack([even, odd]))
 
 
 def assert_built_from_table(xg, lg, alpha):
-    blocks = kernel_matrix(xg, lg)
+    blocks = entry_blocks(xg, lg)
     params = KernelParams(alpha=alpha)
     assert np.array_equal(blocks, np.hstack(kernel_parts(params, build_arguments(xg, lg))))
     even, odd = kernel_parts(params, np.outer(xg.pos_nodes, lg.pos_nodes))
@@ -371,14 +405,25 @@ def test_kernel_matrix_on_grids_with_few_panels(radii, panels):
     assert_built_from_table(xg, lg, 0.7)
 
 
+def cut_short(grid, dropped):
+    """The grid without its last `dropped` panels: same ratio, fewer
+    interior panels."""
+    keep = grid.pos_nodes.size - dropped * grid.order
+    pos, wpos = grid.pos_nodes[:keep], grid.pos_weights[:keep]
+    return replace(grid, radius=grid.cell_hi[keep - 1],
+                   nodes=np.concatenate([-pos[::-1], pos]),
+                   weights=np.concatenate([wpos[::-1], wpos]),
+                   pos_nodes=pos, pos_weights=wpos, cell_lo=grid.cell_lo[:keep],
+                   cell_hi=grid.cell_hi[:keep], uid=next(_grid_ids))
+
+
 @pytest.mark.parametrize("dropped", [1, 3])
 def test_kernel_matrix_table_on_unequal_interiors(dropped):
     # graded grids with one ratio have equal panel counts; a frequency grid
     # cut short by whole panels keeps the ratio and has fewer interior
     # panels, which the table's representatives must still cover
     xg, lg = dh.make_resolved_grids(0.7, 20.0, 64.0)
-    o = lg.order
-    short = replace(lg, pos_nodes=lg.pos_nodes[:-dropped * o], uid=next(_grid_ids))
+    short = cut_short(lg, dropped)
     kx, kl = _interior_panels(xg, short)
     assert kl == kx - dropped > 0
     assert_built_from_table(xg, short, 0.7)
@@ -386,16 +431,16 @@ def test_kernel_matrix_table_on_unequal_interiors(dropped):
 
 
 def test_kernel_matrix_row_blocks_match_one_shot_build():
-    # a uniform pair has no table: its blocks are kernel_parts on the whole
-    # quarter block (here one slab), split into [E | O]
+    # a uniform pair has no table: its entry is one strip of all rows, the
+    # kernel parts on the whole quarter block (here one slab)
     xg = dh.build_weighted_grid(0.7, 20.0, 9, 8)
     lg = dh.build_weighted_grid(0.7, 64.0, 24, 8)
     assert _interior_panels(xg, lg) == (0, 0)
     even, odd = kernel_parts(KernelParams(alpha=0.7),
                              np.outer(xg.pos_nodes, lg.pos_nodes))
-    blocks = kernel_matrix(xg, lg)
-    assert blocks.flags.c_contiguous and not blocks.flags.writeable
-    assert np.array_equal(blocks, np.hstack([even, odd]))
+    rows = kernel_matrix(xg, lg).rows
+    assert rows.flags.c_contiguous and not rows.flags.writeable
+    assert np.array_equal(rows, np.stack([even, odd]))
 
 
 def test_kernel_matrix_without_table_is_built_in_bounded_slabs(monkeypatch):
@@ -411,27 +456,82 @@ def test_kernel_matrix_without_table_is_built_in_bounded_slabs(monkeypatch):
         return kernel_parts(params, u)
 
     monkeypatch.setattr(transform, "kernel_parts", counting)
-    blocks = kernel_matrix(xg, lg)
+    rows = kernel_matrix(xg, lg).rows
     monkeypatch.undo()
     assert max(sizes) <= 65536 and sum(sizes) == 800 * 640 and len(sizes) == 8
     even, odd = kernel_parts(KernelParams(alpha=0.5),
                              np.outer(xg.pos_nodes, lg.pos_nodes))
-    assert np.array_equal(blocks, np.hstack([even, odd]))
+    assert np.array_equal(rows, np.stack([even, odd]))
 
 
 def neither_even_nor_odd(x):
     return np.exp(-0.5 * (x - 1.3) ** 2) * (1.0 + 0.3 * np.sin(x))
 
 
+def entry_pair(alpha, case):
+    """Grid pairs whose entries cover each layout: a full interior, one and
+    two interior panels, unequal interiors in both orientations, and a
+    uniform pair without a table."""
+    if case == "uniform":
+        return (dh.build_weighted_grid(alpha, 20.0, 9, 8),
+                dh.build_weighted_grid(alpha, 64.0, 24, 8))
+    if case in ("one_interior_panel", "two_interior_panels"):
+        radii = (0.5, 128.0) if case == "one_interior_panel" else (1.0, 200.0)
+        return dh.make_resolved_grids(alpha, *radii, order=6)
+    xg, lg = dh.make_resolved_grids(alpha, 20.0, 64.0)
+    if case == "resolved":
+        return xg, lg
+    short = cut_short(lg, 3)
+    return (xg, short) if case == "short_lambda" else (short, xg)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("case", ["resolved", "one_interior_panel",
+                                  "two_interior_panels", "short_lambda",
+                                  "short_x", "uniform"])
+def test_entry_apply_matches_dense_kernel(alpha, case, monkeypatch):
+    # every kernel sum the transforms take from the entry (edge strips by
+    # dense products, the interior by one FFT correlation) matches the dense
+    # kernel the entry stands for to within 1e-13 of the sum of the absolute
+    # terms: forward and inverse on the grid for one vector, the physical
+    # route for four (four h), and the forward orientation for four
+    xg, lg = entry_pair(alpha, case)
+    panels = {"resolved": 14, "one_interior_panel": 1, "two_interior_panels": 2,
+              "short_lambda": 11, "short_x": 11, "uniform": 0}[case]
+    assert min(_interior_panels(xg, lg)) == panels
+    dense = dense_kernel(entry_blocks(xg, lg))
+    apply, calls = transform._apply, []
+
+    def recording(entry, c, transposed=False):
+        out = apply(entry, c, transposed)
+        calls.append((c, transposed, out))
+        return out
+
+    monkeypatch.setattr(transform, "_apply", recording)
+    fx = neither_even_nor_odd(xg.nodes)
+    spec = dh.forward(fx, xg, lg)
+    dh.inverse(spec, xg)(xg.nodes)
+    dh.diff_norms(spec, [0.5, 0.125, 0.01, -0.3], fx=fx, xgrid=xg)
+    rng = np.random.default_rng(3)
+    transform._apply(kernel_matrix(xg, lg), rng.standard_normal((4, xg.nodes.size)),
+                     transposed=True)
+    assert [(np.shape(c), t) for c, t, _ in calls] == [
+        (xg.nodes.shape, True), (lg.nodes.shape, False),
+        ((4, lg.nodes.size), False), ((4, xg.nodes.size), True)]
+    for c, transposed, out in calls:
+        kernel = dense.T if transposed else dense
+        err = np.abs(out - c @ kernel.T)
+        assert np.all(err <= 1e-13 * (np.abs(c) @ np.abs(kernel).T))
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_half_line_apply_matches_dense_kernel(alpha):
     # forward, inverse on the grid and the physical route apply the kernel
-    # as two products with the half-line blocks; the reference is the dense
-    # matrix.  f is neither even nor odd, so both halves of every
-    # coefficient vector differ and the odd block enters with both signs.
+    # from the cache entry; the reference is the dense matrix.  f is neither
+    # even nor odd, so both halves of every coefficient vector differ and
+    # the odd block enters with both signs.
     xg, lg, dense = resolved_with_dense_kernel(alpha)
     params = KernelParams(alpha=alpha)
-    assert kernel_matrix(xg, lg).nbytes * 2 == 8 * xg.nodes.size * lg.nodes.size
 
     def close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -454,6 +554,39 @@ def test_half_line_apply_matches_dense_kernel(alpha):
     for h, got in zip(hs, phys):
         tf = dense @ (coeff * dh.kernel_B(params, lg.nodes * h))
         close(got, dh.weighted_norm(tf - fx, xg, 2.0))
+
+
+@pytest.mark.parametrize("case", ["resolved", "uniform"])
+def test_diff_norms_on_an_empty_h_grid(case):
+    # an empty batch of coefficient vectors passes through the entry's apply
+    xg, lg = entry_pair(0.5, case)
+    fx = neither_even_nor_odd(xg.nodes)
+    spec = dh.forward(fx, xg, lg)
+    for trace in (*dh.diff_norms(spec, [], fx=fx, xgrid=xg),
+                  *transform.round_trip_norms(spec, [], xg)):
+        assert trace.shape == (0,)
+
+
+def test_entry_apply_keeps_the_table_orientation(monkeypatch):
+    # with one rule on both grids, tab[m, s, m'] equals tab[m', s, m] up to
+    # rounding, so a swapped orientation of the spectra would hide in the
+    # last bits; a table skewed along its x node axis tells the two apart
+    table = transform._table_arguments
+
+    def skewed(xgrid, lgrid):
+        args = table(xgrid, lgrid)
+        return args * (1.0 + 0.05 * np.arange(args.shape[0]))[:, None, None]
+
+    monkeypatch.setattr(transform, "_table_arguments", skewed)
+    xg, lg = entry_pair(0.5, "short_lambda")
+    dense = dense_kernel(entry_blocks(xg, lg))
+    rng = np.random.default_rng(5)
+    entry = kernel_matrix(xg, lg)
+    for transposed, size in ((False, lg.nodes.size), (True, xg.nodes.size)):
+        c = rng.standard_normal((4, size))
+        kernel = dense.T if transposed else dense
+        err = np.abs(transform._apply(entry, c, transposed) - c @ kernel.T)
+        assert np.all(err <= 1e-13 * (np.abs(c) @ np.abs(kernel).T))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
