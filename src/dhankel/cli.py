@@ -30,8 +30,8 @@ from .modulus import (ConstructionError, estimate_indices, parse_family,
                       zygmund_Z0_constant, zygmund_Z1_constant)
 from .specfun import DomainError
 from .titchmarsh import (PreconditionError, SynthesisSpec, VerificationReport,
-                         _as_spectral, dyadic_h_grid, make_resolved_grids,
-                         make_tail_grid, restrict_h_grid, synthesize_from_tail,
+                         dyadic_h_grid, make_resolved_grids, make_tail_grid,
+                         restrict_h_grid, synthesize_from_tail,
                          verify_equivalence, verify_fourier_Lnu,
                          verify_inclusion_Womega, verify_main1_part1,
                          verify_main1_part2, verify_main2)
@@ -134,20 +134,21 @@ def _cmd_synth(ns) -> int:
 
 
 # theorem id -> (verifier call on (source, modulus, h grid, x grid, frequency
-# grid, parsed options), the options among p and nu that the call reads)
+# grid, parsed options), the options among p and nu that the call reads);
+# each call looks its verifier up when it runs, so patching this module works
 THEOREMS = {
     "main1_part1": (lambda s, w, h, xg, lg, ns: verify_main1_part1(
         s, w, ns.p, h, xgrid=xg, lgrid=lg), ("p",)),
     "main1_part2": (lambda s, w, h, xg, lg, ns: verify_main1_part2(
-        _as_spectral(s, xg, lg)[0], w, h, xgrid=xg), ()),
+        s, w, h, xgrid=xg, lgrid=lg), ()),
     "equivalence": (lambda s, w, h, xg, lg, ns: verify_equivalence(
-        _as_spectral(s, xg, lg)[0], w, h, xgrid=xg), ()),
+        s, w, h, xgrid=xg, lgrid=lg), ()),
     "fourier_Lnu": (lambda s, w, h, xg, lg, ns: verify_fourier_Lnu(
         s, w, ns.p, ns.nu, xgrid=xg, lgrid=lg, h_grid=h), ("p", "nu")),
     "main2_part1": (lambda s, w, h, xg, lg, ns: verify_main2(
         s, w, "part1", h, xgrid=xg, lgrid=lg), ()),
     "main2_part2": (lambda s, w, h, xg, lg, ns: verify_main2(
-        _as_spectral(s, xg, lg)[0], w, "part2", h, xgrid=xg, lgrid=lg), ()),
+        s, w, "part2", h, xgrid=xg, lgrid=lg), ()),
     "inclusion_Womega": (lambda s, w, h, xg, lg, ns: verify_inclusion_Womega(
         s, w, ns.p, h, xgrid=xg, lgrid=lg), ("p",)),
 }
@@ -186,11 +187,9 @@ def titchmarsh_report(ns, xg, lg) -> VerificationReport:
               "the report has no route_agreement", file=sys.stderr)
 
     profile = "smooth_tail" if ns.route_check else "sharp_tail"
-    if ns.synth == "matched":
-        src = synthesize_from_tail(
-            SynthesisSpec(w, ns.alpha, ns.radius_lambda, profile), lg)
-    elif ns.synth.startswith("mismatched:"):
-        w_tail = parse_family(ns.synth.split(":", 1)[1], ns.delta0)
+    if ns.synth == "matched" or ns.synth.startswith("mismatched:"):
+        w_tail = (w if ns.synth == "matched"
+                  else parse_family(ns.synth.split(":", 1)[1], ns.delta0))
         src = synthesize_from_tail(
             SynthesisSpec(w_tail, ns.alpha, ns.radius_lambda, profile), lg)
     elif ns.synth.startswith("function:"):

@@ -79,7 +79,8 @@ class IndexEstimate:
 
 def _check_vanishes(w: ModulusSpec) -> None:
     ts = w.delta0 * 10.0 ** -np.arange(0, 13, dtype=float)
-    vals = w(ts)
+    with np.errstate(all="ignore"):     # non-finite values are rejected below
+        vals = w(ts)
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
         raise ConstructionError("evaluator must be finite and positive on (0, delta0]")
     if not vals[-1] <= 0.05 * vals[0]:

@@ -14,12 +14,12 @@ Theorem constants are never assumed: the harness reports the sampled
 constant and its stability, which is the testable content of "there exists
 a constant C".
 
-Verifiers accept spectral data directly wherever the inequality only sees
-the transform side; synthesized spectral data is its own transform by
+Every verifier takes spectral data, or a function with both grids, and an
+h grid in (0, delta0].  Synthesized spectral data is its own transform by
 construction, so no x-space grid is required for tail-only runs.  The
 two-route consistency check of the difference norm (spectral fast path vs
-physical space) runs whenever an x grid is supplied and is reported in
-``extra["route_agreement"]``.
+physical space) of the converse runs whenever an x grid is supplied and is
+reported in ``extra["route_agreement"]``.
 
 Divergence of the lower Zygmund integral is detected at desk scale only up
 to rates: integrals diverging slower than any power (iterated-log rates,
@@ -198,7 +198,11 @@ def make_resolved_grids(alpha: float, radius_x: float, radius_lambda: float,
     """
     for radius in (radius_x, radius_lambda):
         check_grid_inputs(alpha, radius, order)
-    rho = math.exp(10.0 / math.sqrt(radius_x * radius_lambda))
+    try:
+        rho = math.exp(10.0 / math.sqrt(radius_x * radius_lambda))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"radius_x * radius_lambda = {radius_x * radius_lambda!r} "
+                          "is too small for a finite panel ratio rho") from None
     return tuple(build_graded_grid(alpha, r, order, min(25.0 / dual, r / 4.0), rho)
                  for r, dual in ((radius_x, radius_lambda), (radius_lambda, radius_x)))
 
@@ -295,7 +299,7 @@ def synthesize_from_tail(spec: SynthesisSpec, lgrid: WeightedGrid) -> SpectralDa
     return SpectralData(alpha=spec.alpha, lambda_grid=lgrid, values=values)
 
 
-# ----------------------------- seminorm -----------------------------
+# ----------------------------- verifier input -----------------------------
 
 def _as_spectral(f_or_g, xgrid, lgrid):
     """(spectral data, x-grid samples) of verifier input: spectral data as
@@ -309,34 +313,44 @@ def _as_spectral(f_or_g, xgrid, lgrid):
     return forward(fx, xgrid, lgrid), fx
 
 
-def _check_h_grid(w: ModulusSpec, h_grid: np.ndarray) -> None:
-    if np.any(h_grid <= 0) or np.any(h_grid > w.delta0):
+def _checked_h(w: ModulusSpec, h_grid) -> np.ndarray:
+    """The h grid as a float array; every h must lie in (0, delta0]."""
+    h_grid = np.asarray(h_grid, dtype=float)
+    if not np.all((h_grid > 0) & (h_grid <= w.delta0)):
         raise DomainError("h grid must lie in (0, delta0]")
+    return h_grid
 
 
-def _diff_trace(f_or_g, w: ModulusSpec, p: float, h_grid: np.ndarray,
+def _diff_trace(f_or_g, w: ModulusSpec, p: float, h_grid,
                 xgrid: WeightedGrid | None, lgrid: WeightedGrid | None):
     """(spectral data, |T_h f - f|_{p,a} per h): Plancherel route for
     spectral data (p = 2), honest physical route for function input."""
-    _check_h_grid(w, h_grid)
+    h_grid = _checked_h(w, h_grid)
     g, fx = _as_spectral(f_or_g, xgrid, lgrid)
     fast, phys = diff_norms(g, h_grid, p, fx=fx, xgrid=xgrid)
     return g, (fast if fx is None else phys)
 
 
-# ----------------------------- verifiers -----------------------------
-
-def _base_extra(alpha: float, w: ModulusSpec) -> dict:
-    return {
-        "alpha": alpha,
-        "alpha_regime": alpha_regime(alpha),
-        "modulus_family": w.family_tag,
-        "modulus_params": {k: v for k, v in w.params.items() if k != "source"},
-        "delta0": w.delta0,
-        # hypotheses on [delta0, inf) are vacuous for grid-truncated data
-        "assumed_bounded_below_beyond_delta0": True,
-        "assumed_square_integrable_tail": True,
-    }
+def _report(theorem_id: str, g: SpectralData, w: ModulusSpec, h_grid: np.ndarray,
+            ratios: np.ndarray, extra: dict, constant: float | None = None,
+            verdict: str | None = None) -> VerificationReport:
+    """A verifier's report on data g against w: the constant defaults to the
+    largest ratio, the verdict to render_verdict's; extra adds to the setting."""
+    return VerificationReport(
+        theorem_id=theorem_id, h_grid=h_grid, ratios=ratios,
+        estimated_constant=float(np.max(ratios)) if constant is None else constant,
+        verdict=render_verdict(h_grid, ratios) if verdict is None else verdict,
+        truncation_flags=tail_truncated(g.lambda_grid, h_grid),
+        extra={
+            "alpha": g.alpha,
+            "alpha_regime": alpha_regime(g.alpha),
+            "modulus_family": w.family_tag,
+            "modulus_params": {k: v for k, v in w.params.items() if k != "source"},
+            "delta0": w.delta0,
+            # hypotheses on [delta0, inf) are vacuous for grid-truncated data
+            "assumed_bounded_below_beyond_delta0": True,
+            "assumed_square_integrable_tail": True,
+            **extra})
 
 
 def _lower_zygmund(w: ModulusSpec) -> float:
@@ -348,59 +362,70 @@ def _lower_zygmund(w: ModulusSpec) -> float:
     return z0
 
 
+def _cumulative(w: ModulusSpec) -> ModulusSpec:
+    """W_omega of w; a divergent integral fails precondition womega_divergent."""
+    try:
+        return build_W_omega(w)
+    except ConstructionError as exc:
+        raise PreconditionError(str(exc), condition="womega_divergent")
+
+
+# ----------------------------- verifiers -----------------------------
+
 def verify_main1_part1(f_or_g, w: ModulusSpec, p: float, h_grid,
                        xgrid: WeightedGrid | None = None,
                        lgrid: WeightedGrid | None = None) -> VerificationReport:
     """Forward direction: spectral tail energy bounded by omega^q(h).
 
     Requires the lower Zygmund condition (Z0) on omega and a finite
-    Lipschitz-class seminorm of the data on the h grid.
+    Lipschitz-class seminorm of the data on the h grid.  Takes spectral data
+    (seminorm at p = 2) or a function with both grids (seminorm at p).
     """
     if not 1.0 < p <= 2.0:
         raise DomainError(f"p must lie in (1, 2], got {p}")
+    h_grid = _checked_h(w, h_grid)
     z0 = _lower_zygmund(w)
-    h_grid = np.asarray(h_grid, dtype=float)
     # spectral input only has the p = 2 fast path for the seminorm check
     sem_p = 2.0 if isinstance(f_or_g, SpectralData) else p
     g, diffs = _diff_trace(f_or_g, w, sem_p, h_grid, xgrid, lgrid)
-    return _forward_report(g, w, p, h_grid, z0, diffs)
-
-
-def _forward_report(g: SpectralData, w: ModulusSpec, p: float, h_grid, z0: float,
-                    diffs: np.ndarray) -> VerificationReport:
-    """main1_part1's report from the difference-norm trace of its data."""
     q = p / (p - 1.0)
+    ratios, sem = _forward(g, w, q, h_grid, diffs)
+    return _report("main1_part1", g, w, h_grid, ratios,
+                   {"p": p, "q": q, "zygmund_Z0": z0, "dlip_seminorm": sem})
+
+
+def _forward(g: SpectralData, w: ModulusSpec, q: float, h_grid: np.ndarray,
+             diffs: np.ndarray):
+    """(tail_q(1/h) / omega^q(h), the seminorm max diffs / omega(h)) of g."""
     omega_h = np.asarray(w.evaluator(h_grid), dtype=float)
     sem = float(np.max(diffs / omega_h))
     if not math.isfinite(sem):
         raise PreconditionError("Lipschitz seminorm is not finite on the h grid",
                                 condition="dlip_seminorm")
-    ratios = tail_energy(g, h_grid, q) / omega_h ** q
-    extra = _base_extra(g.alpha, w)
-    extra.update({"p": p, "q": q, "zygmund_Z0": z0, "dlip_seminorm": sem})
-    return VerificationReport(
-        theorem_id="main1_part1", h_grid=h_grid, ratios=ratios,
-        estimated_constant=float(np.max(ratios)),
-        verdict=render_verdict(h_grid, ratios),
-        truncation_flags=tail_truncated(g.lambda_grid, h_grid), extra=extra)
+    return tail_energy(g, h_grid, q) / omega_h ** q, sem
 
 
-def verify_main1_part2(g: SpectralData, w: ModulusSpec, h_grid,
-                       xgrid: WeightedGrid | None = None) -> VerificationReport:
+def verify_main1_part2(f_or_g, w: ModulusSpec, h_grid,
+                       xgrid: WeightedGrid | None = None,
+                       lgrid: WeightedGrid | None = None) -> VerificationReport:
     """Converse at p = 2: tail decay omega^2(h) forces the Lipschitz bound.
 
     Requires the upper Zygmund condition (Z1) on omega and the tail
     hypothesis tail(1/h) <= C omega^2(h) on the h grid (checked first).
-    Ratios use the spectral fast path; when an x grid is supplied the
-    physical route is evaluated too and the worst relative disagreement is
-    reported as extra["route_agreement"].
+    Takes spectral data, or a function with both grids, which is sampled on
+    the x grid and transformed.  Ratios use the spectral fast path; when an
+    x grid is supplied the physical route is evaluated too and the worst
+    relative disagreement is reported as extra["route_agreement"].
     """
-    return _converse(g, w, np.asarray(h_grid, dtype=float), xgrid)[0]
+    h_grid = _checked_h(w, h_grid)
+    g = _as_spectral(f_or_g, xgrid, lgrid)[0]
+    ratios, _, extra = _converse(g, w, h_grid, xgrid)
+    return _report("main1_part2", g, w, h_grid, ratios, extra)
 
 
 def _converse(g: SpectralData, w: ModulusSpec, h_grid: np.ndarray,
               xgrid: WeightedGrid | None):
-    """(main1_part2's report, the Plancherel trace of g it rests on)."""
+    """(main1_part2's ratios, the Plancherel trace they divide, its extra)."""
     z1 = zygmund_Z1_constant(w)
     if not math.isfinite(z1):
         raise PreconditionError(
@@ -419,44 +444,36 @@ def _converse(g: SpectralData, w: ModulusSpec, h_grid: np.ndarray,
         # the Plancherel sum checked against an honest x-space norm
         trace, fast, phys = round_trip_norms(g, h_grid, xgrid)
         agreement = float(np.max(np.abs(fast - phys) / np.maximum(fast, 1e-300)))
-    ratios = trace / omega_h
-    extra = _base_extra(g.alpha, w)
-    extra.update({"p": 2.0, "zygmund_Z1": z1,
-                  "tail_constant": float(np.max(tail_ratios)),
-                  "route_agreement": agreement})
-    report = VerificationReport(
-        theorem_id="main1_part2", h_grid=h_grid, ratios=ratios,
-        estimated_constant=float(np.max(ratios)),
-        verdict=render_verdict(h_grid, ratios),
-        truncation_flags=tail_truncated(g.lambda_grid, h_grid), extra=extra)
-    return report, trace
+    return trace / omega_h, trace, {"p": 2.0, "zygmund_Z1": z1,
+                                    "tail_constant": float(np.max(tail_ratios)),
+                                    "route_agreement": agreement}
 
 
-def verify_equivalence(g: SpectralData, w: ModulusSpec, h_grid,
-                       xgrid: WeightedGrid | None = None) -> VerificationReport:
-    """Both directions at p = 2; bounded only when each direction is.
+def verify_equivalence(f_or_g, w: ModulusSpec, h_grid,
+                       xgrid: WeightedGrid | None = None,
+                       lgrid: WeightedGrid | None = None) -> VerificationReport:
+    """Both directions at p = 2; bounded only when each direction is.  Takes
+    spectral data or a function with both grids, as main1_part2 does.
 
-    At p = 2 the forward seminorm check reads the same Plancherel trace of g
-    as the converse, so the trace is computed once, by the converse, after
-    the hypotheses of both directions have been checked.
+    At p = 2 the forward seminorm check reads the same Plancherel trace of
+    the data as the converse, so the trace is computed once, by the
+    converse, after the hypotheses of both directions have been checked.
     """
-    z0 = _lower_zygmund(w)
-    h_grid = np.asarray(h_grid, dtype=float)
-    _check_h_grid(w, h_grid)
-    conv, trace = _converse(g, w, h_grid, xgrid)
-    fwd = _forward_report(g, w, 2.0, h_grid, z0, trace)
-    both = "bounded" if (fwd.verdict == "bounded" and conv.verdict == "bounded") \
-        else ("unbounded" if "unbounded" in (fwd.verdict, conv.verdict)
-              else "inconclusive")
-    extra = _base_extra(g.alpha, w)
-    extra.update({"forward_verdict": fwd.verdict, "converse_verdict": conv.verdict,
-                  "forward_constant": fwd.estimated_constant,
-                  "converse_constant": conv.estimated_constant,
-                  "converse_ratios": [float(r) for r in conv.ratios],
-                  "route_agreement": conv.extra["route_agreement"]})
-    return replace(fwd, theorem_id="equivalence", verdict=both, extra=extra,
-                   estimated_constant=max(fwd.estimated_constant,
-                                          conv.estimated_constant))
+    h_grid = _checked_h(w, h_grid)
+    _lower_zygmund(w)
+    g = _as_spectral(f_or_g, xgrid, lgrid)[0]
+    conv, trace, conv_extra = _converse(g, w, h_grid, xgrid)
+    fwd = _forward(g, w, 2.0, h_grid, trace)[0]
+    verdicts = (render_verdict(h_grid, fwd), render_verdict(h_grid, conv))
+    both = ("bounded" if verdicts == ("bounded", "bounded")
+            else "unbounded" if "unbounded" in verdicts else "inconclusive")
+    fwd_c, conv_c = float(np.max(fwd)), float(np.max(conv))
+    return _report("equivalence", g, w, h_grid, fwd,
+                   {"forward_verdict": verdicts[0], "converse_verdict": verdicts[1],
+                    "forward_constant": fwd_c, "converse_constant": conv_c,
+                    "converse_ratios": [float(r) for r in conv],
+                    "route_agreement": conv_extra["route_agreement"]},
+                   constant=max(fwd_c, conv_c), verdict=both)
 
 
 # ----------------------------- L_nu membership -----------------------------
@@ -515,31 +532,25 @@ def verify_fourier_Lnu(f_or_g, w: ModulusSpec, p: float, nu: float,
     q = p / (p - 1.0)
     if not 1.0 <= nu <= q:
         raise DomainError(f"nu must lie in [1, q] = [1, {q}], got {nu}")
+    if h_grid is not None:
+        h_grid = _checked_h(w, h_grid)
     _lower_zygmund(w)
     g = _as_spectral(f_or_g, xgrid, lgrid)[0]
     lam = g.lambda_grid
     if h_grid is None:
         h_grid = restrict_h_grid(dyadic_h_grid(w.delta0), lam)
-    h_grid = np.asarray(h_grid, dtype=float)
     cond = check_transform_integrability(w, g.alpha, p, nu)
     radii = lam.radius / np.array([8.0, 4.0, 2.0, 1.0])
     partial = spectral_mass(g, nu, radii, beyond=False) ** (1.0 / nu)
     growth = partial[1:] / partial[:-1] - 1.0
-    extra = _base_extra(g.alpha, w)
-    extra.update({"p": p, "q": q, "nu": nu, "conditions": cond,
-                  "radii": radii.tolist(), "partial_norms": partial.tolist(),
-                  "growth_per_doubling": growth.tolist()})
-    if not cond["accepted"]:
-        verdict = "hypothesis_failed"
-        constant = math.inf
-    else:
-        verdict = "bounded" if np.all(growth[-2:] < 0.05) else "inconclusive"
-        constant = float(partial[-1])
-    ratios = partial / partial[-1]
-    return VerificationReport(
-        theorem_id="fourier_Lnu", h_grid=h_grid, ratios=ratios,
-        estimated_constant=constant, verdict=verdict,
-        truncation_flags=tail_truncated(lam, h_grid), extra=extra)
+    verdict = ("hypothesis_failed" if not cond["accepted"] else
+               "bounded" if np.all(growth[-2:] < 0.05) else "inconclusive")
+    constant = float(partial[-1]) if cond["accepted"] else math.inf
+    return _report("fourier_Lnu", g, w, h_grid, partial / partial[-1],
+                   {"p": p, "q": q, "nu": nu, "conditions": cond,
+                    "radii": radii.tolist(), "partial_norms": partial.tolist(),
+                    "growth_per_doubling": growth.tolist()},
+                   constant=constant, verdict=verdict)
 
 
 # ----------------------------- W_omega variants -----------------------------
@@ -548,22 +559,18 @@ def verify_main2(f_or_g, w: ModulusSpec, mode: str, h_grid,
                  xgrid: WeightedGrid | None = None,
                  lgrid: WeightedGrid | None = None) -> VerificationReport:
     """Run the tail estimate (mode="part1") or its converse (mode="part2")
-    with the cumulative weight W_omega in place of omega."""
+    with the cumulative weight W_omega in place of omega, on spectral data
+    or a function with both grids."""
     if mode not in ("part1", "part2"):
         raise DomainError(f"mode must be part1 or part2, got {mode!r}")
-    try:
-        w_cum = build_W_omega(w)
-    except ConstructionError as exc:
-        raise PreconditionError(str(exc), condition="womega_divergent")
-    if mode == "part1":
-        rep = verify_main1_part1(f_or_g, w_cum, 2.0, h_grid, xgrid=xgrid, lgrid=lgrid)
-        theorem_id = "main2_part1"
-    else:
-        rep = verify_main1_part2(f_or_g, w_cum, h_grid, xgrid=xgrid)
-        theorem_id = "main2_part2"
+    h_grid = _checked_h(w, h_grid)
+    w_cum = _cumulative(w)
+    rep = (verify_main1_part1(f_or_g, w_cum, 2.0, h_grid, xgrid=xgrid, lgrid=lgrid)
+           if mode == "part1" else
+           verify_main1_part2(f_or_g, w_cum, h_grid, xgrid=xgrid, lgrid=lgrid))
     extra = dict(rep.extra, base_modulus_family=w.family_tag,
                  base_modulus_params=dict(w.params))
-    return replace(rep, theorem_id=theorem_id, extra=extra)
+    return replace(rep, theorem_id=f"main2_{mode}", extra=extra)
 
 
 def verify_inclusion_Womega(f_or_g, w: ModulusSpec, p: float, h_grid,
@@ -575,22 +582,14 @@ def verify_inclusion_Womega(f_or_g, w: ModulusSpec, p: float, h_grid,
     W_omega cannot exceed a fixed multiple of the one against omega; the
     report carries both seminorms and their ratio.
     """
-    try:
-        w_cum = build_W_omega(w)
-    except ConstructionError as exc:
-        raise PreconditionError(str(exc), condition="womega_divergent")
-    h_grid = np.asarray(h_grid, dtype=float)
+    h_grid = _checked_h(w, h_grid)
+    w_cum = _cumulative(w)
     # one trace, divided by both moduli (they share delta0)
     g, diffs = _diff_trace(f_or_g, w, p, h_grid, xgrid, lgrid)
     trace_w = diffs / np.asarray(w.evaluator(h_grid), dtype=float)
     trace_cum = diffs / np.asarray(w_cum.evaluator(h_grid), dtype=float)
     sem_w, sem_cum = float(np.max(trace_w)), float(np.max(trace_cum))
-    ratios = trace_cum / trace_w
-    extra = _base_extra(g.alpha, w)
-    extra.update({"p": p, "seminorm_omega": sem_w, "seminorm_womega": sem_cum,
-                  "seminorm_ratio": sem_cum / sem_w})
-    return VerificationReport(
-        theorem_id="inclusion_Womega", h_grid=h_grid, ratios=ratios,
-        estimated_constant=float(sem_cum / sem_w),
-        verdict=render_verdict(h_grid, ratios),
-        truncation_flags=tail_truncated(g.lambda_grid, h_grid), extra=extra)
+    return _report("inclusion_Womega", g, w, h_grid, trace_cum / trace_w,
+                   {"p": p, "seminorm_omega": sem_w, "seminorm_womega": sem_cum,
+                    "seminorm_ratio": sem_cum / sem_w},
+                   constant=sem_cum / sem_w)

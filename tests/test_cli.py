@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dhankel
 from dhankel import cli
 from dhankel.cli import THEOREMS, build_parser, main
+from dhankel.titchmarsh import restrict_h_grid
 
 
 def test_indices_output(capsys):
@@ -373,3 +375,92 @@ def test_route_check_past_the_dense_kernel_memory_wall(tmp_path):
     assert code == 0
     assert maxrss_kb <= 300 * 1024
     assert json.loads(report.read_text())["extra"]["route_agreement"] <= 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_h_beyond_delta0_is_one_line_usage_error(theorem, capsys):
+    # --h-max-exp -2 puts h = 4 delta0 and 2 delta0 on the grid; every
+    # theorem rejects them before any ratio is computed
+    argv = ["titchmarsh", "--theorem", theorem, "--modulus",
+            "power_log:gamma=0.5,theta=1.0", "--h-max-exp", "-2",
+            "--radius-lambda", "8192"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: h grid must lie in (0, delta0]\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radii, product", [
+    (("--radius-x", "1e-300"), "6.4e-299"),
+    (("--radius-x", "1e-200", "--radius-lambda", "1e-200"), "0.0"),
+])
+def test_resolved_radius_product_too_small_is_one_line_usage_error(radii, product,
+                                                                   capsys):
+    # the panel ratio exp(10 / sqrt(R_x R_lambda)) would overflow, or divide
+    # by a product that underflowed to 0
+    assert main([*TM, "--route-check", *radii]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: radius_x * radius_lambda = {product} is too small")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_modulus_probe_overflow_is_a_usage_error_without_warnings(capsys):
+    # log(e/t)^theta overflows on the vanishing probe of the modulus
+    argv = ["titchmarsh", "--modulus", "power_log:gamma=0.5,theta=1e300"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: evaluator must be finite and positive on (0, delta0]",
+        cli.MODULUS_GRAMMAR]
+
+
+@pytest.mark.parametrize("theorem, name", [("main1_part2", "verify_main1_part2"),
+                                           ("main2_part2", "verify_main2")])
+def test_theorem_table_looks_verifiers_up_when_called(theorem, name, monkeypatch,
+                                                      capsys):
+    # perfbench/tracing.py times verifiers by patching module attributes; a
+    # table that bound the functions at import would bypass the patch
+    calls, real = [], getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert main([*TM, "--theorem", theorem, "--radius-lambda", "8192"]) == 0
+    capsys.readouterr()
+    assert calls == [name]
+
+
+# the verifiers with a second route, called from the library
+LIBRARY_CALLS = {
+    "main1_part2": lambda f, w, h, xg, lg: dhankel.verify_main1_part2(
+        f, w, h, xgrid=xg, lgrid=lg),
+    "equivalence": lambda f, w, h, xg, lg: dhankel.verify_equivalence(
+        f, w, h, xgrid=xg, lgrid=lg),
+    "main2_part2": lambda f, w, h, xg, lg: dhankel.verify_main2(
+        f, w, "part2", h, xgrid=xg, lgrid=lg),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(LIBRARY_CALLS))
+def test_library_function_input_gives_the_cli_report(theorem, tmp_path, capsys):
+    # a function with both grids from the library reports what the CLI's
+    # function: input does, apart from the CLI's record of its settings
+    out_file = tmp_path / "rep.json"
+    assert main([*TM, "--theorem", theorem, "--synth", "function:gauss",
+                 "--route-check", "--radius-lambda", "256", "--format", "json",
+                 "--output", str(out_file)]) == 0
+    capsys.readouterr()
+    cli_report = json.loads(out_file.read_text())
+    del cli_report["extra"]["config"]
+    xg, lg = dhankel.make_resolved_grids(0.5, 20.0, 256.0)
+    w = dhankel.parse_family("power:gamma=0.5")
+    h = restrict_h_grid(dhankel.dyadic_h_grid(w.delta0, 3, 10), lg)
+    f = dhankel.FunctionSpec(evaluator=lambda x: np.exp(-x * x), support_radius=16.0)
+    assert json.loads(LIBRARY_CALLS[theorem](f, w, h, xg, lg).to_json()) == cli_report

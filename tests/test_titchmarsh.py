@@ -72,9 +72,12 @@ def test_h_grid_helpers():
 
 @pytest.mark.parametrize("args", [(0.2, 20.0, 64.0), (0.5, -1.0, 64.0),
                                   (0.5, 20.0, 0.0), (0.5, math.nan, 64.0),
-                                  (0.5, 20.0, math.inf)])
+                                  (0.5, 20.0, math.inf), (0.5, 1e-300, 64.0),
+                                  (0.5, 1e-200, 1e-200)])
 def test_resolved_grids_reject_bad_input(args):
-    # alpha at most 1/4, and radii that are not positive and finite
+    # alpha at most 1/4, radii that are not positive and finite, and radii
+    # whose product makes the panel ratio exp(10 / sqrt(R_x R_lambda))
+    # overflow (6.4e-299) or divide by zero (the product underflows to 0)
     with pytest.raises(DomainError):
         dh.make_resolved_grids(*args)
 
@@ -502,6 +505,64 @@ def test_inclusion_log_inverse_completes(tail_grid_8192):
     g = sharp(w, tail_grid_8192)
     rep = dh.verify_inclusion_Womega(g, w, 2.0, dh.dyadic_h_grid(D0))
     assert math.isfinite(rep.extra["seminorm_ratio"])
+
+
+# ----------------------------- input contract -----------------------------
+
+# every verifier as a call on (data, modulus, h grid, x grid, frequency grid)
+VERIFIERS = {
+    "main1_part1": lambda s, w, h, xg, lg: dh.verify_main1_part1(s, w, 2.0, h, xg, lg),
+    "main1_part2": lambda s, w, h, xg, lg: dh.verify_main1_part2(s, w, h, xg, lg),
+    "equivalence": lambda s, w, h, xg, lg: dh.verify_equivalence(s, w, h, xg, lg),
+    "fourier_Lnu": lambda s, w, h, xg, lg: dh.verify_fourier_Lnu(
+        s, w, 2.0, 1.5, xg, lg, h),
+    "main2_part1": lambda s, w, h, xg, lg: dh.verify_main2(s, w, "part1", h, xg, lg),
+    "main2_part2": lambda s, w, h, xg, lg: dh.verify_main2(s, w, "part2", h, xg, lg),
+    "inclusion_Womega": lambda s, w, h, xg, lg: dh.verify_inclusion_Womega(
+        s, w, 2.0, h, xg, lg),
+}
+# the verifiers whose report on a function is the report on its transform
+# (the other three take the seminorm of a function by the physical route)
+SPECTRAL_SIDE = ("main1_part2", "equivalence", "fourier_Lnu", "main2_part2")
+
+
+@pytest.mark.parametrize("bad_h", [2.0 * D0, 0.0, -D0 / 8, math.nan])
+@pytest.mark.parametrize("theorem", list(VERIFIERS))
+def test_every_verifier_checks_the_h_grid_first(theorem, bad_h, monkeypatch,
+                                                grids_resolved_small, bump_spec):
+    # an h outside (0, delta0] is a usage error, raised before any Zygmund
+    # constant, W_omega or transform is computed
+    def untouched(*args, **kwargs):
+        raise AssertionError("work done before the h grid was checked")
+
+    for name in ("zygmund_Z0_constant", "zygmund_Z1_constant", "build_W_omega",
+                 "forward"):
+        monkeypatch.setattr(dhankel.titchmarsh, name, untouched)
+    xg, lg = grids_resolved_small
+    w = dh.make_family("power", {"gamma": 0.5})
+    h = np.array([D0 / 8, bad_h, D0 / 64])
+    with pytest.raises(DomainError, match=r"h grid must lie in \(0, delta0\]"):
+        VERIFIERS[theorem](bump_spec, w, h, xg, lg)
+
+
+@pytest.mark.parametrize("theorem", SPECTRAL_SIDE)
+def test_function_input_gives_the_report_of_its_transform(
+        theorem, grids_resolved_small, bump_spec):
+    xg, lg = grids_resolved_small
+    w = dh.make_family("power", {"gamma": 0.5})
+    h = dh.dyadic_h_grid(D0, 3, 6)
+    g = dh.forward(bump_spec, xg, lg)
+    rep = VERIFIERS[theorem](bump_spec, w, h, xg, lg)
+    assert rep.to_json() == VERIFIERS[theorem](g, w, h, xg, lg).to_json()
+
+
+@pytest.mark.parametrize("theorem", list(VERIFIERS))
+def test_function_input_needs_both_grids(theorem, grids_resolved_small, bump_spec):
+    xg, lg = grids_resolved_small
+    w = dh.make_family("power", {"gamma": 0.5})
+    for grids in ((xg, None), (None, lg), (None, None)):
+        with pytest.raises(DomainError, match="function input needs both grids"):
+            VERIFIERS[theorem](bump_spec, w, dh.dyadic_h_grid(D0), *grids)
 
 
 # ----------------------------- reports -----------------------------
