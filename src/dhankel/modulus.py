@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import panel_integrals
+from .quadrature import conjugate_exponent, panel_integrals
 from .specfun import DomainError
 
 
@@ -281,6 +281,32 @@ def zygmund_Z1_constant(w: ModulusSpec) -> float:
     return _sampled_sup(edges_t * cum / w.evaluator(edges_t))
 
 
+def check_transform_integrability(w: ModulusSpec, alpha: float, p: float,
+                                  nu: float) -> dict:
+    """Numerical check of the two conditions driving L_nu membership of the
+    transform, with s = 2a(1 - nu/q) and q = p/(p - 1):
+
+      (i)  omega^nu(t) / t^{s+1} integrable on [0, 1];
+      (ii) omega^nu(h) / h^s stays bounded as h -> 0.
+
+    Integrability is declared when the decade contributions of (i) decay by
+    at least 2% per decade over the last three decades; (ii) when the
+    sampled sequence at the decade edges h = delta0*10^-k is non-increasing
+    (within 2%) over the last four decades.
+    """
+    s = 2.0 * alpha * (1.0 - nu / conjugate_exponent(p))
+    # omega^nu(t) / t^{s+1} dt = omega^nu(t) / t^s du in u = ln(1/t)
+    hs, sums = _log_panels(w, 12, 1, lambda u: np.asarray(
+        w.evaluator(np.exp(-u)), dtype=float) ** nu * np.exp(u * s))
+    r = sums[1:] / sums[:-1]
+    integrable = bool(np.all(r[-3:] <= 0.98))
+    seq = np.asarray(w.evaluator(hs), dtype=float) ** nu / hs ** s
+    limit_ok = bool(np.all(seq[1:][-4:] <= seq[:-1][-4:] * 1.02))
+    return {"integrable": integrable, "limit_bounded": limit_ok,
+            "accepted": integrable and limit_ok, "exponent": s,
+            "decade_ratios": r[-3:].tolist()}
+
+
 # ----------------------------- growth indices -----------------------------
 
 _EPS_TOP_EXP = 3.0       # epsilon grid from delta0*1e-3 ...
@@ -383,6 +409,11 @@ def build_W_omega(w: ModulusSpec) -> ModulusSpec:
     than iterated-log escape any finite grid and classify as integrable).
     Values are precomputed on a log grid and monotonically interpolated in
     log-log; below the grid W is extended by the local power law.
+
+    The integral starts at delta0*1e-40, not at 0.  For power families the
+    part left out is negligible; for log_inverse:beta=2 it is
+    1/ln(e/(delta0*1e-40)) = 0.0107, so W sits 4.0-9.2% below the exact
+    1/ln(e/t) on the h grid delta0*2^-3 .. delta0*2^-10.
     """
     per = 24
     total = _T_DECADES + _W_EXTRA_DECADES

@@ -148,6 +148,14 @@ def build_graded_grid(alpha: float, radius: float, order: int,
     return _assemble(alpha, radius, edges, order, math.log(rho))
 
 
+def conjugate_exponent(p: float) -> float:
+    """q = p/(p - 1) for p in (1, 2], the range of the Titchmarsh theorems;
+    any other p is a DomainError."""
+    if not 1.0 < p <= 2.0:
+        raise DomainError(f"p must lie in (1, 2], got {p}")
+    return p / (p - 1.0)
+
+
 def weighted_norm(f, grid: WeightedGrid, p: float) -> float:
     """L^{p,a} norm of f on the grid: (sum_i w_i |f(x_i)|^p)^{1/p}.
 

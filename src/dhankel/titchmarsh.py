@@ -39,10 +39,10 @@ import numpy as np
 from scipy.special import erf
 
 from .modulus import (ConstructionError, ModulusSpec, build_W_omega,
-                      check_almost_monotone, zygmund_Z0_constant,
-                      zygmund_Z1_constant)
+                      check_almost_monotone, check_transform_integrability,
+                      zygmund_Z0_constant, zygmund_Z1_constant)
 from .quadrature import (WeightedGrid, build_graded_grid, check_grid_inputs,
-                         panel_integrals, weight_constant)
+                         conjugate_exponent, weight_constant)
 from .specfun import DomainError
 from .transform import (SpectralData, diff_norms, forward, round_trip_norms,
                         spectral_mass, tail_energy, tail_truncated)
@@ -67,16 +67,7 @@ class VerificationReport:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "theorem_id": self.theorem_id,
-            "h_grid": [float(h) for h in self.h_grid],
-            "ratios": [float(r) for r in self.ratios],
-            "estimated_constant": float(self.estimated_constant),
-            "verdict": self.verdict,
-            "truncation_flags": [bool(b) for b in self.truncation_flags],
-            "extra": _jsonable(self.extra),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _dumps(vars(self), indent=2) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -91,23 +82,17 @@ class VerificationReport:
         return buf.getvalue()
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    return obj
+def _dumps(obj, **kwargs) -> str:
+    """JSON with sorted keys; numpy arrays and scalars encode as lists and
+    Python scalars (np.float64 is a float already)."""
+    return json.dumps(obj, sort_keys=True, default=lambda o: o.tolist(), **kwargs)
 
 
 def _scalar_str(v):
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, dict):
-        return json.dumps(_jsonable(v), sort_keys=True)
+        return _dumps(v)
     return str(v)
 
 
@@ -314,8 +299,11 @@ def _as_spectral(f_or_g, xgrid, lgrid):
 
 
 def _checked_h(w: ModulusSpec, h_grid) -> np.ndarray:
-    """The h grid as a float array; every h must lie in (0, delta0]."""
+    """The h grid as a float array; it must be nonempty and every h must lie
+    in (0, delta0]."""
     h_grid = np.asarray(h_grid, dtype=float)
+    if h_grid.size == 0:
+        raise DomainError("h grid is empty")
     if not np.all((h_grid > 0) & (h_grid <= w.delta0)):
         raise DomainError("h grid must lie in (0, delta0]")
     return h_grid
@@ -324,7 +312,8 @@ def _checked_h(w: ModulusSpec, h_grid) -> np.ndarray:
 def _diff_trace(f_or_g, w: ModulusSpec, p: float, h_grid,
                 xgrid: WeightedGrid | None, lgrid: WeightedGrid | None):
     """(spectral data, |T_h f - f|_{p,a} per h): Plancherel route for
-    spectral data (p = 2), honest physical route for function input."""
+    spectral data, which exists at p = 2 only (diff_norms rejects any other
+    p), honest physical route for function input."""
     h_grid = _checked_h(w, h_grid)
     g, fx = _as_spectral(f_or_g, xgrid, lgrid)
     fast, phys = diff_norms(g, h_grid, p, fx=fx, xgrid=xgrid)
@@ -375,34 +364,39 @@ def _cumulative(w: ModulusSpec) -> ModulusSpec:
 def verify_main1_part1(f_or_g, w: ModulusSpec, p: float, h_grid,
                        xgrid: WeightedGrid | None = None,
                        lgrid: WeightedGrid | None = None) -> VerificationReport:
-    """Forward direction: spectral tail energy bounded by omega^q(h).
+    """Forward direction: spectral tail energy bounded by omega^q(h),
+    q = p/(p - 1).
 
     Requires the lower Zygmund condition (Z0) on omega and a finite
-    Lipschitz-class seminorm of the data on the h grid.  Takes spectral data
-    (seminorm at p = 2) or a function with both grids (seminorm at p).
+    Lipschitz-class seminorm of the data at p on the h grid.  Takes spectral
+    data, whose seminorm is the Plancherel sum and so exists at p = 2 only,
+    or a function with both grids (seminorm at any p in (1, 2]); spectral
+    data at p != 2 is a DomainError.
     """
-    if not 1.0 < p <= 2.0:
-        raise DomainError(f"p must lie in (1, 2], got {p}")
+    q = conjugate_exponent(p)
     h_grid = _checked_h(w, h_grid)
     z0 = _lower_zygmund(w)
-    # spectral input only has the p = 2 fast path for the seminorm check
-    sem_p = 2.0 if isinstance(f_or_g, SpectralData) else p
-    g, diffs = _diff_trace(f_or_g, w, sem_p, h_grid, xgrid, lgrid)
-    q = p / (p - 1.0)
-    ratios, sem = _forward(g, w, q, h_grid, diffs)
+    g, diffs = _diff_trace(f_or_g, w, p, h_grid, xgrid, lgrid)
+    ratios, sem = _forward(g, w, p, h_grid, diffs)
     return _report("main1_part1", g, w, h_grid, ratios,
                    {"p": p, "q": q, "zygmund_Z0": z0, "dlip_seminorm": sem})
 
 
-def _forward(g: SpectralData, w: ModulusSpec, q: float, h_grid: np.ndarray,
+def _forward(g: SpectralData, w: ModulusSpec, p: float, h_grid: np.ndarray,
              diffs: np.ndarray):
-    """(tail_q(1/h) / omega^q(h), the seminorm max diffs / omega(h)) of g."""
+    """(tail_q(1/h) / omega^q(h), the seminorm max diffs / omega(h)) of g,
+    q = p/(p - 1); an omega^q(h) below the normal doubles is a DomainError."""
+    q = conjugate_exponent(p)
     omega_h = np.asarray(w.evaluator(h_grid), dtype=float)
+    omega_q = omega_h ** q
+    if np.any(omega_q < np.finfo(float).tiny):
+        raise DomainError(f"omega(h)^q leaves the normal doubles at p = {p!r} "
+                          f"(q = {q!r}); p is too close to 1")
     sem = float(np.max(diffs / omega_h))
     if not math.isfinite(sem):
         raise PreconditionError("Lipschitz seminorm is not finite on the h grid",
                                 condition="dlip_seminorm")
-    return tail_energy(g, h_grid, q) / omega_h ** q, sem
+    return tail_energy(g, h_grid, q) / omega_q, sem
 
 
 def verify_main1_part2(f_or_g, w: ModulusSpec, h_grid,
@@ -478,44 +472,6 @@ def verify_equivalence(f_or_g, w: ModulusSpec, h_grid,
 
 # ----------------------------- L_nu membership -----------------------------
 
-_NU_DECADES = 12
-_NU_GAUSS = 12
-
-
-def check_transform_integrability(w: ModulusSpec, alpha: float, p: float,
-                                  nu: float) -> dict:
-    """Numerical check of the two conditions driving L_nu membership:
-
-      (i)  omega^nu(t) / t^{2a(1-nu/q)+1} integrable on [0, 1];
-      (ii) omega^nu(h) / h^{2a(1-nu/q)} stays bounded as h -> 0.
-
-    Integrability is declared when the decade contributions of (i) decay by
-    at least 2% per decade over the last three decades; (ii) when the
-    sampled sequence is non-increasing (within 2%) over the last four
-    decades.
-    """
-    q = p / (p - 1.0)
-    s = 2.0 * alpha * (1.0 - nu / q)
-
-    def integrand(u):  # omega^nu(t) / t^{s+1} dt in u = ln t
-        t = np.exp(u)
-        return np.asarray(w.evaluator(t), dtype=float) ** nu / t ** (s + 1.0) * t
-
-    # decade d covers (delta0*10^-d, delta0*10^-(d-1)], d = 1 .. _NU_DECADES;
-    # scalar powers, since numpy's array power can differ in the last bit
-    log_edges = np.array([math.log(w.delta0 * 10.0 ** -d)
-                          for d in range(_NU_DECADES, -1, -1)])
-    sums = panel_integrals(integrand, log_edges, _NU_GAUSS)[::-1]
-    r = sums[1:] / sums[:-1]
-    integrable = bool(np.all(r[-3:] <= 0.98))
-    hs = w.delta0 * 10.0 ** -np.arange(0, _NU_DECADES + 1, dtype=float)
-    seq = np.asarray(w.evaluator(hs), dtype=float) ** nu / hs ** s
-    limit_ok = bool(np.all(seq[1:][-4:] <= seq[:-1][-4:] * 1.02))
-    return {"integrable": integrable, "limit_bounded": limit_ok,
-            "accepted": integrable and limit_ok, "exponent": s,
-            "decade_ratios": r[-3:].tolist()}
-
-
 def verify_fourier_Lnu(f_or_g, w: ModulusSpec, p: float, nu: float,
                        xgrid: WeightedGrid | None = None,
                        lgrid: WeightedGrid | None = None,
@@ -527,9 +483,7 @@ def verify_fourier_Lnu(f_or_g, w: ModulusSpec, p: float, nu: float,
     over nested frequency radii R/8, R/4, R/2, R and must grow < 5% per
     doubling over the last two doublings.
     """
-    if not 1.0 < p <= 2.0:
-        raise DomainError(f"p must lie in (1, 2], got {p}")
-    q = p / (p - 1.0)
+    q = conjugate_exponent(p)
     if not 1.0 <= nu <= q:
         raise DomainError(f"nu must lie in [1, q] = [1, {q}], got {nu}")
     if h_grid is not None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import WeightedGrid, weighted_norm
+from .quadrature import WeightedGrid, conjugate_exponent, weighted_norm
 from .specfun import DomainError, KernelParams, kernel_parts
 
 
@@ -382,8 +382,7 @@ def diff_norms(g: SpectralData, h, p: float = 2.0, *, fx=None,
     then the weighted p-norm of T_h f - f per h.  On resolved grids the two
     routes agree at p = 2.
     """
-    if not 1.0 < p <= 2.0:
-        raise DomainError(f"p must lie in (1, 2], got {p}")
+    conjugate_exponent(p)  # rejects p outside (1, 2]
     if p != 2.0 and fx is None:
         raise DomainError("p != 2 needs x-space samples: the Plancherel "
                           "route is p = 2 only")

@@ -330,6 +330,37 @@ def test_h_exponents_out_of_range_are_one_line_usage_errors(argv, message, capsy
     assert err == f"error: {message}\n"
 
 
+P_NEEDS_SAMPLES = "error: p != 2 needs x-space samples: the Plancherel route is p = 2 only\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theorem", ["main1_part1", "inclusion_Womega"])
+def test_p_below_two_on_synthesized_data_is_one_line_usage_error(theorem, capsys):
+    # synthesized data has no x-space samples, so no seminorm at p = 1.5
+    # exists; no p = 2 value stands in for it
+    argv = ["titchmarsh", "--modulus", "power:gamma=0.5", "--theorem", theorem,
+            "--radius-lambda", "8192", "--p", "1.5"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == P_NEEDS_SAMPLES
+
+
+@pytest.mark.filterwarnings("error")
+def test_p_too_close_to_one_is_one_line_usage_error(capsys):
+    # q = p/(p - 1) is about 1e7, so omega(h)^q underflows to 0 and every
+    # ratio would be 0/0
+    argv = ["titchmarsh", "--modulus", "power:gamma=0.5", "--p", "1.0000001",
+            "--synth", "function:gauss", "--route-check", "--radius-lambda", "256"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if not line.startswith("note: ")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: omega(h)^q leaves the normal doubles "
+                                "at p = 1.0000001")
+
+
 ROUTE_NOTE = ("note: --route-check runs no second route for {}; "
               "the report has no route_agreement\n")
 

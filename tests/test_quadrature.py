@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi, roots_legendre
 
 from dhankel.quadrature import (_assemble, build_graded_grid,
-                                build_weighted_grid, panel_integrals,
-                                weight_constant, weighted_norm)
+                                build_weighted_grid, conjugate_exponent,
+                                panel_integrals, weight_constant, weighted_norm)
 from dhankel.specfun import DomainError
 
 
@@ -27,6 +27,17 @@ def test_panel_integrals_exact_for_polynomials():
     got = panel_integrals(lambda s: 5 * s ** 9 - s ** 2, edges, 5)
     prim = lambda s: s ** 10 / 2 - s ** 3 / 3
     assert np.allclose(got, prim(edges[1:]) - prim(edges[:-1]), rtol=1e-13)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 2.0), (1.5, 3.0), (1.25, 5.0)])
+def test_conjugate_exponent(p, q):
+    assert conjugate_exponent(p) == q
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 2.5, math.inf, math.nan])
+def test_conjugate_exponent_outside_one_two_is_a_domain_error(p):
+    with pytest.raises(DomainError, match=r"p must lie in \(1, 2\]"):
+        conjugate_exponent(p)
 
 
 def test_total_mass_examples():

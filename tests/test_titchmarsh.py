@@ -355,6 +355,13 @@ def test_integrability_at_nu_equals_q():
     assert cond["accepted"]
 
 
+@pytest.mark.parametrize("p", [1.0, 2.5, math.nan])
+def test_integrability_check_rejects_p_outside_one_two(p):
+    w = dh.make_family("power", {"gamma": 0.5})
+    with pytest.raises(DomainError, match=r"p must lie in \(1, 2\]"):
+        check_transform_integrability(w, ALPHA, p, 1.5)
+
+
 def test_fourier_lnu_accepted(tail_grid_4096):
     w = dh.make_family("power", {"gamma": 0.5})
     g = sharp(w, tail_grid_4096)
@@ -543,6 +550,15 @@ def test_every_verifier_checks_the_h_grid_first(theorem, bad_h, monkeypatch,
     h = np.array([D0 / 8, bad_h, D0 / 64])
     with pytest.raises(DomainError, match=r"h grid must lie in \(0, delta0\]"):
         VERIFIERS[theorem](bump_spec, w, h, xg, lg)
+
+
+@pytest.mark.parametrize("theorem", list(VERIFIERS))
+def test_every_verifier_rejects_an_empty_h_grid(theorem, grids_resolved_small,
+                                                bump_spec):
+    xg, lg = grids_resolved_small
+    w = dh.make_family("power", {"gamma": 0.5})
+    with pytest.raises(DomainError, match="h grid is empty"):
+        VERIFIERS[theorem](bump_spec, w, [], xg, lg)
 
 
 @pytest.mark.parametrize("theorem", SPECTRAL_SIDE)

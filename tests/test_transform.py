@@ -110,6 +110,24 @@ def test_round_trip_refinement(bump_spec):
     assert errs[1] <= errs[0] / 4.0
 
 
+@pytest.mark.parametrize("radius", [512.0, 8192.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_closed_form_pair(alpha, radius):
+    # f(x) = (1 + x) e^{-|x|} has F(lambda) = (1 - lambda) e^{-|lambda|}.
+    # The even part follows from int_0^inf e^{-x} x^{nu/2} J_nu(2 sqrt(lambda x))
+    # dx = lambda^{nu/2} e^{-lambda} at nu = 2a - 1, with c_a Gamma(2a) = 1/2;
+    # the odd part, -lambda e^{-|lambda|}, from the same identity at
+    # nu = 2a + 1.  Both orientations of the kernel entry are exercised,
+    # edge strips and FFT interior alike.
+    xg, lg = dh.make_resolved_grids(alpha, 40.0, radius)
+    f = lambda x: (1.0 + x) * np.exp(-np.abs(x))
+    big_f = lambda lam: (1.0 - lam) * np.exp(-np.abs(lam))
+    spec = dh.forward(f, xg, lg)
+    assert np.max(np.abs(spec.values - big_f(lg.nodes))) <= 1e-13
+    g = dh.SpectralData(alpha=alpha, lambda_grid=lg, values=big_f(lg.nodes))
+    assert np.max(np.abs(dh.inverse(g, xg)(xg.nodes) - f(xg.nodes))) <= 1e-13
+
+
 def test_inverse_of_zero(grids_default):
     xg, lg = grids_default
     g = dh.SpectralData(alpha=ALPHA, lambda_grid=lg, values=np.zeros(lg.nodes.size))
