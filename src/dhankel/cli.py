@@ -29,12 +29,9 @@ import numpy as np
 from .modulus import (ConstructionError, estimate_indices, parse_family,
                       zygmund_Z0_constant, zygmund_Z1_constant)
 from .specfun import DomainError
-from .titchmarsh import (PreconditionError, SynthesisSpec, VerificationReport,
-                         dyadic_h_grid, make_resolved_grids, make_tail_grid,
-                         restrict_h_grid, synthesize_from_tail,
-                         verify_equivalence, verify_fourier_Lnu,
-                         verify_inclusion_Womega, verify_main1_part1,
-                         verify_main1_part2, verify_main2)
+from .titchmarsh import (THEOREMS, PreconditionError, SynthesisSpec,
+                         VerificationReport, dyadic_h_grid, make_resolved_grids,
+                         make_tail_grid, restrict_h_grid, synthesize_from_tail)
 from .transform import FunctionSpec, forward
 from .quadrature import build_weighted_grid
 
@@ -76,12 +73,10 @@ TEST_FUNCTIONS = {
 
 
 def _test_function(name: str) -> FunctionSpec:
-    try:
-        ev = TEST_FUNCTIONS[name]
-    except KeyError:
+    if name not in TEST_FUNCTIONS:
         raise DomainError(f"unknown test function {name!r}; "
                           f"choose from {sorted(TEST_FUNCTIONS)}")
-    return FunctionSpec(evaluator=ev, support_radius=16.0)
+    return FunctionSpec(evaluator=TEST_FUNCTIONS[name], support_radius=16.0)
 
 
 def _write(path: str, text: str) -> None:
@@ -103,17 +98,12 @@ def _cmd_transform(ns) -> int:
 
 def _cmd_modulus_check(ns) -> int:
     w = parse_family(ns.modulus, ns.delta0)
-    failed = False
     conditions = {"Z0": zygmund_Z0_constant, "Z1": zygmund_Z1_constant}
-    wanted = ["Z0", "Z1"] if ns.condition == "both" else [ns.condition]
-    for name in wanted:
-        c = conditions[name](w)
-        if c == float("inf"):
-            print(f"{name}=divergent")
-            failed = True
-        else:
-            print(f"{name}={c:.6g}")
-    return PRECONDITION_ERROR if failed else 0
+    constants = {name: condition(w) for name, condition in conditions.items()
+                 if ns.condition in (name, "both")}
+    for name, c in constants.items():
+        print(f"{name}=divergent" if c == math.inf else f"{name}={c:.6g}")
+    return PRECONDITION_ERROR if math.inf in constants.values() else 0
 
 
 def _cmd_indices(ns) -> int:
@@ -131,29 +121,6 @@ def _cmd_synth(ns) -> int:
     g = synthesize_from_tail(spec, lg)
     _write(ns.output, g.to_csv())
     return 0
-
-
-# theorem id -> (verifier call on (source, modulus, h grid, x grid, frequency
-# grid, parsed options), the options among p and nu that the call reads);
-# each call looks its verifier up when it runs, so patching this module works
-THEOREMS = {
-    "main1_part1": (lambda s, w, h, xg, lg, ns: verify_main1_part1(
-        s, w, ns.p, h, xgrid=xg, lgrid=lg), ("p",)),
-    "main1_part2": (lambda s, w, h, xg, lg, ns: verify_main1_part2(
-        s, w, h, xgrid=xg, lgrid=lg), ()),
-    "equivalence": (lambda s, w, h, xg, lg, ns: verify_equivalence(
-        s, w, h, xgrid=xg, lgrid=lg), ()),
-    "fourier_Lnu": (lambda s, w, h, xg, lg, ns: verify_fourier_Lnu(
-        s, w, ns.p, ns.nu, xgrid=xg, lgrid=lg, h_grid=h), ("p", "nu")),
-    "main2_part1": (lambda s, w, h, xg, lg, ns: verify_main2(
-        s, w, "part1", h, xgrid=xg, lgrid=lg), ()),
-    "main2_part2": (lambda s, w, h, xg, lg, ns: verify_main2(
-        s, w, "part2", h, xgrid=xg, lgrid=lg), ()),
-    "inclusion_Womega": (lambda s, w, h, xg, lg, ns: verify_inclusion_Womega(
-        s, w, ns.p, h, xgrid=xg, lgrid=lg), ("p",)),
-}
-# the theorems whose verifier runs a second difference-norm route on an x grid
-SECOND_ROUTE = ("main1_part2", "equivalence", "main2_part2")
 
 
 def titchmarsh_grids(ns):
@@ -182,10 +149,6 @@ def titchmarsh_report(ns, xg, lg) -> VerificationReport:
         print(f"note: {h_all.size - h_grid.size} h value(s) dropped "
               f"(tail 1/h beyond radius_lambda/4){few}", file=sys.stderr)
 
-    if ns.route_check and ns.theorem not in SECOND_ROUTE:
-        print(f"note: --route-check runs no second route for {ns.theorem}; "
-              "the report has no route_agreement", file=sys.stderr)
-
     profile = "smooth_tail" if ns.route_check else "sharp_tail"
     if ns.synth == "matched" or ns.synth.startswith("mismatched:"):
         w_tail = (w if ns.synth == "matched"
@@ -199,7 +162,10 @@ def titchmarsh_report(ns, xg, lg) -> VerificationReport:
                           "mismatched:<modulus>, or function:<name>")
 
     verify, reads = THEOREMS[ns.theorem]
-    rep = verify(src, w, h_grid, xg, lg, ns)
+    rep = verify(src, w, h_grid, xg, lg, ns.p, ns.nu)
+    if ns.route_check and rep.extra.get("route_agreement") is None:
+        print(f"note: --route-check runs no second route for {ns.theorem}; "
+              "the report has no route_agreement", file=sys.stderr)
 
     # only settings that shaped the run, and the node counts they produced
     config = {
@@ -280,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument("--synth", default="matched",
                     help="matched | mismatched:<modulus> | function:<name>")
     tm.add_argument("--route-check", action="store_true",
-                    help="use resolved x/frequency grids; "
-                         + ", ".join(SECOND_ROUTE) + " also report the "
-                         "two-route difference-norm agreement")
+                    help="use resolved x/frequency grids; the theorems with "
+                         "a second difference-norm route also report the "
+                         "two routes' agreement")
     tm.add_argument("--output", default="")
     tm.add_argument("--format", default="csv", choices=["csv", "json"])
     tm.set_defaults(func=_cmd_titchmarsh)

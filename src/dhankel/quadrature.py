@@ -22,10 +22,10 @@ from scipy.special import roots_jacobi, roots_legendre
 from .specfun import DomainError, gamma
 
 _grid_ids = itertools.count()
-# Largest Gauss rule order per panel.  A grid's nodes grow with
-# order x panels, and a kernel matrix with their square; every grid of the
-# CLI defaults to order 16.
-_MAX_ORDER = 64
+# Largest Gauss rule order per panel and panel count per grid.  A grid's
+# nodes grow with order x panels, and a kernel entry with their square; every
+# grid of the CLI defaults to order 16.
+_MAX_ORDER, _MAX_PANELS = 64, 100000
 
 
 def weight_constant(alpha: float) -> float:
@@ -121,8 +121,8 @@ def build_weighted_grid(alpha: float, radius: float, panels: int,
                         order: int) -> WeightedGrid:
     """Build a WeightedGrid with `panels` equal panels on [0, R]."""
     check_grid_inputs(alpha, radius, order)
-    if panels < 2:
-        raise DomainError("panels must be >= 2")
+    if not 2 <= panels < _MAX_PANELS:
+        raise DomainError(f"panels must lie in [2, {_MAX_PANELS}), got {panels}")
     return _assemble(alpha, radius, np.linspace(0.0, radius, panels + 1), order)
 
 
@@ -140,7 +140,7 @@ def build_graded_grid(alpha: float, radius: float, order: int,
         raise DomainError("first_panel must lie in (0, radius) and rho in "
                           f"(1, inf), got {first_panel} and {rho}")
     count = math.log(radius / first_panel) / math.log(rho)
-    if not count < 100000:
+    if not count < _MAX_PANELS:
         raise DomainError("grading produced too many panels")
     edges = first_panel * rho ** np.arange(int(count) + 2)
     last = np.argmax(edges >= radius * (1.0 - 1e-12))

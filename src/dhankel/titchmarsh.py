@@ -76,9 +76,14 @@ class VerificationReport:
         for key in sorted(self.extra):
             buf.write(f"# {key}={_scalar_str(self.extra[key])}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["h", "ratio", "truncated"])
-        for h, r, t in zip(self.h_grid, self.ratios, self.truncation_flags):
-            writer.writerow([repr(float(h)), repr(float(r)), bool(t)])
+        if "radii" in self.extra:   # fourier_Lnu: ratios per radius, not per h
+            writer.writerow(["radius", "ratio"])
+            writer.writerows([repr(float(radius)), repr(float(r))]
+                             for radius, r in zip(self.extra["radii"], self.ratios))
+        else:
+            writer.writerow(["h", "ratio", "truncated"])
+            writer.writerows([repr(float(h)), repr(float(r)), bool(t)] for h, r, t
+                             in zip(self.h_grid, self.ratios, self.truncation_flags))
         return buf.getvalue()
 
 
@@ -311,10 +316,9 @@ def _checked_h(w: ModulusSpec, h_grid) -> np.ndarray:
 
 def _diff_trace(f_or_g, w: ModulusSpec, p: float, h_grid,
                 xgrid: WeightedGrid | None, lgrid: WeightedGrid | None):
-    """(spectral data, |T_h f - f|_{p,a} per h): Plancherel route for
-    spectral data, which exists at p = 2 only (diff_norms rejects any other
-    p), honest physical route for function input."""
-    h_grid = _checked_h(w, h_grid)
+    """(spectral data, |T_h f - f|_{p,a} per h of an already checked grid):
+    Plancherel route for spectral data, which exists at p = 2 only (diff_norms
+    rejects any other p), honest physical route for function input."""
     g, fx = _as_spectral(f_or_g, xgrid, lgrid)
     fast, phys = diff_norms(g, h_grid, p, fx=fx, xgrid=xgrid)
     return g, (fast if fx is None else phys)
@@ -492,7 +496,7 @@ def verify_fourier_Lnu(f_or_g, w: ModulusSpec, p: float, nu: float,
     g = _as_spectral(f_or_g, xgrid, lgrid)[0]
     lam = g.lambda_grid
     if h_grid is None:
-        h_grid = restrict_h_grid(dyadic_h_grid(w.delta0), lam)
+        h_grid = _checked_h(w, restrict_h_grid(dyadic_h_grid(w.delta0), lam))
     cond = check_transform_integrability(w, g.alpha, p, nu)
     radii = lam.radius / np.array([8.0, 4.0, 2.0, 1.0])
     partial = spectral_mass(g, nu, radii, beyond=False) ** (1.0 / nu)
@@ -547,3 +551,26 @@ def verify_inclusion_Womega(f_or_g, w: ModulusSpec, p: float, h_grid,
                    {"p": p, "seminorm_omega": sem_w, "seminorm_womega": sem_cum,
                     "seminorm_ratio": sem_cum / sem_w},
                    constant=sem_cum / sem_w)
+
+
+# ----------------------------- theorem table -----------------------------
+
+# theorem id -> (call on (data, modulus, h grid, x grid, frequency grid, p, nu),
+# the options among p and nu it reads); each call looks its verify_* up when it
+# runs, so patching this module works (perfbench/tracing.py times them so)
+THEOREMS = {
+    "main1_part1": (lambda s, w, h, xg, lg, p, nu: verify_main1_part1(
+        s, w, p, h, xg, lg), ("p",)),
+    "main1_part2": (lambda s, w, h, xg, lg, p, nu: verify_main1_part2(
+        s, w, h, xg, lg), ()),
+    "equivalence": (lambda s, w, h, xg, lg, p, nu: verify_equivalence(
+        s, w, h, xg, lg), ()),
+    "fourier_Lnu": (lambda s, w, h, xg, lg, p, nu: verify_fourier_Lnu(
+        s, w, p, nu, xg, lg, h), ("p", "nu")),
+    "main2_part1": (lambda s, w, h, xg, lg, p, nu: verify_main2(
+        s, w, "part1", h, xg, lg), ()),
+    "main2_part2": (lambda s, w, h, xg, lg, p, nu: verify_main2(
+        s, w, "part2", h, xg, lg), ()),
+    "inclusion_Womega": (lambda s, w, h, xg, lg, p, nu: verify_inclusion_Womega(
+        s, w, p, h, xg, lg), ("p",)),
+}

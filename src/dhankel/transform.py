@@ -84,6 +84,7 @@ _matrix_cache: dict[tuple[int, int, float], "KernelEntry"] = {}
 # largest number of kernel entries one kernel_parts call of an edge strip
 # evaluates
 _SLAB_ENTRIES = 65536
+_ENTRY_BYTES = 1 << 30   # largest KernelEntry.nbytes a grid pair may ask for
 
 
 def _interior_panels(xgrid: WeightedGrid, lgrid: WeightedGrid) -> tuple[int, int]:
@@ -210,6 +211,12 @@ def _build_entry(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     c0, c1 = o, o + kl * o
     edge_rows = np.r_[0:r0, r1:xpos.size]
     edge_cols = np.r_[0:c0, c1:lpos.size]
+    # float strips and complex spectra of E and O, checked before allocation
+    nbytes = 16 * (edge_rows.size * lpos.size + (r1 - r0) * edge_cols.size
+                   + (2 * (_fft_length(kx, kl) // 2 + 1) * o * o if kx else 0))
+    if nbytes > _ENTRY_BYTES:
+        raise DomainError(f"the kernel of this grid pair would hold {nbytes} "
+                          f"bytes, over the cap of {_ENTRY_BYTES}; use fewer nodes")
     rows = np.empty((2, edge_rows.size, lpos.size))
     side = np.empty((2, r1 - r0, edge_cols.size))
     # each strip in row slabs that bound the temporaries of kernel_parts

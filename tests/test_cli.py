@@ -9,8 +9,8 @@ import pytest
 
 import dhankel
 from dhankel import cli
-from dhankel.cli import THEOREMS, build_parser, main
-from dhankel.titchmarsh import restrict_h_grid
+from dhankel.cli import build_parser, main
+from dhankel.titchmarsh import THEOREMS, restrict_h_grid
 
 
 def test_indices_output(capsys):
@@ -119,7 +119,38 @@ def test_transform_csv(tmp_path, capsys):
     assert out_file.read_text().startswith("# alpha=0.5 radius=64.0")
 
 
+def test_transform_kernel_over_the_byte_cap_is_one_line_usage_error(monkeypatch,
+                                                                    capsys):
+    # 1000 uniform panels of 16 nodes would need a 4.1 GB kernel strip; the
+    # run is refused before any kernel entry is evaluated
+    def untouched(*args, **kwargs):
+        raise AssertionError("kernel evaluated past the byte cap")
+
+    monkeypatch.setattr(dhankel.transform, "kernel_parts", untouched)
+    assert main(["transform", "--panels", "1000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the kernel of this grid pair would hold 4096000000 "
+                   "bytes, over the cap of 1073741824; use fewer nodes\n")
+
+
 TM = ("titchmarsh", "--modulus", "power:gamma=0.5")
+
+
+def test_fourier_Lnu_csv_rows_pair_radii_with_ratios(tmp_path, capsys):
+    # its ratios are partial norms at the radii R/8 .. R; the JSON report
+    # carries the same pairs as extra["radii"] and ratios
+    argv = [*TM, "--theorem", "fourier_Lnu", "--nu", "1.5",
+            "--radius-lambda", "8192"]
+    csv_file, json_file = tmp_path / "rep.csv", tmp_path / "rep.json"
+    assert main([*argv, "--output", str(csv_file)]) == 0
+    assert main([*argv, "--format", "json", "--output", str(json_file)]) == 0
+    capsys.readouterr()
+    rep = json.loads(json_file.read_text())
+    assert rep["extra"]["radii"] == [1024.0, 2048.0, 4096.0, 8192.0]
+    rows = [ln for ln in csv_file.read_text().splitlines() if not ln.startswith("#")]
+    assert rows == ["radius,ratio"] + [f"{r!r},{x!r}" for r, x in
+                                       zip(rep["extra"]["radii"], rep["ratios"])]
 
 
 def test_run_config_validation(capsys):
@@ -377,8 +408,18 @@ def test_route_check_without_second_route_says_so(theorem, tmp_path, capsys):
     assert code == 0 and out.splitlines()[-1].startswith("VERDICT=")
     extra = json.loads(out_file.read_text())["extra"]
     noted = ROUTE_NOTE.format(theorem) in err
-    assert noted == (theorem not in cli.SECOND_ROUTE)
+    assert noted == (theorem not in ("main1_part2", "equivalence", "main2_part2"))
     assert noted == (extra.get("route_agreement") is None)
+
+
+def test_route_check_note_needs_a_finished_report(capsys):
+    # the note is read off the report, so a run that fails a precondition
+    # prints none
+    assert main(["titchmarsh", "--modulus", "log_inverse:beta=2.0",
+                 "--route-check", "--radius-lambda", "256"]) == 2
+    err = capsys.readouterr().err
+    assert "precondition failed [Z0]" in err
+    assert "second route" not in err
 
 
 ROUTE_CHECK_RSS = """
@@ -450,20 +491,24 @@ def test_modulus_probe_overflow_is_a_usage_error_without_warnings(capsys):
         cli.MODULUS_GRAMMAR]
 
 
-@pytest.mark.parametrize("theorem, name", [("main1_part2", "verify_main1_part2"),
-                                           ("main2_part2", "verify_main2")])
+@pytest.mark.parametrize("theorem, name", [
+    ("main1_part1", "verify_main1_part1"), ("main1_part2", "verify_main1_part2"),
+    ("equivalence", "verify_equivalence"), ("fourier_Lnu", "verify_fourier_Lnu"),
+    ("main2_part1", "verify_main2"), ("main2_part2", "verify_main2"),
+    ("inclusion_Womega", "verify_inclusion_Womega")])
 def test_theorem_table_looks_verifiers_up_when_called(theorem, name, monkeypatch,
                                                       capsys):
     # perfbench/tracing.py times verifiers by patching module attributes; a
     # table that bound the functions at import would bypass the patch
-    calls, real = [], getattr(cli, name)
+    calls, real = [], getattr(dhankel.titchmarsh, name)
 
     def spy(*args, **kwargs):
         calls.append(name)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, spy)
-    assert main([*TM, "--theorem", theorem, "--radius-lambda", "8192"]) == 0
+    monkeypatch.setattr(dhankel.titchmarsh, name, spy)
+    assert main([*TM, "--theorem", theorem, "--radius-lambda", "8192",
+                 "--nu", "1.5"]) == 0
     capsys.readouterr()
     assert calls == [name]
 

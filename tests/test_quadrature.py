@@ -193,8 +193,10 @@ def test_construction_errors():
         build_weighted_grid(0.2, 1.0, 4, 4)
     with pytest.raises(DomainError):
         build_weighted_grid(0.5, -1.0, 4, 4)
-    with pytest.raises(DomainError):
-        build_weighted_grid(0.5, 1.0, 1, 4)
+    # panel counts outside [2, 100000) are refused before any node is made
+    for panels in (1, 100000, 10 ** 12):
+        with pytest.raises(DomainError, match=r"panels must lie in \[2, 100000\)"):
+            build_weighted_grid(0.5, 1.0, panels, 4)
     for radius in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="radius must be positive"):
             build_weighted_grid(0.5, radius, 4, 4)

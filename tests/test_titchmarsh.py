@@ -9,8 +9,8 @@ import dhankel.titchmarsh
 import dhankel.transform
 from dhankel.modulus import ConstructionError, ModulusSpec
 from dhankel.specfun import DomainError
-from dhankel.titchmarsh import (check_transform_integrability, render_verdict,
-                                restrict_h_grid)
+from dhankel.titchmarsh import (THEOREMS, check_transform_integrability,
+                                render_verdict, restrict_h_grid)
 
 ALPHA = 0.5
 D0 = 0.5
@@ -160,8 +160,9 @@ def test_synthesis_grid_mismatch(tail_grid_8192):
 # ----------------------------- seminorm -----------------------------
 
 def seminorm(g, w, p, h_grid):
-    """sup_h |T_h g - g|_{p,a} / omega(h) over the h grid, plus the trace."""
-    h_grid = np.asarray(h_grid, dtype=float)
+    """sup_h |T_h g - g|_{p,a} / omega(h) over the h grid, plus the trace;
+    the h grid is checked first, as the verifiers check it."""
+    h_grid = dhankel.titchmarsh._checked_h(w, h_grid)
     _, diffs = dhankel.titchmarsh._diff_trace(g, w, p, h_grid, None, None)
     ratios = diffs / np.asarray(w.evaluator(h_grid), dtype=float)
     return float(np.max(ratios)), ratios
@@ -384,6 +385,16 @@ def test_fourier_lnu_domain(tail_grid_4096):
         dh.verify_fourier_Lnu(g, w, 2.0, 2.5)   # nu > q
 
 
+def test_fourier_lnu_default_h_grid_is_checked():
+    # at R = 16 the tail of every default h lies beyond R/4: the default
+    # grid is empty, as an explicit empty grid is
+    w = dh.make_family("power", {"gamma": 0.5})
+    g = sharp(w, dh.make_tail_grid(ALPHA, 16.0))
+    for h_grid in (None, []):
+        with pytest.raises(DomainError, match="h grid is empty"):
+            dh.verify_fourier_Lnu(g, w, 2.0, 1.5, h_grid=h_grid)
+
+
 # ----------------------------- cumulative-weight variants -----------------------------
 
 def test_main2_matches_rescaled_main1(tail_grid_8192):
@@ -516,25 +527,19 @@ def test_inclusion_log_inverse_completes(tail_grid_8192):
 
 # ----------------------------- input contract -----------------------------
 
-# every verifier as a call on (data, modulus, h grid, x grid, frequency grid)
-VERIFIERS = {
-    "main1_part1": lambda s, w, h, xg, lg: dh.verify_main1_part1(s, w, 2.0, h, xg, lg),
-    "main1_part2": lambda s, w, h, xg, lg: dh.verify_main1_part2(s, w, h, xg, lg),
-    "equivalence": lambda s, w, h, xg, lg: dh.verify_equivalence(s, w, h, xg, lg),
-    "fourier_Lnu": lambda s, w, h, xg, lg: dh.verify_fourier_Lnu(
-        s, w, 2.0, 1.5, xg, lg, h),
-    "main2_part1": lambda s, w, h, xg, lg: dh.verify_main2(s, w, "part1", h, xg, lg),
-    "main2_part2": lambda s, w, h, xg, lg: dh.verify_main2(s, w, "part2", h, xg, lg),
-    "inclusion_Womega": lambda s, w, h, xg, lg: dh.verify_inclusion_Womega(
-        s, w, 2.0, h, xg, lg),
-}
+def verify(theorem, *args):
+    """The table's call of theorem on (data, modulus, h grid, x grid,
+    frequency grid) at p = 2, nu = 1.5."""
+    return THEOREMS[theorem][0](*args, 2.0, 1.5)
+
+
 # the verifiers whose report on a function is the report on its transform
 # (the other three take the seminorm of a function by the physical route)
 SPECTRAL_SIDE = ("main1_part2", "equivalence", "fourier_Lnu", "main2_part2")
 
 
 @pytest.mark.parametrize("bad_h", [2.0 * D0, 0.0, -D0 / 8, math.nan])
-@pytest.mark.parametrize("theorem", list(VERIFIERS))
+@pytest.mark.parametrize("theorem", list(THEOREMS))
 def test_every_verifier_checks_the_h_grid_first(theorem, bad_h, monkeypatch,
                                                 grids_resolved_small, bump_spec):
     # an h outside (0, delta0] is a usage error, raised before any Zygmund
@@ -549,16 +554,16 @@ def test_every_verifier_checks_the_h_grid_first(theorem, bad_h, monkeypatch,
     w = dh.make_family("power", {"gamma": 0.5})
     h = np.array([D0 / 8, bad_h, D0 / 64])
     with pytest.raises(DomainError, match=r"h grid must lie in \(0, delta0\]"):
-        VERIFIERS[theorem](bump_spec, w, h, xg, lg)
+        verify(theorem, bump_spec, w, h, xg, lg)
 
 
-@pytest.mark.parametrize("theorem", list(VERIFIERS))
+@pytest.mark.parametrize("theorem", list(THEOREMS))
 def test_every_verifier_rejects_an_empty_h_grid(theorem, grids_resolved_small,
                                                 bump_spec):
     xg, lg = grids_resolved_small
     w = dh.make_family("power", {"gamma": 0.5})
     with pytest.raises(DomainError, match="h grid is empty"):
-        VERIFIERS[theorem](bump_spec, w, [], xg, lg)
+        verify(theorem, bump_spec, w, [], xg, lg)
 
 
 @pytest.mark.parametrize("theorem", SPECTRAL_SIDE)
@@ -568,17 +573,17 @@ def test_function_input_gives_the_report_of_its_transform(
     w = dh.make_family("power", {"gamma": 0.5})
     h = dh.dyadic_h_grid(D0, 3, 6)
     g = dh.forward(bump_spec, xg, lg)
-    rep = VERIFIERS[theorem](bump_spec, w, h, xg, lg)
-    assert rep.to_json() == VERIFIERS[theorem](g, w, h, xg, lg).to_json()
+    rep = verify(theorem, bump_spec, w, h, xg, lg)
+    assert rep.to_json() == verify(theorem, g, w, h, xg, lg).to_json()
 
 
-@pytest.mark.parametrize("theorem", list(VERIFIERS))
+@pytest.mark.parametrize("theorem", list(THEOREMS))
 def test_function_input_needs_both_grids(theorem, grids_resolved_small, bump_spec):
     xg, lg = grids_resolved_small
     w = dh.make_family("power", {"gamma": 0.5})
     for grids in ((xg, None), (None, lg), (None, None)):
         with pytest.raises(DomainError, match="function input needs both grids"):
-            VERIFIERS[theorem](bump_spec, w, dh.dyadic_h_grid(D0), *grids)
+            verify(theorem, bump_spec, w, dh.dyadic_h_grid(D0), *grids)
 
 
 # ----------------------------- reports -----------------------------
