@@ -6,9 +6,10 @@ from .modulus import (IndexEstimate, ModulusSpec, MonotonicityCertificate,
                       zygmund_Z1_constant)
 from .quadrature import (WeightedGrid, build_graded_grid, build_weighted_grid,
                          weighted_norm)
-from .specfun import KernelParams, bessel_j_normalized, gamma, kernel_B
-from .titchmarsh import (PreconditionError, SynthesisSpec, VerificationReport,
-                         dyadic_h_grid, make_resolved_grids, make_tail_grid,
+from .specfun import (KernelParams, PreconditionError, bessel_j_normalized,
+                      gamma, kernel_B)
+from .titchmarsh import (SynthesisSpec, VerificationReport, dyadic_h_grid,
+                         make_resolved_grids, make_tail_grid,
                          synthesize_from_tail, verify_equivalence,
                          verify_fourier_Lnu, verify_inclusion_Womega,
                          verify_main1_part1, verify_main1_part2, verify_main2)

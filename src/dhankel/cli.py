@@ -26,12 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .modulus import (ConstructionError, estimate_indices, parse_family,
-                      zygmund_Z0_constant, zygmund_Z1_constant)
-from .specfun import DomainError
-from .titchmarsh import (THEOREMS, PreconditionError, SynthesisSpec,
-                         VerificationReport, dyadic_h_grid, make_resolved_grids,
-                         make_tail_grid, restrict_h_grid, synthesize_from_tail)
+from .modulus import (estimate_indices, parse_family, zygmund_Z0_constant,
+                      zygmund_Z1_constant)
+from .specfun import DomainError, PreconditionError
+from .titchmarsh import (THEOREMS, SynthesisSpec, VerificationReport,
+                         dyadic_h_grid, make_resolved_grids, make_tail_grid,
+                         restrict_h_grid, synthesize_from_tail)
 from .transform import FunctionSpec, forward
 from .quadrature import build_weighted_grid
 
@@ -135,19 +135,13 @@ def titchmarsh_grids(ns):
 
 def titchmarsh_report(ns, xg, lg) -> VerificationReport:
     """The report of a titchmarsh run on the grids titchmarsh_grids(ns)
-    gives, with the run's settings in extra["config"]; notes on dropped h
-    values and on a route check without a second route go to stderr."""
+    gives, with its settings in extra["config"]; stderr notes (dropped h, no
+    second route) come only with a finished report, so an error is one line."""
     w = parse_family(ns.modulus, ns.delta0)
     h_all = dyadic_h_grid(w.delta0, ns.h_max_exp, ns.h_min_exp)
     h_grid = restrict_h_grid(h_all, lg)
     if h_grid.size == 0:
         raise DomainError("no usable h: raise --radius-lambda or --h-max-exp")
-    if h_grid.size < h_all.size:
-        # fourier_Lnu judges partial norms over radii, not the h-ratio trace
-        few = ("" if h_grid.size >= 3 or ns.theorem == "fourier_Lnu"
-               else f"; the verdict rests on {h_grid.size} ratio(s)")
-        print(f"note: {h_all.size - h_grid.size} h value(s) dropped "
-              f"(tail 1/h beyond radius_lambda/4){few}", file=sys.stderr)
 
     profile = "smooth_tail" if ns.route_check else "sharp_tail"
     if ns.synth == "matched" or ns.synth.startswith("mismatched:"):
@@ -163,6 +157,12 @@ def titchmarsh_report(ns, xg, lg) -> VerificationReport:
 
     verify, reads = THEOREMS[ns.theorem]
     rep = verify(src, w, h_grid, xg, lg, ns.p, ns.nu)
+    if h_grid.size < h_all.size:
+        # fourier_Lnu judges partial norms over radii, not the h-ratio trace
+        few = ("" if h_grid.size >= 3 or ns.theorem == "fourier_Lnu"
+               else f"; the verdict rests on {h_grid.size} ratio(s)")
+        print(f"note: {h_all.size - h_grid.size} h value(s) dropped "
+              f"(tail 1/h beyond radius_lambda/4){few}", file=sys.stderr)
     if ns.route_check and rep.extra.get("route_agreement") is None:
         print(f"note: --route-check runs no second route for {ns.theorem}; "
               "the report has no route_agreement", file=sys.stderr)
@@ -271,10 +271,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition failed [{exc.condition}]: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(MODULUS_GRAMMAR, file=sys.stderr)
-        return USAGE_ERROR
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -31,11 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import conjugate_exponent, panel_integrals
-from .specfun import DomainError
-
-
-class ConstructionError(ValueError):
-    """Family parameters or integrability requirements violated."""
+from .specfun import DomainError, PreconditionError
 
 
 FAMILY_PARAMS = {
@@ -82,60 +78,60 @@ def _check_vanishes(w: ModulusSpec) -> None:
     with np.errstate(all="ignore"):     # non-finite values are rejected below
         vals = w(ts)
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
-        raise ConstructionError("evaluator must be finite and positive on (0, delta0]")
+        raise DomainError("evaluator must be finite and positive on (0, delta0]")
     if not vals[-1] <= 0.05 * vals[0]:
-        raise ConstructionError("candidate does not vanish at 0")
+        raise DomainError("candidate does not vanish at 0")
 
 
 def make_family(tag: str, params: dict, delta0: float | None = None) -> ModulusSpec:
     """Construct a built-in modulus family; see FAMILY_PARAMS for the names."""
     if tag not in FAMILY_PARAMS:
-        raise ConstructionError(f"unknown family {tag!r}")
+        raise DomainError(f"unknown family {tag!r}; tag in {'/'.join(FAMILY_PARAMS)}")
     missing = set(FAMILY_PARAMS[tag]) - set(params)
     extra = set(params) - set(FAMILY_PARAMS[tag])
     if missing or extra:
-        raise ConstructionError(
+        raise DomainError(
             f"family {tag!r} takes parameters {FAMILY_PARAMS[tag]}, got {sorted(params)}")
     p = {k: float(v) for k, v in params.items()}
 
     if delta0 is None:
         delta0 = 0.3 if tag == "power_loglog" else 0.5
     if not delta0 > 0:
-        raise ConstructionError("delta0 must be positive")
+        raise DomainError("delta0 must be positive")
 
     if tag == "power":
         g = p["gamma"]
         if not 0 < g <= 1:
-            raise ConstructionError("power family needs gamma in (0, 1]")
+            raise DomainError("power family needs gamma in (0, 1]")
         ev = lambda t: t ** g
     elif tag == "power_log":
         g, th = p["gamma"], p["theta"]
         if not 0 < g < 1:
-            raise ConstructionError("power_log family needs gamma in (0, 1)")
+            raise DomainError("power_log family needs gamma in (0, 1)")
         if not delta0 < 1:
-            raise ConstructionError("power_log family needs delta0 < 1")
+            raise DomainError("power_log family needs delta0 < 1")
         ev = lambda t: t ** g * np.log(1.0 / t) ** th
     elif tag == "power_loglog":
         g, lam = p["gamma"], p["lambda"]
         if not 0 < g < 1:
-            raise ConstructionError("power_loglog family needs gamma in (0, 1)")
+            raise DomainError("power_loglog family needs gamma in (0, 1)")
         if not delta0 <= _LOGLOG_DELTA_MAX:
-            raise ConstructionError(
+            raise DomainError(
                 f"power_loglog needs delta0 <= {_LOGLOG_DELTA_MAX:.3f} (ln ln 1/t > 0)")
         ev = lambda t: t ** g * np.log(np.log(1.0 / t)) ** lam
     elif tag == "log_inverse":
         b = p["beta"]
         if not b > 1:
-            raise ConstructionError("log_inverse family needs beta > 1")
+            raise DomainError("log_inverse family needs beta > 1")
         ev = lambda t: np.log(np.e / t) ** (-b)
     else:  # power_logexponent
         g, cc, lam = p["gamma"], p["C"], p["lambda"]
         if not 0 < g < 1:
-            raise ConstructionError("power_logexponent family needs gamma in (0, 1)")
+            raise DomainError("power_logexponent family needs gamma in (0, 1)")
         if not lam > 0:
-            raise ConstructionError("power_logexponent family needs lambda > 0")
+            raise DomainError("power_logexponent family needs lambda > 0")
         if not delta0 < 1:
-            raise ConstructionError("power_logexponent family needs delta0 < 1")
+            raise DomainError("power_logexponent family needs delta0 < 1")
         ev = lambda t: t ** (g + cc / np.log(1.0 / t) ** lam)
 
     w = ModulusSpec(evaluator=ev, delta0=delta0, family_tag=tag, params=p)
@@ -149,16 +145,16 @@ def parse_family(text: str, delta0: float | None = None) -> ModulusSpec:
                + "/".join(FAMILY_PARAMS))
     tag, sep, rest = text.partition(":")
     if not sep or not tag:
-        raise ConstructionError(f"cannot parse modulus {text!r}; {grammar}")
+        raise DomainError(f"cannot parse modulus {text!r}; {grammar}")
     params = {}
     for piece in rest.split(","):
         name, sep2, value = piece.partition("=")
         if not sep2 or not name:
-            raise ConstructionError(f"cannot parse modulus {text!r}; {grammar}")
+            raise DomainError(f"cannot parse modulus {text!r}; {grammar}")
         try:
             params[name.strip()] = float(value)
         except ValueError:
-            raise ConstructionError(
+            raise DomainError(
                 f"cannot parse modulus {text!r}; bad number {value!r}; {grammar}")
     return make_family(tag.strip(), params, delta0)
 
@@ -174,7 +170,7 @@ def almost_monotone_constant(fn, lo: float, hi: float, direction: str,
     t = np.geomspace(lo, hi, samples)
     v = np.asarray(fn(t), dtype=float)
     if not np.all(np.isfinite(v)) or np.any(v <= 0):
-        raise ConstructionError("evaluator non-finite or non-positive on samples")
+        raise DomainError("evaluator non-finite or non-positive on samples")
     if direction == "almost_increasing":
         # sup over t <= s of f(t)/f(s): running max / suffix min
         suffix_min = np.minimum.accumulate(v[::-1])[::-1]
@@ -403,10 +399,10 @@ def _pchip(x, y):
 def build_W_omega(w: ModulusSpec) -> ModulusSpec:
     """Cumulative weight W(t) = int_0^t omega(s)/s ds as a ModulusSpec.
 
-    Requires omega(s)/s integrable near 0; raises ConstructionError when the
-    bottom-decade increments refuse to fade relative to the cumulative value
-    at the reporting scale delta0*1e-10 (divergent integral; rates slower
-    than iterated-log escape any finite grid and classify as integrable).
+    Requires omega(s)/s integrable near 0: PreconditionError womega_divergent
+    when the bottom-decade increments refuse to fade relative to the
+    cumulative value at the reporting scale delta0*1e-10 (rates slower than
+    iterated-log escape any finite grid and classify as integrable).
     Values are precomputed on a log grid and monotonically interpolated in
     log-log; below the grid W is extended by the local power law.
 
@@ -424,7 +420,8 @@ def build_W_omega(w: ModulusSpec) -> ModulusSpec:
     bottom = np.array([np.sum(integrals[k * per:(k + 1) * per])
                        for k in range(total - 3, total)])
     if np.any(bottom > 0.015 * cum[_T_DECADES * per]):
-        raise ConstructionError("omega(t)/t is not integrable near 0")
+        raise PreconditionError("omega(t)/t is not integrable near 0",
+                                condition="womega_divergent")
 
     t_grid = edges_t[:-1][::-1]
     w_grid = cum[:-1][::-1]

@@ -26,6 +26,9 @@ _grid_ids = itertools.count()
 # nodes grow with order x panels, and a kernel entry with their square; every
 # grid of the CLI defaults to order 16.
 _MAX_ORDER, _MAX_PANELS = 64, 100000
+# Largest grid radius: below it the panel midpoints 0.5 (a + b) of every grid
+# and the span radius / 0.25 of a tail grid stay finite.
+_MAX_RADIUS = np.finfo(float).max / 4.0
 
 
 def weight_constant(alpha: float) -> float:
@@ -78,8 +81,9 @@ def check_grid_inputs(alpha: float, radius: float, order: int) -> None:
     """The input checks of every grid, made before any edge is computed."""
     if not alpha > 0.25:
         raise DomainError(f"alpha must exceed 1/4, got {alpha}")
-    if not 0 < radius < math.inf:
-        raise DomainError(f"radius must be positive and finite, got {radius}")
+    if not 0 < radius <= _MAX_RADIUS:
+        raise DomainError(f"radius must be positive and at most {_MAX_RADIUS:.6g}, "
+                          f"got {radius}")
     if order < 2:
         raise DomainError(f"order must be >= 2, got {order}")
     if order > _MAX_ORDER:

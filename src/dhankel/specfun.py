@@ -9,7 +9,8 @@ j_nu(0) = 1, and u stands for the frequency-space product lambda*x.
 B_alpha(0) = 1; |B_alpha| <= 1 holds for alpha >= 1/2 (for
 alpha in (1/4, 1/2) the sup is finite but exceeds 1 — see tests).
 
-All functions are pure and accept scalars or numpy arrays.
+All functions are pure and accept scalars or numpy arrays.  The module also
+defines the library's two error types, DomainError and PreconditionError.
 """
 
 from __future__ import annotations
@@ -25,7 +26,15 @@ from scipy.special import gammaln, j0, j1, jv
 
 
 class DomainError(ValueError):
-    """Argument outside the mathematical domain of an operation."""
+    """A bad input: outside an operation's domain, or a request it cannot meet."""
+
+
+class PreconditionError(RuntimeError):
+    """A failed hypothesis of a theorem, named by condition (e.g. "Z0")."""
+
+    def __init__(self, message: str, condition: str):
+        super().__init__(message)
+        self.condition = condition
 
 
 @dataclass(frozen=True)

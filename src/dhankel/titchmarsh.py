@@ -38,22 +38,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import erf
 
-from .modulus import (ConstructionError, ModulusSpec, build_W_omega,
-                      check_almost_monotone, check_transform_integrability,
-                      zygmund_Z0_constant, zygmund_Z1_constant)
+from .modulus import (ModulusSpec, build_W_omega, check_almost_monotone,
+                      check_transform_integrability, zygmund_Z0_constant,
+                      zygmund_Z1_constant)
 from .quadrature import (WeightedGrid, build_graded_grid, check_grid_inputs,
                          conjugate_exponent, weight_constant)
-from .specfun import DomainError
+from .specfun import DomainError, PreconditionError
 from .transform import (SpectralData, diff_norms, forward, round_trip_norms,
                         spectral_mass, tail_energy, tail_truncated)
-
-
-class PreconditionError(RuntimeError):
-    """A verifier's hypothesis on the modulus or the data does not hold."""
-
-    def __init__(self, message: str, condition: str):
-        super().__init__(message)
-        self.condition = condition
 
 
 @dataclass(frozen=True)
@@ -251,8 +243,7 @@ def synthesize_from_tail(spec: SynthesisSpec, lgrid: WeightedGrid) -> SpectralDa
         raise DomainError("grid radius does not match lambda_radius")
     cert = check_almost_monotone(w, "almost_decreasing")
     if not cert.passed:
-        raise ConstructionError(
-            "omega(t)/t is not almost decreasing; not a usable modulus")
+        raise DomainError("omega(t)/t is not almost decreasing; not a usable modulus")
     phi = _phi_of(w)
     y = lgrid.pos_nodes
     if spec.profile == "sharp_tail":
@@ -286,7 +277,7 @@ def synthesize_from_tail(spec: SynthesisSpec, lgrid: WeightedGrid) -> SpectralDa
         g2_pos = dens / (2.0 * (ca * y ** (2.0 * spec.alpha - 1.0)))
     g_pos = np.sqrt(g2_pos)
     values = np.concatenate([g_pos[::-1], g_pos])
-    return SpectralData(alpha=spec.alpha, lambda_grid=lgrid, values=values)
+    return SpectralData(lambda_grid=lgrid, values=values)
 
 
 # ----------------------------- verifier input -----------------------------
@@ -353,14 +344,6 @@ def _lower_zygmund(w: ModulusSpec) -> float:
             "lower Zygmund condition Z0 fails: int_0^t omega(x)/x dx "
             "is not dominated by omega(t)", condition="Z0")
     return z0
-
-
-def _cumulative(w: ModulusSpec) -> ModulusSpec:
-    """W_omega of w; a divergent integral fails precondition womega_divergent."""
-    try:
-        return build_W_omega(w)
-    except ConstructionError as exc:
-        raise PreconditionError(str(exc), condition="womega_divergent")
 
 
 # ----------------------------- verifiers -----------------------------
@@ -522,7 +505,7 @@ def verify_main2(f_or_g, w: ModulusSpec, mode: str, h_grid,
     if mode not in ("part1", "part2"):
         raise DomainError(f"mode must be part1 or part2, got {mode!r}")
     h_grid = _checked_h(w, h_grid)
-    w_cum = _cumulative(w)
+    w_cum = build_W_omega(w)
     rep = (verify_main1_part1(f_or_g, w_cum, 2.0, h_grid, xgrid=xgrid, lgrid=lgrid)
            if mode == "part1" else
            verify_main1_part2(f_or_g, w_cum, h_grid, xgrid=xgrid, lgrid=lgrid))
@@ -541,7 +524,7 @@ def verify_inclusion_Womega(f_or_g, w: ModulusSpec, p: float, h_grid,
     report carries both seminorms and their ratio.
     """
     h_grid = _checked_h(w, h_grid)
-    w_cum = _cumulative(w)
+    w_cum = build_W_omega(w)
     # one trace, divided by both moduli (they share delta0)
     g, diffs = _diff_trace(f_or_g, w, p, h_grid, xgrid, lgrid)
     trace_w = diffs / np.asarray(w.evaluator(h_grid), dtype=float)

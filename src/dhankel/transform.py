@@ -36,10 +36,6 @@ from .quadrature import WeightedGrid, conjugate_exponent, weighted_norm
 from .specfun import DomainError, KernelParams, kernel_parts
 
 
-class ConfigurationError(ValueError):
-    """Inconsistent grid/function configuration."""
-
-
 @dataclass(frozen=True)
 class FunctionSpec:
     """An evaluable real function with declared support/decay metadata.
@@ -60,13 +56,17 @@ class FunctionSpec:
 class SpectralData:
     """Sampled transform values on a frequency grid."""
 
-    alpha: float
     lambda_grid: WeightedGrid
     values: np.ndarray
 
+    @property
+    def alpha(self) -> float:
+        """The deformation order, the grid's: data cannot disagree with it."""
+        return self.lambda_grid.alpha
+
     def __post_init__(self):
         if self.values.shape != self.lambda_grid.nodes.shape:
-            raise ConfigurationError("values length must match the frequency grid")
+            raise DomainError("values length must match the frequency grid")
 
     def norm(self, q: float) -> float:
         return weighted_norm(self.values, self.lambda_grid, q)
@@ -190,7 +190,7 @@ def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     ratio has no interior and is held as one strip of all rows.
     """
     if xgrid.alpha != lgrid.alpha:
-        raise ConfigurationError("grids carry different alpha")
+        raise DomainError("grids carry different alpha")
     key = (xgrid.uid, lgrid.uid, xgrid.alpha)
     entry = _matrix_cache.get(key)
     if entry is None:
@@ -217,6 +217,9 @@ def _build_entry(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     if nbytes > _ENTRY_BYTES:
         raise DomainError(f"the kernel of this grid pair would hold {nbytes} "
                           f"bytes, over the cap of {_ENTRY_BYTES}; use fewer nodes")
+    # the kernel squares its argument z = 2 sqrt(lambda x): 4 lambda x must be finite
+    if not np.isfinite(4.0 * xgrid.radius * lgrid.radius):
+        raise DomainError("radius_x * radius_lambda overflows the kernel argument")
     rows = np.empty((2, edge_rows.size, lpos.size))
     side = np.empty((2, r1 - r0, edge_cols.size))
     # each strip in row slabs that bound the temporaries of kernel_parts
@@ -310,13 +313,11 @@ def kernel_multiplier(lgrid: WeightedGrid, h) -> np.ndarray:
 def forward(f, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
     """Forward transform: values_j = sum_i w_i f(x_i) B(lambda_j x_i), with
     f a FunctionSpec (any vectorized callable) or its samples on xgrid.nodes."""
-    if xgrid.alpha != lgrid.alpha:
-        raise ConfigurationError("x and frequency grids carry different alpha")
     fx = np.asarray(f(xgrid.nodes) if callable(f) else f, dtype=float)
     if fx.shape != xgrid.nodes.shape:
-        raise ConfigurationError("samples do not match the x grid")
+        raise DomainError("samples do not match the x grid")
     values = _apply(kernel_matrix(xgrid, lgrid), xgrid.weights * fx, transposed=True)
-    return SpectralData(alpha=lgrid.alpha, lambda_grid=lgrid, values=values)
+    return SpectralData(lambda_grid=lgrid, values=values)
 
 
 def inverse(g: SpectralData, xgrid: WeightedGrid) -> FunctionSpec:

@@ -43,7 +43,10 @@ def test_usage_error_bad_modulus(capsys):
     code = main(["indices", "--modulus", "not-a-family"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "grammar" in err
+    # one line, which carries the grammar
+    assert err.splitlines() == [
+        "error: cannot parse modulus 'not-a-family'; expected `tag:name=value,...` "
+        "with tag in power/power_log/power_loglog/log_inverse/power_logexponent"]
 
 
 def test_usage_error_unknown_subcommand():
@@ -487,8 +490,31 @@ def test_modulus_probe_overflow_is_a_usage_error_without_warnings(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [
-        "error: evaluator must be finite and positive on (0, delta0]",
-        cli.MODULUS_GRAMMAR]
+        "error: evaluator must be finite and positive on (0, delta0]"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("indices", "--modulus", "not-a-family"),                 # unparsable
+    ("indices", "--modulus", "nope:gamma=0.5"),               # unknown family
+    ("titchmarsh", "--modulus", "power:gamma=2"),             # out of range
+    ("titchmarsh", "--modulus", "power:gamma=1e-300"),        # does not vanish at 0
+    ("titchmarsh", "--modulus", "power_log:gamma=0.5,theta=1e300"),  # probe overflows
+    (*TM, "--radius-lambda", "1e308"),                        # radius / 0.25 overflows
+    ("synth", "--modulus", "power:gamma=0.5", "--radius-lambda", "1e308"),
+    ("transform", "--radius-x", "1e308"),                     # panel midpoints overflow
+    ("transform", "--radius-x", "1e307"),                     # lambda * x overflows
+    # (2 sqrt(lambda x))^2 overflows on the Hankel path of a fractional order
+    ("transform", "--alpha", "0.3", "--radius-x", "1e306", "--radius-lambda", "150"),
+    # errors found after h values were dropped print no h note
+    (*TM, "--h-max-exp", "-5"),
+    (*TM, "--synth", "mismatched:nope"),
+], ids=" ".join)
+def test_bad_input_is_one_error_line(argv, capsys):
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("theorem, name", [

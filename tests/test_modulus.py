@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import dhankel as dh
 from dhankel import modulus
-from dhankel.modulus import (ConstructionError, ModulusSpec,
-                             almost_monotone_constant, is_modulus)
+from dhankel.modulus import ModulusSpec, almost_monotone_constant, is_modulus
+from dhankel.specfun import DomainError
 
 # corpus used for the index/Zygmund consistency sweeps
 CORPUS = [
@@ -54,19 +54,19 @@ def test_log_inverse_evaluation():
 
 
 def test_family_validation():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(DomainError):
         family("power", gamma=0.0)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(DomainError):
         family("power", gamma=1.2)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(DomainError):
         family("log_inverse", beta=1.0)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(DomainError):
         family("nonsense", x=1.0)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(DomainError):
         family("power")                          # missing parameter
-    with pytest.raises(ConstructionError):
+    with pytest.raises(DomainError):
         family("power", gamma=0.5, theta=1.0)    # extra parameter
-    with pytest.raises(ConstructionError):
+    with pytest.raises(DomainError):
         dh.make_family("power_loglog", {"gamma": 0.5, "lambda": 1.0}, delta0=0.5)
 
 
@@ -74,9 +74,9 @@ def test_parse_family_grammar():
     w = dh.parse_family("power_log:gamma=0.5,theta=1.0")
     assert w.family_tag == "power_log"
     assert w.params == {"gamma": 0.5, "theta": 1.0}
-    with pytest.raises(ConstructionError):
+    with pytest.raises(DomainError):
         dh.parse_family("power")
-    with pytest.raises(ConstructionError):
+    with pytest.raises(DomainError):
         dh.parse_family("power:gamma=abc")
 
 
@@ -262,8 +262,9 @@ def test_w_omega_dominates_omega():
 def test_w_omega_divergent_integrand():
     # omega(s)/s ~ 1/(s sqrt(ln(1/s))) is not integrable at 0
     w = ModulusSpec(evaluator=lambda t: np.log(np.e / t) ** -0.5, delta0=0.5)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(dh.PreconditionError) as err:
         dh.build_W_omega(w)
+    assert err.value.condition == "womega_divergent"
 
 
 # W_omega's interpolant is a numpy PCHIP written to give scipy's bits

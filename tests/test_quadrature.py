@@ -197,7 +197,8 @@ def test_construction_errors():
     for panels in (1, 100000, 10 ** 12):
         with pytest.raises(DomainError, match=r"panels must lie in \[2, 100000\)"):
             build_weighted_grid(0.5, 1.0, panels, 4)
-    for radius in (-1.0, 0.0, math.nan, math.inf):
+    # 1e308: the panel midpoints 0.5 (a + b) of a uniform grid would overflow
+    for radius in (-1.0, 0.0, math.nan, math.inf, 1e308):
         with pytest.raises(DomainError, match="radius must be positive"):
             build_weighted_grid(0.5, radius, 4, 4)
         with pytest.raises(DomainError, match="radius must be positive"):

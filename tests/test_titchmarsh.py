@@ -7,7 +7,7 @@ import pytest
 import dhankel as dh
 import dhankel.titchmarsh
 import dhankel.transform
-from dhankel.modulus import ConstructionError, ModulusSpec
+from dhankel.modulus import ModulusSpec
 from dhankel.specfun import DomainError
 from dhankel.titchmarsh import (THEOREMS, check_transform_integrability,
                                 render_verdict, restrict_h_grid)
@@ -82,10 +82,10 @@ def test_resolved_grids_reject_bad_input(args):
         dh.make_resolved_grids(*args)
 
 
-@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, 0.25])
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, 1e308, 0.25])
 def test_tail_grid_rejects_bad_radius(radius):
-    # radii that are not positive and finite, and one that does not exceed
-    # the first panel, 0.25
+    # radii that are not positive and finite, one whose span radius / 0.25
+    # overflows, and one that does not exceed the first panel, 0.25
     with pytest.raises(DomainError):
         dh.make_tail_grid(ALPHA, radius)
 
@@ -146,7 +146,7 @@ def test_smooth_synthesis_needs_room():
 
 def test_synthesis_rejects_non_modulus(tail_grid_8192):
     bad = ModulusSpec(evaluator=lambda t: t ** 2, delta0=0.5)  # omega/t increasing
-    with pytest.raises(ConstructionError):
+    with pytest.raises(DomainError):
         sharp(bad, tail_grid_8192)
 
 
@@ -170,7 +170,7 @@ def seminorm(g, w, p, h_grid):
 
 def test_seminorm_zero_function(tail_grid_8192):
     w = dh.make_family("power", {"gamma": 0.5})
-    g = dh.SpectralData(alpha=ALPHA, lambda_grid=tail_grid_8192,
+    g = dh.SpectralData(lambda_grid=tail_grid_8192,
                         values=np.zeros(tail_grid_8192.nodes.size))
     val, trace = seminorm(g, w, 2.0, dh.dyadic_h_grid(D0))
     assert val == 0.0 and np.all(trace == 0.0)
@@ -181,7 +181,7 @@ def test_seminorm_scale_equivariance(tail_grid_8192):
     g = sharp(w, tail_grid_8192)
     h = dh.dyadic_h_grid(D0)
     base, _ = seminorm(g, w, 2.0, h)
-    scaled = dh.SpectralData(alpha=ALPHA, lambda_grid=tail_grid_8192,
+    scaled = dh.SpectralData(lambda_grid=tail_grid_8192,
                              values=3.0 * g.values)
     val, _ = seminorm(scaled, w, 2.0, h)
     assert val == pytest.approx(3.0 * base, rel=1e-12)
@@ -261,7 +261,7 @@ def test_main1_part2_bandlimited(tail_grid_8192):
     # the difference norm is O(h), dominated by omega
     lg = tail_grid_8192
     vals = np.where(np.abs(lg.nodes) <= 1.0, 1.0, 0.0)
-    g = dh.SpectralData(alpha=ALPHA, lambda_grid=lg, values=vals)
+    g = dh.SpectralData(lambda_grid=lg, values=vals)
     w = dh.make_family("power", {"gamma": 0.9})
     rep = dh.verify_main1_part2(g, w, dh.dyadic_h_grid(D0))
     assert rep.verdict == "bounded"
@@ -270,7 +270,7 @@ def test_main1_part2_bandlimited(tail_grid_8192):
 def test_main1_part2_linear_modulus_rejected(tail_grid_8192):
     w = dh.make_family("power", {"gamma": 1.0})
     vals = np.where(np.abs(tail_grid_8192.nodes) <= 1.0, 1.0, 0.0)
-    g = dh.SpectralData(alpha=ALPHA, lambda_grid=tail_grid_8192, values=vals)
+    g = dh.SpectralData(lambda_grid=tail_grid_8192, values=vals)
     with pytest.raises(dh.PreconditionError) as err:
         dh.verify_main1_part2(g, w, dh.dyadic_h_grid(D0))
     assert err.value.condition == "Z1"
@@ -428,6 +428,17 @@ def test_main2_part1_log_inverse_cumulative_still_fails(tail_grid_8192):
     with pytest.raises(dh.PreconditionError) as err:
         dh.verify_main2(g, w, "part1", dh.dyadic_h_grid(D0))
     assert err.value.condition == "Z0"
+
+
+@pytest.mark.parametrize("theorem", ["main2_part1", "main2_part2", "inclusion_Womega"])
+def test_divergent_w_omega_is_a_precondition(theorem, tail_grid_8192):
+    # omega(s)/s ~ 1/(s sqrt(ln(1/s))) is not integrable at 0: the theorems
+    # on W_omega fail their hypothesis, as build_W_omega itself does
+    w = ModulusSpec(evaluator=lambda t: np.log(np.e / t) ** -0.5, delta0=D0)
+    g = sharp(dh.make_family("power", {"gamma": 0.5}), tail_grid_8192)
+    with pytest.raises(dh.PreconditionError) as err:
+        verify(theorem, g, w, dh.dyadic_h_grid(D0), None, None)
+    assert err.value.condition == "womega_divergent"
 
 
 def test_inclusion_corpus(tail_grid_8192):
@@ -611,3 +622,19 @@ def test_alpha_regime_labels(tail_grid_8192):
     g = sharp(w, tail_grid_8192)
     rep = dh.verify_main1_part2(g, w, dh.dyadic_h_grid(D0))
     assert rep.extra["alpha_regime"] == "spectral-translation"
+
+
+def test_spectral_data_takes_alpha_from_its_grid(tail_grid_8192):
+    # alpha has one owner, the grid: data on an alpha = 0.5 grid cannot claim
+    # 0.3, which its reports would record and at which fourier_Lnu would
+    # check integrability (omega(t)/t^{1.3} is integrable: inconclusive)
+    w = dh.make_family("power", {"gamma": 0.5})
+    g = sharp(w, tail_grid_8192)
+    with pytest.raises(TypeError):
+        dh.SpectralData(alpha=0.3, lambda_grid=tail_grid_8192, values=g.values)
+    with pytest.raises(AttributeError):
+        g.alpha = 0.3
+    assert g.alpha == tail_grid_8192.alpha == ALPHA
+    assert dh.verify_main1_part1(g, w, 2.0, dh.dyadic_h_grid(D0)).extra["alpha"] == ALPHA
+    # at alpha = 0.5, omega(t)/t^{1.5} = 1/t is not integrable
+    assert dh.verify_fourier_Lnu(g, w, 2.0, 1.0).verdict == "hypothesis_failed"

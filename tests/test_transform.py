@@ -14,9 +14,8 @@ import dhankel as dh
 from dhankel.quadrature import _grid_ids, weight_constant
 from dhankel.specfun import DomainError, KernelParams, kernel_parts
 import dhankel.transform as transform
-from dhankel.transform import (ConfigurationError, _interior_panels,
-                               _matrix_cache, _table_arguments, kernel_matrix,
-                               kernel_multiplier, spectral_mass)
+from dhankel.transform import (_interior_panels, _matrix_cache, _table_arguments,
+                               kernel_matrix, kernel_multiplier, spectral_mass)
 from test_quadrature import weighted_integral
 from test_specfun import j_mp, kernel_slope_bounds
 
@@ -41,14 +40,14 @@ def test_alpha_mismatch():
     xg = dh.build_weighted_grid(0.5, 2.0, 4, 4)
     lg = dh.build_weighted_grid(0.6, 2.0, 4, 4)
     f = dh.FunctionSpec(evaluator=lambda x: np.exp(-x * x), support_radius=4.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         dh.forward(f, xg, lg)
 
 
 def test_spectral_data_length_invariant():
     lg = dh.build_weighted_grid(0.5, 2.0, 4, 4)
-    with pytest.raises(ConfigurationError):
-        dh.SpectralData(alpha=0.5, lambda_grid=lg, values=np.zeros(3))
+    with pytest.raises(DomainError):
+        dh.SpectralData(lambda_grid=lg, values=np.zeros(3))
 
 
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
@@ -124,19 +123,19 @@ def test_closed_form_pair(alpha, radius):
     big_f = lambda lam: (1.0 - lam) * np.exp(-np.abs(lam))
     spec = dh.forward(f, xg, lg)
     assert np.max(np.abs(spec.values - big_f(lg.nodes))) <= 1e-13
-    g = dh.SpectralData(alpha=alpha, lambda_grid=lg, values=big_f(lg.nodes))
+    g = dh.SpectralData(lambda_grid=lg, values=big_f(lg.nodes))
     assert np.max(np.abs(dh.inverse(g, xg)(xg.nodes) - f(xg.nodes))) <= 1e-13
 
 
 def test_inverse_of_zero(grids_default):
     xg, lg = grids_default
-    g = dh.SpectralData(alpha=ALPHA, lambda_grid=lg, values=np.zeros(lg.nodes.size))
+    g = dh.SpectralData(lambda_grid=lg, values=np.zeros(lg.nodes.size))
     assert np.all(dh.inverse(g, xg)(xg.nodes) == 0.0)
 
 
 def make_bandlimited(lg, cutoff=1.0):
     vals = np.where(np.abs(lg.nodes) <= cutoff, 1.0, 0.0)
-    return dh.SpectralData(alpha=lg.alpha, lambda_grid=lg, values=vals)
+    return dh.SpectralData(lambda_grid=lg, values=vals)
 
 
 def test_tail_energy_basics(grids_default):
@@ -158,7 +157,7 @@ def test_spectral_mass_matches_masked_sums(tail_grid_4096, q):
     lg = tail_grid_4096
     rng = np.random.default_rng(11)
     vals = rng.standard_normal(lg.nodes.size) * (np.abs(lg.nodes) < lg.radius / 2)
-    g = dh.SpectralData(alpha=lg.alpha, lambda_grid=lg, values=vals)
+    g = dh.SpectralData(lambda_grid=lg, values=vals)
     hs = np.concatenate([dh.dyadic_h_grid(0.5, 0, 12),
                          [1.5 / lg.radius,            # tail misses the support
                           1.0 / lg.pos_nodes[7],      # cut on a node
@@ -185,7 +184,7 @@ def test_spectral_mass_matches_masked_sums(tail_grid_4096, q):
 def test_tail_energy_monotone_in_h(grids_default, h, factor):
     _, lg = grids_default
     rng = np.random.default_rng(7)
-    g = dh.SpectralData(alpha=ALPHA, lambda_grid=lg,
+    g = dh.SpectralData(lambda_grid=lg,
                         values=rng.uniform(0, 1, lg.nodes.size))
     assert dh.tail_energy(g, h, 2.0) <= dh.tail_energy(g, h * factor, 2.0) + 1e-15
 
