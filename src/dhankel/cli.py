@@ -42,29 +42,6 @@ MODULUS_GRAMMAR = ("modulus grammar: power:gamma=0.5 | "
                    "power_logexponent:gamma=0.5,C=1.0,lambda=2.0 | "
                    "power_loglog:gamma=0.5,lambda=1.0")
 
-
-# Accepted range of every float option; NaN and +-inf fail every one.
-_FLOAT_RANGES = {
-    "alpha": (lambda v: v > 0.25, "> 1/4"),
-    "p": (lambda v: 1.0 < v <= 2.0, "in (1, 2]"),
-    "nu": (lambda v: v >= 1.0, ">= 1"),
-    "radius_x": (lambda v: v > 0.0, "> 0"),
-    "radius_lambda": (lambda v: v > 0.0, "> 0"),
-    "delta0": (lambda v: v > 0.0, "> 0"),
-}
-
-
-def _check_floats(ns) -> None:
-    """Raise DomainError for the first float option of a parsed namespace
-    outside its range; options the subcommand does not carry, or leaves at
-    None, are skipped."""
-    for name, (in_range, rule) in _FLOAT_RANGES.items():
-        v = getattr(ns, name, None)
-        if v is not None and not (math.isfinite(v) and in_range(v)):
-            raise DomainError(f"--{name.replace('_', '-')} must be finite and "
-                              f"{rule}, got {v!r}")
-
-
 TEST_FUNCTIONS = {
     "sqrt_gauss_annulus": lambda x: np.exp(-((np.sqrt(np.abs(x)) - 2.0) / 0.5) ** 2),
     "gauss": lambda x: np.exp(-x * x),
@@ -190,27 +167,57 @@ def _cmd_titchmarsh(ns) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors (subparsers' too) are one-line DomainErrors."""
+
+    def error(self, message):
+        raise DomainError(message.removeprefix("argument "))
+
+
+def _float_in(rule: str, in_range):
+    """argparse type of a float option: a finite number with in_range(value);
+    anything else, NaN and +-inf included, is an error that states the rule."""
+    def parse(text: str) -> float:
+        try:
+            v = float(text)
+        except ValueError:
+            v = math.nan
+        if not (math.isfinite(v) and in_range(v)):
+            raise argparse.ArgumentTypeError(f"must be finite and {rule}, got {text!r}")
+        return v
+    return parse
+
+
+_POSITIVE = _float_in("> 0", lambda v: v > 0.0)
+
+
 def _add_modulus_args(p) -> None:
     p.add_argument("--modulus", required=True, help=MODULUS_GRAMMAR)
-    p.add_argument("--delta0", type=float, default=None,
+    p.add_argument("--delta0", type=_POSITIVE, default=None,
                    help="domain endpoint (family default when omitted)")
 
 
+def _add_grid_args(p, radius_x: bool) -> None:
+    """Options of transform, synth (no x grid, no --radius-x) and titchmarsh."""
+    p.add_argument("--alpha", type=_float_in("> 1/4", lambda v: v > 0.25), default=0.5)
+    if radius_x:
+        p.add_argument("--radius-x", type=_POSITIVE, default=20.0)
+    p.add_argument("--radius-lambda", type=_POSITIVE, default=64.0)
+    p.add_argument("--order", type=int, default=16)
+    p.add_argument("--output", default="")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dhankel",
         description="Deformed Hankel transform and Titchmarsh-type verification")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     tr = sub.add_parser("transform", help="forward-transform a test function")
     tr.add_argument("--function", default="sqrt_gauss_annulus",
                     choices=sorted(TEST_FUNCTIONS))
-    tr.add_argument("--alpha", type=float, default=0.5)
-    tr.add_argument("--radius-x", type=float, default=20.0)
-    tr.add_argument("--radius-lambda", type=float, default=64.0)
+    _add_grid_args(tr, radius_x=True)
     tr.add_argument("--panels", type=int, default=64)
-    tr.add_argument("--order", type=int, default=16)
-    tr.add_argument("--output", default="")
     tr.set_defaults(func=_cmd_transform)
 
     mc = sub.add_parser("modulus-check", help="Zygmund condition constants")
@@ -224,32 +231,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sy = sub.add_parser("synth", help="synthesize spectral data from a tail")
     _add_modulus_args(sy)
-    sy.add_argument("--alpha", type=float, default=0.5)
-    sy.add_argument("--radius-lambda", type=float, default=64.0)
-    sy.add_argument("--order", type=int, default=16)
+    _add_grid_args(sy, radius_x=False)
     sy.add_argument("--profile", default="sharp_tail",
                     choices=["sharp_tail", "smooth_tail"])
-    sy.add_argument("--output", default="")
     sy.set_defaults(func=_cmd_synth)
 
     tm = sub.add_parser("titchmarsh", help="run one theorem verification")
     _add_modulus_args(tm)
+    _add_grid_args(tm, radius_x=True)
     tm.add_argument("--theorem", default="main1_part1", choices=list(THEOREMS))
-    tm.add_argument("--alpha", type=float, default=0.5)
-    tm.add_argument("--p", type=float, default=2.0)
-    tm.add_argument("--nu", type=float, default=2.0, help="fourier_Lnu only")
-    tm.add_argument("--radius-x", type=float, default=20.0)
-    tm.add_argument("--radius-lambda", type=float, default=64.0)
-    tm.add_argument("--order", type=int, default=16)
+    tm.add_argument("--p", type=_float_in("in (1, 2]", lambda v: 1 < v <= 2), default=2.0)
+    tm.add_argument("--nu", type=_float_in(">= 1", lambda v: v >= 1.0), default=2.0,
+                    help="fourier_Lnu only")
     tm.add_argument("--h-max-exp", type=int, default=3)
     tm.add_argument("--h-min-exp", type=int, default=10)
     tm.add_argument("--synth", default="matched",
                     help="matched | mismatched:<modulus> | function:<name>")
     tm.add_argument("--route-check", action="store_true",
-                    help="use resolved x/frequency grids; the theorems with "
-                         "a second difference-norm route also report the "
-                         "two routes' agreement")
-    tm.add_argument("--output", default="")
+                    help="use resolved x/frequency grids; the theorems with a second "
+                         "difference-norm route also report the two routes' agreement")
     tm.add_argument("--format", default="csv", choices=["csv", "json"])
     tm.set_defaults(func=_cmd_titchmarsh)
     return parser
@@ -263,11 +263,9 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         ns = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
-        _check_floats(ns)
         return ns.func(ns)
+    except SystemExit:  # --help, after printing the usage
+        return 0
     except PreconditionError as exc:
         print(f"precondition failed [{exc.condition}]: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR

@@ -96,8 +96,11 @@ def make_family(tag: str, params: dict, delta0: float | None = None) -> ModulusS
 
     if delta0 is None:
         delta0 = 0.3 if tag == "power_loglog" else 0.5
-    if not delta0 > 0:
-        raise DomainError("delta0 must be positive")
+    # estimate_indices probes down to delta0 * 5e-42, the deepest sample of any
+    # check; below the normal doubles, ratios of omega lose digits or turn nan
+    depth, tiny = 10.0 ** -_EPS_BOT_EXP * _M_T, np.finfo(float).tiny
+    if not delta0 * depth >= tiny:
+        raise DomainError(f"delta0 must be at least {tiny / depth:.3g}, got {delta0!r}")
 
     if tag == "power":
         g = p["gamma"]
@@ -437,10 +440,8 @@ def build_W_omega(w: ModulusSpec) -> ModulusSpec:
         t_clip = np.minimum(t_arr, delta0)
         out = np.empty_like(t_clip)
         low = t_clip < t_min
-        if low.any():
-            out[low] = w_min * (t_clip[low] / t_min) ** slope
-        if (~low).any():
-            out[~low] = np.exp(interp(np.log(t_clip[~low])))
+        out[low] = w_min * (t_clip[low] / t_min) ** slope
+        out[~low] = np.exp(interp(np.log(t_clip[~low])))
         return out
 
     return ModulusSpec(evaluator=evaluator, delta0=w.delta0,

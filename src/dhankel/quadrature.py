@@ -25,7 +25,7 @@ _grid_ids = itertools.count()
 # Largest Gauss rule order per panel and panel count per grid.  A grid's
 # nodes grow with order x panels, and a kernel entry with their square; every
 # grid of the CLI defaults to order 16.
-_MAX_ORDER, _MAX_PANELS = 64, 100000
+_MAX_ORDER, MAX_PANELS = 64, 100000
 # Largest grid radius: below it the panel midpoints 0.5 (a + b) of every grid
 # and the span radius / 0.25 of a tail grid stay finite.
 _MAX_RADIUS = np.finfo(float).max / 4.0
@@ -107,8 +107,6 @@ def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int,
     if not np.all((wpos > 0) & (wpos < math.inf)):
         raise DomainError(f"alpha = {alpha} takes the quadrature weights out "
                           "of the range of doubles")
-    idx = np.argsort(pos)
-    pos, wpos = pos[idx], wpos[idx]
     cell_lo = np.concatenate([[0.0], 0.5 * (pos[1:] + pos[:-1])])
     cell_hi = np.concatenate([0.5 * (pos[1:] + pos[:-1]), [radius]])
     nodes = np.concatenate([-pos[::-1], pos])
@@ -125,8 +123,8 @@ def build_weighted_grid(alpha: float, radius: float, panels: int,
                         order: int) -> WeightedGrid:
     """Build a WeightedGrid with `panels` equal panels on [0, R]."""
     check_grid_inputs(alpha, radius, order)
-    if not 2 <= panels < _MAX_PANELS:
-        raise DomainError(f"panels must lie in [2, {_MAX_PANELS}), got {panels}")
+    if not 2 <= panels < MAX_PANELS:
+        raise DomainError(f"panels must lie in [2, {MAX_PANELS}), got {panels}")
     return _assemble(alpha, radius, np.linspace(0.0, radius, panels + 1), order)
 
 
@@ -144,7 +142,7 @@ def build_graded_grid(alpha: float, radius: float, order: int,
         raise DomainError("first_panel must lie in (0, radius) and rho in "
                           f"(1, inf), got {first_panel} and {rho}")
     count = math.log(radius / first_panel) / math.log(rho)
-    if not count < _MAX_PANELS:
+    if not count < MAX_PANELS:
         raise DomainError("grading produced too many panels")
     edges = first_panel * rho ** np.arange(int(count) + 2)
     last = np.argmax(edges >= radius * (1.0 - 1e-12))

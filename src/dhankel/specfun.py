@@ -222,12 +222,9 @@ def bessel_j_normalized(nu: float, x):
     z = np.atleast_1d(z)
     out = np.empty_like(z)
     near = z <= _SEAM
-    if near.any():
-        q = 0.25 * z[near] ** 2
-        out[near] = 1.0 - q * _clenshaw(_near_coefficients(nu), q / _NEAR_HALF - 1.0)
-    far = ~near
-    if far.any():
-        out[far] = _large_argument(nu, z[far])
+    q = 0.25 * z[near] ** 2
+    out[near] = 1.0 - q * _clenshaw(_near_coefficients(nu), q / _NEAR_HALF - 1.0)
+    out[~near] = _large_argument(nu, z[~near])
     return float(out[0]) if scalar else out
 
 

@@ -41,8 +41,8 @@ from scipy.special import erf
 from .modulus import (ModulusSpec, build_W_omega, check_almost_monotone,
                       check_transform_integrability, zygmund_Z0_constant,
                       zygmund_Z1_constant)
-from .quadrature import (WeightedGrid, build_graded_grid, check_grid_inputs,
-                         conjugate_exponent, weight_constant)
+from .quadrature import (MAX_PANELS, WeightedGrid, build_graded_grid,
+                         check_grid_inputs, conjugate_exponent, weight_constant)
 from .specfun import DomainError, PreconditionError
 from .transform import (SpectralData, diff_norms, forward, round_trip_norms,
                         spectral_mass, tail_energy, tail_truncated)
@@ -180,11 +180,16 @@ def make_resolved_grids(alpha: float, radius_x: float, radius_lambda: float,
     """
     for radius in (radius_x, radius_lambda):
         check_grid_inputs(alpha, radius, order)
+    product = radius_x * radius_lambda
     try:
-        rho = math.exp(10.0 / math.sqrt(radius_x * radius_lambda))
+        rho = math.exp(10.0 / math.sqrt(product))
     except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"radius_x * radius_lambda = {radius_x * radius_lambda!r} "
+        raise DomainError(f"radius_x * radius_lambda = {product!r} "
                           "is too small for a finite panel ratio rho") from None
+    # a product above 100 gives each grid ln(product / 25) / ln rho panels
+    if not math.log(product / 25.0) < MAX_PANELS * math.log(rho):
+        raise DomainError(f"radius_x * radius_lambda = {product!r} is too large: a "
+                          f"grid would need {MAX_PANELS} panels or more")
     return tuple(build_graded_grid(alpha, r, order, min(25.0 / dual, r / 4.0), rho)
                  for r, dual in ((radius_x, radius_lambda), (radius_lambda, radius_x)))
 

@@ -313,10 +313,11 @@ def kernel_multiplier(lgrid: WeightedGrid, h) -> np.ndarray:
 def forward(f, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
     """Forward transform: values_j = sum_i w_i f(x_i) B(lambda_j x_i), with
     f a FunctionSpec (any vectorized callable) or its samples on xgrid.nodes."""
+    entry = kernel_matrix(xgrid, lgrid)   # refuses a bad pair before f is sampled
     fx = np.asarray(f(xgrid.nodes) if callable(f) else f, dtype=float)
     if fx.shape != xgrid.nodes.shape:
         raise DomainError("samples do not match the x grid")
-    values = _apply(kernel_matrix(xgrid, lgrid), xgrid.weights * fx, transposed=True)
+    values = _apply(entry, xgrid.weights * fx, transposed=True)
     return SpectralData(lambda_grid=lgrid, values=values)
 
 

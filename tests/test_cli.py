@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dhankel
 from dhankel import cli
@@ -353,7 +360,7 @@ def test_weight_underflow_is_one_line_usage_error(route_check, capsys):
     (["--h-min-exp", "2000"], "h exponents must lie in [-1000, 1000], got 3 and 2000"),
     (["--delta0", "1e300", "--h-max-exp", "-1000"],
      "h grid delta0 * 2^-k leaves the range of doubles"),
-    (["--delta0", "1e-300", "--h-min-exp", "100"],
+    (["--delta0", "1e-200", "--h-min-exp", "1000"],
      "h grid delta0 * 2^-k leaves the range of doubles"),
 ])
 def test_h_exponents_out_of_range_are_one_line_usage_errors(argv, message, capsys):
@@ -506,6 +513,8 @@ def test_modulus_probe_overflow_is_a_usage_error_without_warnings(capsys):
     ("transform", "--radius-x", "1e307"),                     # lambda * x overflows
     # (2 sqrt(lambda x))^2 overflows on the Hankel path of a fractional order
     ("transform", "--alpha", "0.3", "--radius-x", "1e306", "--radius-lambda", "150"),
+    # exp(-x * x) would overflow if sampled before the kernel is refused
+    ("transform", "--function", "gauss", "--radius-x", "1e306"),
     # errors found after h values were dropped print no h note
     (*TM, "--h-max-exp", "-5"),
     (*TM, "--synth", "mismatched:nope"),
@@ -566,3 +575,163 @@ def test_library_function_input_gives_the_cli_report(theorem, tmp_path, capsys):
     h = restrict_h_grid(dhankel.dyadic_h_grid(w.delta0, 3, 10), lg)
     f = dhankel.FunctionSpec(evaluator=lambda x: np.exp(-x * x), support_radius=16.0)
     assert json.loads(LIBRARY_CALLS[theorem](f, w, h, xg, lg).to_json()) == cli_report
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("frobnicate",),                                # unknown subcommand
+    (),                                             # no subcommand
+    ("indices",),                                   # missing --modulus
+    (*TM, "--alpha", "abc"),                        # not a number
+    (*TM, "--theorem", "nope"),                     # unknown choice
+    (*TM, "--order", "1.5"),                        # not an integer
+    (*TM, "--panels", "3"),                         # unknown option
+    (*TM, "--alpha"),                               # missing value
+    ("transform", "--function", "nope"),
+    ("synth", "--modulus", "power:gamma=0.5", "--radius-x", "3"),
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_argparse_errors_are_one_error_line(argv, capsys):
+    # argparse's own errors print no usage block: one line, as any bad input
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "argument " not in err
+
+
+def test_parser_checks_the_float_ranges():
+    # the range of a float option is checked where the option is parsed, so
+    # callers of build_parser (the verification suite) get it too
+    with pytest.raises(cli.DomainError, match=r"^--alpha: must be finite and > 1/4"):
+        build_parser().parse_args([*TM, "--alpha", "0.25"])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta0", ["1e-300", "4.4e-267"])
+@pytest.mark.parametrize("command", [
+    ("modulus-check", "--modulus", "power:gamma=0.5"),
+    ("indices", "--modulus", "power:gamma=1.0"),
+    ("synth", "--modulus", "power_logexponent:gamma=0.99,C=-5,lambda=0.5"),
+    TM])
+def test_delta0_below_the_normal_probe_is_one_line_usage_error(command, delta0,
+                                                              capsys):
+    # estimate_indices probes omega at delta0 * 5e-42; below the normal
+    # doubles that gave nan constants or a wrong index with exit 0
+    assert main([*command, "--delta0", delta0]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: delta0 must be at least 4.45e-267, got {float(delta0)!r}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius, product", [("1e17", "1e+34"),
+                                             ("1e6", "1000000000000.0")])
+def test_resolved_radius_product_too_large_is_one_line_usage_error(radius, product,
+                                                                   capsys):
+    # at 1e34 rho = exp(10 / sqrt(product)) rounds to 1; at 1e12 the grids
+    # would need millions of panels
+    assert main([*TM, "--route-check", "--radius-x", radius,
+                 "--radius-lambda", radius]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: radius_x * radius_lambda = {product} is too large: "
+                   "a grid would need 100000 panels or more\n")
+
+
+def _floats(lo, hi, *typical):
+    return st.one_of(st.sampled_from(typical), st.floats(lo, hi).map(repr))
+
+
+FLOAT_JUNK = ["nan", "inf", "-inf", "abc", "", "1e400"]
+# option -> (strategy of valid values, bad values).  Either kind may end in
+# any of the three ways: a valid value can leave no usable h, and a bad one
+# goes unread where the run ignores its option (--radius-x of a tail run)
+MODULUS = (st.sampled_from(["power:gamma=0.5", "power:gamma=1.0",
+                            "power_log:gamma=0.5,theta=1.0", "log_inverse:beta=2.0",
+                            "power_logexponent:gamma=0.5,C=1.0,lambda=2.0",
+                            "power_loglog:gamma=0.5,lambda=1.0"]),
+           [None, "power:gamma=2", "nope:gamma=1", "not-a-family"])   # None: omitted
+DELTA0 = (_floats(0.01, 0.3, "0.1"),
+          ["0", "-1", "1e-300", "4.4e-267", "1e-200", *FLOAT_JUNK])
+ALPHA = (_floats(0.26, 4.0, "0.3", "0.5", "1.5"),
+         ["0.25", "0.1", "-1", "85", "86", *FLOAT_JUNK])
+RADIUS = (_floats(1.0, 1e4, "20", "256", "8192"),
+          ["0", "-5", "1e-300", "1e306", "1e308", *FLOAT_JUNK])
+# from 64 on, a tail grid keeps some of the default h values
+TAIL_RADIUS = (_floats(64.0, 1e4, "256", "8192"), RADIUS[1])
+ORDER = (st.integers(2, 16).map(str), ["1", "-3", "65", "1.5", "x"])
+SWEEP = {
+    "transform": {"--function": (st.sampled_from(["gauss", "x2_gauss"]), ["nope"]),
+                  "--alpha": ALPHA, "--radius-x": RADIUS, "--radius-lambda": RADIUS,
+                  "--panels": (st.integers(2, 16).map(str), ["1", "1000", "1e3"]),
+                  "--order": ORDER},
+    "modulus-check": {"--modulus": MODULUS, "--delta0": DELTA0,
+                      "--condition": (st.sampled_from(["Z0", "Z1", "both"]), ["Z2"])},
+    "indices": {"--modulus": MODULUS, "--delta0": DELTA0},
+    "synth": {"--modulus": MODULUS, "--delta0": DELTA0, "--alpha": ALPHA,
+              "--radius-lambda": TAIL_RADIUS, "--order": ORDER,
+              "--profile": (st.sampled_from(["sharp_tail", "smooth_tail"]), ["flat"])},
+    "titchmarsh": {"--modulus": MODULUS, "--delta0": DELTA0, "--alpha": ALPHA,
+                   "--theorem": (st.sampled_from(list(THEOREMS)), ["nope"]),
+                   "--p": (st.sampled_from(["2", "1.5"]), ["1", "2.5", *FLOAT_JUNK]),
+                   "--nu": (_floats(1.0, 3.0, "1.5"), ["0.5", *FLOAT_JUNK]),
+                   "--radius-x": RADIUS, "--radius-lambda": TAIL_RADIUS,
+                   "--order": ORDER,
+                   "--h-max-exp": (st.integers(0, 6).map(str), ["-2", "-1100", "3.5"]),
+                   "--h-min-exp": (st.integers(6, 14).map(str), ["2000", "x"]),
+                   "--synth": (st.sampled_from(["matched",
+                                                "mismatched:power:gamma=0.2"]),
+                               ["mismatched:nope", "bogus"]),
+                   "--format": (st.sampled_from(["csv", "json"]), ["xml"])},
+}
+# given whenever valid: runs get past parsing, and transform stays small
+ALWAYS = ("--modulus", "--panels")
+# an unknown flag, a titchmarsh-only rejection, and an option without its value
+STRAY = [["--frobnicate"], ["--panels", "3"], ["--alpha"]]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line with every option valid, or with one bad piece: an
+    option out of range, an unknown subcommand, flag or choice, or no --modulus."""
+    command = draw(st.sampled_from([*SWEEP, "frobnicate"]))
+    options = SWEEP.get(command, {})
+    bad = draw(st.sampled_from([*options, "stray"])) if draw(st.booleans()) else None
+    argv = [command]
+    for option, (valid, invalid) in options.items():
+        value = (draw(st.sampled_from(invalid)) if option == bad
+                 else draw(valid) if option in ALWAYS or draw(st.booleans())
+                 else None)
+        if value is not None:
+            argv += [option, value]
+    return argv + (draw(st.sampled_from(STRAY)) if bad == "stray" else [])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(command_lines())
+def test_cli_input_sweep_ends_in_one_of_three_ways(argv):
+    # every run completes with no nan in its output, fails a precondition
+    # (one line, or a divergent constant printed by modulus-check), or is a
+    # usage error of one line.  A warning of the run is an error; the filter
+    # covers the run alone, since hypothesis imports modules that warn when it
+    # reports a failure
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "out"
+        argv = [*argv, "--output", str(report)] if argv[0] in ("transform", "synth",
+                                                              "titchmarsh") else argv
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = out.getvalue().replace(str(report), "<report>"), err.getvalue()
+        written = report.read_text() if report.exists() else ""
+    if code == 0:
+        assert not re.search(r"\bnan\b", out + written, re.IGNORECASE), argv
+        assert all(line.startswith("note: ") for line in err.splitlines()), (argv, err)
+    elif code == 2 and argv[0] == "modulus-check":
+        assert "divergent" in out and err == "", (argv, out, err)
+    else:
+        assert code in (1, 2), (argv, code)
+        start = "error: " if code == 1 else "precondition failed ["
+        assert out == "" and err.startswith(start) and err.count("\n") == 1, (argv, err)

@@ -85,6 +85,20 @@ def test_delta0_defaults():
     assert family("power_loglog", gamma=0.5, **{"lambda": 1.0}).delta0 == 0.3
 
 
+@pytest.mark.parametrize("delta0", [4.4e-267, 1e-300, 0.0, -1.0, math.nan])
+def test_delta0_whose_deepest_probe_is_not_a_normal_double_is_rejected(delta0):
+    # estimate_indices probes omega at delta0 * 5e-42; at delta0 = 1e-300 the
+    # Zygmund constants were nan and at 1e-290 the index of t was 0.93
+    with pytest.raises(DomainError, match="^delta0 must be at least 4.45e-267, got"):
+        dh.make_family("power", {"gamma": 1.0}, delta0=delta0)
+
+
+def test_smallest_accepted_delta0_keeps_exact_indices():
+    est = dh.estimate_indices(dh.make_family("power", {"gamma": 1.0}, delta0=4.5e-267))
+    assert abs(est.m_lower - 1.0) < 1e-9 and abs(est.M_upper - 1.0) < 1e-9
+    assert est.converged
+
+
 # ----------------------------- monotonicity -----------------------------
 
 def test_almost_increasing_power():

@@ -10,6 +10,7 @@ from dhankel.quadrature import (_assemble, build_graded_grid,
                                 build_weighted_grid, conjugate_exponent,
                                 panel_integrals, weight_constant, weighted_norm)
 from dhankel.specfun import DomainError
+from dhankel.titchmarsh import make_resolved_grids, make_tail_grid
 
 
 def weighted_integral(f, grid):
@@ -71,6 +72,17 @@ def test_grid_invariants():
     assert g.cell_hi[-1] == g.radius
     assert np.all(g.cell_lo < g.pos_nodes) and np.all(g.pos_nodes < g.cell_hi)
     assert np.allclose(g.cell_hi[:-1], g.cell_lo[1:])
+
+
+@pytest.mark.parametrize("order", [2, 5, 16, 64])
+@pytest.mark.parametrize("alpha", [0.26, 0.5, 4.0])
+def test_grids_are_assembled_in_ascending_node_order(alpha, order):
+    # _assemble lays the nodes out panel after panel and sorts nothing
+    for g in (build_weighted_grid(alpha, 20.0, 16, order),
+              make_tail_grid(alpha, 8192.0, order),
+              *make_resolved_grids(alpha, 20.0, 64.0, order),
+              *make_resolved_grids(alpha, 40.0, 512.0, order)):
+        assert np.all(np.diff(g.pos_nodes) > 0)
 
 
 def panel_by_panel(alpha, edges, order):
