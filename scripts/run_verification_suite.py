@@ -67,9 +67,10 @@ def main(argv=None):
             if cell.route_check not in grids:
                 grids[cell.route_check] = cli.titchmarsh_grids(cell)
             try:
-                rep = cli.titchmarsh_report(cell, *grids[cell.route_check])
+                rep, notes = cli.titchmarsh_report(cell, *grids[cell.route_check])
                 verdict = rep.verdict
                 (ns.outdir / f"{name}.json").write_text(rep.to_json(), newline="")
+                sys.stderr.writelines(notes)
             except cli.PreconditionError as exc:
                 verdict = f"precondition:{exc.condition}"
             rows.append((name, verdict, time.perf_counter() - start))

@@ -7,8 +7,10 @@ Subcommands:
   titchmarsh     run one theorem verification, emit a report (CSV/JSON)
   synth          synthesize spectral data from a tail target, emit CSV
 
-Exit codes: 0 completed, 1 usage error, 2 precondition failed (e.g. a
-Zygmund condition the requested run needs does not hold).
+Options become values before a command runs: the parser also builds the
+modulus and the --synth source, so bad option text is an error before any
+grid is built.  Only main picks the exit code: 0 completed, 1 usage error
+(DomainError), 2 precondition failed (PreconditionError).
 
 Identical configurations produce bit-identical report files: grids are
 deterministic, nothing is timestamped, floats are written with repr.
@@ -26,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .modulus import (estimate_indices, parse_family, zygmund_Z0_constant,
-                      zygmund_Z1_constant)
+from .modulus import (FAMILY_PARAMS, estimate_indices, parse_family,
+                      zygmund_Z0_constant, zygmund_Z1_constant)
 from .specfun import DomainError, PreconditionError
 from .titchmarsh import (THEOREMS, SynthesisSpec, VerificationReport,
                          dyadic_h_grid, make_resolved_grids, make_tail_grid,
@@ -37,141 +39,132 @@ from .quadrature import build_weighted_grid
 
 USAGE_ERROR, PRECONDITION_ERROR = 1, 2
 
-MODULUS_GRAMMAR = ("modulus grammar: power:gamma=0.5 | "
-                   "power_log:gamma=0.5,theta=1.0 | log_inverse:beta=2.0 | "
-                   "power_logexponent:gamma=0.5,C=1.0,lambda=2.0 | "
-                   "power_loglog:gamma=0.5,lambda=1.0")
-
-TEST_FUNCTIONS = {
+# the functions of transform --function and titchmarsh --synth function:<name>
+TEST_FUNCTIONS = {name: FunctionSpec(evaluator=f, support_radius=16.0) for name, f in {
     "sqrt_gauss_annulus": lambda x: np.exp(-((np.sqrt(np.abs(x)) - 2.0) / 0.5) ** 2),
     "gauss": lambda x: np.exp(-x * x),
     "x2_gauss": lambda x: x * x * np.exp(-x * x),
-}
-
-
-def _test_function(name: str) -> FunctionSpec:
-    if name not in TEST_FUNCTIONS:
-        raise DomainError(f"unknown test function {name!r}; "
-                          f"choose from {sorted(TEST_FUNCTIONS)}")
-    return FunctionSpec(evaluator=TEST_FUNCTIONS[name], support_radius=16.0)
+}.items()}
 
 
 def _write(path: str, text: str) -> None:
     if path:
-        Path(path).write_text(text, newline="")
+        try:
+            Path(path).write_text(text, newline="")
+        except OSError as exc:
+            raise DomainError(f"cannot write {path!r}: {exc.strerror or exc}") from None
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
 
 
-def _cmd_transform(ns) -> int:
-    f = _test_function(ns.function)
+def _cmd_transform(ns) -> None:
     xg = build_weighted_grid(ns.alpha, ns.radius_x, ns.panels, ns.order)
     lg = build_weighted_grid(ns.alpha, ns.radius_lambda, ns.panels, ns.order)
-    spec = forward(f, xg, lg)
-    _write(ns.output, spec.to_csv())
-    return 0
+    _write(ns.output, forward(TEST_FUNCTIONS[ns.function], xg, lg).to_csv())
 
 
-def _cmd_modulus_check(ns) -> int:
-    w = parse_family(ns.modulus, ns.delta0)
+def _cmd_modulus_check(ns) -> None:
     conditions = {"Z0": zygmund_Z0_constant, "Z1": zygmund_Z1_constant}
-    constants = {name: condition(w) for name, condition in conditions.items()
+    constants = {name: condition(ns.omega) for name, condition in conditions.items()
                  if ns.condition in (name, "both")}
-    for name, c in constants.items():
-        print(f"{name}=divergent" if c == math.inf else f"{name}={c:.6g}")
-    return PRECONDITION_ERROR if math.inf in constants.values() else 0
+    lines = [f"{name}=divergent" if c == math.inf else f"{name}={c:.6g}"
+             for name, c in constants.items()]
+    if math.inf in constants.values():  # named by the first divergent constant
+        raise PreconditionError(", ".join(lines), max(constants, key=constants.get))
+    print("\n".join(lines))
 
 
-def _cmd_indices(ns) -> int:
-    w = parse_family(ns.modulus, ns.delta0)
-    est = estimate_indices(w)
+def _cmd_indices(ns) -> None:
+    est = estimate_indices(ns.omega)
     print(f"m={est.m_lower:.2f} M={est.M_upper:.2f} converged={est.converged}")
-    return 0
 
 
-def _cmd_synth(ns) -> int:
-    w = parse_family(ns.modulus, ns.delta0)
+def _cmd_synth(ns) -> None:
     lg = make_tail_grid(ns.alpha, ns.radius_lambda, ns.order)
-    spec = SynthesisSpec(modulus=w, alpha=ns.alpha,
-                         lambda_radius=ns.radius_lambda, profile=ns.profile)
-    g = synthesize_from_tail(spec, lg)
-    _write(ns.output, g.to_csv())
-    return 0
+    spec = SynthesisSpec(ns.omega, ns.alpha, ns.radius_lambda, ns.profile)
+    _write(ns.output, synthesize_from_tail(spec, lg).to_csv())
 
 
 def titchmarsh_grids(ns):
     """(x grid or None, frequency grid) of a titchmarsh run: a resolved pair
-    when the run evaluates a function in physical space (function input or
-    --route-check), else a tail grid alone."""
-    if ns.synth.startswith("function:") or ns.route_check:
-        return make_resolved_grids(ns.alpha, ns.radius_x, ns.radius_lambda,
-                                   ns.order)
+    for function input or --route-check, else a tail grid alone."""
+    if isinstance(ns.source, FunctionSpec) or ns.route_check:
+        return make_resolved_grids(ns.alpha, ns.radius_x, ns.radius_lambda, ns.order)
     return None, make_tail_grid(ns.alpha, ns.radius_lambda, ns.order)
 
 
-def titchmarsh_report(ns, xg, lg) -> VerificationReport:
-    """The report of a titchmarsh run on the grids titchmarsh_grids(ns)
-    gives, with its settings in extra["config"]; stderr notes (dropped h, no
-    second route) come only with a finished report, so an error is one line."""
-    w = parse_family(ns.modulus, ns.delta0)
-    h_all = dyadic_h_grid(w.delta0, ns.h_max_exp, ns.h_min_exp)
+def titchmarsh_report(ns, xg, lg) -> tuple[VerificationReport, list[str]]:
+    """(report with its settings in extra["config"], stderr notes to print once
+    it is out, so an error is one line) of a run on titchmarsh_grids(ns)."""
+    h_all = dyadic_h_grid(ns.omega.delta0, ns.h_max_exp, ns.h_min_exp)
     h_grid = restrict_h_grid(h_all, lg)
     if h_grid.size == 0:
         raise DomainError("no usable h: raise --radius-lambda or --h-max-exp")
 
-    profile = "smooth_tail" if ns.route_check else "sharp_tail"
-    if ns.synth == "matched" or ns.synth.startswith("mismatched:"):
-        w_tail = (w if ns.synth == "matched"
-                  else parse_family(ns.synth.split(":", 1)[1], ns.delta0))
+    src = ns.source
+    if not isinstance(src, FunctionSpec):
+        profile = "smooth_tail" if ns.route_check else "sharp_tail"
         src = synthesize_from_tail(
-            SynthesisSpec(w_tail, ns.alpha, ns.radius_lambda, profile), lg)
-    elif ns.synth.startswith("function:"):
-        src = _test_function(ns.synth.split(":", 1)[1])
-    else:
-        raise DomainError(f"unknown --synth {ns.synth!r}; use matched, "
-                          "mismatched:<modulus>, or function:<name>")
+            SynthesisSpec(src, ns.alpha, ns.radius_lambda, profile), lg)
 
     verify, reads = THEOREMS[ns.theorem]
-    rep = verify(src, w, h_grid, xg, lg, ns.p, ns.nu)
+    rep = verify(src, ns.omega, h_grid, xg, lg, ns.p, ns.nu)
+    notes = []
     if h_grid.size < h_all.size:
         # fourier_Lnu judges partial norms over radii, not the h-ratio trace
         few = ("" if h_grid.size >= 3 or ns.theorem == "fourier_Lnu"
                else f"; the verdict rests on {h_grid.size} ratio(s)")
-        print(f"note: {h_all.size - h_grid.size} h value(s) dropped "
-              f"(tail 1/h beyond radius_lambda/4){few}", file=sys.stderr)
+        notes.append(f"note: {h_all.size - h_grid.size} h value(s) dropped "
+                     f"(tail 1/h beyond radius_lambda/4){few}\n")
     if ns.route_check and rep.extra.get("route_agreement") is None:
-        print(f"note: --route-check runs no second route for {ns.theorem}; "
-              "the report has no route_agreement", file=sys.stderr)
+        notes.append(f"note: --route-check runs no second route for {ns.theorem}; "
+                     "the report has no route_agreement\n")
 
     # only settings that shaped the run, and the node counts they produced
-    config = {
-        "alpha": ns.alpha, "radius_lambda": ns.radius_lambda,
-        "lambda_nodes": lg.nodes.size, "order": ns.order,
-        "modulus": ns.modulus, "theorem": ns.theorem,
-        "h_max_exp": ns.h_max_exp, "h_min_exp": ns.h_min_exp,
-        "synth": ns.synth, **{name: getattr(ns, name) for name in reads},
-    }
+    config = {"alpha": ns.alpha, "radius_lambda": ns.radius_lambda,
+              "lambda_nodes": lg.nodes.size, "order": ns.order,
+              "modulus": ns.modulus, "theorem": ns.theorem,
+              "h_max_exp": ns.h_max_exp, "h_min_exp": ns.h_min_exp,
+              "synth": ns.synth, **{name: getattr(ns, name) for name in reads}}
     if xg is not None:
         config.update(radius_x=ns.radius_x, x_nodes=xg.nodes.size)
     rep.extra["config"] = config
-    return rep
+    return rep, notes
 
 
-def _cmd_titchmarsh(ns) -> int:
-    rep = titchmarsh_report(ns, *titchmarsh_grids(ns))
-    text = rep.to_json() if ns.format == "json" else rep.to_csv()
+def _cmd_titchmarsh(ns) -> None:
+    rep, notes = titchmarsh_report(ns, *titchmarsh_grids(ns))
     if ns.output:
-        _write(ns.output, text)
+        _write(ns.output, rep.to_json() if ns.format == "json" else rep.to_csv())
+    sys.stderr.writelines(notes)
     print(f"VERDICT={rep.verdict}")
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors (subparsers' too) are one-line DomainErrors."""
+    """argparse whose usage errors (subparsers' too) are one-line DomainErrors,
+    and whose parse_args also gives a command the values of its option text."""
 
     def error(self, message):
         raise DomainError(message.removeprefix("argument "))
+
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        if "modulus" in ns:
+            ns.omega = parse_family(ns.modulus, ns.delta0)
+        if "synth" in ns:  # the modulus of a synthesized tail, or a test function
+            kind, colon, name = ns.synth.partition(":")
+            if ns.synth == "matched":
+                ns.source = ns.omega
+            elif kind == "mismatched" and colon:
+                ns.source = parse_family(name, ns.delta0)
+            elif kind == "function" and name in TEST_FUNCTIONS:
+                ns.source = TEST_FUNCTIONS[name]
+            else:
+                names = "|".join(TEST_FUNCTIONS)
+                raise DomainError(f"unknown --synth {ns.synth!r}; use matched, "
+                                  f"mismatched:<modulus> or function:<{names}>")
+        return ns
 
 
 def _float_in(rule: str, in_range):
@@ -192,7 +185,9 @@ _POSITIVE = _float_in("> 0", lambda v: v > 0.0)
 
 
 def _add_modulus_args(p) -> None:
-    p.add_argument("--modulus", required=True, help=MODULUS_GRAMMAR)
+    p.add_argument("--modulus", required=True, help=" | ".join(
+        f"{tag}:" + ",".join(f"{name}=" for name in names)
+        for tag, names in FAMILY_PARAMS.items()))
     p.add_argument("--delta0", type=_POSITIVE, default=None,
                    help="domain endpoint (family default when omitted)")
 
@@ -208,9 +203,8 @@ def _add_grid_args(p, radius_x: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="dhankel",
-        description="Deformed Hankel transform and Titchmarsh-type verification")
+    parser = _Parser(prog="dhankel", description="Deformed Hankel transform and "
+                     "Titchmarsh-type verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
     tr = sub.add_parser("transform", help="forward-transform a test function")
@@ -255,15 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built once: parsing does not change the parser, and in-process callers
-# would otherwise rebuild every subcommand's parser on each call.
+# Built once, not on each of the many in-process calls of main.
 _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     try:
         ns = _PARSER.parse_args(argv)
-        return ns.func(ns)
+        ns.func(ns)
     except SystemExit:  # --help, after printing the usage
         return 0
     except PreconditionError as exc:
@@ -272,6 +265,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 from scipy.fft import dct
 from scipy.special import gammaln, j0, j1, jv
 
@@ -156,22 +155,32 @@ def _band_coefficients(nu: float) -> np.ndarray:
     return _chebyshev_fit(lambda t: jv(nu, _BAND_MID + _BAND_HALF * t), _BAND_DEGREE)
 
 
-def _hankel(nu: float, z: np.ndarray) -> np.ndarray:
-    # J_nu(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - c with
-    # c = (nu/2 + 1/4) pi (DLMF 10.17.3).  P and Q are Horner sums in 1/z^2
-    # of the coefficients a_k = a_{k-1} (4 nu^2 - (2k-1)^2) / (8k), with
-    # signs + - + - on the even (P) and on the odd (Q) ones.  cos chi and
-    # sin chi are expanded through cos z and sin z, so z - c is never rounded.
+@functools.cache
+def _hankel_coefficients(nu: float) -> tuple:
+    # P's and Q's coefficients, then cos c and sin c: a_k = a_{k-1} (4 nu^2 -
+    # (2k-1)^2) / (8k) negated at even k, so P's (even k) and Q's alternate
     k = np.arange(1, 2 * _HANKEL_TERMS)
     a = np.cumprod(np.concatenate(
-        ([1.0], (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))))
-    a[2::4] *= -1.0
-    a[3::4] *= -1.0
-    w = 1.0 / (z * z)
-    p = polyval(w, a[0::2])
-    q = polyval(w, a[1::2]) / z
+        ([1.0], (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k) * (-1.0) ** (k + 1))))
     c = (0.5 * nu + 0.25) * math.pi
-    cos_c, sin_c = math.cos(c), math.sin(c)
+    return tuple(a[0::2]), tuple(a[1::2]), math.cos(c), math.sin(c)
+
+
+def _horner(c, w: np.ndarray) -> np.ndarray:
+    # sum c_k w^k in the order of operations of numpy's polyval
+    out = c[-1] + w * 0
+    for ck in c[-2::-1]:
+        out = ck + out * w
+    return out
+
+
+def _hankel(nu: float, z: np.ndarray) -> np.ndarray:
+    # J_nu(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - c with
+    # c = (nu/2 + 1/4) pi (DLMF 10.17.3); P and Q are sums in 1/z^2.  cos chi
+    # and sin chi are expanded through cos z and sin z, so z - c is never rounded.
+    p, q, cos_c, sin_c = _hankel_coefficients(nu)
+    w = 1.0 / (z * z)
+    p, q = _horner(p, w), _horner(q, w) / z
     return np.sqrt(2.0 / (math.pi * z)) * (
         np.cos(z) * (p * cos_c + q * sin_c) + np.sin(z) * (p * sin_c - q * cos_c))
 

@@ -33,9 +33,18 @@ def test_indices_output(capsys):
 def test_modulus_check_divergent_exit_code(capsys):
     code = main(["modulus-check", "--modulus", "log_inverse:beta=2.0",
                  "--condition", "Z0"])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code == 2
-    assert "Z0=divergent" in out
+    assert out == ""
+    assert err == "precondition failed [Z0]: Z0=divergent\n"
+
+
+def test_modulus_check_divergence_line_carries_every_constant(capsys):
+    # as every exit 2: nothing on stdout, one precondition line
+    assert main(["modulus-check", "--modulus", "log_inverse:beta=2.0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"precondition failed \[Z0\]: Z0=divergent, Z1=[0-9.]+\n", err)
 
 
 def test_modulus_check_finite(capsys):
@@ -711,10 +720,9 @@ def command_lines(draw):
 @given(command_lines())
 def test_cli_input_sweep_ends_in_one_of_three_ways(argv):
     # every run completes with no nan in its output, fails a precondition
-    # (one line, or a divergent constant printed by modulus-check), or is a
-    # usage error of one line.  A warning of the run is an error; the filter
-    # covers the run alone, since hypothesis imports modules that warn when it
-    # reports a failure
+    # (one line, modulus-check's included), or is a usage error of one line.
+    # A warning of the run is an error; the filter covers the run alone, since
+    # hypothesis imports modules that warn when it reports a failure
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "out"
         argv = [*argv, "--output", str(report)] if argv[0] in ("transform", "synth",
@@ -729,9 +737,63 @@ def test_cli_input_sweep_ends_in_one_of_three_ways(argv):
     if code == 0:
         assert not re.search(r"\bnan\b", out + written, re.IGNORECASE), argv
         assert all(line.startswith("note: ") for line in err.splitlines()), (argv, err)
-    elif code == 2 and argv[0] == "modulus-check":
-        assert "divergent" in out and err == "", (argv, out, err)
     else:
         assert code in (1, 2), (argv, code)
         start = "error: " if code == 1 else "precondition failed ["
         assert out == "" and err.startswith(start) and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("command", [
+    ("transform", "--function", "gauss", "--panels", "4", "--order", "4"),
+    ("synth", "--modulus", "power:gamma=0.5"),
+    TM,                                   # prints notes when its report is out
+    (*TM, "--route-check", "--theorem", "main1_part1")])
+@pytest.mark.parametrize("output", ["missing/x.csv", "."])
+def test_unwritable_output_is_one_line_usage_error(command, output, tmp_path, capsys):
+    # a missing directory, or a directory itself: no traceback, no note
+    path = str(tmp_path / output)
+    assert main([*command, "--output", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path!r}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad, named", [
+    (("--modulus", "nope:gamma=1"), "unknown family 'nope'"),
+    (("--modulus", "power:gamma=0.5", "--synth", "mismatched:nope:gamma=1"),
+     "unknown family 'nope'"),
+    (("--modulus", "power:gamma=0.5", "--synth", "function:nope"),
+     "unknown --synth 'function:nope'")])
+def test_bad_option_text_is_named_before_any_grid_is_built(bad, named, monkeypatch,
+                                                           capsys):
+    # the radius product is too large for the resolved grids, but the parser
+    # turns the option text into values before a command builds a grid
+    def no_grid(*args):
+        raise AssertionError("a grid builder ran")
+
+    monkeypatch.setattr(cli, "make_resolved_grids", no_grid)
+    monkeypatch.setattr(cli, "make_tail_grid", no_grid)
+    assert main(["titchmarsh", *bad, "--route-check", "--radius-x", "1e6",
+                 "--radius-lambda", "1e6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("synth", ["bogus", "mismatched", "mismatched:nope",
+                                   "function:nope", "function"])
+def test_parser_rejects_a_bad_synth(synth):
+    # the verification suite parses its cells with build_parser
+    with pytest.raises(cli.DomainError):
+        build_parser().parse_args([*TM, "--synth", synth])
+
+
+def test_parser_turns_synth_into_its_source():
+    def parse(synth):
+        return build_parser().parse_args([*TM, "--delta0", "0.25", "--synth", synth])
+
+    ns = parse("matched")
+    assert ns.source is ns.omega and ns.omega.delta0 == 0.25
+    ns = parse("mismatched:power:gamma=0.2")
+    assert ns.source.params == {"gamma": 0.2} and ns.source.delta0 == 0.25
+    assert parse("function:gauss").source is cli.TEST_FUNCTIONS["gauss"]

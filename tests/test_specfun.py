@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, jv
 
 from dhankel import make_resolved_grids
 from dhankel.specfun import (_CLENSHAW_BLOCK, DomainError, KernelParams,
-                             _band_coefficients, _clenshaw, _large_argument,
-                             _near_coefficients, bessel_j_normalized, gamma,
-                             kernel_B, kernel_parts)
+                             _band_coefficients, _clenshaw, _hankel_coefficients,
+                             _horner, _large_argument, _near_coefficients,
+                             bessel_j_normalized, gamma, kernel_B, kernel_parts)
 
 mp.mp.dps = 40
 
@@ -112,6 +113,16 @@ def test_clenshaw_matches_chebval():
     x = np.random.default_rng(3).uniform(-1.0, 1.0, _CLENSHAW_BLOCK + 901)
     for c in (_band_coefficients(-0.4), _near_coefficients(1.6)):
         assert np.array_equal(_clenshaw(c, x), chebval(x, c))
+
+
+@pytest.mark.parametrize("nu", [-0.4, 0.6, 1.6, 2.4, 3.3, 9.5, 10.0])
+def test_horner_matches_polyval(nu):
+    # the Hankel expansion's P and Q sums repeat numpy's operations bit for bit
+    z = np.geomspace(18.0, 1e6, 20001)[1:]
+    w = 1.0 / (z * z)
+    for c in _hankel_coefficients(nu)[:2]:
+        assert np.array_equal(_horner(c, w), polyval(w, c))
+        assert _horner(c, np.empty(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("nu", [-0.49, -0.4, 0.0, 0.5, 1.0, 2.0, 3.5, 10.0,
