@@ -9,19 +9,20 @@ j_nu(0) = 1, and u stands for the frequency-space product lambda*x.
 B_alpha(0) = 1; |B_alpha| <= 1 holds for alpha >= 1/2 (for
 alpha in (1/4, 1/2) the sup is finite but exceeds 1 — see tests).
 
-All functions are pure and accept scalars or numpy arrays.  The module also
+All functions are pure and accept scalars or numpy arrays.  They need numpy
+and the standard library alone: the Bessel fits are power series summed in
+decimal, and only orders above 10 import scipy, for its jv.  The module also
 defines the library's two error types, DomainError and PreconditionError.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
-from scipy.special import gammaln, j0, j1, jv
 
 
 class DomainError(ValueError):
@@ -62,16 +63,87 @@ def gamma(x: float) -> float:
 
 # Entries per block of _clenshaw, so that its work arrays stay in cache.
 _CLENSHAW_BLOCK = 8192
+# Every fit is computed in decimal at _FIT_DIGITS digits and rounded to
+# doubles once, as coefficients.  On the band the series' largest term is
+# below 1e8, so each of its sums keeps more than 35 digits.
+_FIT_DIGITS = 45
+_TINY = decimal.Decimal("1e-60")
+_NEGLIGIBLE = 1e-20
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937511")
+
+
+def _series_g(nu: float, q: decimal.Decimal) -> decimal.Decimal:
+    # g(q) = (1 - j_nu(2 sqrt q)) / q = sum_k (-q)^k / ((k+1)! (nu+1)_{k+1})
+    # from the exact binary nu, until the terms, which fall from k > q on,
+    # are below _TINY; in the caller's decimal context
+    nu1 = decimal.Decimal(nu) + 1
+    term = total = 1 / nu1
+    k = 0
+    while k <= q or abs(term) > _TINY:
+        k += 1
+        term = -term * q / ((k + 1) * (nu1 + k))
+        total += term
+    return total
+
+
+def _near_value(nu: float, t: decimal.Decimal) -> decimal.Decimal:
+    # g at the point t of [-1, 1] mapped onto the near field's q interval
+    with decimal.localcontext() as ctx:
+        ctx.prec = _FIT_DIGITS
+        return _series_g(nu, decimal.Decimal(_NEAR_HALF) * (1 + t))
+
+
+def _band_value(nu: float, t: decimal.Decimal) -> decimal.Decimal:
+    # the normalized j_nu = 1 - q g(q) at the point t of [-1, 1] mapped onto
+    # the band, q = z^2/4
+    with decimal.localcontext() as ctx:
+        ctx.prec = _FIT_DIGITS
+        z = decimal.Decimal(_BAND_MID) + decimal.Decimal(_BAND_HALF) * t
+        q = z * z / 4
+        return 1 - q * _series_g(nu, q)
+
+
+@functools.cache
+def _cosines(n: int) -> tuple:
+    # cos(pi m / (2n)) for m = 0 .. 4n - 1 in decimal: Taylor series on the
+    # first quadrant, the rest by symmetry
+    with decimal.localcontext() as ctx:
+        ctx.prec = _FIT_DIGITS
+        quadrant = []
+        for r in range(n + 1):
+            x2 = (_PI * r / (2 * n)) ** 2
+            term = total = decimal.Decimal(1)
+            k = 0
+            while abs(term) > _TINY:
+                k += 2
+                term = -term * x2 / (k * (k - 1))
+                total += term
+            quadrant.append(total)
+        half = quadrant + [-c for c in quadrant[-2::-1]]      # m = 0 .. 2n
+        return tuple(half + half[-2:0:-1])
 
 
 def _chebyshev_fit(f, degree: int) -> np.ndarray:
-    # Read-only coefficients of f's interpolant at the Chebyshev points of the
-    # first kind on [-1, 1] (not +-1).  A type-II DCT gets them ten times
-    # closer to exact than numpy's chebinterpolate; the near field multiplies
-    # their error by q, up to 20 at the seam.
+    # Read-only coefficients of f's interpolant at the n = degree + 1
+    # Chebyshev points of the first kind on [-1, 1] (not +-1), by the type-II
+    # cosine transform of f's values.  f maps a decimal point to a decimal
+    # value; the transform is summed in decimal too, so the coefficients are
+    # rounded once.  The near field multiplies their error by q, up to 20 at
+    # the seam: doubles in the transform put the normalized j 1.6e-14 off.
+    # Trailing coefficients whose magnitudes sum below _NEGLIGIBLE are
+    # dropped: they move no value by more than that, and each would cost
+    # every evaluation a Clenshaw step.
     n = degree + 1
-    c = dct(f(np.cos(np.pi * (np.arange(n) + 0.5) / n)), type=2) / n
+    cos = _cosines(n)
+    values = [f(cos[2 * k + 1]) for k in range(n)]
+    with decimal.localcontext() as ctx:
+        ctx.prec = _FIT_DIGITS
+        c = np.array([float(2 * sum(v * cos[j * (2 * k + 1) % (4 * n)]
+                                    for k, v in enumerate(values)) / n)
+                      for j in range(n)])
     c[0] *= 0.5
+    tail = np.cumsum(np.abs(c[::-1]))[::-1]
+    c = c[:max(2, np.count_nonzero(tail >= _NEGLIGIBLE))]
     c.setflags(write=False)
     return c
 
@@ -97,11 +169,6 @@ def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalized(nu: float, z: np.ndarray, big_j: np.ndarray) -> np.ndarray:
-    # Gamma(nu+1) (2/z)^nu J_nu(z) from J_nu(z), z > 0
-    return np.exp(gammaln(nu + 1.0) + nu * (math.log(2.0) - np.log(z))) * big_j
-
-
 # Near field |z| <= _SEAM: j_nu(2 sqrt q) = 1 - q g(q), which keeps
 # j_nu(0) = 1 exactly, with g, entire in q = z^2/4, interpolated on
 # [0, _SEAM^2/4] by one Chebyshev polynomial per order.  Against mpmath, the
@@ -110,37 +177,19 @@ def _normalized(nu: float, z: np.ndarray, big_j: np.ndarray) -> np.ndarray:
 _SEAM = 9.0
 _NEAR_HALF = 0.125 * _SEAM ** 2     # half the width of the q interval
 _NEAR_DEGREE = 24
-_G_TERMS = 20
 
 
 @functools.cache
 def _near_coefficients(nu: float) -> np.ndarray:
-    # g(q) = (1 - j_nu(2 sqrt q)) / q = sum_k (-q)^k / ((k+1)! (nu+1)_{k+1}).
-    # Where q <= nu + 2 its terms fall at least twofold per step, so the sum
-    # is good to a few ulp (and jv underflows at large orders); elsewhere
-    # 1 - j from jv loses nothing to cancellation.
-    def g(t):
-        q = _NEAR_HALF * (1.0 + t)
-        out = np.empty_like(q)
-        small = q <= nu + 2.0
-        k = np.arange(1.0, _G_TERMS)
-        terms = np.cumprod(-q[small, None] / ((k + 1.0) * (k + nu + 1.0)),
-                           axis=1) / (nu + 1.0)
-        out[small] = terms[:, ::-1].sum(axis=1) + 1.0 / (nu + 1.0)
-        qb = q[~small]
-        zb = 2.0 * np.sqrt(qb)
-        out[~small] = (1.0 - _normalized(nu, zb, jv(nu, zb))) / qb
-        return out
-
-    return _chebyshev_fit(g, _NEAR_DEGREE)
+    return _chebyshev_fit(functools.partial(_near_value, nu), _NEAR_DEGREE)
 
 
-# Far field of the orders without a closed-form path: a Chebyshev
-# interpolant of J_nu on the band (_SEAM, _HANKEL_FROM] and Hankel's
+# Far field of the orders up to _FAST_ORDER_MAX: a Chebyshev interpolant of
+# the normalized j_nu on the band (_SEAM, _HANKEL_FROM] and Hankel's
 # expansion above it.  Measured against mpmath over z in (9, 2000], both keep
-# the normalized j within 1.5e-14 for -1/2 < nu <= _FAST_ORDER_MAX, about as
-# close as jv itself.  The 8-term expansion at z = 18 is off by 2e-14 at
-# nu = 10.75 and 1e-13 at nu = 12, so higher orders keep jv.
+# the normalized j within 1.5e-14 for -1/2 < nu <= _FAST_ORDER_MAX.  The
+# 8-term expansion at z = 18 is off by 2e-14 at nu = 10.75 and 1e-13 at
+# nu = 12, so higher orders take scipy's jv, imported for them alone.
 _HANKEL_FROM = 18.0
 _BAND_MID = 0.5 * (_HANKEL_FROM + _SEAM)
 _BAND_HALF = 0.5 * (_HANKEL_FROM - _SEAM)
@@ -151,19 +200,21 @@ _FAST_ORDER_MAX = 10.0
 
 @functools.cache
 def _band_coefficients(nu: float) -> np.ndarray:
-    # J_nu on the band mapped onto [-1, 1]
-    return _chebyshev_fit(lambda t: jv(nu, _BAND_MID + _BAND_HALF * t), _BAND_DEGREE)
+    # the normalized j_nu on the band mapped onto [-1, 1]
+    return _chebyshev_fit(functools.partial(_band_value, nu), _BAND_DEGREE)
 
 
 @functools.cache
 def _hankel_coefficients(nu: float) -> tuple:
-    # P's and Q's coefficients, then cos c and sin c: a_k = a_{k-1} (4 nu^2 -
-    # (2k-1)^2) / (8k) negated at even k, so P's (even k) and Q's alternate
+    # P's and Q's coefficients, cos c and sin c, then ln(Gamma(nu+1) 2^nu):
+    # a_k = a_{k-1} (4 nu^2 - (2k-1)^2) / (8k) negated at even k, so P's
+    # (even k) and Q's alternate
     k = np.arange(1, 2 * _HANKEL_TERMS)
     a = np.cumprod(np.concatenate(
         ([1.0], (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k) * (-1.0) ** (k + 1))))
     c = (0.5 * nu + 0.25) * math.pi
-    return tuple(a[0::2]), tuple(a[1::2]), math.cos(c), math.sin(c)
+    return (tuple(a[0::2]), tuple(a[1::2]), math.cos(c), math.sin(c),
+            math.lgamma(nu + 1.0) + nu * math.log(2.0))
 
 
 def _horner(c, w: np.ndarray) -> np.ndarray:
@@ -174,67 +225,64 @@ def _horner(c, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hankel(nu: float, z: np.ndarray) -> np.ndarray:
-    # J_nu(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - c with
-    # c = (nu/2 + 1/4) pi (DLMF 10.17.3); P and Q are sums in 1/z^2.  cos chi
-    # and sin chi are expanded through cos z and sin z, so z - c is never rounded.
-    p, q, cos_c, sin_c = _hankel_coefficients(nu)
-    w = 1.0 / (z * z)
-    p, q = _horner(p, w), _horner(q, w) / z
-    return np.sqrt(2.0 / (math.pi * z)) * (
-        np.cos(z) * (p * cos_c + q * sin_c) + np.sin(z) * (p * sin_c - q * cos_c))
-
-
-def _large_argument(nu: float, z: np.ndarray) -> np.ndarray:
-    # Normalized value Gamma(nu+1) (2/z)^nu J_nu(z) for z > _SEAM.  Integer
-    # orders 0-8 get the fast cephes j0/j1 path; the upward recurrence for
-    # J_n is stable where z > n, which z > _SEAM >= 8 ensures.  Other orders
-    # up to _FAST_ORDER_MAX take the Chebyshev band, which also takes a NaN
-    # entry and keeps it NaN, and Hankel's expansion; higher orders take jv.
-    n = round(nu)
-    if nu == n and 0 <= n <= 8:
-        jn_prev = j0(z)
-        if n == 0:
-            big_j = jn_prev
+def _bessel_j(orders: tuple, z: np.ndarray) -> list:
+    # Normalized j_nu(z) for each order, z >= 0 or NaN of any shape.  The
+    # orders share the split of z and, beyond _HANKEL_FROM, every function of
+    # z alone.  A NaN entry takes the band (or jv) and stays NaN.
+    near = z <= _SEAM
+    far = z > _HANKEL_FROM
+    band = ~(near | far)
+    q = 0.25 * z[near] ** 2
+    x_near, x_band = q / _NEAR_HALF - 1.0, (z[band] - _BAND_MID) / _BAND_HALF
+    zf = z[far]
+    # Hankel's expansion: J_nu(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi),
+    # chi = z - c with c = (nu/2 + 1/4) pi (DLMF 10.17.3), P and Q sums in
+    # 1/z^2; cos chi and sin chi are expanded through cos z and sin z, so
+    # z - c is never rounded.  Normalized by Gamma(nu+1) (2/z)^nu.
+    w, log_z, root = 1.0 / (zf * zf), np.log(zf), np.sqrt(2.0 / (math.pi * zf))
+    cos_z, sin_z = np.cos(zf), np.sin(zf)
+    outs = []
+    for nu in orders:
+        out = np.empty_like(z)
+        out[near] = 1.0 - q * _clenshaw(_near_coefficients(nu), x_near)
+        if nu <= _FAST_ORDER_MAX:
+            out[band] = _clenshaw(_band_coefficients(nu), x_band)
+            p_c, q_c, cos_c, sin_c, log_scale = _hankel_coefficients(nu)
+            p, q_sum = _horner(p_c, w), _horner(q_c, w) / zf
+            out[far] = (np.exp(log_scale - nu * log_z) * root
+                        * (cos_z * (p * cos_c + q_sum * sin_c)
+                           + sin_z * (p * sin_c - q_sum * cos_c)))
         else:
-            jn_cur = j1(z)
-            for k in range(1, n):
-                jn_prev, jn_cur = jn_cur, (2.0 * k / z) * jn_cur - jn_prev
-            big_j = jn_cur
-    elif nu <= _FAST_ORDER_MAX:
-        big_j = np.empty_like(z)
-        hankel = z > _HANKEL_FROM
-        band = ~hankel
-        big_j[hankel] = _hankel(nu, z[hankel])
-        big_j[band] = _clenshaw(_band_coefficients(nu),
-                                (z[band] - _BAND_MID) / _BAND_HALF)
-    else:
-        big_j = jv(nu, z)
-    return _normalized(nu, z, big_j)
+            try:
+                from scipy.special import jv
+            except ImportError:
+                raise DomainError(f"order {nu} above {_FAST_ORDER_MAX:g} needs scipy, "
+                                  "which is not installed") from None
+            zl = z[~near]
+            out[~near] = np.exp(math.lgamma(nu + 1.0)
+                                + nu * (math.log(2.0) - np.log(zl))) * jv(nu, zl)
+        outs.append(out)
+    return outs
 
 
 def bessel_j_normalized(nu: float, x):
     """Normalized Bessel function of the first kind, j_nu(0) = 1.
 
-    Even in x.  Up to |x| = 9 a Chebyshev interpolant in x^2/4, fitted once
-    per order; above it the j0/j1 recurrence for integer orders 0-8, and
-    for other orders up to 10 a Chebyshev interpolant on (9, 18] and
-    Hankel's asymptotic expansion beyond 18; scipy's jv takes the rest.
-    Absolute error below 2e-14 for orders in (-1/2, 10].  A NaN argument
-    gives NaN.  Every path is chosen per entry and computes each entry on
-    its own, so each entry's value does not depend on the other entries of x.
+    Even in x.  Up to |x| = 9 a Chebyshev interpolant in x^2/4; above it,
+    for orders up to 10, a Chebyshev interpolant on (9, 18] and Hankel's
+    asymptotic expansion beyond 18.  Both interpolants are fitted once per
+    order to the power series of j_nu, summed in decimal at 45 digits.
+    Orders above 10 take scipy's jv above |x| = 9, and only they import
+    scipy.  Absolute error below 2e-14 for orders in (-1/2, 10].  A NaN
+    argument gives NaN.  Every path is chosen per entry and computes each
+    entry on its own, so each entry's value does not depend on the other
+    entries of x.
     """
     if not nu > -1.0:
         raise DomainError(f"order must exceed -1, got {nu}")
     z = np.abs(np.asarray(x, dtype=float))
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    near = z <= _SEAM
-    q = 0.25 * z[near] ** 2
-    out[near] = 1.0 - q * _clenshaw(_near_coefficients(nu), q / _NEAR_HALF - 1.0)
-    out[~near] = _large_argument(nu, z[~near])
-    return float(out[0]) if scalar else out
+    (out,) = _bessel_j((nu,), np.atleast_1d(z))
+    return float(out[0]) if z.ndim == 0 else out
 
 
 def kernel_parts(params: KernelParams, t):
@@ -243,14 +291,14 @@ def kernel_parts(params: KernelParams, t):
     Returns (E, O) with E(t) = j_{2a-1}(2 sqrt t) and
     O(t) = t j_{2a+1}(2 sqrt t) / ((2a)(2a+1)), so that
     B_alpha(u) = E(|u|) - sign(u) O(|u|).  Both depend on |u| alone, which
-    lets symmetric grids evaluate them once per distinct |u|.
+    lets symmetric grids evaluate them once per distinct |u|.  The two
+    orders share cos, sin and log of the arguments beyond 18.
     """
     a = params.alpha
     t = np.asarray(t, dtype=float)
-    z = 2.0 * np.sqrt(t)
-    even = bessel_j_normalized(2.0 * a - 1.0, z)
-    odd = t * bessel_j_normalized(2.0 * a + 1.0, z) / ((2.0 * a) * (2.0 * a + 1.0))
-    return even, odd
+    even, odd = _bessel_j((2.0 * a - 1.0, 2.0 * a + 1.0), np.atleast_1d(2.0 * np.sqrt(t)))
+    odd = t * odd / ((2.0 * a) * (2.0 * a + 1.0))
+    return (even, odd) if t.ndim else (float(even[0]), float(odd[0]))
 
 
 def kernel_B(params: KernelParams, u):

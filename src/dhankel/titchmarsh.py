@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .modulus import (ModulusSpec, build_W_omega, check_almost_monotone,
                       check_transform_integrability, zygmund_Z0_constant,
@@ -227,6 +226,15 @@ def _phi_of(w: ModulusSpec):
     return phi
 
 
+def _erf(x: np.ndarray) -> np.ndarray:
+    # math.erf entry by entry where it is not +-1: from |x| = 6 on it rounds
+    # to +-1 exactly, and most window entries lie there
+    out = np.sign(x)
+    inner = np.abs(x) < 6.0
+    out[inner] = np.frompyfunc(math.erf, 1, 1)(x[inner]).astype(float)
+    return out
+
+
 def synthesize_from_tail(spec: SynthesisSpec, lgrid: WeightedGrid) -> SpectralData:
     """Even nonnegative spectral data whose tail tracks Phi(y) = omega^2(1/y).
 
@@ -274,8 +282,8 @@ def synthesize_from_tail(spec: SynthesisSpec, lgrid: WeightedGrid) -> SpectralDa
         yb = y[band]
         eps = 1e-5
         dphi = (phi(yb * (1 + eps)) - phi(yb * (1 - eps))) / (2.0 * yb * eps)
-        u_win = 0.5 * (1.0 + erf((yb - center_lo) / (math.sqrt(2.0) * sigma_lo)))
-        w_win = 0.5 * (1.0 + erf((center_hi - yb) / (math.sqrt(2.0) * sigma_hi)))
+        u_win = 0.5 * (1.0 + _erf((yb - center_lo) / (math.sqrt(2.0) * sigma_lo)))
+        w_win = 0.5 * (1.0 + _erf((center_hi - yb) / (math.sqrt(2.0) * sigma_hi)))
         dens[band] = np.maximum(-dphi, 0.0) * u_win * w_win
         # density is d(tail)/dy; both signs share it: g(y)^2 = dens/(2 c_a y^{2a-1})
         ca = weight_constant(spec.alpha)

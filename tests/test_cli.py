@@ -291,29 +291,103 @@ def test_note_says_how_many_ratios_remain(theorem, radius, note, capsys):
     assert err == f"note: {note}\n"
 
 
-IMPORTED_SCIPY = """
-import sys
-import dhankel.cli
-print("scipy.interpolate" in sys.modules)
-print(" ".join(sorted(name for name, mod in list(sys.modules.items())
-                      if name.count(".") == 1 and name.startswith("scipy.")
-                      and not name.startswith("scipy._")
-                      and hasattr(mod, "__path__"))))
-"""
-
-
-def test_cli_import_loads_only_scipy_special_and_fft():
-    # start-up cost: a fresh interpreter importing the CLI loads no scipy
-    # subpackage beyond special and fft (interpolate alone pulled in
-    # optimize, linalg and spatial)
+def run_fresh(script: str, *args: str) -> str:
+    """stdout of a fresh interpreter running script with this dhankel."""
     src = str(Path(dhankel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", IMPORTED_SCIPY], env=env,
-                          capture_output=True, text=True, check=True)
-    interpolate, packages = done.stdout.splitlines()
-    assert interpolate == "False"
-    assert packages.split() == ["scipy.fft", "scipy.special"]
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+NUMPY_ONLY_RUNS = """
+import contextlib, io, json, os, sys
+from dhankel.cli import main
+os.chdir(sys.argv[1])
+tm = ["titchmarsh", "--modulus", "power:gamma=0.5"]
+runs = [["indices", "--modulus", "power_log:gamma=0.5,theta=1.0"],
+        ["modulus-check", "--modulus", "power:gamma=0.5"],
+        ["synth", "--modulus", "power:gamma=0.5", "--radius-lambda", "8192",
+         "--profile", "smooth_tail", "--output", "g.csv"],
+        ["transform", "--function", "gauss", "--output", "spec.csv"]]
+for alpha in ("0.3", "0.5", "0.7"):
+    runs += [[*tm, "--alpha", alpha, "--radius-lambda", "8192"],
+             [*tm, "--alpha", alpha, "--theorem", "equivalence", "--route-check"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_cli_runs_load_no_scipy(tmp_path):
+    # start-up cost: below alpha = 4.5 every order is at most 10, and no
+    # command loads any scipy module (importing scipy.special and scipy.fft
+    # took more than half of a tail-only run)
+    done = json.loads(run_fresh(NUMPY_ONLY_RUNS, str(tmp_path)))
+    assert done == {"codes": [0] * 10, "scipy": []}
+
+
+ORDER_ABOVE_TEN = """
+import contextlib, io, json, sys
+import numpy as np
+from dhankel.cli import main
+from dhankel.specfun import KernelParams, kernel_parts
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(["titchmarsh", "--modulus", "power:gamma=0.5", "--alpha", "4.5",
+                 "--radius-lambda", "8192", "--output", sys.argv[1]])
+loaded = ["scipy.special" in sys.modules]
+t = np.geomspace(0.5, 2e4, 40)
+even, odd = kernel_parts(KernelParams(alpha=5.0), t)
+loaded.append("scipy.special" in sys.modules)
+print(json.dumps({"code": code, "loaded": loaded, "t": t.tolist(),
+                  "even": even.tolist(), "odd": odd.tolist()}))
+"""
+
+
+def test_order_above_ten_alone_loads_scipy_special(tmp_path):
+    # alpha = 4.5 (orders 8 and 10) runs without scipy; alpha = 5 takes
+    # order 11, whose large arguments alone import jv, within the mpmath
+    # bound of test_large_orders_stay_accurate
+    import mpmath as mp
+
+    def j_mp(nu, z):
+        with mp.workdps(40):
+            return float(mp.gamma(1 + nu) * (2 / mp.mpf(z)) ** nu * mp.besselj(nu, z))
+
+    done = json.loads(run_fresh(ORDER_ABOVE_TEN, str(tmp_path / "report.csv")))
+    assert done["code"] == 0 and done["loaded"] == [False, True]
+    for t, even, odd in zip(done["t"], done["even"], done["odd"]):
+        z = 2.0 * t ** 0.5
+        assert abs(even - j_mp(9.0, z)) < 1e-12
+        assert abs(odd * 110.0 / t - j_mp(11.0, z)) < 1e-12
+
+
+WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(name)
+
+sys.meta_path.insert(0, NoScipy())
+from dhankel.cli import main
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    codes = [main(["titchmarsh", "--modulus", "power:gamma=0.5", "--alpha", alpha,
+                   "--radius-lambda", "8192", "--output", sys.argv[1]])
+             for alpha in ("0.5", "5")]
+print(json.dumps({"codes": codes, "stderr": err.getvalue()}))
+"""
+
+
+def test_order_above_ten_without_scipy_is_one_line_error(tmp_path):
+    # where scipy cannot be imported, alpha = 0.5 runs as ever and alpha = 5
+    # ends with one usage line, not a traceback
+    done = json.loads(run_fresh(WITHOUT_SCIPY, str(tmp_path / "report.csv")))
+    assert done == {"codes": [0, 1], "stderr": "error: order 11.0 above 10 needs "
+                                               "scipy, which is not installed\n"}
 
 
 @pytest.mark.parametrize("order", ["1", "0", "-3"])

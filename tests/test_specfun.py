@@ -10,9 +10,11 @@ from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, jv
 
 from dhankel import make_resolved_grids
-from dhankel.specfun import (_CLENSHAW_BLOCK, DomainError, KernelParams,
-                             _band_coefficients, _clenshaw, _hankel_coefficients,
-                             _horner, _large_argument, _near_coefficients,
+from dhankel.specfun import (_BAND_HALF, _BAND_MID, _CLENSHAW_BLOCK, _NEAR_HALF,
+                             DomainError, KernelParams, _band_coefficients,
+                             _band_value, _clenshaw, _cosines,
+                             _hankel_coefficients, _horner, _near_coefficients,
+                             _near_value,
                              bessel_j_normalized, gamma, kernel_B, kernel_parts)
 
 mp.mp.dps = 40
@@ -135,10 +137,33 @@ def test_near_field_oracle(nu):
     assert max(abs(j - j_mp(nu, z)) for z, j in zip(NEAR_Z, got)) <= 1e-14
 
 
+@pytest.mark.parametrize("nu", [-0.48, 0.0, 1.6, 2.0, 7.4, 10.0])
+def test_fit_values_match_mpmath(nu):
+    # the decimal values behind the near fit (g at 25 points) and the band
+    # fit (the normalized j at 41 points): Chebyshev nodes within 1e-40 and
+    # values within a relative 1e-30 of mpmath's besselj in 50 digits
+    def j(z):
+        return mp.gamma(1 + nu) * (2 / z) ** nu * mp.besselj(nu, z)
+
+    def g(q):
+        return (1 - j(2 * mp.sqrt(q))) / q
+
+    with mp.workdps(50):
+        for n, fit_value, exact in (
+                (25, _near_value, lambda t: g(_NEAR_HALF * (1 + t))),
+                (41, _band_value, lambda t: j(_BAND_MID + _BAND_HALF * t))):
+            for k in range(n):
+                t = _cosines(n)[2 * k + 1]
+                t_mp = mp.mpf(str(t))
+                assert abs(t_mp - mp.cos(mp.pi * (2 * k + 1) / (2 * n))) < 1e-40
+                want = exact(t_mp)
+                assert abs(mp.mpf(str(fit_value(nu, t))) - want) <= 1e-30 * abs(want)
+
+
 @pytest.mark.parametrize("nu", [-0.4, 0.0, 1.6, 2.4, 6.0])
 def test_bessel_entry_does_not_depend_on_its_batch(nu):
-    # the near-field interpolant and the integer-order large-argument path
-    # compute every entry on its own, whatever the other entries of the call;
+    # the near-field interpolant and the band compute every entry on its
+    # own, integer orders included, whatever the other entries of the call;
     # the array spans the seam at 9 and more than one Clenshaw block, in
     # shuffled order
     z = np.random.default_rng(7).permutation(
@@ -208,18 +233,17 @@ def test_bessel_domain():
 
 
 def test_branch_agreement_at_switch():
-    # the near field and the large-argument paths meet at the seam z = 9
+    # the near field and the band meet at the seam z = 9
     for nu in (-0.4, 0.0, 0.5, 2.0, 6.0):
         near = bessel_j_normalized(nu, 9.0)
-        asym = _large_argument(nu, np.array([9.0]))[0]
-        assert abs(near - asym) < 1e-9
+        band = bessel_j_normalized(nu, np.nextafter(9.0, 10.0))
+        assert abs(near - band) < 1e-9
 
 
 @pytest.mark.parametrize("nu", [0.0, 2.0, 0.5, -0.4, 1.6, 12.0])
 def test_nan_argument_gives_nan(nu):
-    # one order per large-argument path: j0, the j0/j1 recurrence, the
-    # Chebyshev band and Hankel's expansion (three fractional orders, one of
-    # them half-integer), and jv above order 10
+    # the Chebyshev band and Hankel's expansion at integer, fractional and
+    # half-integer orders, and jv above order 10
     got = bessel_j_normalized(nu, np.array([1.0, np.nan, 30.0]))
     assert np.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]]))
     assert math.isnan(bessel_j_normalized(nu, math.nan))
