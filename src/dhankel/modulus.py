@@ -55,9 +55,10 @@ class ModulusSpec:
     params: dict = field(default_factory=dict)
 
     def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = self.evaluator(t_arr)
-        return float(out) if t_arr.ndim == 0 else out
+        """omega(t) as a float array, or a float for a scalar t."""
+        t = np.asarray(t, dtype=float)
+        out = np.asarray(self.evaluator(t), dtype=float)
+        return float(out) if t.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,12 @@ def _log_panels(w: ModulusSpec, decades: int, per_decade: int, integrand):
     return edges_t, panel_integrals(integrand, np.log(1.0 / edges_t), _GAUSS_ORDER)
 
 
+def _integral_below(w: ModulusSpec, decades: int, per: int):
+    """_log_panels of omega(x)/x dx, and cum[i] = sum of the panels below edges[i]."""
+    edges_t, integrals = _log_panels(w, decades, per, lambda u: w.evaluator(np.exp(-u)))
+    return edges_t, integrals, np.concatenate([[0.0], np.cumsum(integrals[::-1])])[::-1]
+
+
 def _sampled_sup(ratio: np.ndarray) -> float:
     """Running sup of a ratio on the t grid, or math.inf when it diverges.
 
@@ -259,13 +266,10 @@ def zygmund_Z0_constant(w: ModulusSpec) -> float:
     deeper grid (catches iterated-log rates the sentinel cannot see through
     truncation).
     """
-    edges_t, integrals = _log_panels(w, _T_DECADES + _EXTRA_DECADES, _T_PER_DECADE,
-                                     lambda u: w.evaluator(np.exp(-u)))
-    # cumulative from the bottom: I(edges_t[i]) = sum of panels below it
-    cum = np.concatenate([[0.0], np.cumsum(integrals[::-1])])[::-1]
+    edges_t, integrals, cum = _integral_below(w, _T_DECADES + _EXTRA_DECADES,
+                                              _T_PER_DECADE)
     n_t = _T_DECADES * _T_PER_DECADE + 1
-    t = edges_t[:n_t]
-    sup = _sampled_sup(cum[:n_t] / w.evaluator(t))
+    sup = _sampled_sup(cum[:n_t] / w(edges_t[:n_t]))
     last_decade = float(np.sum(integrals[-_T_PER_DECADE:]))
     if last_decade > _TAIL_FRACTION * cum[n_t - 1]:
         return math.inf
@@ -295,11 +299,10 @@ def check_transform_integrability(w: ModulusSpec, alpha: float, p: float,
     """
     s = 2.0 * alpha * (1.0 - nu / conjugate_exponent(p))
     # omega^nu(t) / t^{s+1} dt = omega^nu(t) / t^s du in u = ln(1/t)
-    hs, sums = _log_panels(w, 12, 1, lambda u: np.asarray(
-        w.evaluator(np.exp(-u)), dtype=float) ** nu * np.exp(u * s))
+    hs, sums = _log_panels(w, 12, 1, lambda u: w(np.exp(-u)) ** nu * np.exp(u * s))
     r = sums[1:] / sums[:-1]
     integrable = bool(np.all(r[-3:] <= 0.98))
-    seq = np.asarray(w.evaluator(hs), dtype=float) ** nu / hs ** s
+    seq = w(hs) ** nu / hs ** s
     limit_ok = bool(np.all(seq[1:][-4:] <= seq[:-1][-4:] * 1.02))
     return {"integrable": integrable, "limit_bounded": limit_ok,
             "accepted": integrable and limit_ok, "exponent": s,
@@ -416,8 +419,7 @@ def build_W_omega(w: ModulusSpec) -> ModulusSpec:
     """
     per = 24
     total = _T_DECADES + _W_EXTRA_DECADES
-    edges_t, integrals = _log_panels(w, total, per, lambda u: w.evaluator(np.exp(-u)))
-    cum = np.concatenate([[0.0], np.cumsum(integrals[::-1])])[::-1]
+    edges_t, integrals, cum = _integral_below(w, total, per)
 
     # bottom-decade increments must fade relative to the reporting scale
     bottom = np.array([np.sum(integrals[k * per:(k + 1) * per])

@@ -220,7 +220,7 @@ def _phi_of(w: ModulusSpec):
         out = np.zeros_like(y)
         fin = np.isfinite(y)
         t = np.minimum(1.0 / np.maximum(y[fin], 1e-300), delta0)
-        out[fin] = np.asarray(w.evaluator(t), dtype=float) ** 2
+        out[fin] = w(t) ** 2
         return out
 
     return phi
@@ -387,7 +387,7 @@ def _forward(g: SpectralData, w: ModulusSpec, p: float, h_grid: np.ndarray,
     """(tail_q(1/h) / omega^q(h), the seminorm max diffs / omega(h)) of g,
     q = p/(p - 1); an omega^q(h) below the normal doubles is a DomainError."""
     q = conjugate_exponent(p)
-    omega_h = np.asarray(w.evaluator(h_grid), dtype=float)
+    omega_h = w(h_grid)
     omega_q = omega_h ** q
     if np.any(omega_q < np.finfo(float).tiny):
         raise DomainError(f"omega(h)^q leaves the normal doubles at p = {p!r} "
@@ -425,7 +425,7 @@ def _converse(g: SpectralData, w: ModulusSpec, h_grid: np.ndarray,
         raise PreconditionError(
             "upper Zygmund condition Z1 fails: int_t^d0 omega(x)/x^2 dx "
             "is not dominated by omega(t)/t", condition="Z1")
-    omega_h = np.asarray(w.evaluator(h_grid), dtype=float)
+    omega_h = w(h_grid)
     tail_ratios = tail_energy(g, h_grid, 2.0) / omega_h ** 2
     if render_verdict(h_grid, tail_ratios) == "unbounded":
         raise PreconditionError(
@@ -540,8 +540,8 @@ def verify_inclusion_Womega(f_or_g, w: ModulusSpec, p: float, h_grid,
     w_cum = build_W_omega(w)
     # one trace, divided by both moduli (they share delta0)
     g, diffs = _diff_trace(f_or_g, w, p, h_grid, xgrid, lgrid)
-    trace_w = diffs / np.asarray(w.evaluator(h_grid), dtype=float)
-    trace_cum = diffs / np.asarray(w_cum.evaluator(h_grid), dtype=float)
+    trace_w = diffs / w(h_grid)
+    trace_cum = diffs / w_cum(h_grid)
     sem_w, sem_cum = float(np.max(trace_w)), float(np.max(trace_cum))
     return _report("inclusion_Womega", g, w, h_grid, trace_cum / trace_w,
                    {"p": p, "seminorm_omega": sem_w, "seminorm_womega": sem_cum,

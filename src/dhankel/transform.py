@@ -81,10 +81,29 @@ class SpectralData:
 
 
 _matrix_cache: dict[tuple[int, int, float], "KernelEntry"] = {}
-# largest number of kernel entries one kernel_parts call of an edge strip
-# evaluates
-_SLAB_ENTRIES = 65536
-_ENTRY_BYTES = 1 << 30   # largest KernelEntry.nbytes a grid pair may ask for
+_SLAB_ENTRIES = 65536    # largest number of entries one kernel_parts call evaluates
+_ENTRY_BYTES = 1 << 30   # largest kernel array (entry or multiplier) a call may ask for
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    """Refuse a kernel array of nbytes over _ENTRY_BYTES, before any evaluation."""
+    if nbytes > _ENTRY_BYTES:
+        raise DomainError(f"{what} would hold {nbytes} bytes, over the cap of "
+                          f"{_ENTRY_BYTES}; use fewer nodes")
+
+
+def _outer_parts(params: KernelParams, a: np.ndarray, b: np.ndarray):
+    """Kernel parts (E, O) at np.outer(a, b) of 1-D magnitudes, in row slabs of
+    at most _SLAB_ENTRIES entries: kernel_parts' own arrays for one slab, else
+    (no row, or more slabs) one (2, a.size, b.size) array."""
+    step = max(1, _SLAB_ENTRIES // b.size)
+    if 0 < a.size <= step:
+        return kernel_parts(params, np.outer(a, b))
+    parts = np.empty((2, a.size, b.size))
+    for i in range(0, a.size, step):
+        parts[0, i:i + step], parts[1, i:i + step] = kernel_parts(
+            params, np.outer(a[i:i + step], b))
+    return parts
 
 
 def _interior_panels(xgrid: WeightedGrid, lgrid: WeightedGrid) -> tuple[int, int]:
@@ -185,9 +204,8 @@ def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     panel-index sum and node pair); the entry keeps the table's real FFT
     along that panel-sum axis, so that the interior product is one
     correlation.  The edge strips (the first and the last panel of either
-    grid) are the kernel parts at the rows' outer product, evaluated in row
-    slabs of at most _SLAB_ENTRIES entries.  A grid pair without a common
-    ratio has no interior and is held as one strip of all rows.
+    grid) are the kernel parts at the rows' outer product (_outer_parts); a
+    pair without a common ratio has no interior and is one strip of all rows.
     """
     if xgrid.alpha != lgrid.alpha:
         raise DomainError("grids carry different alpha")
@@ -211,24 +229,15 @@ def _build_entry(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     c0, c1 = o, o + kl * o
     edge_rows = np.r_[0:r0, r1:xpos.size]
     edge_cols = np.r_[0:c0, c1:lpos.size]
-    # float strips and complex spectra of E and O, checked before allocation
-    nbytes = 16 * (edge_rows.size * lpos.size + (r1 - r0) * edge_cols.size
-                   + (2 * (_fft_length(kx, kl) // 2 + 1) * o * o if kx else 0))
-    if nbytes > _ENTRY_BYTES:
-        raise DomainError(f"the kernel of this grid pair would hold {nbytes} "
-                          f"bytes, over the cap of {_ENTRY_BYTES}; use fewer nodes")
+    # float strips and complex spectra of E and O
+    _check_bytes(16 * (edge_rows.size * lpos.size + (r1 - r0) * edge_cols.size
+                       + (2 * (_fft_length(kx, kl) // 2 + 1) * o * o if kx else 0)),
+                 "the kernel of this grid pair")
     # the kernel squares its argument z = 2 sqrt(lambda x): 4 lambda x must be finite
     if not np.isfinite(4.0 * xgrid.radius * lgrid.radius):
         raise DomainError("radius_x * radius_lambda overflows the kernel argument")
-    rows = np.empty((2, edge_rows.size, lpos.size))
-    side = np.empty((2, r1 - r0, edge_cols.size))
-    # each strip in row slabs that bound the temporaries of kernel_parts
-    for strip, xs, ls in ((rows, xpos[edge_rows], lpos),
-                          (side, xpos[r0:r1], lpos[edge_cols])):
-        step = max(1, _SLAB_ENTRIES // ls.size)
-        for i in range(0, xs.size, step):
-            slab = slice(i, i + step)
-            strip[0, slab], strip[1, slab] = kernel_parts(params, np.outer(xs[slab], ls))
+    rows = np.asarray(_outer_parts(params, xpos[edge_rows], lpos))
+    side = np.asarray(_outer_parts(params, xpos[r0:r1], lpos[edge_cols]))
     if kx:
         tab = np.stack(kernel_parts(params, _table_arguments(xgrid, lgrid)))
         spectra = np.fft.rfft(tab, n=_fft_length(kx, kl), axis=2).transpose(0, 2, 1, 3)
@@ -295,19 +304,15 @@ def _apply(entry: KernelEntry, c, transposed: bool = False):
 
 
 def kernel_multiplier(lgrid: WeightedGrid, h) -> np.ndarray:
-    """Multiplier B(lambda_j h) on the frequency grid, one row per h.
-
-    h is a scalar (result shape (n,)) or an array, such as an h grid (result
-    shape h.shape + (n,)).  The kernel parts are evaluated in one call on
-    |h| * lgrid.pos_nodes and mirrored onto the negative half-axis; for a
-    scalar h the entries equal kernel_B(.., lgrid.nodes * h).
-    """
+    """Multiplier B(lambda_j h_k), one row per h of a 1-D grid, refused over
+    _ENTRY_BYTES: the kernel parts at |h| x lgrid.pos_nodes (_outer_parts)
+    mirrored onto the negative half-axis, so that row k equals
+    kernel_B(.., lgrid.nodes * h_k)."""
     h = np.asarray(h, dtype=float)
-    even, odd = kernel_parts(KernelParams(alpha=lgrid.alpha),
-                             np.multiply.outer(np.abs(h), lgrid.pos_nodes))
-    sign = np.where(h < 0, -1.0, 1.0)[..., None]
-    return np.concatenate([(even + sign * odd)[..., ::-1], even - sign * odd],
-                          axis=-1)
+    _check_bytes(8 * h.size * lgrid.nodes.size, f"the multiplier of {h.size} h values")
+    even, odd = _outer_parts(KernelParams(alpha=lgrid.alpha), np.abs(h), lgrid.pos_nodes)
+    sign = np.where(h < 0, -1.0, 1.0)[:, None]
+    return np.concatenate([(even + sign * odd)[:, ::-1], even - sign * odd], axis=1)
 
 
 def forward(f, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
@@ -321,23 +326,16 @@ def forward(f, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
     return SpectralData(lambda_grid=lgrid, values=values)
 
 
-def inverse(g: SpectralData, xgrid: WeightedGrid) -> FunctionSpec:
-    """Inverse transform as an evaluable function x -> sum_j w_j g_j B(lambda_j x).
-
-    On xgrid.nodes it applies the cached kernel entry; elsewhere the kernel rows
-    B(lambda_j x) are kernel_multiplier(lgrid, x), one evaluation of the
-    kernel parts at |x| * lgrid.pos_nodes.  A scalar x gives a scalar.
-    """
-    lgrid = g.lambda_grid
-    coeff = lgrid.weights * g.values
-
+def inverse(g: SpectralData, xgrid: WeightedGrid):
+    """Inverse transform as a function x -> sum_j w_j g_j B(lambda_j x) on
+    xgrid.nodes (by the cached kernel entry); any other x is a DomainError."""
     def evaluator(x):
-        x = np.asarray(x, dtype=float)
-        if x.shape == xgrid.nodes.shape and np.array_equal(x, xgrid.nodes):
-            return _apply(kernel_matrix(xgrid, lgrid), coeff)
-        return kernel_multiplier(lgrid, x) @ coeff
+        if not np.array_equal(x, xgrid.nodes):
+            raise DomainError("the inverse transform samples on its x grid's nodes only")
+        lgrid = g.lambda_grid
+        return _apply(kernel_matrix(xgrid, lgrid), lgrid.weights * g.values)
 
-    return FunctionSpec(evaluator=evaluator, support_radius=xgrid.radius)
+    return evaluator
 
 
 def spectral_mass(g: SpectralData, q: float, radii, beyond: bool) -> np.ndarray:

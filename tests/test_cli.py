@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -154,6 +155,35 @@ def test_transform_kernel_over_the_byte_cap_is_one_line_usage_error(monkeypatch,
 
 
 TM = ("titchmarsh", "--modulus", "power:gamma=0.5")
+
+
+@pytest.mark.parametrize("radius, h_min_exp, cap, wanted, peak_mb", [
+    # an 898 x 340,768 multiplier, 2.28 GiB, against the real cap
+    ("1e300", "900", 1 << 30, "898 h values would hold 2448077312 bytes, "
+                              "over the cap of 1073741824", 32),
+    # the 8 x 5120 multiplier (327,680 bytes) against a cap lowered to 64 KiB
+    ("8192", "10", 1 << 16, "8 h values would hold 327680 bytes, "
+                            "over the cap of 65536", 2),
+])
+def test_multiplier_over_the_byte_cap_is_one_line_usage_error(
+        radius, h_min_exp, cap, wanted, peak_mb, monkeypatch, capsys):
+    # refused before any kernel evaluation; the traced peak is the grid and
+    # the synthesized data (19.5 MB at 1e300, 0.3 MB at 8192)
+    def untouched(*args, **kwargs):
+        raise AssertionError("kernel evaluated past the byte cap")
+
+    monkeypatch.setattr(dhankel.transform, "_ENTRY_BYTES", cap)
+    monkeypatch.setattr(dhankel.transform, "kernel_parts", untouched)
+    tracemalloc.start()
+    try:
+        code = main([*TM, "--radius-lambda", radius, "--h-min-exp", h_min_exp])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: the multiplier of {wanted}; use fewer nodes\n"
+    assert peak < peak_mb << 20
 
 
 def test_fourier_Lnu_csv_rows_pair_radii_with_ratios(tmp_path, capsys):

@@ -559,13 +559,14 @@ def test_half_line_apply_matches_dense_kernel(alpha):
     coeff = lg.weights * spec.values
     back = dh.inverse(spec, xg)
     close(back(xg.nodes), dense @ coeff)
-    # off the grid the kernel rows are the multiplier's, entry for entry
-    x_off = np.array([[-3.3, -0.2], [0.0, 5.1]])
-    want = dh.kernel_B(params, np.multiply.outer(x_off, lg.nodes)) @ coeff
-    assert np.array_equal(back(x_off), want)
-    one = back(-0.7)
-    assert np.ndim(one) == 0
-    assert one == dh.kernel_B(params, -0.7 * lg.nodes) @ coeff
+    # the inverse samples on its own x grid only: any other x, a single node
+    # or all nodes but one moved by one ulp included, is refused
+    nudged = xg.nodes.copy()
+    nudged[7] = np.nextafter(nudged[7], np.inf)
+    for x_off in (np.array([[-3.3, -0.2], [0.0, 5.1]]), -0.7, xg.nodes[3],
+                  xg.nodes[:-1], xg.nodes[::-1], nudged, lg.nodes):
+        with pytest.raises(DomainError, match="x grid's nodes only"):
+            back(x_off)
     hs = np.array([0.5, 0.125, 0.01, -0.3])
     phys = dh.diff_norms(spec, hs, 2.0, fx=fx, xgrid=xg)[1]
     for h, got in zip(hs, phys):
@@ -611,7 +612,7 @@ def test_entry_apply_keeps_the_table_orientation(monkeypatch):
 def test_kernel_multiplier_is_exact(alpha, h):
     lg = dh.make_tail_grid(alpha, 8192.0)
     want = dh.kernel_B(KernelParams(alpha=alpha), lg.nodes * h)
-    assert np.array_equal(kernel_multiplier(lg, h), want)
+    assert np.array_equal(kernel_multiplier(lg, np.array([h])), want[None])
 
 
 def test_kernel_multiplier_rows_match_single_h():
@@ -623,7 +624,45 @@ def test_kernel_multiplier_rows_match_single_h():
         mat = kernel_multiplier(lg, hs)
         assert mat.shape == (hs.size, lg.nodes.size)
         for row, h in zip(mat, hs):
-            assert np.array_equal(row, kernel_multiplier(lg, h))
+            assert np.array_equal(row, kernel_multiplier(lg, np.array([h]))[0])
+
+
+def test_kernel_multiplier_over_one_slab_matches_one_shot_evaluation(monkeypatch):
+    # 28 h on 3072 positive nodes are 86,016 entries: two row slabs of at
+    # most 65536 (21 and 7 rows), equal bit for bit to kernel_B evaluated on
+    # the whole (28, 6144) argument array in one kernel_parts call
+    lg = dh.make_tail_grid(0.5, 65536.0)
+    hs = np.concatenate([0.5 * 2.0 ** -np.arange(27), [-0.3]])
+    sizes = []
+
+    def counting(params, u):
+        sizes.append(np.size(u))
+        return kernel_parts(params, u)
+
+    monkeypatch.setattr(transform, "kernel_parts", counting)
+    mat = kernel_multiplier(lg, hs)
+    monkeypatch.undo()
+    assert sizes == [21 * 3072, 7 * 3072]
+    want = dh.kernel_B(KernelParams(alpha=0.5), np.multiply.outer(hs, lg.nodes))
+    assert np.array_equal(mat, want)
+
+
+def test_kernel_multiplier_over_the_byte_cap_evaluates_nothing(monkeypatch):
+    # 8 bytes per entry of the (h, node) matrix, counted before any kernel
+    # evaluation: one byte over the cap is refused, the cap itself is not
+    lg = dh.make_tail_grid(0.5, 8192.0)
+    hs = np.full(8, 0.125)
+    monkeypatch.setattr(transform, "_ENTRY_BYTES", 8 * hs.size * lg.nodes.size)
+    assert kernel_multiplier(lg, hs).shape == (8, lg.nodes.size)
+    monkeypatch.setattr(transform, "_ENTRY_BYTES", 8 * hs.size * lg.nodes.size - 1)
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("kernel evaluated past the byte cap")
+
+    monkeypatch.setattr(transform, "kernel_parts", untouched)
+    with pytest.raises(DomainError, match="the multiplier of 8 h values would hold "
+                       "327680 bytes, over the cap of 327679"):
+        kernel_multiplier(lg, hs)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
