@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .modulus import (FAMILY_PARAMS, estimate_indices, parse_family,
+from .modulus import (FAMILIES, estimate_indices, parse_family,
                       zygmund_Z0_constant, zygmund_Z1_constant)
 from .specfun import DomainError, PreconditionError
 from .titchmarsh import (THEOREMS, SynthesisSpec, VerificationReport,
@@ -187,7 +187,7 @@ _POSITIVE = _float_in("> 0", lambda v: v > 0.0)
 def _add_modulus_args(p) -> None:
     p.add_argument("--modulus", required=True, help=" | ".join(
         f"{tag}:" + ",".join(f"{name}=" for name in names)
-        for tag, names in FAMILY_PARAMS.items()))
+        for tag, (names, *_) in FAMILIES.items()))
     p.add_argument("--delta0", type=_POSITIVE, default=None,
                    help="domain endpoint (family default when omitted)")
 

@@ -4,7 +4,7 @@ A modulus of continuity here is a positive continuous function on (0, delta0]
 with limit 0 at the origin, almost increasing, and with omega(t)/t almost
 decreasing.  The module provides:
 
-  * built-in parametric families (power, power-log, ... ) plus a parser for
+  * built-in parametric families, one row each of FAMILIES, plus a parser for
     the CLI family grammar `tag:name=value,...`;
   * almost-monotonicity certificates with a stability flag;
   * the two Zygmund integral conditions
@@ -34,15 +34,35 @@ from .quadrature import conjugate_exponent, panel_integrals
 from .specfun import DomainError, PreconditionError
 
 
-FAMILY_PARAMS = {
-    "power": ("gamma",),
-    "power_log": ("gamma", "theta"),
-    "power_loglog": ("gamma", "lambda"),
-    "log_inverse": ("beta",),
-    "power_logexponent": ("gamma", "C", "lambda"),
+# tag -> (parameter names, default delta0, rules, omega).  make_family checks
+# each rule (holds(p, delta0), requirement) in order; omega(t, p) is the
+# family's formula on the float parameters p.
+FAMILIES = {
+    "power": (
+        ("gamma",), 0.5,
+        [(lambda p, d: 0 < p["gamma"] <= 1, "gamma in (0, 1]")],
+        lambda t, p: t ** p["gamma"]),
+    "power_log": (
+        ("gamma", "theta"), 0.5,
+        [(lambda p, d: 0 < p["gamma"] < 1, "gamma in (0, 1)"),
+         (lambda p, d: d < 1, "delta0 < 1")],
+        lambda t, p: t ** p["gamma"] * np.log(1.0 / t) ** p["theta"]),
+    "power_loglog": (
+        ("gamma", "lambda"), 0.3,
+        [(lambda p, d: 0 < p["gamma"] < 1, "gamma in (0, 1)"),
+         (lambda p, d: d <= math.exp(-1.0) * 0.95, "delta0 <= 0.349 (ln ln 1/t > 0)")],
+        lambda t, p: t ** p["gamma"] * np.log(np.log(1.0 / t)) ** p["lambda"]),
+    "log_inverse": (
+        ("beta",), 0.5,
+        [(lambda p, d: p["beta"] > 1, "beta > 1")],
+        lambda t, p: np.log(np.e / t) ** (-p["beta"])),
+    "power_logexponent": (
+        ("gamma", "C", "lambda"), 0.5,
+        [(lambda p, d: 0 < p["gamma"] < 1, "gamma in (0, 1)"),
+         (lambda p, d: p["lambda"] > 0, "lambda > 0"),
+         (lambda p, d: d < 1, "delta0 < 1")],
+        lambda t, p: t ** (p["gamma"] + p["C"] / np.log(1.0 / t) ** p["lambda"])),
 }
-
-_LOGLOG_DELTA_MAX = math.exp(-1.0) * 0.95
 
 
 @dataclass(frozen=True)
@@ -85,68 +105,36 @@ def _check_vanishes(w: ModulusSpec) -> None:
 
 
 def make_family(tag: str, params: dict, delta0: float | None = None) -> ModulusSpec:
-    """Construct a built-in modulus family; see FAMILY_PARAMS for the names."""
-    if tag not in FAMILY_PARAMS:
-        raise DomainError(f"unknown family {tag!r}; tag in {'/'.join(FAMILY_PARAMS)}")
-    missing = set(FAMILY_PARAMS[tag]) - set(params)
-    extra = set(params) - set(FAMILY_PARAMS[tag])
-    if missing or extra:
+    """Construct a built-in modulus family from its row of FAMILIES."""
+    if tag not in FAMILIES:
+        raise DomainError(f"unknown family {tag!r}; tag in {'/'.join(FAMILIES)}")
+    names, default_delta0, rules, omega = FAMILIES[tag]
+    if set(params) != set(names):
         raise DomainError(
-            f"family {tag!r} takes parameters {FAMILY_PARAMS[tag]}, got {sorted(params)}")
+            f"family {tag!r} takes parameters {names}, got {sorted(params)}")
     p = {k: float(v) for k, v in params.items()}
 
     if delta0 is None:
-        delta0 = 0.3 if tag == "power_loglog" else 0.5
+        delta0 = default_delta0
     # estimate_indices probes down to delta0 * 5e-42, the deepest sample of any
     # check; below the normal doubles, ratios of omega lose digits or turn nan
     depth, tiny = 10.0 ** -_EPS_BOT_EXP * _M_T, np.finfo(float).tiny
     if not delta0 * depth >= tiny:
         raise DomainError(f"delta0 must be at least {tiny / depth:.3g}, got {delta0!r}")
+    for holds, need in rules:
+        if not holds(p, delta0):
+            raise DomainError(f"{tag} family needs {need}")
 
-    if tag == "power":
-        g = p["gamma"]
-        if not 0 < g <= 1:
-            raise DomainError("power family needs gamma in (0, 1]")
-        ev = lambda t: t ** g
-    elif tag == "power_log":
-        g, th = p["gamma"], p["theta"]
-        if not 0 < g < 1:
-            raise DomainError("power_log family needs gamma in (0, 1)")
-        if not delta0 < 1:
-            raise DomainError("power_log family needs delta0 < 1")
-        ev = lambda t: t ** g * np.log(1.0 / t) ** th
-    elif tag == "power_loglog":
-        g, lam = p["gamma"], p["lambda"]
-        if not 0 < g < 1:
-            raise DomainError("power_loglog family needs gamma in (0, 1)")
-        if not delta0 <= _LOGLOG_DELTA_MAX:
-            raise DomainError(
-                f"power_loglog needs delta0 <= {_LOGLOG_DELTA_MAX:.3f} (ln ln 1/t > 0)")
-        ev = lambda t: t ** g * np.log(np.log(1.0 / t)) ** lam
-    elif tag == "log_inverse":
-        b = p["beta"]
-        if not b > 1:
-            raise DomainError("log_inverse family needs beta > 1")
-        ev = lambda t: np.log(np.e / t) ** (-b)
-    else:  # power_logexponent
-        g, cc, lam = p["gamma"], p["C"], p["lambda"]
-        if not 0 < g < 1:
-            raise DomainError("power_logexponent family needs gamma in (0, 1)")
-        if not lam > 0:
-            raise DomainError("power_logexponent family needs lambda > 0")
-        if not delta0 < 1:
-            raise DomainError("power_logexponent family needs delta0 < 1")
-        ev = lambda t: t ** (g + cc / np.log(1.0 / t) ** lam)
-
-    w = ModulusSpec(evaluator=ev, delta0=delta0, family_tag=tag, params=p)
+    own = dict(p)     # omega reads its own copy, so editing w.params cannot change it
+    w = ModulusSpec(evaluator=lambda t: omega(t, own), delta0=delta0,
+                    family_tag=tag, params=p)
     _check_vanishes(w)
     return w
 
 
 def parse_family(text: str, delta0: float | None = None) -> ModulusSpec:
     """Parse the CLI family grammar, e.g. ``power_log:gamma=0.5,theta=1.0``."""
-    grammar = ("expected `tag:name=value,...` with tag in "
-               + "/".join(FAMILY_PARAMS))
+    grammar = "expected `tag:name=value,...` with tag in " + "/".join(FAMILIES)
     tag, sep, rest = text.partition(":")
     if not sep or not tag:
         raise DomainError(f"cannot parse modulus {text!r}; {grammar}")
@@ -170,20 +158,20 @@ _MONOTONE_SAMPLES = 2000
 
 def almost_monotone_constant(fn, lo: float, hi: float, direction: str,
                              samples: int = 2000) -> float:
-    """Sampled almost-monotonicity constant of an arbitrary positive fn."""
+    """Sampled almost-monotonicity constant of an arbitrary positive fn.
+
+    almost_decreasing is sup over s <= t of f(t)/f(s), each value over the
+    prefix min; almost_increasing is the same rule on the reversed samples.
+    """
+    if direction not in ("almost_increasing", "almost_decreasing"):
+        raise DomainError(f"unknown direction {direction!r}")
     t = np.geomspace(lo, hi, samples)
     v = np.asarray(fn(t), dtype=float)
     if not np.all(np.isfinite(v)) or np.any(v <= 0):
         raise DomainError("evaluator non-finite or non-positive on samples")
     if direction == "almost_increasing":
-        # sup over t <= s of f(t)/f(s): running max / suffix min
-        suffix_min = np.minimum.accumulate(v[::-1])[::-1]
-        return float(np.max(v / suffix_min))
-    if direction == "almost_decreasing":
-        # sup over s <= t of f(t)/f(s): value / prefix min
-        prefix_min = np.minimum.accumulate(v)
-        return float(np.max(v / prefix_min))
-    raise DomainError(f"unknown direction {direction!r}")
+        v = v[::-1]
+    return float(np.max(v / np.minimum.accumulate(v)))
 
 
 def check_almost_monotone(w: ModulusSpec, direction: str) -> MonotonicityCertificate:
@@ -194,12 +182,8 @@ def check_almost_monotone(w: ModulusSpec, direction: str) -> MonotonicityCertifi
     A genuine violation of almost-monotonicity by even t^{0.01} grows the
     constant by 10^{0.01} per decade, which this threshold detects.
     """
-    if direction == "almost_increasing":
-        fn = w.evaluator
-    elif direction == "almost_decreasing":
-        fn = lambda t: w.evaluator(t) / t
-    else:
-        raise DomainError(f"unknown direction {direction!r}")
+    fn = (w.evaluator if direction == "almost_increasing"
+          else lambda t: w.evaluator(t) / t)
     lo = w.delta0 * 1e-10
     c0 = almost_monotone_constant(fn, lo, w.delta0, direction, _MONOTONE_SAMPLES)
     c1 = almost_monotone_constant(fn, lo * 0.1, w.delta0, direction,

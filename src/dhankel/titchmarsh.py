@@ -212,18 +212,8 @@ class SynthesisSpec:
 
 
 def _phi_of(w: ModulusSpec):
-    """Tail target Phi(y) = omega(min(1/y, delta0))^2, Phi(inf) = 0."""
-    delta0 = w.delta0
-
-    def phi(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        fin = np.isfinite(y)
-        t = np.minimum(1.0 / np.maximum(y[fin], 1e-300), delta0)
-        out[fin] = w(t) ** 2
-        return out
-
-    return phi
+    """Tail target Phi(y) = omega(min(1/y, delta0))^2 on finite y."""
+    return lambda y: w(np.minimum(1.0 / np.maximum(y, 1e-300), w.delta0)) ** 2
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
@@ -260,12 +250,11 @@ def synthesize_from_tail(spec: SynthesisSpec, lgrid: WeightedGrid) -> SpectralDa
     phi = _phi_of(w)
     y = lgrid.pos_nodes
     if spec.profile == "sharp_tail":
-        lo = lgrid.cell_lo.copy()
-        hi = lgrid.cell_hi.copy()
-        hi[-1] = np.inf                      # outermost cell keeps all remaining mass
+        phi_hi = phi(lgrid.cell_hi)
+        phi_hi[-1] = 0.0                     # outermost cell keeps all remaining mass
         # clip cells where Phi wobbles upward (log factors near delta0);
         # genuinely invalid inputs already failed the almost-decreasing check
-        mass = np.maximum(phi(lo) - phi(hi), 0.0)
+        mass = np.maximum(phi(lgrid.cell_lo) - phi_hi, 0.0)
         g2_pos = mass / (2.0 * lgrid.pos_weights)
     else:
         radius = lgrid.radius

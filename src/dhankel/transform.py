@@ -38,11 +38,9 @@ from .specfun import DomainError, KernelParams, kernel_parts
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """An evaluable real function with declared support/decay metadata.
+    """An evaluable real function; evaluator must accept numpy arrays.
 
-    evaluator must accept numpy arrays (vectorized); support_radius marks
-    where |f| has decayed below the declared tail bound, and must be honored
-    by evaluators out to twice that radius.
+    support_radius records where |f| has decayed; no computation reads it.
     """
 
     evaluator: object

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import dhankel
 from dhankel import cli
 from dhankel.cli import build_parser, main
+from dhankel.modulus import FAMILIES
 from dhankel.titchmarsh import THEOREMS, restrict_h_grid
 
 
@@ -64,6 +65,16 @@ def test_usage_error_bad_modulus(capsys):
     assert err.splitlines() == [
         "error: cannot parse modulus 'not-a-family'; expected `tag:name=value,...` "
         "with tag in power/power_log/power_loglog/log_inverse/power_logexponent"]
+
+
+def test_readme_and_help_list_the_family_table(capsys):
+    grammar = [f"{tag}:" + ",".join(f"{name}=" for name in names)
+               for tag, (names, *_) in FAMILIES.items()]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    families = readme.split("\nModulus families:", 1)[1].split("\nTheorems:", 1)[0]
+    assert re.findall(r"`([a-z_]+:[\w=,]+)`", families) == grammar
+    assert main(["titchmarsh", "--help"]) == 0
+    assert re.findall(r"\b[a-z_]+:(?:\w+=,?)+", capsys.readouterr().out) == grammar
 
 
 def test_usage_error_unknown_subcommand():

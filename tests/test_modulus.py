@@ -53,21 +53,55 @@ def test_log_inverse_evaluation():
     assert abs(w(0.5) - math.log(math.e / 0.5) ** -2) < 1e-14
 
 
-def test_family_validation():
-    with pytest.raises(DomainError):
-        family("power", gamma=0.0)
-    with pytest.raises(DomainError):
-        family("power", gamma=1.2)
-    with pytest.raises(DomainError):
-        family("log_inverse", beta=1.0)
-    with pytest.raises(DomainError):
-        family("nonsense", x=1.0)
-    with pytest.raises(DomainError):
-        family("power")                          # missing parameter
-    with pytest.raises(DomainError):
-        family("power", gamma=0.5, theta=1.0)    # extra parameter
-    with pytest.raises(DomainError):
-        dh.make_family("power_loglog", {"gamma": 0.5, "lambda": 1.0}, delta0=0.5)
+# per family: a valid point, its default delta0, and for each of its rules in
+# table order, the requirement text and the changes (a parameter or delta0)
+# that break it at its boundary
+FAMILY_RULES = {
+    "power": ({"gamma": 0.5}, 0.5, {
+        "gamma in (0, 1]": [{"gamma": 0.0}, {"gamma": 1.2},
+                            {"gamma": math.nextafter(1.0, 2.0)}]}),
+    "power_log": ({"gamma": 0.5, "theta": 1.0}, 0.5, {
+        "gamma in (0, 1)": [{"gamma": 0.0}, {"gamma": 1.0}],
+        "delta0 < 1": [{"delta0": 1.0}]}),
+    "power_loglog": ({"gamma": 0.5, "lambda": 1.0}, 0.3, {
+        "gamma in (0, 1)": [{"gamma": 0.0}, {"gamma": 1.0}],
+        "delta0 <= 0.349 (ln ln 1/t > 0)": [
+            {"delta0": 0.5}, {"delta0": math.nextafter(math.exp(-1.0) * 0.95, 1.0)}]}),
+    "log_inverse": ({"beta": 2.0}, 0.5, {
+        "beta > 1": [{"beta": 1.0}]}),
+    "power_logexponent": ({"gamma": 0.5, "C": 1.0, "lambda": 2.0}, 0.5, {
+        "gamma in (0, 1)": [{"gamma": 0.0}, {"gamma": 1.0}],
+        "lambda > 0": [{"lambda": 0.0}],
+        "delta0 < 1": [{"delta0": 1.0}]}),
+}
+
+
+@pytest.mark.parametrize("tag", list(modulus.FAMILIES))
+def test_family_validation(tag):
+    names, _, rules, _ = modulus.FAMILIES[tag]
+    valid, default_delta0, breaks = FAMILY_RULES[tag]
+    w = dh.make_family(tag, valid)
+    assert (w.family_tag, w.params, w.delta0) == (tag, valid, default_delta0)
+    assert [need for _, need in rules] == list(breaks)
+    for need, cases in breaks.items():
+        for case in cases:
+            params = {**valid, **case}
+            delta0 = params.pop("delta0", None)
+            with pytest.raises(DomainError) as err:
+                dh.make_family(tag, params, delta0)
+            assert str(err.value) == f"{tag} family needs {need}"
+    # a missing parameter, an extra one, and an unknown tag
+    for params in ({k: valid[k] for k in names[1:]}, {**valid, "x": 1.0}):
+        with pytest.raises(DomainError, match=f"^family '{tag}' takes parameters "):
+            dh.make_family(tag, params)
+    with pytest.raises(DomainError, match=f"^unknown family '{tag}x'"):
+        dh.make_family(tag + "x", valid)
+
+
+def test_family_omega_ignores_edits_to_params():
+    w = family("power", gamma=0.5)
+    w.params["gamma"] = 1.0
+    assert w(0.25) == 0.5
 
 
 def test_parse_family_grammar():
