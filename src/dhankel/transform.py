@@ -19,7 +19,12 @@ by small dense products and the interior by one FFT correlation.
 
 Difference norms ||T_h f - f|| come for a whole h grid at once (diff_norms),
 from one multiplier matrix B(lambda_j h_k): reduced per h (Plancherel route)
-and applied to all h in one apply of the kernel entry (physical route).  Tail
+and applied to all h in one apply of the kernel entry (physical route).  The
+multiplier depends on alpha, the positive frequency nodes and the h grid
+alone, so kernel_multiplier keeps each one it evaluates, read-only, keyed by
+those exact values (not by grid identity: every CLI run builds a fresh grid),
+in a least-recently-used cache of at most _MULTIPLIER_CACHE_BYTES multiplier
+bytes; each distinct multiplier is evaluated once per process.  Tail
 energies and the partial norms over |lambda| <= r come from one spectral-mass
 primitive (spectral_mass), also for a whole grid of cuts at once.
 """
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import io
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +87,10 @@ class SpectralData:
 _matrix_cache: dict[tuple[int, int, float], "KernelEntry"] = {}
 _SLAB_ENTRIES = 65536    # largest number of entries one kernel_parts call evaluates
 _ENTRY_BYTES = 1 << 30   # largest kernel array (entry or multiplier) a call may ask for
+_MULTIPLIER_CACHE_BYTES = 16 << 20   # most multiplier bytes _multiplier_cache holds
+# (alpha, positive frequency nodes' bytes, h grid's bytes) -> multiplier,
+# least recently used first
+_multiplier_cache: OrderedDict[tuple[float, bytes, bytes], np.ndarray] = OrderedDict()
 
 
 def _check_bytes(nbytes: int, what: str) -> None:
@@ -305,12 +315,32 @@ def kernel_multiplier(lgrid: WeightedGrid, h) -> np.ndarray:
     """Multiplier B(lambda_j h_k), one row per h of a 1-D grid, refused over
     _ENTRY_BYTES: the kernel parts at |h| x lgrid.pos_nodes (_outer_parts)
     mirrored onto the negative half-axis, so that row k equals
-    kernel_B(.., lgrid.nodes * h_k)."""
+    kernel_B(.., lgrid.nodes * h_k).
+
+    The result is read-only and cached by value: the key is (lgrid.alpha,
+    lgrid.pos_nodes.tobytes(), h.tobytes()), so any grid with the same alpha
+    and nodes shares it.  The cache holds at most _MULTIPLIER_CACHE_BYTES
+    (16 MiB) of multipliers and evicts the least recently used first; a
+    multiplier over that cap is returned but not kept.  A request refused
+    over _ENTRY_BYTES evaluates and stores nothing.
+    """
     h = np.asarray(h, dtype=float)
     _check_bytes(8 * h.size * lgrid.nodes.size, f"the multiplier of {h.size} h values")
+    key = (lgrid.alpha, lgrid.pos_nodes.tobytes(), h.tobytes())
+    mult = _multiplier_cache.get(key)
+    if mult is not None:
+        _multiplier_cache.move_to_end(key)
+        return mult
     even, odd = _outer_parts(KernelParams(alpha=lgrid.alpha), np.abs(h), lgrid.pos_nodes)
     sign = np.where(h < 0, -1.0, 1.0)[:, None]
-    return np.concatenate([(even + sign * odd)[:, ::-1], even - sign * odd], axis=1)
+    mult = np.concatenate([(even + sign * odd)[:, ::-1], even - sign * odd], axis=1)
+    mult.setflags(write=False)
+    if mult.nbytes <= _MULTIPLIER_CACHE_BYTES:
+        _multiplier_cache[key] = mult
+        held = sum(m.nbytes for m in _multiplier_cache.values())
+        while held > _MULTIPLIER_CACHE_BYTES:
+            held -= _multiplier_cache.popitem(last=False)[1].nbytes
+    return mult
 
 
 def forward(f, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:

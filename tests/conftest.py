@@ -3,12 +3,20 @@ import pytest
 from hypothesis import settings
 
 import dhankel as dh
+from dhankel import transform
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
 
 ALPHA = 0.5
 DELTA0 = 0.5
+
+
+@pytest.fixture(autouse=True)
+def empty_multiplier_cache():
+    """Each test starts with no cached multiplier, so that counts of kernel
+    evaluations do not depend on the tests run before it."""
+    transform._multiplier_cache.clear()
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ import dhankel
 from dhankel import cli
 from dhankel.cli import build_parser, main
 from dhankel.modulus import FAMILIES
+from dhankel.specfun import kernel_parts
 from dhankel.titchmarsh import THEOREMS, restrict_h_grid
 
 
@@ -195,6 +196,36 @@ def test_multiplier_over_the_byte_cap_is_one_line_usage_error(
     assert code == 1 and out == ""
     assert err == f"error: the multiplier of {wanted}; use fewer nodes\n"
     assert peak < peak_mb << 20
+
+
+def test_tail_runs_evaluate_one_multiplier_per_process(tmp_path, monkeypatch,
+                                                      capsys):
+    # three tail-only runs on one modulus, alpha and radius read one h trace
+    # each, all from one multiplier: the kernel parts (8 h on 2560 positive
+    # nodes) are evaluated once, and every report is the one a run on an
+    # emptied cache writes
+    theorems = ("main1_part1", "equivalence", "inclusion_Womega")
+
+    def report(theorem, name):
+        path = tmp_path / name
+        assert main([*TM, "--theorem", theorem, "--alpha", "0.7", "--radius-lambda",
+                     "8192", "--format", "json", "--output", str(path)]) == 0
+        return path.read_bytes()
+
+    evaluated = []
+
+    def counting(params, u):
+        evaluated.append(np.shape(u))
+        return kernel_parts(params, u)
+
+    monkeypatch.setattr(dhankel.transform, "kernel_parts", counting)
+    warm = [report(theorem, f"{theorem}.json") for theorem in theorems]
+    assert evaluated == [(8, 2560)]
+    for theorem, bytes_ in zip(theorems, warm):
+        dhankel.transform._multiplier_cache.clear()
+        assert report(theorem, f"{theorem}-cold.json") == bytes_
+    assert evaluated == [(8, 2560)] * 4
+    capsys.readouterr()
 
 
 def test_fourier_Lnu_csv_rows_pair_radii_with_ratios(tmp_path, capsys):

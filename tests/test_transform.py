@@ -665,6 +665,117 @@ def test_kernel_multiplier_over_the_byte_cap_evaluates_nothing(monkeypatch):
         kernel_multiplier(lg, hs)
 
 
+# the default dyadic h grid of the CLI: 8 h on a tail grid's 2560 or 3072
+# positive nodes, a 327,680- or 393,216-byte multiplier
+H_GRID = 0.5 * 2.0 ** -np.arange(3, 11)
+
+
+def count_kernel_parts(monkeypatch):
+    """List that grows by the argument shape of each kernel_parts call."""
+    shapes = []
+
+    def counting(params, u):
+        shapes.append(np.shape(u))
+        return kernel_parts(params, u)
+
+    monkeypatch.setattr(transform, "kernel_parts", counting)
+    return shapes
+
+
+def test_kernel_multiplier_hit_is_the_fresh_evaluation(monkeypatch):
+    lg = dh.make_tail_grid(0.5, 8192.0)
+    evaluated = count_kernel_parts(monkeypatch)
+    first = kernel_multiplier(lg, H_GRID)
+    hit = kernel_multiplier(lg, H_GRID.copy())
+    assert evaluated == [(8, 2560)] and hit is first
+    transform._multiplier_cache.clear()
+    fresh = kernel_multiplier(lg, H_GRID)
+    assert fresh is not first and hit.tobytes() == fresh.tobytes()
+
+
+def test_kernel_multiplier_hits_on_a_rebuilt_tail_grid(monkeypatch):
+    # every CLI run builds a fresh tail grid: the key is its values, not its uid
+    old = dh.make_tail_grid(0.5, 8192.0)
+    first = kernel_multiplier(old, H_GRID)
+    lg = dh.make_tail_grid(0.5, 8192.0)
+    evaluated = count_kernel_parts(monkeypatch)
+    assert lg.uid != old.uid
+    assert kernel_multiplier(lg, H_GRID) is first and evaluated == []
+
+
+@pytest.mark.parametrize("alpha, radius, h", [
+    (0.7, 8192.0, H_GRID),
+    (0.5, 65536.0, H_GRID),
+    (0.5, 8192.0, np.r_[np.nextafter(H_GRID[0], 1.0), H_GRID[1:]]),
+    (0.5, 8192.0, np.r_[-H_GRID[0], H_GRID[1:]]),
+], ids=["alpha", "radius", "h_value", "h_sign"])
+def test_kernel_multiplier_misses_on_other_values(alpha, radius, h, monkeypatch):
+    first = kernel_multiplier(dh.make_tail_grid(0.5, 8192.0), H_GRID)
+    # the alpha case keeps the first grid's nodes: alpha alone makes the miss
+    lg = replace(dh.make_tail_grid(0.5, radius), alpha=alpha)
+    evaluated = count_kernel_parts(monkeypatch)
+    other = kernel_multiplier(lg, h)
+    assert evaluated == [(8, lg.pos_nodes.size)]
+    assert len(transform._multiplier_cache) == 2
+    assert not np.array_equal(other, first)
+    want = dh.kernel_B(KernelParams(alpha=alpha), np.multiply.outer(h, lg.nodes))
+    assert np.array_equal(other, want)
+
+
+def test_kernel_multiplier_cache_evicts_the_least_recently_used(monkeypatch):
+    # room for two 327,680-byte multipliers: a third evicts the one used longest ago
+    lg = dh.make_tail_grid(0.5, 8192.0)
+    monkeypatch.setattr(transform, "_MULTIPLIER_CACHE_BYTES", 2 * 327680)
+    a, b, c = H_GRID, 2.0 * H_GRID, 4.0 * H_GRID
+    kernel_multiplier(lg, a)
+    kernel_multiplier(lg, b)
+    evaluated = count_kernel_parts(monkeypatch)
+    kernel_multiplier(lg, a)    # a hit: b is now the least recently used
+    kernel_multiplier(lg, c)
+    assert evaluated == [(8, 2560)]
+    assert [key[2] for key in transform._multiplier_cache] == [a.tobytes(), c.tobytes()]
+    kernel_multiplier(lg, b)
+    assert evaluated == [(8, 2560)] * 2
+    assert [key[2] for key in transform._multiplier_cache] == [c.tobytes(), b.tobytes()]
+
+
+@pytest.mark.parametrize("room, held", [(0, True), (-1, False)])
+def test_kernel_multiplier_over_the_cache_cap_is_returned_not_held(room, held,
+                                                                   monkeypatch):
+    lg = dh.make_tail_grid(0.5, 8192.0)
+    kept = kernel_multiplier(lg, 2.0 * H_GRID)
+    monkeypatch.setattr(transform, "_MULTIPLIER_CACHE_BYTES", 327680 + room)
+    mult = kernel_multiplier(lg, H_GRID)
+    assert mult.shape == (8, 5120)
+    # a held multiplier fills the cap and evicts the other; one over it evicts nothing
+    (only,) = transform._multiplier_cache.values()
+    assert only is (mult if held else kept)
+
+
+def test_kernel_multiplier_is_read_only():
+    lg = dh.make_tail_grid(0.5, 8192.0)
+    for mult in (kernel_multiplier(lg, H_GRID), kernel_multiplier(lg, H_GRID)):
+        assert not mult.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mult[0, 0] = 1.0
+
+
+def test_kernel_multiplier_refused_over_the_byte_cap_leaves_the_cache(monkeypatch):
+    # the byte cap is checked before the lookup: a request over it is
+    # refused even when its multiplier is held, and nothing is evaluated or stored
+    lg = dh.make_tail_grid(0.5, 8192.0)
+    held = kernel_multiplier(lg, H_GRID)
+    monkeypatch.setattr(transform, "_ENTRY_BYTES", 327679)
+    evaluated = count_kernel_parts(monkeypatch)
+    for h in (H_GRID, 2.0 * H_GRID):
+        with pytest.raises(DomainError, match="the multiplier of 8 h values would "
+                           "hold 327680 bytes, over the cap of 327679"):
+            kernel_multiplier(lg, h)
+    assert evaluated == []
+    (only,) = transform._multiplier_cache.values()
+    assert only is held
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_diff_norms_match_per_h_reference(alpha, p, bump_spec):
