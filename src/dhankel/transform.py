@@ -13,9 +13,13 @@ kernel is cached (kernel_matrix) as a KernelEntry for as long as the pair
 lives: dense edge strips for the first and the last panel of either grid,
 and, between the interior panels of a resolved pair, where block (k, l) is
 slice k + l of one table of the kernel parts, that table's real FFT along
-the panel-sum axis.  Every transform applies the entry matrix-free (_apply):
-E on the even and O on the odd combination of the coefficients, the strips
-by small dense products and the interior by one FFT correlation.
+the panel-sum axis.  The kernel depends on lambda x alone, so the build
+evaluates each product once: the table is symmetric in its two node axes
+and is evaluated on the node pairs m <= m' only, and on a pair that is one
+grid scaled twice (make_resolved_grids) the side strip is the rows'
+interior columns, mirrored.  Every transform applies the entry matrix-free
+(_apply): E on the even and O on the odd combination of the coefficients,
+the strips by small dense products and the interior by one FFT correlation.
 
 Difference norms ||T_h f - f|| come for a whole h grid at once (diff_norms),
 from one multiplier matrix B(lambda_j h_k): reduced per h (Plancherel route)
@@ -88,6 +92,7 @@ _matrix_cache: dict[tuple[int, int, float], "KernelEntry"] = {}
 _SLAB_ENTRIES = 65536    # largest number of entries one kernel_parts call evaluates
 _ENTRY_BYTES = 1 << 30   # largest kernel array (entry or multiplier) a call may ask for
 _MULTIPLIER_CACHE_BYTES = 16 << 20   # most multiplier bytes _multiplier_cache holds
+_SCALED_COPY_ULPS = 16   # widest spread of lpos / xpos on a pair taken as one grid scaled twice
 # (alpha, positive frequency nodes' bytes, h grid's bytes) -> multiplier,
 # least recently used first
 _multiplier_cache: OrderedDict[tuple[float, bytes, bytes], np.ndarray] = OrderedDict()
@@ -169,11 +174,14 @@ class KernelEntry:
     - rows: (2, len(edge_rows), n_lambda), the rows edge_rows of the first
       and the last x panel (every row on a pair without interior);
     - side: (2, kx * order, len(edge_cols)), the interior rows' columns
-      edge_cols of the first and the last lambda panel;
+      edge_cols of the first and the last lambda panel; on a pair that is
+      one grid scaled twice (_scaled_copy), the transpose of rows' interior
+      columns, at the mirrored products x_j * lambda_i;
     - spectra: (2, L // 2 + 1, order, order), the real FFT along the
       panel-sum axis of the interior table, tab[m, s, m'] ->
       spectra[:, f, m, m'], at L = _fft_length(kx, kl) (empty without an
-      interior).
+      interior).  The table is evaluated on m <= m' and mirrored, so the
+      spectra are symmetric in their two node axes bit for bit.
     """
 
     rows: np.ndarray
@@ -212,8 +220,10 @@ def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     panel-index sum and node pair); the entry keeps the table's real FFT
     along that panel-sum axis, so that the interior product is one
     correlation.  The edge strips (the first and the last panel of either
-    grid) are the kernel parts at the rows' outer product (_outer_parts); a
-    pair without a common ratio has no interior and is one strip of all rows.
+    grid) are the kernel parts at the rows' outer product (_outer_parts),
+    the side strip mirrored from the rows on a pair that is one grid scaled
+    twice; a pair without a common ratio has no interior and is one strip of
+    all rows.
     """
     if xgrid.alpha != lgrid.alpha:
         raise DomainError("grids carry different alpha")
@@ -225,6 +235,19 @@ def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
         for grid in (xgrid, lgrid):
             weakref.finalize(grid, _matrix_cache.pop, key, None)
     return entry
+
+
+def _scaled_copy(xpos: np.ndarray, lpos: np.ndarray) -> bool:
+    """True when lpos is xpos times one ratio, to within _SCALED_COPY_ULPS
+    ulps of it (make_resolved_grids' pairs: one graded grid scaled twice).
+
+    On such a pair x_i * lambda_j equals x_j * lambda_i up to a few ulps, so
+    the kernel parts are symmetric in (i, j).
+    """
+    if xpos.size != lpos.size:
+        return False
+    ratio = lpos / xpos
+    return bool(np.ptp(ratio) <= _SCALED_COPY_ULPS * np.spacing(ratio.max()))
 
 
 def _build_entry(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
@@ -245,11 +268,23 @@ def _build_entry(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     if not np.isfinite(4.0 * xgrid.radius * lgrid.radius):
         raise DomainError("radius_x * radius_lambda overflows the kernel argument")
     rows = np.asarray(_outer_parts(params, xpos[edge_rows], lpos))
-    side = np.asarray(_outer_parts(params, xpos[r0:r1], lpos[edge_cols]))
+    if _scaled_copy(xpos, lpos):
+        # both grids have as many nodes, so edge_rows == edge_cols: the side
+        # strip is the rows' interior columns, mirrored
+        side = np.ascontiguousarray(rows[:, :, r0:r1].transpose(0, 2, 1))
+    else:
+        side = np.asarray(_outer_parts(params, xpos[r0:r1], lpos[edge_cols]))
     if kx:
-        tab = np.stack(kernel_parts(params, _table_arguments(xgrid, lgrid)))
-        spectra = np.fft.rfft(tab, n=_fft_length(kx, kl), axis=2).transpose(0, 2, 1, 3)
-        spectra = np.ascontiguousarray(spectra)
+        # every interior panel is [e, e rho] with one rule, so the table is
+        # symmetric in its node axes: evaluate the pairs m <= m' and scatter
+        # each series' spectrum to (m, m') and (m', m)
+        n = _fft_length(kx, kl)
+        m, m2 = np.triu_indices(o)
+        tab = np.stack(kernel_parts(params, _table_arguments(xgrid, lgrid)[m, :, m2]))
+        half = np.fft.rfft(tab, n=n, axis=2).transpose(0, 2, 1)
+        spectra = np.empty((2, n // 2 + 1, o, o), dtype=complex)
+        spectra[:, :, m, m2] = half
+        spectra[:, :, m2, m] = half
     else:
         spectra = np.empty((2, 0, o, o), dtype=complex)
     for arr in (rows, side, spectra, edge_rows, edge_cols):
@@ -261,8 +296,8 @@ def _build_entry(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
 def _interior(spectra: np.ndarray, c: np.ndarray, k_in: int, k_out: int) -> np.ndarray:
     """Interior products y[.., k, :] = sum_l c[.., l, :] @ tab[:, k + l, :] for
     the stacked E and O tables whose spectra (2, F, order, order) are given
-    (transpose their node axes for tab[m', k + l, m]): rfft of the reversed
-    coefficients, one matmul over frequencies, irfft.  c has shape
+    (symmetric in the node axes, so either grid may hold c): rfft of the
+    reversed coefficients, one matmul over frequencies, irfft.  c has shape
     (2, b, k_in * order); the result (2, b, k_out * order)."""
     b, o = c.shape[1], spectra.shape[-1]
     n = _fft_length(k_in, k_out)
@@ -304,9 +339,8 @@ def _apply(entry: KernelEntry, c, transposed: bool = False):
         out = np.empty((2, sd.shape[1], rows.shape[1] + side.shape[1]))
         out[:, :, ri] = sd @ rows.transpose(0, 2, 1)
         if kx:
-            spectra = entry.spectra.transpose(0, 1, 3, 2)
             out[:, :, inner_rows] = (sd[:, :, ci] @ side.transpose(0, 2, 1)
-                                     + _interior(spectra, sd[:, :, inner_cols], kl, kx))
+                                     + _interior(entry.spectra, sd[:, :, inner_cols], kl, kx))
     es, od = out.reshape((2,) + c.shape[:-1] + out.shape[-1:])
     return np.concatenate([(es + od)[..., ::-1], es - od], axis=-1)
 

@@ -250,6 +250,15 @@ def dense_kernel(blocks):
                      [plus[:, ::-1], minus]])
 
 
+def evaluated_table_arguments(xg, lg):
+    """The interior table's arguments as the build evaluates them: those of
+    _table_arguments, each cell below the node diagonal (m > m') at its
+    upper representative [m', s, m]."""
+    table = _table_arguments(xg, lg)
+    upper = np.triu(np.ones(table.shape[::2], dtype=bool))[:, None, :]
+    return np.where(upper, table, table.transpose(2, 1, 0))
+
+
 def entry_blocks(xg, lg):
     """The half-line blocks [E | O] that the cache entry of the pair stands
     for: its edge strips, and between interior panels the kernel parts at
@@ -264,7 +273,7 @@ def entry_blocks(xg, lg):
     blocks[:, inner_rows[:, None], entry.edge_cols] = entry.side
     if kx:
         tab = np.stack(kernel_parts(KernelParams(alpha=xg.alpha),
-                                    transform._table_arguments(xg, lg)))
+                                    evaluated_table_arguments(xg, lg)))
         length = transform._fft_length(kx, kl)
         assert length >= kx + kl - 1 and length & (length - 1) == 0
         assert np.array_equal(entry.spectra, np.fft.rfft(tab, n=length, axis=2)
@@ -282,12 +291,17 @@ def entry_blocks(xg, lg):
 def build_arguments(xg, lg):
     """The arguments kernel_matrix evaluates the kernel parts at: the outer
     product of the positive nodes, with every block of an interior x panel
-    and an interior lambda panel taken from the table of its panel sum."""
+    and an interior lambda panel taken from the table of its panel sum.  On
+    a pair that is one grid scaled twice, the side strip (interior rows,
+    edge columns) is at the mirrored products x_j * lambda_i."""
     u = np.outer(xg.pos_nodes, lg.pos_nodes)
     kx, kl = _interior_panels(xg, lg)
     o = xg.order
     if kx:
-        table = _table_arguments(xg, lg)
+        if transform._scaled_copy(xg.pos_nodes, lg.pos_nodes):
+            inner = slice(o, o + kx * o)
+            u[inner, :o], u[inner, o + kx * o:] = u.T[inner, :o], u.T[inner, o + kx * o:]
+        table = evaluated_table_arguments(xg, lg)
         for k in range(kx):
             for l in range(kl):
                 u[o + k * o:o + (k + 1) * o, o + l * o:o + (l + 1) * o] = \
@@ -304,11 +318,11 @@ def mirrored(u):
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_kernel_matrix_quarter_block_is_exact(alpha):
     # the cached blocks are the kernel parts at the build's arguments (the
-    # outer product on the first and last panels, the table's
-    # representatives between interior panels), and they determine the
-    # kernel at the mirrored arguments on the full grids bit for bit, in the
-    # near field (z = 2 sqrt|u| <= 9) and beyond it, for integer
-    # (alpha = 0.5) and fractional Bessel orders
+    # outer product on the first and last panels, mirrored on the side
+    # strip, the table's representatives between interior panels, taken at
+    # m <= m'), and they determine the kernel at the mirrored arguments on
+    # the full grids bit for bit, in the near field (z = 2 sqrt|u| <= 9) and
+    # beyond it, for integer (alpha = 0.5) and fractional Bessel orders
     xg, lg = dh.make_resolved_grids(alpha, 20.0, 64.0)
     u = build_arguments(xg, lg)
     assert (u <= 20.25).any() and (u > 20.25).any()
@@ -329,8 +343,9 @@ def kernel_parts_mp(alpha, t):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_kernel_matrix_table_entries_match_direct_and_mpmath(alpha):
-    # the table takes one product per panel sum for all the interior panel
-    # pairs with that sum; the products differ in the last bits only, so on
+    # the table takes one product per panel sum and node pair {m, m'} for
+    # all the interior panel pairs with that sum, and the side strip takes
+    # the mirrored product; the products differ in the last bits only, so on
     # the largest resolved pair (40, 512) every entry stays within 1e-13 of
     # the kernel parts at its own outer-product argument, and the entries
     # that moved most, plus random ones, within 1e-13 of mpmath
@@ -355,10 +370,8 @@ def test_kernel_matrix_table_entries_match_direct_and_mpmath(alpha):
         assert abs(blocks[i, n + j] - odd) <= 1e-13
 
 
-def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch):
-    # the (40, 512) pair: direct rows and columns plus the table, instead of
-    # all 1568^2 entries of the quarter block; the entry holds the strips
-    # and the table's spectra in at most 5 MB, where [E | O] took 39.3 MB
+def count_entry_build(monkeypatch, xg, lg):
+    """(kernel entries the pair's build evaluates, its KernelEntry)."""
     seen = []
 
     def counting(params, t):
@@ -366,14 +379,52 @@ def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch)
         return kernel_parts(params, t)
 
     monkeypatch.setattr(transform, "kernel_parts", counting)
-    xg, lg = dh.make_resolved_grids(0.5, 40.0, 512.0)
     entry = kernel_matrix(xg, lg)
-    quarter = xg.pos_nodes.size * lg.pos_nodes.size
-    assert quarter == 1568 ** 2
-    assert sum(seen) <= 0.1 * quarter
-    parts = (entry.rows, entry.side, entry.spectra)
-    assert entry.nbytes == sum(a.nbytes for a in parts) <= 5e6
-    assert entry.size == sum(a.size for a in parts)
+    monkeypatch.undo()
+    return sum(seen), entry
+
+
+def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch):
+    # direct rows, the side strip mirrored from them and the table's node
+    # pairs m <= m', instead of all entries of the quarter block: 3.1% of
+    # 1568^2 at (40, 512), 18% of 256^2 at (20, 64); the entry holds the
+    # strips and the table's spectra in at most 5 MB, where [E | O] took
+    # 39.3 MB at (40, 512)
+    for radii, nodes, evaluated in (((40.0, 512.0), 1568, 76152),
+                                    ((20.0, 64.0), 256, 11864)):
+        xg, lg = dh.make_resolved_grids(0.5, *radii)
+        assert xg.pos_nodes.size == lg.pos_nodes.size == nodes
+        count, entry = count_entry_build(monkeypatch, xg, lg)
+        assert count == evaluated
+        parts = (entry.rows, entry.side, entry.spectra)
+        assert entry.nbytes == sum(a.nbytes for a in parts) <= 5e6
+        assert entry.size == sum(a.size for a in parts)
+
+
+def nudged_lambda(grid, i, rel):
+    """The grid with positive node i moved by rel relative: no longer one
+    grid scaled twice against its partner."""
+    pos = grid.pos_nodes.copy()
+    pos[i] *= 1.0 + rel
+    return replace(grid, nodes=np.concatenate([-pos[::-1], pos]), pos_nodes=pos,
+                   uid=next(_grid_ids))
+
+
+@pytest.mark.parametrize("case", ["short_lambda", "nudged_lambda"])
+def test_kernel_matrix_evaluates_the_side_strip_off_a_scaled_copy(case, monkeypatch):
+    # a pair that is not one grid scaled twice (a frequency grid cut short,
+    # or one frequency node moved by 1e-12 relative) has no mirror for its
+    # side strip: the build evaluates it at the pair's own products
+    xg, lg = dh.make_resolved_grids(0.5, 20.0, 64.0)
+    lg = cut_short(lg, 3) if case == "short_lambda" else nudged_lambda(lg, -1, 1e-12)
+    count, entry = count_entry_build(monkeypatch, xg, lg)
+    (kx, kl), o = entry.panels, entry.order
+    assert kx > 0 and not transform._scaled_copy(xg.pos_nodes, lg.pos_nodes)
+    even, odd = kernel_parts(KernelParams(alpha=0.5),
+                             np.outer(xg.pos_nodes[o:o + kx * o], lg.pos_nodes[entry.edge_cols]))
+    assert np.array_equal(entry.side, np.stack([even, odd]))
+    assert count == (entry.rows.size + entry.side.size) // 2 + \
+        o * (o + 1) // 2 * (kx + kl - 1)
 
 
 def pairs_without_table():
@@ -585,26 +636,16 @@ def test_diff_norms_on_an_empty_h_grid(case):
         assert trace.shape == (0,)
 
 
-def test_entry_apply_keeps_the_table_orientation(monkeypatch):
+def test_entry_spectra_are_symmetric_in_their_node_axes():
     # with one rule on both grids, tab[m, s, m'] equals tab[m', s, m] up to
-    # rounding, so a swapped orientation of the spectra would hide in the
-    # last bits; a table skewed along its x node axis tells the two apart
-    table = transform._table_arguments
-
-    def skewed(xgrid, lgrid):
-        args = table(xgrid, lgrid)
-        return args * (1.0 + 0.05 * np.arange(args.shape[0]))[:, None, None]
-
-    monkeypatch.setattr(transform, "_table_arguments", skewed)
-    xg, lg = entry_pair(0.5, "short_lambda")
-    dense = dense_kernel(entry_blocks(xg, lg))
-    rng = np.random.default_rng(5)
-    entry = kernel_matrix(xg, lg)
-    for transposed, size in ((False, lg.nodes.size), (True, xg.nodes.size)):
-        c = rng.standard_normal((4, size))
-        kernel = dense.T if transposed else dense
-        err = np.abs(transform._apply(entry, c, transposed) - c @ kernel.T)
-        assert np.all(err <= 1e-13 * (np.abs(c) @ np.abs(kernel).T))
+    # rounding; the build evaluates one of the two, so the spectra equal
+    # their node-axis transpose bit for bit, and _apply reads them unswapped
+    # in both orientations
+    for case in ("resolved", "one_interior_panel", "two_interior_panels",
+                 "short_lambda", "short_x"):
+        spectra = kernel_matrix(*entry_pair(0.5, case)).spectra
+        assert spectra.shape[1] > 0
+        assert np.array_equal(spectra, spectra.transpose(0, 1, 3, 2))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
