@@ -159,11 +159,14 @@ def restrict_h_grid(h_grid, lgrid: WeightedGrid) -> np.ndarray:
 def make_tail_grid(alpha: float, radius: float, order: int = 16) -> WeightedGrid:
     """Geometric frequency grid for tail-energy work (no x-space dual): its
     panels grow by one ratio from 0.25 to R, at least 8 of them and one per
-    0.065 of ln(R / 0.25)."""
+    0.065 of ln(R / 0.25); R must exceed that first panel edge."""
     check_grid_inputs(alpha, radius, order)
     panels = max(8, math.ceil(math.log(radius / 0.25) / 0.065))
-    return build_graded_grid(alpha, radius, order, 0.25,
-                             (radius / 0.25) ** (1.0 / (panels - 1)))
+    rho = (radius / 0.25) ** (1.0 / (panels - 1))
+    if not rho > 1.0:
+        raise DomainError("the radius of a tail grid must exceed 0.25, its first "
+                          f"panel edge, got {radius!r}")
+    return build_graded_grid(alpha, radius, order, 0.25, rho)
 
 
 def make_resolved_grids(alpha: float, radius_x: float, radius_lambda: float,

@@ -10,16 +10,17 @@ Every grid is symmetric under negation, so B(lambda_j x_i) and B(lambda_j h)
 come from the kernel's even and odd parts (specfun.kernel_parts), evaluated
 once per distinct |lambda x| on the positive half-axes.  A grid pair's
 kernel is cached (kernel_matrix) as a KernelEntry for as long as the pair
-lives: dense edge strips for the first and the last panel of either grid,
-and, between the interior panels of a resolved pair, where block (k, l) is
+lives.  The kernel depends on lambda x alone, so on a pair that is one
+geometric grid scaled twice (make_resolved_grids) it is symmetric: the
+entry keeps the rows of the first and the last x panel, which also stand
+for the edge columns, and, between interior panels, where block (k, l) is
 slice k + l of one table of the kernel parts, that table's real FFT along
-the panel-sum axis.  The kernel depends on lambda x alone, so the build
-evaluates each product once: the table is symmetric in its two node axes
-and is evaluated on the node pairs m <= m' only, and on a pair that is one
-grid scaled twice (make_resolved_grids) the side strip is the rows'
-interior columns, mirrored.  Every transform applies the entry matrix-free
-(_apply): E on the even and O on the odd combination of the coefficients,
-the strips by small dense products and the interior by one FFT correlation.
+the panel-sum axis.  The table is symmetric in its two node axes and is
+evaluated on the node pairs m <= m' only.  Any other pair is one strip of
+all rows.  Every transform applies the entry matrix-free (_apply): E on the
+even and O on the odd combination of the coefficients, the rows by dense
+products and the interior by one FFT correlation, by one formula for
+forward and inverse alike on a symmetric entry.
 
 Difference norms ||T_h f - f|| come for a whole h grid at once (diff_norms),
 from one multiplier matrix B(lambda_j h_k): reduced per h (Plancherel route)
@@ -105,136 +106,19 @@ def _check_bytes(nbytes: int, what: str) -> None:
                           f"{_ENTRY_BYTES}; use fewer nodes")
 
 
-def _outer_parts(params: KernelParams, a: np.ndarray, b: np.ndarray):
-    """Kernel parts (E, O) at np.outer(a, b) of 1-D magnitudes, in row slabs of
-    at most _SLAB_ENTRIES entries: kernel_parts' own arrays for one slab, else
-    (no row, or more slabs) one (2, a.size, b.size) array."""
+def _outer_parts(params: KernelParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel parts (E, O) at np.outer(a, b) of 1-D magnitudes, one
+    (2, a.size, b.size) array evaluated in row slabs of at most
+    _SLAB_ENTRIES entries.  One slab is stacked after its evaluation, so that
+    the result does not add to the peak of kernel_parts' temporaries."""
     step = max(1, _SLAB_ENTRIES // b.size)
     if 0 < a.size <= step:
-        return kernel_parts(params, np.outer(a, b))
+        return np.stack(kernel_parts(params, np.outer(a, b)))
     parts = np.empty((2, a.size, b.size))
     for i in range(0, a.size, step):
         parts[0, i:i + step], parts[1, i:i + step] = kernel_parts(
             params, np.outer(a[i:i + step], b))
     return parts
-
-
-def _interior_panels(xgrid: WeightedGrid, lgrid: WeightedGrid) -> tuple[int, int]:
-    """Numbers of interior panels (all but the first and the last) of the two
-    grids when their panels grow by one common ratio with one rule order,
-    else (0, 0).
-
-    On such a pair the interior products x_i * lambda_j depend, up to a few
-    ulps, only on the sum of the two panel indices and the two in-panel
-    node indices.
-    """
-    if (xgrid.log_ratio is None or xgrid.log_ratio != lgrid.log_ratio
-            or xgrid.order != lgrid.order):
-        return 0, 0
-    kx = xgrid.pos_nodes.size // xgrid.order - 2
-    kl = lgrid.pos_nodes.size // lgrid.order - 2
-    return (kx, kl) if kx > 0 and kl > 0 else (0, 0)
-
-
-def _table_arguments(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
-    """Kernel arguments of the interior table of kernel_matrix, shape
-    (order, kx + kl - 1, order) with (kx, kl) = _interior_panels(...).
-
-    T[m, s, m'] is one representative product x * lambda of node m of an
-    interior x panel and node m' of an interior lambda panel whose interior
-    panel indices sum to s: the x panel is the first one that has a partner.
-    """
-    o = xgrid.order
-    kx, kl = _interior_panels(xgrid, lgrid)
-    xs = xgrid.pos_nodes[o:o + kx * o].reshape(kx, o)
-    ls = lgrid.pos_nodes[o:o + kl * o].reshape(kl, o)
-    s = np.arange(kx + kl - 1)
-    k = np.maximum(s - (kl - 1), 0)
-    return xs[k].T[:, :, None] * ls[s - k][None, :, :]
-
-
-def _fft_length(kx: int, kl: int) -> int:
-    """Smallest power of two L >= kx + kl - 1, the length of the table.
-
-    The interior outputs are the valid part of a circular correlation of
-    the table with the coefficients of k_in interior panels (kx or kl):
-    output k reads table entries k .. k + k_in - 1 <= kx + kl - 2 < L only,
-    so none wraps around in either orientation.
-    """
-    return 1 << (kx + kl - 2).bit_length()
-
-
-@dataclass(frozen=True, eq=False)
-class KernelEntry:
-    """Cached kernel of a grid pair, E and O stacked on the first axis.
-
-    E[i, j] and O[i, j] are the even and odd kernel parts at
-    xgrid.pos_nodes[i] * lgrid.pos_nodes[j] (see kernel_matrix).  The
-    entry keeps them as
-    - rows: (2, len(edge_rows), n_lambda), the rows edge_rows of the first
-      and the last x panel (every row on a pair without interior);
-    - side: (2, kx * order, len(edge_cols)), the interior rows' columns
-      edge_cols of the first and the last lambda panel; on a pair that is
-      one grid scaled twice (_scaled_copy), the transpose of rows' interior
-      columns, at the mirrored products x_j * lambda_i;
-    - spectra: (2, L // 2 + 1, order, order), the real FFT along the
-      panel-sum axis of the interior table, tab[m, s, m'] ->
-      spectra[:, f, m, m'], at L = _fft_length(kx, kl) (empty without an
-      interior).  The table is evaluated on m <= m' and mirrored, so the
-      spectra are symmetric in their two node axes bit for bit.
-    """
-
-    rows: np.ndarray
-    side: np.ndarray
-    spectra: np.ndarray
-    edge_rows: np.ndarray
-    edge_cols: np.ndarray
-    panels: tuple[int, int]
-    order: int
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of kernel data held: strips and spectra."""
-        return self.rows.nbytes + self.side.nbytes + self.spectra.nbytes
-
-    @property
-    def size(self) -> int:
-        """Kernel entries held: strip entries and complex spectrum entries."""
-        return self.rows.size + self.side.size + self.spectra.size
-
-
-def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
-    """Kernel of the grid pair as a KernelEntry (edge strips plus interior
-    spectra), cached.
-
-    The half-line blocks E, O (kernel parts at |lambda_j x_i| on the
-    positive nodes) determine the dense kernel B(lambda_j x_i) =
-    E - sign(lambda_j x_i) O on the symmetric grids; _apply applies it from
-    the entry without forming them.  The entry is released when either grid
-    is garbage-collected.
-
-    The kernel depends on lambda x alone.  When the panels of both grids
-    grow by one ratio (_interior_panels), the block of interior x panel k
-    and interior lambda panel l is the slice [:, k + l, :] of one table, the
-    kernel parts at _table_arguments (one representative product per
-    panel-index sum and node pair); the entry keeps the table's real FFT
-    along that panel-sum axis, so that the interior product is one
-    correlation.  The edge strips (the first and the last panel of either
-    grid) are the kernel parts at the rows' outer product (_outer_parts),
-    the side strip mirrored from the rows on a pair that is one grid scaled
-    twice; a pair without a common ratio has no interior and is one strip of
-    all rows.
-    """
-    if xgrid.alpha != lgrid.alpha:
-        raise DomainError("grids carry different alpha")
-    key = (xgrid.uid, lgrid.uid, xgrid.alpha)
-    entry = _matrix_cache.get(key)
-    if entry is None:
-        entry = _build_entry(xgrid, lgrid)
-        _matrix_cache[key] = entry
-        for grid in (xgrid, lgrid):
-            weakref.finalize(grid, _matrix_cache.pop, key, None)
-    return entry
 
 
 def _scaled_copy(xpos: np.ndarray, lpos: np.ndarray) -> bool:
@@ -250,63 +134,163 @@ def _scaled_copy(xpos: np.ndarray, lpos: np.ndarray) -> bool:
     return bool(np.ptp(ratio) <= _SCALED_COPY_ULPS * np.spacing(ratio.max()))
 
 
+def _interior_panels(xgrid: WeightedGrid, lgrid: WeightedGrid) -> int:
+    """Number k of interior panels (all but the first and the last) of either
+    grid when the pair is one geometric grid with one rule order scaled
+    twice (_scaled_copy), else 0.
+
+    On such a pair the interior products x_i * lambda_j depend, up to a few
+    ulps, only on the sum of the two panel indices and the two in-panel
+    node indices, and the kernel is symmetric in (i, j).
+    """
+    if (xgrid.log_ratio is None or xgrid.order != lgrid.order
+            or not _scaled_copy(xgrid.pos_nodes, lgrid.pos_nodes)):
+        return 0
+    return xgrid.pos_nodes.size // xgrid.order - 2
+
+
+def _table_arguments(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
+    """Kernel arguments of the interior table of kernel_matrix, shape
+    (order, 2 k - 1, order) with k = _interior_panels(...).
+
+    T[m, s, m'] is one representative product x * lambda of node m of an
+    interior x panel and node m' of an interior lambda panel whose interior
+    panel indices sum to s: the x panel is the first one that has a partner.
+    """
+    o = xgrid.order
+    k = _interior_panels(xgrid, lgrid)
+    xs = xgrid.pos_nodes[o:o + k * o].reshape(k, o)
+    ls = lgrid.pos_nodes[o:o + k * o].reshape(k, o)
+    s = np.arange(2 * k - 1)
+    first = np.maximum(s - (k - 1), 0)
+    return xs[first].T[:, :, None] * ls[s - first][None, :, :]
+
+
+def _fft_length(k: int) -> int:
+    """Smallest power of two L >= 2 k - 1, the length of the table.
+
+    The interior outputs are the valid part of a circular correlation of
+    the table with the coefficients of the k interior panels: output l
+    reads table entries l .. l + k - 1 <= 2 k - 2 < L only, so none wraps
+    around.
+    """
+    return 1 << (2 * k - 2).bit_length()
+
+
+@dataclass(frozen=True, eq=False)
+class KernelEntry:
+    """Cached kernel of a grid pair, E and O stacked on the first axis.
+
+    E[i, j] and O[i, j] are the even and odd kernel parts at
+    xgrid.pos_nodes[i] * lgrid.pos_nodes[j] (see kernel_matrix).  With k =
+    panels interior panels (a pair that is one grid scaled twice, where the
+    kernel is symmetric in (i, j); 0 on any other pair) the entry keeps them as
+    - rows: (2, len(edge_rows), n_lambda), the rows edge_rows of the first
+      and the last x panel (every row when k = 0); the interior rows' edge
+      columns are rows[:, :, interior], read transposed;
+    - spectra: (2, L // 2 + 1, order, order), the real FFT along the
+      panel-sum axis of the interior table, tab[m, s, m'] ->
+      spectra[:, f, m, m'], at L = _fft_length(k) (empty when k = 0).  The
+      table is evaluated on m <= m' and mirrored, so the spectra are
+      symmetric in their two node axes bit for bit.
+    """
+
+    rows: np.ndarray
+    spectra: np.ndarray
+    edge_rows: np.ndarray
+    panels: int
+    order: int
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of kernel data held: rows and spectra."""
+        return self.rows.nbytes + self.spectra.nbytes
+
+    @property
+    def size(self) -> int:
+        """Kernel entries held: row entries and complex spectrum entries."""
+        return self.rows.size + self.spectra.size
+
+
+def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
+    """Kernel of the grid pair as a KernelEntry (edge rows plus interior
+    spectra), cached.
+
+    The half-line blocks E, O (kernel parts at |lambda_j x_i| on the
+    positive nodes) determine the dense kernel B(lambda_j x_i) =
+    E - sign(lambda_j x_i) O on the symmetric grids; _apply applies it from
+    the entry without forming them.  The entry is released when either grid
+    is garbage-collected.
+
+    The kernel depends on lambda x alone.  On a pair that is one geometric
+    grid scaled twice (_interior_panels), the block of interior x panel k
+    and interior lambda panel l is the slice [:, k + l, :] of one table, the
+    kernel parts at _table_arguments (one representative product per
+    panel-index sum and node pair); the entry keeps the table's real FFT
+    along that panel-sum axis, so that the interior product is one
+    correlation.  The edge rows (the first and the last x panel) are the
+    kernel parts at their outer product with the lambda nodes
+    (_outer_parts), and the kernel is symmetric, so they also stand for the
+    edge columns.  Any other pair has no interior and is one strip of all
+    rows.
+    """
+    if xgrid.alpha != lgrid.alpha:
+        raise DomainError("grids carry different alpha")
+    key = (xgrid.uid, lgrid.uid, xgrid.alpha)
+    entry = _matrix_cache.get(key)
+    if entry is None:
+        entry = _build_entry(xgrid, lgrid)
+        _matrix_cache[key] = entry
+        for grid in (xgrid, lgrid):
+            weakref.finalize(grid, _matrix_cache.pop, key, None)
+    return entry
+
+
 def _build_entry(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     params = KernelParams(alpha=xgrid.alpha)
     xpos, lpos = xgrid.pos_nodes, lgrid.pos_nodes
     o = xgrid.order
-    kx, kl = _interior_panels(xgrid, lgrid)
-    # interior rows [r0, r1) and columns [c0, c1), empty without a table
-    r0, r1 = (o, o + kx * o) if kx else (0, 0)
-    c0, c1 = o, o + kl * o
-    edge_rows = np.r_[0:r0, r1:xpos.size]
-    edge_cols = np.r_[0:c0, c1:lpos.size]
-    # float strips and complex spectra of E and O
-    _check_bytes(16 * (edge_rows.size * lpos.size + (r1 - r0) * edge_cols.size
-                       + (2 * (_fft_length(kx, kl) // 2 + 1) * o * o if kx else 0)),
+    k = _interior_panels(xgrid, lgrid)
+    # every row but the interior ones [o, o + k o): all rows when k = 0
+    edge_rows = np.r_[0:o, o + k * o:xpos.size]
+    n = _fft_length(k)
+    freqs = n // 2 + 1 if k else 0
+    # float rows and complex spectra of E and O
+    _check_bytes(16 * (edge_rows.size * lpos.size + 2 * freqs * o * o),
                  "the kernel of this grid pair")
     # the kernel squares its argument z = 2 sqrt(lambda x): 4 lambda x must be finite
     if not np.isfinite(4.0 * xgrid.radius * lgrid.radius):
         raise DomainError("radius_x * radius_lambda overflows the kernel argument")
-    rows = np.asarray(_outer_parts(params, xpos[edge_rows], lpos))
-    if _scaled_copy(xpos, lpos):
-        # both grids have as many nodes, so edge_rows == edge_cols: the side
-        # strip is the rows' interior columns, mirrored
-        side = np.ascontiguousarray(rows[:, :, r0:r1].transpose(0, 2, 1))
-    else:
-        side = np.asarray(_outer_parts(params, xpos[r0:r1], lpos[edge_cols]))
-    if kx:
+    rows = _outer_parts(params, xpos[edge_rows], lpos)
+    spectra = np.empty((2, freqs, o, o), dtype=complex)
+    if k:
         # every interior panel is [e, e rho] with one rule, so the table is
         # symmetric in its node axes: evaluate the pairs m <= m' and scatter
         # each series' spectrum to (m, m') and (m', m)
-        n = _fft_length(kx, kl)
         m, m2 = np.triu_indices(o)
         tab = np.stack(kernel_parts(params, _table_arguments(xgrid, lgrid)[m, :, m2]))
         half = np.fft.rfft(tab, n=n, axis=2).transpose(0, 2, 1)
-        spectra = np.empty((2, n // 2 + 1, o, o), dtype=complex)
         spectra[:, :, m, m2] = half
         spectra[:, :, m2, m] = half
-    else:
-        spectra = np.empty((2, 0, o, o), dtype=complex)
-    for arr in (rows, side, spectra, edge_rows, edge_cols):
+    for arr in (rows, spectra, edge_rows):
         arr.setflags(write=False)
-    return KernelEntry(rows=rows, side=side, spectra=spectra, edge_rows=edge_rows,
-                       edge_cols=edge_cols, panels=(kx, kl), order=o)
+    return KernelEntry(rows=rows, spectra=spectra, edge_rows=edge_rows, panels=k, order=o)
 
 
-def _interior(spectra: np.ndarray, c: np.ndarray, k_in: int, k_out: int) -> np.ndarray:
-    """Interior products y[.., k, :] = sum_l c[.., l, :] @ tab[:, k + l, :] for
-    the stacked E and O tables whose spectra (2, F, order, order) are given
-    (symmetric in the node axes, so either grid may hold c): rfft of the
-    reversed coefficients, one matmul over frequencies, irfft.  c has shape
-    (2, b, k_in * order); the result (2, b, k_out * order)."""
+def _interior(spectra: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
+    """Interior products y[.., l, :] = sum_l' c[.., l', :] @ tab[:, l + l', :]
+    over the k interior panels, for the stacked E and O tables whose spectra
+    (2, F, order, order) are given (symmetric in the node axes, so either
+    grid may hold c): rfft of the reversed coefficients, one matmul over
+    frequencies, irfft.  c and the result have shape (2, b, k * order)."""
     b, o = c.shape[1], spectra.shape[-1]
-    n = _fft_length(k_in, k_out)
-    # (2, k_in, b, o) with the panel axis reversed: the correlation becomes
-    # a convolution whose outputs k_in - 1 .. k_in + k_out - 2 are wanted
-    rev = c.reshape(2, b, k_in, o)[:, :, ::-1].transpose(0, 2, 1, 3)
+    n = _fft_length(k)
+    # (2, k, b, o) with the panel axis reversed: the correlation becomes a
+    # convolution whose outputs k - 1 .. 2 k - 2 are wanted
+    rev = c.reshape(2, b, k, o)[:, :, ::-1].transpose(0, 2, 1, 3)
     spec = np.fft.rfft(rev, n=n, axis=1) @ spectra
-    y = np.fft.irfft(spec, n=n, axis=1)[:, k_in - 1:k_in - 1 + k_out]
-    return y.transpose(0, 2, 1, 3).reshape(2, b, k_out * o)
+    y = np.fft.irfft(spec, n=n, axis=1)[:, k - 1:2 * k - 1]
+    return y.transpose(0, 2, 1, 3).reshape(2, b, k * o)
 
 
 def _apply(entry: KernelEntry, c, transposed: bool = False):
@@ -318,29 +302,28 @@ def _apply(entry: KernelEntry, c, transposed: bool = False):
     grids are symmetric, [-pos[::-1], pos]; with s = c(pos) + c(-pos) and
     d = c(pos) - c(-pos), the sum is E s - O d at the positive output nodes
     p and E s + O d at -p, so the result, shape (..., 2m), is
-    [rev(E s + O d), E s - O d] on the m positive output nodes.  E s and
-    O d come from the edge strips by small dense products and from the
-    interior spectra by one correlation, E and O stacked throughout.
+    [rev(E s + O d), E s - O d] on the m positive output nodes, E and O
+    stacked throughout.
+
+    transposed selects the orientation of the dense product of a table-less
+    entry only.  A table entry is symmetric, so one formula serves both
+    orientations: its edge rows by one dense product at the edge outputs
+    and, read transposed, at the interior outputs, plus the interior
+    spectra by one correlation.
     """
     n = c.shape[-1] // 2
     plus, minus = c[..., n:], c[..., n - 1::-1]
     sd = np.stack([plus + minus, plus - minus]).reshape(2, c[..., 0].size, n)
-    rows, side, (kx, kl) = entry.rows, entry.side, entry.panels
-    ri, ci = entry.edge_rows, entry.edge_cols
-    inner_rows = slice(entry.order, entry.order * (kx + 1))
-    inner_cols = slice(entry.order, entry.order * (kl + 1))
-    if transposed:
-        out = sd[:, :, ri] @ rows
-        if kx:
-            inner = sd[:, :, inner_rows]
-            out[:, :, ci] += inner @ side
-            out[:, :, inner_cols] += _interior(entry.spectra, inner, kx, kl)
+    rows, edge, k = entry.rows, entry.edge_rows, entry.panels
+    if transposed and not k:
+        out = sd @ rows
     else:
-        out = np.empty((2, sd.shape[1], rows.shape[1] + side.shape[1]))
-        out[:, :, ri] = sd @ rows.transpose(0, 2, 1)
-        if kx:
-            out[:, :, inner_rows] = (sd[:, :, ci] @ side.transpose(0, 2, 1)
-                                     + _interior(entry.spectra, sd[:, :, inner_cols], kl, kx))
+        inner = slice(entry.order, entry.order * (k + 1))
+        out = np.empty((2, sd.shape[1], rows.shape[1] + k * entry.order))
+        out[:, :, edge] = sd @ rows.transpose(0, 2, 1)
+        if k:
+            out[:, :, inner] = (sd[:, :, edge] @ rows[:, :, inner]
+                                + _interior(entry.spectra, sd[:, :, inner], k))
     es, od = out.reshape((2,) + c.shape[:-1] + out.shape[-1:])
     return np.concatenate([(es + od)[..., ::-1], es - od], axis=-1)
 

@@ -645,6 +645,19 @@ def test_resolved_radius_product_too_small_is_one_line_usage_error(radii, produc
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", ["0.2", "0.25"])
+def test_tail_grid_radius_at_its_first_panel_edge_is_one_line_usage_error(radius,
+                                                                          capsys):
+    # a tail grid's panels grow from 0.25 to the frequency radius: the error
+    # names that rule and the option's value, not the builder's own inputs
+    assert main([*TM, "--radius-lambda", radius]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the radius of a tail grid must exceed 0.25, its first "
+                   f"panel edge, got {radius}\n")
+
+
+@pytest.mark.filterwarnings("error")
 def test_modulus_probe_overflow_is_a_usage_error_without_warnings(capsys):
     # log(e/t)^theta overflows on the vanishing probe of the modulus
     argv = ["titchmarsh", "--modulus", "power_log:gamma=0.5,theta=1e300"]

@@ -261,29 +261,30 @@ def evaluated_table_arguments(xg, lg):
 
 def entry_blocks(xg, lg):
     """The half-line blocks [E | O] that the cache entry of the pair stands
-    for: its edge strips, and between interior panels the kernel parts at
-    the table's arguments.  Checks on the way that the entry's spectra are
-    the real FFT of that table, bit for bit."""
+    for: its edge rows, their interior columns read transposed as the
+    interior rows' edge columns, and between interior panels the kernel
+    parts at the table's arguments.  Checks on the way that the entry's
+    spectra are the real FFT of that table, bit for bit."""
     entry = kernel_matrix(xg, lg)
-    kx, kl = entry.panels
-    o = entry.order
+    k, o = entry.panels, entry.order
     blocks = np.full((2, xg.pos_nodes.size, lg.pos_nodes.size), np.nan)
     blocks[:, entry.edge_rows] = entry.rows
-    inner_rows = np.arange(o, o + kx * o)
-    blocks[:, inner_rows[:, None], entry.edge_cols] = entry.side
-    if kx:
+    inner = np.arange(o, o + k * o)
+    mirror = entry.rows[:, :, inner].transpose(0, 2, 1)
+    blocks[:, inner[:, None], entry.edge_rows] = mirror
+    if k:
         tab = np.stack(kernel_parts(KernelParams(alpha=xg.alpha),
                                     evaluated_table_arguments(xg, lg)))
-        length = transform._fft_length(kx, kl)
-        assert length >= kx + kl - 1 and length & (length - 1) == 0
+        length = transform._fft_length(k)
+        assert length >= 2 * k - 1 and length & (length - 1) == 0
         assert np.array_equal(entry.spectra, np.fft.rfft(tab, n=length, axis=2)
                               .transpose(0, 2, 1, 3))
-        for k in range(kx):
-            for l in range(kl):
-                blocks[:, o + k * o:o + (k + 1) * o, o + l * o:o + (l + 1) * o] = \
-                    tab[:, :, k + l, :]
+        for i in range(k):
+            for j in range(k):
+                blocks[:, o + i * o:o + (i + 1) * o, o + j * o:o + (j + 1) * o] = \
+                    tab[:, :, i + j, :]
     else:
-        assert entry.spectra.size == 0 and entry.side.size == 0
+        assert entry.spectra.size == 0 and entry.rows.shape[1] == xg.pos_nodes.size
     assert not np.isnan(blocks).any()
     return np.hstack(blocks)
 
@@ -291,21 +292,20 @@ def entry_blocks(xg, lg):
 def build_arguments(xg, lg):
     """The arguments kernel_matrix evaluates the kernel parts at: the outer
     product of the positive nodes, with every block of an interior x panel
-    and an interior lambda panel taken from the table of its panel sum.  On
-    a pair that is one grid scaled twice, the side strip (interior rows,
-    edge columns) is at the mirrored products x_j * lambda_i."""
+    and an interior lambda panel taken from the table of its panel sum, and
+    the interior rows' edge columns at the mirrored products x_j * lambda_i
+    (the edge rows' interior columns, read transposed)."""
     u = np.outer(xg.pos_nodes, lg.pos_nodes)
-    kx, kl = _interior_panels(xg, lg)
+    k = _interior_panels(xg, lg)
     o = xg.order
-    if kx:
-        if transform._scaled_copy(xg.pos_nodes, lg.pos_nodes):
-            inner = slice(o, o + kx * o)
-            u[inner, :o], u[inner, o + kx * o:] = u.T[inner, :o], u.T[inner, o + kx * o:]
+    if k:
+        inner = slice(o, o + k * o)
+        u[inner, :o], u[inner, o + k * o:] = u.T[inner, :o], u.T[inner, o + k * o:]
         table = evaluated_table_arguments(xg, lg)
-        for k in range(kx):
-            for l in range(kl):
-                u[o + k * o:o + (k + 1) * o, o + l * o:o + (l + 1) * o] = \
-                    table[:, k + l, :]
+        for i in range(k):
+            for j in range(k):
+                u[o + i * o:o + (i + 1) * o, o + j * o:o + (j + 1) * o] = \
+                    table[:, i + j, :]
     return u
 
 
@@ -318,15 +318,15 @@ def mirrored(u):
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_kernel_matrix_quarter_block_is_exact(alpha):
     # the cached blocks are the kernel parts at the build's arguments (the
-    # outer product on the first and last panels, mirrored on the side
-    # strip, the table's representatives between interior panels, taken at
+    # outer product on the edge rows, mirrored on the interior rows' edge
+    # columns, the table's representatives between interior panels, taken at
     # m <= m'), and they determine the kernel at the mirrored arguments on
     # the full grids bit for bit, in the near field (z = 2 sqrt|u| <= 9) and
     # beyond it, for integer (alpha = 0.5) and fractional Bessel orders
     xg, lg = dh.make_resolved_grids(alpha, 20.0, 64.0)
     u = build_arguments(xg, lg)
     assert (u <= 20.25).any() and (u > 20.25).any()
-    assert _interior_panels(xg, lg)[0] > 0
+    assert _interior_panels(xg, lg) > 0
     blocks = entry_blocks(xg, lg)
     params = KernelParams(alpha=alpha)
     assert np.array_equal(blocks, np.hstack(kernel_parts(params, u)))
@@ -344,11 +344,12 @@ def kernel_parts_mp(alpha, t):
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_kernel_matrix_table_entries_match_direct_and_mpmath(alpha):
     # the table takes one product per panel sum and node pair {m, m'} for
-    # all the interior panel pairs with that sum, and the side strip takes
-    # the mirrored product; the products differ in the last bits only, so on
-    # the largest resolved pair (40, 512) every entry stays within 1e-13 of
-    # the kernel parts at its own outer-product argument, and the entries
-    # that moved most, plus random ones, within 1e-13 of mpmath
+    # all the interior panel pairs with that sum, and the interior rows' edge
+    # columns take the mirrored product; the products differ in the last
+    # bits only, so on the largest resolved pair (40, 512) every entry stays
+    # within 1e-13 of the kernel parts at its own outer-product argument,
+    # and the entries that moved most, plus random ones, within 1e-13 of
+    # mpmath
     xg, lg = dh.make_resolved_grids(alpha, 40.0, 512.0)
     blocks = entry_blocks(xg, lg)
     n = lg.pos_nodes.size
@@ -385,20 +386,20 @@ def count_entry_build(monkeypatch, xg, lg):
 
 
 def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch):
-    # direct rows, the side strip mirrored from them and the table's node
-    # pairs m <= m', instead of all entries of the quarter block: 3.1% of
-    # 1568^2 at (40, 512), 18% of 256^2 at (20, 64); the entry holds the
-    # strips and the table's spectra in at most 5 MB, where [E | O] took
-    # 39.3 MB at (40, 512)
+    # the edge rows (which also stand for the edge columns) and the table's
+    # node pairs m <= m', instead of all entries of the quarter block: 3.1%
+    # of 1568^2 at (40, 512), 18% of 256^2 at (20, 64); the entry holds the
+    # rows and the table's spectra, 1,859,584 bytes at (40, 512), where
+    # [E | O] took 39.3 MB
     for radii, nodes, evaluated in (((40.0, 512.0), 1568, 76152),
                                     ((20.0, 64.0), 256, 11864)):
         xg, lg = dh.make_resolved_grids(0.5, *radii)
         assert xg.pos_nodes.size == lg.pos_nodes.size == nodes
         count, entry = count_entry_build(monkeypatch, xg, lg)
         assert count == evaluated
-        parts = (entry.rows, entry.side, entry.spectra)
-        assert entry.nbytes == sum(a.nbytes for a in parts) <= 5e6
-        assert entry.size == sum(a.size for a in parts)
+        assert entry.nbytes == entry.rows.nbytes + entry.spectra.nbytes <= 5e6
+        assert entry.size == entry.rows.size + entry.spectra.size
+    assert kernel_matrix(*dh.make_resolved_grids(0.5, 40.0, 512.0)).nbytes == 1859584
 
 
 def nudged_lambda(grid, i, rel):
@@ -410,30 +411,16 @@ def nudged_lambda(grid, i, rel):
                    uid=next(_grid_ids))
 
 
-@pytest.mark.parametrize("case", ["short_lambda", "nudged_lambda"])
-def test_kernel_matrix_evaluates_the_side_strip_off_a_scaled_copy(case, monkeypatch):
-    # a pair that is not one grid scaled twice (a frequency grid cut short,
-    # or one frequency node moved by 1e-12 relative) has no mirror for its
-    # side strip: the build evaluates it at the pair's own products
-    xg, lg = dh.make_resolved_grids(0.5, 20.0, 64.0)
-    lg = cut_short(lg, 3) if case == "short_lambda" else nudged_lambda(lg, -1, 1e-12)
-    count, entry = count_entry_build(monkeypatch, xg, lg)
-    (kx, kl), o = entry.panels, entry.order
-    assert kx > 0 and not transform._scaled_copy(xg.pos_nodes, lg.pos_nodes)
-    even, odd = kernel_parts(KernelParams(alpha=0.5),
-                             np.outer(xg.pos_nodes[o:o + kx * o], lg.pos_nodes[entry.edge_cols]))
-    assert np.array_equal(entry.side, np.stack([even, odd]))
-    assert count == (entry.rows.size + entry.side.size) // 2 + \
-        o * (o + 1) // 2 * (kx + kl - 1)
-
-
 def pairs_without_table():
-    """Grid pairs whose panels share no ratio and rule order: graded with two
-    ratios, resolved for different radii, and graded with one ratio but
-    different orders (uniform pairs:
+    """Grid pairs that are not one geometric grid scaled twice, so carry no
+    table: graded with two ratios, resolved for different radii, graded
+    with one ratio but different orders, and a resolved pair with the
+    frequency grid cut short by three panels, one frequency node moved by
+    1e-12 relative, or the x grid cut short by one panel (uniform pairs:
     test_kernel_matrix_row_blocks_match_one_shot_build)."""
     a = 0.5
     rho = math.exp(10.0 / math.sqrt(20.0 * 64.0))
+    xg, lg = dh.make_resolved_grids(a, 20.0, 64.0)
     return {
         "geometric": (dh.build_graded_grid(a, 20.0, 8, 20.0 / 12, 1.25),
                       dh.build_graded_grid(a, 64.0, 8, 64.0 / 12, 1.3)),
@@ -441,13 +428,19 @@ def pairs_without_table():
                         dh.make_resolved_grids(a, 20.0, 128.0)[1]),
         "mixed_order": (dh.build_graded_grid(a, 20.0, 8, 25.0 / 64.0, rho),
                         dh.build_graded_grid(a, 64.0, 16, 25.0 / 20.0, rho)),
+        "short_lambda": (xg, cut_short(lg, 3)),
+        "nudged_lambda": (xg, nudged_lambda(lg, -1, 1e-12)),
+        "cut_short": (cut_short(xg, 1), lg),
     }
 
 
-@pytest.mark.parametrize("name", ["geometric", "mixed_ratio", "mixed_order"])
+@pytest.mark.parametrize("name", ["geometric", "mixed_ratio", "mixed_order",
+                                  "short_lambda", "nudged_lambda", "cut_short"])
 def test_kernel_matrix_without_common_ratio_is_the_outer_product(name):
+    # every pair but one geometric grid scaled twice, common ratio or not,
+    # is one strip of all rows: the kernel parts at the pair's own products
     xg, lg = pairs_without_table()[name]
-    assert _interior_panels(xg, lg) == (0, 0)
+    assert _interior_panels(xg, lg) == 0
     even, odd = kernel_parts(KernelParams(alpha=0.5),
                              np.outer(xg.pos_nodes, lg.pos_nodes))
     assert np.array_equal(kernel_matrix(xg, lg).rows, np.stack([even, odd]))
@@ -469,13 +462,13 @@ def test_kernel_matrix_on_grids_with_few_panels(radii, panels):
     # products; with three panels the table covers one interior panel
     xg, lg = dh.make_resolved_grids(0.7, *radii, order=6)
     assert xg.pos_nodes.size == lg.pos_nodes.size == 6 * panels
-    assert _interior_panels(xg, lg) == ((0, 0) if panels < 3 else (panels - 2,) * 2)
+    assert _interior_panels(xg, lg) == (0 if panels < 3 else panels - 2)
     assert_built_from_table(xg, lg, 0.7)
 
 
 def cut_short(grid, dropped):
     """The grid without its last `dropped` panels: same ratio, fewer
-    interior panels."""
+    interior panels, no longer one grid scaled twice against its partner."""
     keep = grid.pos_nodes.size - dropped * grid.order
     pos, wpos = grid.pos_nodes[:keep], grid.pos_weights[:keep]
     return replace(grid, radius=grid.cell_hi[keep - 1],
@@ -485,25 +478,12 @@ def cut_short(grid, dropped):
                    cell_hi=grid.cell_hi[:keep], uid=next(_grid_ids))
 
 
-@pytest.mark.parametrize("dropped", [1, 3])
-def test_kernel_matrix_table_on_unequal_interiors(dropped):
-    # graded grids with one ratio have equal panel counts; a frequency grid
-    # cut short by whole panels keeps the ratio and has fewer interior
-    # panels, which the table's representatives must still cover
-    xg, lg = dh.make_resolved_grids(0.7, 20.0, 64.0)
-    short = cut_short(lg, dropped)
-    kx, kl = _interior_panels(xg, short)
-    assert kl == kx - dropped > 0
-    assert_built_from_table(xg, short, 0.7)
-    assert_built_from_table(short, xg, 0.7)
-
-
 def test_kernel_matrix_row_blocks_match_one_shot_build():
     # a uniform pair has no table: its entry is one strip of all rows, the
     # kernel parts on the whole quarter block (here one slab)
     xg = dh.build_weighted_grid(0.7, 20.0, 9, 8)
     lg = dh.build_weighted_grid(0.7, 64.0, 24, 8)
-    assert _interior_panels(xg, lg) == (0, 0)
+    assert _interior_panels(xg, lg) == 0
     even, odd = kernel_parts(KernelParams(alpha=0.7),
                              np.outer(xg.pos_nodes, lg.pos_nodes))
     rows = kernel_matrix(xg, lg).rows
@@ -516,7 +496,7 @@ def test_kernel_matrix_without_table_is_built_in_bounded_slabs(monkeypatch):
     # entries (102 rows), the last one short, equal to the one-shot build
     xg = dh.build_weighted_grid(0.5, 20.0, 50, 16)
     lg = dh.build_weighted_grid(0.5, 64.0, 40, 16)
-    assert _interior_panels(xg, lg) == (0, 0)
+    assert _interior_panels(xg, lg) == 0
     sizes = []
 
     def counting(params, u):
@@ -538,8 +518,8 @@ def neither_even_nor_odd(x):
 
 def entry_pair(alpha, case):
     """Grid pairs whose entries cover each layout: a full interior, one and
-    two interior panels, unequal interiors in both orientations, and a
-    uniform pair without a table."""
+    two interior panels, and without a table a resolved pair cut short in
+    either orientation and a uniform pair."""
     if case == "uniform":
         return (dh.build_weighted_grid(alpha, 20.0, 9, 8),
                 dh.build_weighted_grid(alpha, 64.0, 24, 8))
@@ -558,15 +538,15 @@ def entry_pair(alpha, case):
                                   "two_interior_panels", "short_lambda",
                                   "short_x", "uniform"])
 def test_entry_apply_matches_dense_kernel(alpha, case, monkeypatch):
-    # every kernel sum the transforms take from the entry (edge strips by
+    # every kernel sum the transforms take from the entry (edge rows by
     # dense products, the interior by one FFT correlation) matches the dense
     # kernel the entry stands for to within 1e-13 of the sum of the absolute
     # terms: forward and inverse on the grid for one vector, the physical
     # route for four (four h), and the forward orientation for four
     xg, lg = entry_pair(alpha, case)
     panels = {"resolved": 14, "one_interior_panel": 1, "two_interior_panels": 2,
-              "short_lambda": 11, "short_x": 11, "uniform": 0}[case]
-    assert min(_interior_panels(xg, lg)) == panels
+              "short_lambda": 0, "short_x": 0, "uniform": 0}[case]
+    assert _interior_panels(xg, lg) == panels
     dense = dense_kernel(entry_blocks(xg, lg))
     apply, calls = transform._apply, []
 
@@ -641,11 +621,25 @@ def test_entry_spectra_are_symmetric_in_their_node_axes():
     # rounding; the build evaluates one of the two, so the spectra equal
     # their node-axis transpose bit for bit, and _apply reads them unswapped
     # in both orientations
-    for case in ("resolved", "one_interior_panel", "two_interior_panels",
-                 "short_lambda", "short_x"):
+    for case in ("resolved", "one_interior_panel", "two_interior_panels"):
         spectra = kernel_matrix(*entry_pair(0.5, case)).spectra
         assert spectra.shape[1] > 0
         assert np.array_equal(spectra, spectra.transpose(0, 1, 3, 2))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("case", ["resolved", "one_interior_panel", "two_interior_panels"])
+def test_table_entry_applies_one_formula_in_both_orientations(alpha, case):
+    # a table entry stands for a kernel symmetric in its two node axes, so
+    # forward and inverse apply it by one formula: the transposed sums equal
+    # the untransposed ones bit for bit, for one vector and for a batch
+    xg, lg = entry_pair(alpha, case)
+    entry = kernel_matrix(xg, lg)
+    assert entry.panels > 0
+    rng = np.random.default_rng(5)
+    for c in (rng.standard_normal(xg.nodes.size), rng.standard_normal((4, xg.nodes.size))):
+        assert np.array_equal(transform._apply(entry, c, transposed=True),
+                              transform._apply(entry, c))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
