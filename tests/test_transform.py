@@ -439,9 +439,12 @@ def pairs_without_table():
 def test_kernel_matrix_without_common_ratio_is_the_outer_product(name):
     # every pair but one geometric grid scaled twice, common ratio or not,
     # is one strip of all rows: the kernel parts at the pair's own products
-    xg, lg = pairs_without_table()[name]
+    assert_outer_product(*pairs_without_table()[name], 0.5)
+
+
+def assert_outer_product(xg, lg, alpha):
     assert _interior_panels(xg, lg) == 0
-    even, odd = kernel_parts(KernelParams(alpha=0.5),
+    even, odd = kernel_parts(KernelParams(alpha=alpha),
                              np.outer(xg.pos_nodes, lg.pos_nodes))
     assert np.array_equal(kernel_matrix(xg, lg).rows, np.stack([even, odd]))
     assert np.array_equal(entry_blocks(xg, lg), np.hstack([even, odd]))
@@ -476,6 +479,19 @@ def cut_short(grid, dropped):
                    weights=np.concatenate([wpos[::-1], wpos]),
                    pos_nodes=pos, pos_weights=wpos, cell_lo=grid.cell_lo[:keep],
                    cell_hi=grid.cell_hi[:keep], uid=next(_grid_ids))
+
+
+@pytest.mark.parametrize("dropped", [1, 3])
+def test_kernel_matrix_table_on_unequal_interiors(dropped):
+    # a frequency grid cut short by whole panels keeps the ratio but has
+    # fewer interior panels, so it is no longer one grid scaled twice against
+    # its partner: in either orientation the pair carries no table and its
+    # entry is the kernel parts at the pair's own products
+    xg, lg = dh.make_resolved_grids(0.7, 20.0, 64.0)
+    short = cut_short(lg, dropped)
+    assert short.pos_nodes.size == lg.pos_nodes.size - dropped * lg.order
+    assert_outer_product(xg, short, 0.7)
+    assert_outer_product(short, xg, 0.7)
 
 
 def test_kernel_matrix_row_blocks_match_one_shot_build():
