@@ -16,6 +16,16 @@ decreasing.  The module provides:
   * the cumulative weight W_omega(t) = int_0^t omega(s)/s ds as a new
     modulus (precomputed, monotone-interpolated).
 
+None of these depends on the data, the grid or alpha, so the certificate,
+Z0, Z1 and W_omega are computed once per process for each modulus that
+make_family built: they are memoised under the values it checked (tag, the
+sorted parameter values and delta0, from its own copy of the parameters,
+never the mutable w.params), and W_omega under ("cumulative", that key), so
+its Z0 and Z1 are memoised too.  The memo is one least-recently-used table
+of at most _MEMO_ENTRIES (64) results.  A hand-built ModulusSpec carries no
+key and is never memoised, whatever family_tag it claims; a PreconditionError
+(womega_divergent) is raised again on each call and never stored.
+
 Divergence detection is asymptotic in nature and desk-scale grids can only
 see finitely far: integrands diverging slower than any power (e.g. the
 iterated-log rate of int omega/s for omega = 1/ln(e/t)) classify as finite
@@ -25,8 +35,11 @@ of the last three decade extensions of the t grid.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -73,6 +86,9 @@ class ModulusSpec:
     delta0: float
     family_tag: str = "custom"
     params: dict = field(default_factory=dict)
+    # the values make_family checked, or ("cumulative", that key) on
+    # build_W_omega's result; None on a hand-built spec, which is never memoised
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, t):
         """omega(t) as a float array, or a float for a scalar t."""
@@ -92,6 +108,30 @@ class IndexEstimate:
     m_lower: float
     M_upper: float
     converged: bool
+
+
+_MEMO_ENTRIES = 64   # most results _memo holds (the theorems of one modulus store 6)
+# (function name, modulus key, arguments) -> result, least recently used first
+_memo: OrderedDict[tuple, object] = OrderedDict()
+
+
+def _memoised(fn):
+    """fn(w, ...) once per modulus key and arguments: the result is kept in
+    _memo when make_family or build_W_omega made w, and computed on every call
+    for a hand-built ModulusSpec.  An exception is raised again on each call."""
+    @functools.wraps(fn)
+    def memoised(w, *args, **kwargs):
+        if w._key is None:
+            return fn(w, *args, **kwargs)
+        key = (fn.__name__, w._key, args, tuple(sorted(kwargs.items())))
+        if key in _memo:
+            _memo.move_to_end(key)
+            return _memo[key]
+        result = _memo[key] = fn(w, *args, **kwargs)
+        if len(_memo) > _MEMO_ENTRIES:
+            _memo.popitem(last=False)
+        return result
+    return memoised
 
 
 def _check_vanishes(w: ModulusSpec) -> None:
@@ -129,6 +169,7 @@ def make_family(tag: str, params: dict, delta0: float | None = None) -> ModulusS
     w = ModulusSpec(evaluator=lambda t: omega(t, own), delta0=delta0,
                     family_tag=tag, params=p)
     _check_vanishes(w)
+    object.__setattr__(w, "_key", (tag, tuple(sorted(own.items())), float(delta0)))
     return w
 
 
@@ -174,6 +215,7 @@ def almost_monotone_constant(fn, lo: float, hi: float, direction: str,
     return float(np.max(v / np.minimum.accumulate(v)))
 
 
+@_memoised
 def check_almost_monotone(w: ModulusSpec, direction: str) -> MonotonicityCertificate:
     """Certify omega almost increasing, or omega(t)/t almost decreasing.
 
@@ -240,6 +282,7 @@ def _sampled_sup(ratio: np.ndarray) -> float:
     return math.inf if np.all(r[-3:] > _SENTINEL_GROWTH) else float(sups[-1])
 
 
+@_memoised
 def zygmund_Z0_constant(w: ModulusSpec) -> float:
     """sup_t of (int_0^t omega/x dx) / omega(t), or math.inf if divergent.
 
@@ -260,6 +303,7 @@ def zygmund_Z0_constant(w: ModulusSpec) -> float:
     return sup
 
 
+@_memoised
 def zygmund_Z1_constant(w: ModulusSpec) -> float:
     """sup_t of t*(int_t^d0 omega/x^2 dx) / omega(t), or math.inf if divergent."""
     edges_t, integrals = _log_panels(w, _T_DECADES, _T_PER_DECADE,
@@ -386,6 +430,7 @@ def _pchip(x, y):
     return interp
 
 
+@_memoised
 def build_W_omega(w: ModulusSpec) -> ModulusSpec:
     """Cumulative weight W(t) = int_0^t omega(s)/s ds as a ModulusSpec.
 
@@ -427,6 +472,9 @@ def build_W_omega(w: ModulusSpec) -> ModulusSpec:
         out[~low] = np.exp(interp(np.log(t_clip[~low])))
         return out
 
-    return ModulusSpec(evaluator=evaluator, delta0=w.delta0,
-                       family_tag="cumulative",
-                       params=dict(w.params, source=w.family_tag))
+    # read-only: a memoised W is shared by every later call on the same key
+    cum = ModulusSpec(evaluator=evaluator, delta0=w.delta0, family_tag="cumulative",
+                      params=MappingProxyType(dict(w.params, source=w.family_tag)))
+    if w._key is not None:
+        object.__setattr__(cum, "_key", ("cumulative", w._key))
+    return cum

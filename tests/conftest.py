@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 import dhankel as dh
-from dhankel import transform
+from dhankel import modulus, transform
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
@@ -13,10 +13,12 @@ DELTA0 = 0.5
 
 
 @pytest.fixture(autouse=True)
-def empty_multiplier_cache():
-    """Each test starts with no cached multiplier, so that counts of kernel
-    evaluations do not depend on the tests run before it."""
+def empty_caches():
+    """Each test starts with no cached multiplier and no memoised modulus
+    constant, so that counts of kernel and modulus evaluations do not depend
+    on the tests run before it."""
     transform._multiplier_cache.clear()
+    modulus._memo.clear()
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,49 @@ def test_tail_runs_evaluate_one_multiplier_per_process(tmp_path, monkeypatch,
         dhankel.transform._multiplier_cache.clear()
         assert report(theorem, f"{theorem}-cold.json") == bytes_
     assert evaluated == [(8, 2560)] * 4
+    capsys.readouterr()
+
+
+def test_tail_runs_compute_each_modulus_constant_once_per_process(tmp_path, monkeypatch,
+                                                                  capsys):
+    # the six tail theorems of one modulus compute its certificate, Z0, Z1,
+    # W_omega and the Z1 of W_omega once each, and every report is the one a
+    # run on an emptied memo writes
+    runs = {"main1_part1": [], "main1_part2": [], "equivalence": [],
+            "fourier_Lnu": ["--nu", "1.5"], "main2_part2": [], "inclusion_Womega": []}
+    modulus = dhankel.modulus
+
+    def report(theorem, name):
+        path = tmp_path / name
+        assert main(["titchmarsh", "--modulus", "power_log:gamma=0.5,theta=-1.0",
+                     "--theorem", theorem, *runs[theorem], "--radius-lambda", "8192",
+                     "--format", "json", "--output", str(path)]) == 0
+        return path.read_bytes()
+
+    stored = []
+
+    class Recording(OrderedDict):
+        def __setitem__(self, key, value):
+            stored.append((key[0], key[1][0]))
+            super().__setitem__(key, value)
+
+    counts = dict.fromkeys(("almost_monotone_constant", "_pchip"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _fn=getattr(modulus, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(modulus, name, counting)
+    monkeypatch.setattr(modulus, "_memo", Recording())
+    warm = [report(theorem, f"{theorem}.json") for theorem in runs]
+    assert sorted(stored) == [
+        ("build_W_omega", "power_log"), ("check_almost_monotone", "power_log"),
+        ("zygmund_Z0_constant", "power_log"), ("zygmund_Z1_constant", "cumulative"),
+        ("zygmund_Z1_constant", "power_log")]
+    # one certificate of two scans, one W_omega interpolant
+    assert counts == {"almost_monotone_constant": 2, "_pchip": 1}
+    for theorem, bytes_ in zip(runs, warm):
+        modulus._memo.clear()
+        assert report(theorem, f"{theorem}-cold.json") == bytes_
     capsys.readouterr()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple, is_dataclass
 
 import numpy as np
 import pytest
@@ -361,6 +362,116 @@ def test_pchip_shape_branches_match_scipy():
     y[-3:] = [1.0, 3.0, 3.1]
     pts = np.concatenate([x, np.linspace(x[0], x[-1], 5001)])
     assert np.array_equal(modulus._pchip(x, y)(pts), scipy_pchip(x, y)(pts))
+
+
+# ----------------------------- memo -----------------------------
+
+W_POINTS = np.geomspace(1e-9, 0.25, 41)
+
+
+def memo_results(w):
+    """Every memoised function of w, and of its W_omega, as raw bytes."""
+    W = dh.build_W_omega(w)
+    results = [dh.check_almost_monotone(w, "almost_increasing"),
+               dh.check_almost_monotone(w, "almost_decreasing"),
+               dh.zygmund_Z0_constant(w), dh.zygmund_Z1_constant(w),
+               W(W_POINTS), dh.zygmund_Z0_constant(W), dh.zygmund_Z1_constant(W)]
+    return [np.asarray(astuple(r) if is_dataclass(r) else r, dtype=float).tobytes()
+            for r in results]
+
+
+def count_evaluations(monkeypatch):
+    """Calls of the two primitives every memoised function evaluates through:
+    _log_panels (Z0, Z1, W_omega) and almost_monotone_constant (two per
+    certificate)."""
+    counts = dict.fromkeys(("_log_panels", "almost_monotone_constant"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _fn=getattr(modulus, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(modulus, name, counting)
+    return counts
+
+
+# a cold memo_results: 2 certificates of 2 scans; Z0, Z1, W and W's Z0 and Z1
+ALL_EVALUATED = {"_log_panels": 5, "almost_monotone_constant": 4}
+NONE_EVALUATED = {"_log_panels": 0, "almost_monotone_constant": 0}
+
+
+@pytest.mark.parametrize("tag", list(modulus.FAMILIES))
+def test_memo_serves_a_second_parse_bit_for_bit(tag, monkeypatch):
+    text = f"{tag}:" + ",".join(f"{k}={v}" for k, v in FAMILY_RULES[tag][0].items())
+    counts = count_evaluations(monkeypatch)
+    cold = memo_results(dh.parse_family(text))
+    assert counts == ALL_EVALUATED
+    counts.update(NONE_EVALUATED)
+    assert memo_results(dh.parse_family(text)) == cold
+    assert counts == NONE_EVALUATED
+
+
+def power_half_elsewhere():
+    return {
+        "delta0": dh.make_family("power", {"gamma": 0.5}, delta0=0.25),
+        "gamma_one_ulp_up": dh.make_family("power", {"gamma": math.nextafter(0.5, 1.0)}),
+        "hand_built": ModulusSpec(evaluator=lambda t: t ** 0.25, delta0=0.5,
+                                  family_tag="power", params={"gamma": 0.5}),
+    }
+
+
+@pytest.mark.parametrize("case", list(power_half_elsewhere()))
+def test_memo_misses_another_modulus(case, monkeypatch):
+    # power:gamma=0.5 memoised does not answer for another delta0, a gamma one
+    # ulp away, or a hand-built spec claiming its tag and parameters
+    memo_results(dh.parse_family("power:gamma=0.5"))
+    held = list(modulus._memo)
+    counts = count_evaluations(monkeypatch)
+    warm = memo_results(power_half_elsewhere()[case])
+    assert counts == ALL_EVALUATED
+    if case == "hand_built":    # nor is a hand-built spec ever stored
+        assert list(modulus._memo) == held
+        counts.update(NONE_EVALUATED)
+        memo_results(power_half_elsewhere()[case])
+        assert counts == ALL_EVALUATED
+    modulus._memo.clear()
+    assert memo_results(power_half_elsewhere()[case]) == warm
+
+
+def test_editing_params_changes_neither_key_nor_memoised_result(monkeypatch):
+    w = dh.parse_family("power:gamma=0.5")
+    key, z0, W = w._key, dh.zygmund_Z0_constant(w), dh.build_W_omega(w)
+    w.params["gamma"] = 0.25
+    counts = count_evaluations(monkeypatch)
+    assert w._key == key
+    assert dh.zygmund_Z0_constant(w) == z0 and dh.build_W_omega(w) is W
+    assert counts == NONE_EVALUATED
+    assert dh.zygmund_Z0_constant(family("power", gamma=0.25)) != z0
+    # the shared W_omega's parameters are read-only
+    with pytest.raises(TypeError):
+        W.params["source"] = "custom"
+
+
+def test_divergent_w_omega_is_raised_on_every_call(monkeypatch):
+    w = dh.parse_family("log_inverse:beta=1.2")
+    counts = count_evaluations(monkeypatch)
+    for calls in (1, 2):
+        with pytest.raises(dh.PreconditionError) as err:
+            dh.build_W_omega(w)
+        assert err.value.condition == "womega_divergent"
+        assert counts["_log_panels"] == calls
+    assert not any(key[0] == "build_W_omega" for key in modulus._memo)
+
+
+def test_memo_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(modulus, "_MEMO_ENTRIES", 2)
+    a, b, c = (family("power", gamma=g) for g in (0.3, 0.5, 0.7))
+    for w in (a, b, a, c):      # the hit on a makes b the least recently used
+        dh.zygmund_Z0_constant(w)
+    assert [key[1] for key in modulus._memo] == [a._key, c._key]
+    counts = count_evaluations(monkeypatch)
+    dh.zygmund_Z0_constant(a)
+    assert counts["_log_panels"] == 0
+    dh.zygmund_Z0_constant(b)
+    assert counts["_log_panels"] == 1
 
 
 # ----------------------------- derived properties -----------------------------
