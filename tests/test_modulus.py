@@ -409,31 +409,29 @@ def test_memo_serves_a_second_parse_bit_for_bit(tag, monkeypatch):
     assert counts == NONE_EVALUATED
 
 
-def power_half_elsewhere():
-    return {
-        "delta0": dh.make_family("power", {"gamma": 0.5}, delta0=0.25),
-        "gamma_one_ulp_up": dh.make_family("power", {"gamma": math.nextafter(0.5, 1.0)}),
-        "hand_built": ModulusSpec(evaluator=lambda t: t ** 0.25, delta0=0.5,
-                                  family_tag="power", params={"gamma": 0.5}),
-    }
+# moduli that power:gamma=0.5 memoised must not answer for
+NOT_POWER_HALF = {
+    "delta0": lambda: dh.make_family("power", {"gamma": 0.5}, delta0=0.25),
+    "gamma_one_ulp_up": lambda: dh.make_family("power", {"gamma": math.nextafter(0.5, 1.0)}),
+    "hand_built": lambda: ModulusSpec(evaluator=lambda t: t ** 0.25, delta0=0.5,
+                                      family_tag="power", params={"gamma": 0.5}),
+}
 
 
-@pytest.mark.parametrize("case", list(power_half_elsewhere()))
+@pytest.mark.parametrize("case", list(NOT_POWER_HALF))
 def test_memo_misses_another_modulus(case, monkeypatch):
-    # power:gamma=0.5 memoised does not answer for another delta0, a gamma one
-    # ulp away, or a hand-built spec claiming its tag and parameters
     memo_results(dh.parse_family("power:gamma=0.5"))
     held = list(modulus._memo)
     counts = count_evaluations(monkeypatch)
-    warm = memo_results(power_half_elsewhere()[case])
+    warm = memo_results(NOT_POWER_HALF[case]())
     assert counts == ALL_EVALUATED
     if case == "hand_built":    # nor is a hand-built spec ever stored
         assert list(modulus._memo) == held
         counts.update(NONE_EVALUATED)
-        memo_results(power_half_elsewhere()[case])
+        memo_results(NOT_POWER_HALF[case]())
         assert counts == ALL_EVALUATED
     modulus._memo.clear()
-    assert memo_results(power_half_elsewhere()[case]) == warm
+    assert memo_results(NOT_POWER_HALF[case]()) == warm
 
 
 def test_editing_params_changes_neither_key_nor_memoised_result(monkeypatch):
