@@ -253,11 +253,13 @@ def synthesize_from_tail(spec: SynthesisSpec, lgrid: WeightedGrid) -> SpectralDa
     phi = _phi_of(w)
     y = lgrid.pos_nodes
     if spec.profile == "sharp_tail":
+        # cell_lo is 0 followed by cell_hi without its last entry
         phi_hi = phi(lgrid.cell_hi)
+        phi_lo = np.concatenate([phi(lgrid.cell_lo[:1]), phi_hi[:-1]])
         phi_hi[-1] = 0.0                     # outermost cell keeps all remaining mass
         # clip cells where Phi wobbles upward (log factors near delta0);
         # genuinely invalid inputs already failed the almost-decreasing check
-        mass = np.maximum(phi(lgrid.cell_lo) - phi_hi, 0.0)
+        mass = np.maximum(phi_lo - phi_hi, 0.0)
         g2_pos = mass / (2.0 * lgrid.pos_weights)
     else:
         radius = lgrid.radius

@@ -29,9 +29,13 @@ multiplier depends on alpha, the positive frequency nodes and the h grid
 alone, so kernel_multiplier keeps each one it evaluates, read-only, keyed by
 those exact values (not by grid identity: every CLI run builds a fresh grid),
 in a least-recently-used cache of at most _MULTIPLIER_CACHE_BYTES multiplier
-bytes; each distinct multiplier is evaluated once per process.  Tail
-energies and the partial norms over |lambda| <= r come from one spectral-mass
-primitive (spectral_mass), also for a whole grid of cuts at once.
+bytes; each distinct multiplier is evaluated once per process.  Each
+(h x node) array of a call (the multiplier, each route's terms) is built in
+one buffer, in place, in its formula's order of operations, so no result
+moves by a bit and the Plancherel route allocates nothing else that large.
+Tail energies and the partial norms over |lambda| <= r come from one
+spectral-mass primitive (spectral_mass), also for a whole grid of cuts at
+once.
 """
 
 from __future__ import annotations
@@ -350,7 +354,12 @@ def kernel_multiplier(lgrid: WeightedGrid, h) -> np.ndarray:
         return mult
     even, odd = _outer_parts(KernelParams(alpha=lgrid.alpha), np.abs(h), lgrid.pos_nodes)
     sign = np.where(h < 0, -1.0, 1.0)[:, None]
-    mult = np.concatenate([(even + sign * odd)[:, ::-1], even - sign * odd], axis=1)
+    # [rev(E + s O), E - s O] in place: s O into the right half, then both halves
+    n = even.shape[1]
+    mult = np.empty((h.size, 2 * n))
+    right = np.multiply(sign, odd, out=mult[:, n:])
+    np.add(even, right, out=mult[:, n - 1::-1])
+    np.subtract(even, right, out=right)
     mult.setflags(write=False)
     if mult.nbytes <= _MULTIPLIER_CACHE_BYTES:
         _multiplier_cache[key] = mult
@@ -464,10 +473,16 @@ def _routes(g: SpectralData, mult: np.ndarray, p: float, fx, xgrid):
     """diff_norms for a given multiplier matrix mult[k, j] = B(lambda_j h_k)."""
     lgrid = g.lambda_grid
     fast = phys = None
+    buf = np.empty(mult.shape)   # both routes' (h x node) array, filled in place
     if p == 2.0:
-        fast = np.sqrt(np.sum(lgrid.weights * (1.0 - mult) ** 2 * g.values ** 2,
-                              axis=1))
+        # lgrid.weights * (1.0 - mult) ** 2 * g.values ** 2, in that order
+        np.square(np.subtract(1.0, mult, out=buf), out=buf)
+        buf *= lgrid.weights
+        buf *= g.values ** 2
+        fast = np.sqrt(np.sum(buf, axis=1))
     if fx is not None:
-        tfs = _apply(kernel_matrix(xgrid, lgrid), lgrid.weights * mult * g.values)
+        np.multiply(lgrid.weights, mult, out=buf)   # lgrid.weights * mult * g.values
+        buf *= g.values
+        tfs = _apply(kernel_matrix(xgrid, lgrid), buf)
         phys = np.array([weighted_norm(tf - fx, xgrid, p) for tf in tfs])
     return fast, phys

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import cache
 
@@ -659,11 +660,16 @@ def test_table_entry_applies_one_formula_in_both_orientations(alpha, case):
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
-@pytest.mark.parametrize("h", [0.125, -0.3, 0.0])
+@pytest.mark.parametrize("h", [0.125, -0.3, 0.0, pytest.param(
+    [0.5, -0.3, 0.0, 1e-4, -0.0625], id="mixed_signs")])
 def test_kernel_multiplier_is_exact(alpha, h):
+    # both halves of each row are written in place by the mirror
     lg = dh.make_tail_grid(alpha, 8192.0)
-    want = dh.kernel_B(KernelParams(alpha=alpha), lg.nodes * h)
-    assert np.array_equal(kernel_multiplier(lg, np.array([h])), want[None])
+    hs = np.atleast_1d(h)
+    mult = kernel_multiplier(lg, hs)
+    assert mult.shape == (hs.size, lg.nodes.size)
+    for row, hk in zip(mult, hs):
+        assert np.array_equal(row, dh.kernel_B(KernelParams(alpha=alpha), lg.nodes * hk))
 
 
 def test_kernel_multiplier_rows_match_single_h():
@@ -851,6 +857,65 @@ def test_diff_norms_match_per_h_reference(alpha, p, bump_spec):
         assert fast is None
         with pytest.raises(DomainError):
             dh.diff_norms(spec, hs, p)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("case", ["tail_8192", "tail_65536", "resolved"])
+def test_diff_norms_routes_are_their_one_line_formulas(alpha, case, bump_spec):
+    # each route fills one buffer in place in its formula's order of
+    # operations, so it equals the formula bit for bit
+    hs = np.r_[H_GRID, -0.3]
+    if case == "resolved":
+        xg, lg, _ = resolved_with_dense_kernel(alpha)
+        spec, fx = physical_input(bump_spec, xg, lg)
+    else:
+        lg = dh.make_tail_grid(alpha, float(case.removeprefix("tail_")))
+        values = np.random.default_rng(3).standard_normal(lg.nodes.size)
+        spec, fx, xg = dh.SpectralData(lambda_grid=lg, values=values), None, None
+    mult = dh.kernel_B(KernelParams(alpha=alpha), np.multiply.outer(hs, lg.nodes))
+    fast, phys = dh.diff_norms(spec, hs, fx=fx, xgrid=xg)
+    assert np.array_equal(
+        fast, np.sqrt(np.sum(lg.weights * (1.0 - mult) ** 2 * spec.values ** 2, axis=1)))
+    if case == "resolved":
+        tfs = transform._apply(kernel_matrix(xg, lg), lg.weights * mult * spec.values)
+        assert np.array_equal(phys, [dh.weighted_norm(tf - fx, xg, 2.0) for tf in tfs])
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_plancherel_route_allocates_one_buffer():
+    """A warm diff_norms(g, H_GRID) on a 65536 tail grid (8 h x 6144 nodes, a
+    393,216-byte multiplier) peaks at 1.13 times the multiplier's bytes: its
+    one buffer, g.values ** 2 and the per-h sums.  The formula evaluated in
+    temporaries, each of the multiplier's size, peaked at 2.13 times."""
+    lg = dh.make_tail_grid(0.5, 65536.0)
+    values = np.random.default_rng(3).standard_normal(lg.nodes.size)
+    g = dh.SpectralData(lambda_grid=lg, values=values)
+    mult = kernel_multiplier(lg, H_GRID)
+    dh.diff_norms(g, H_GRID)
+    assert traced_peak(lambda: dh.diff_norms(g, H_GRID)) <= 1.25 * mult.nbytes
+
+
+def test_kernel_multiplier_mirror_writes_into_its_result(monkeypatch):
+    """A kernel_multiplier miss on a 65536 tail grid with its kernel parts
+    served precomputed peaks at 1.07 times the 393,216 multiplier bytes: the
+    result and the cache key.  Mirrored through temporaries and
+    np.concatenate it peaked at 2.07 times.  (A whole miss peaks at 4.99
+    times either way, inside kernel_parts, whose series temporaries are
+    several times its output.)"""
+    lg = dh.make_tail_grid(0.5, 65536.0)
+    parts = transform._outer_parts(KernelParams(alpha=0.5), H_GRID, lg.pos_nodes)
+    monkeypatch.setattr(transform, "_outer_parts", lambda *args: parts)
+    peak = traced_peak(lambda: kernel_multiplier(lg, H_GRID))
+    assert peak <= 1.25 * kernel_multiplier(lg, H_GRID).nbytes
 
 
 def test_kernel_cache_entry_dies_with_its_grids():
