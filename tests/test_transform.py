@@ -260,6 +260,32 @@ def evaluated_table_arguments(xg, lg):
     return np.where(upper, table, table.transpose(2, 1, 0))
 
 
+# every 2^a 3^b 5^c up to 2048 (and some beyond)
+FIVE_SMOOTH = sorted(2 ** a * 3 ** b * 5 ** c
+                     for a in range(12) for b in range(8) for c in range(6))
+
+
+def smallest_5_smooth(n):
+    """Brute force: the smallest 2^a 3^b 5^c >= max(n, 1), for n <= 2048."""
+    return next(m for m in FIVE_SMOOTH if m >= max(n, 1))
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    # the interior correlation needs L >= 2 k - 1 (no output wraps around),
+    # and a table-less pair (k = 0) asks for a length too
+    assert ([transform._fft_length(k) for k in range(601)]
+            == [smallest_5_smooth(2 * k - 1) for k in range(601)])
+    assert [transform._fft_length(k) for k in (0, 14, 23, 38, 96, 542)] == \
+        [1, 27, 45, 75, 192, 1125]
+
+
+def edge_rows(entry, size):
+    """Indices of the entry's rows among the size positive x nodes: the
+    first and the last panel (every row without a table)."""
+    o = entry.order
+    return np.r_[0:o, o + entry.panels * o:size]
+
+
 def entry_blocks(xg, lg):
     """The half-line blocks [E | O] that the cache entry of the pair stands
     for: its edge rows, their interior columns read transposed as the
@@ -269,15 +295,16 @@ def entry_blocks(xg, lg):
     entry = kernel_matrix(xg, lg)
     k, o = entry.panels, entry.order
     blocks = np.full((2, xg.pos_nodes.size, lg.pos_nodes.size), np.nan)
-    blocks[:, entry.edge_rows] = entry.rows
+    edge = edge_rows(entry, xg.pos_nodes.size)
+    blocks[:, edge] = entry.rows
     inner = np.arange(o, o + k * o)
     mirror = entry.rows[:, :, inner].transpose(0, 2, 1)
-    blocks[:, inner[:, None], entry.edge_rows] = mirror
+    blocks[:, inner[:, None], edge] = mirror
     if k:
         tab = np.stack(kernel_parts(KernelParams(alpha=xg.alpha),
                                     evaluated_table_arguments(xg, lg)))
         length = transform._fft_length(k)
-        assert length >= 2 * k - 1 and length & (length - 1) == 0
+        assert length == smallest_5_smooth(2 * k - 1)
         assert np.array_equal(entry.spectra, np.fft.rfft(tab, n=length, axis=2)
                               .transpose(0, 2, 1, 3))
         for i in range(k):
@@ -390,8 +417,9 @@ def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch)
     # the edge rows (which also stand for the edge columns) and the table's
     # node pairs m <= m', instead of all entries of the quarter block: 3.1%
     # of 1568^2 at (40, 512), 18% of 256^2 at (20, 64); the entry holds the
-    # rows and the table's spectra, 1,859,584 bytes at (40, 512), where
-    # [E | O] took 39.3 MB
+    # rows and the table's spectra, 1,597,440 bytes at (40, 512) (802,816 of
+    # rows, 97 frequencies of L = 192 in the spectra), where [E | O] took
+    # 39.3 MB
     for radii, nodes, evaluated in (((40.0, 512.0), 1568, 76152),
                                     ((20.0, 64.0), 256, 11864)):
         xg, lg = dh.make_resolved_grids(0.5, *radii)
@@ -400,7 +428,7 @@ def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch)
         assert count == evaluated
         assert entry.nbytes == entry.rows.nbytes + entry.spectra.nbytes <= 5e6
         assert entry.size == entry.rows.size + entry.spectra.size
-    assert kernel_matrix(*dh.make_resolved_grids(0.5, 40.0, 512.0)).nbytes == 1859584
+    assert kernel_matrix(*dh.make_resolved_grids(0.5, 40.0, 512.0)).nbytes == 1597440
 
 
 def nudged_lambda(grid, i, rel):
@@ -534,15 +562,18 @@ def neither_even_nor_odd(x):
 
 
 def entry_pair(alpha, case):
-    """Grid pairs whose entries cover each layout: a full interior, one and
-    two interior panels, and without a table a resolved pair cut short in
-    either orientation and a uniform pair."""
+    """Grid pairs whose entries cover each layout: a full interior (FFT
+    length L = 27), one and two interior panels, an odd L (45) and an L of
+    3 * 5^2 (75), and without a table a resolved pair cut short in either
+    orientation and a uniform pair."""
     if case == "uniform":
         return (dh.build_weighted_grid(alpha, 20.0, 9, 8),
                 dh.build_weighted_grid(alpha, 64.0, 24, 8))
     if case in ("one_interior_panel", "two_interior_panels"):
         radii = (0.5, 128.0) if case == "one_interior_panel" else (1.0, 200.0)
         return dh.make_resolved_grids(alpha, *radii, order=6)
+    if case in ("odd_length", "factor_five"):
+        return dh.make_resolved_grids(alpha, 40.0, 64.0 if case == "odd_length" else 128.0)
     xg, lg = dh.make_resolved_grids(alpha, 20.0, 64.0)
     if case == "resolved":
         return xg, lg
@@ -552,8 +583,8 @@ def entry_pair(alpha, case):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("case", ["resolved", "one_interior_panel",
-                                  "two_interior_panels", "short_lambda",
-                                  "short_x", "uniform"])
+                                  "two_interior_panels", "odd_length", "factor_five",
+                                  "short_lambda", "short_x", "uniform"])
 def test_entry_apply_matches_dense_kernel(alpha, case, monkeypatch):
     # every kernel sum the transforms take from the entry (edge rows by
     # dense products, the interior by one FFT correlation) matches the dense
@@ -562,6 +593,7 @@ def test_entry_apply_matches_dense_kernel(alpha, case, monkeypatch):
     # route for four (four h), and the forward orientation for four
     xg, lg = entry_pair(alpha, case)
     panels = {"resolved": 14, "one_interior_panel": 1, "two_interior_panels": 2,
+              "odd_length": 23, "factor_five": 38,
               "short_lambda": 0, "short_x": 0, "uniform": 0}[case]
     assert _interior_panels(xg, lg) == panels
     dense = dense_kernel(entry_blocks(xg, lg))
@@ -657,6 +689,47 @@ def test_table_entry_applies_one_formula_in_both_orientations(alpha, case):
     for c in (rng.standard_normal(xg.nodes.size), rng.standard_normal((4, xg.nodes.size))):
         assert np.array_equal(transform._apply(entry, c, transposed=True),
                               transform._apply(entry, c))
+
+
+def apply_gathered(entry, c, transposed=False):
+    """The sums of _apply from the same products, with the combinations
+    joined by np.stack, the edge rows read and written through an index
+    array and the halves joined by np.concatenate: the reference for
+    _apply's buffers."""
+    n = c.shape[-1] // 2
+    plus, minus = c[..., n:], c[..., n - 1::-1]
+    sd = np.stack([plus + minus, plus - minus]).reshape(2, c[..., 0].size, n)
+    rows, k = entry.rows, entry.panels
+    edge = edge_rows(entry, rows.shape[1] + k * entry.order)
+    if transposed and not k:
+        out = sd @ rows
+    else:
+        inner = slice(entry.order, entry.order * (k + 1))
+        out = np.empty((2, sd.shape[1], rows.shape[1] + k * entry.order))
+        out[:, :, edge] = sd @ rows.transpose(0, 2, 1)
+        if k:
+            out[:, :, inner] = (sd[:, :, edge] @ rows[:, :, inner]
+                                + transform._interior(entry.spectra, sd[:, :, inner], k))
+    es, od = out.reshape((2,) + c.shape[:-1] + out.shape[-1:])
+    return np.concatenate([(es + od)[..., ::-1], es - od], axis=-1)
+
+
+@pytest.mark.parametrize("case", ["resolved", "one_interior_panel", "odd_length",
+                                  "short_lambda", "short_x", "uniform"])
+def test_apply_buffers_match_the_gathered_formula(case):
+    # _apply fills preallocated buffers by slices; its sums equal the
+    # gathered formula's bit for bit, on square pairs with a table and on
+    # table-less pairs whose output grid is shorter or longer than the input
+    # grid, in both orientations, for batches of 1, 4, 2 x 3 and no vectors
+    xg, lg = entry_pair(0.3, case)
+    entry = kernel_matrix(xg, lg)
+    rng = np.random.default_rng(11)
+    for transposed, grid, out in ((False, lg, xg), (True, xg, lg)):
+        for lead in ((), (4,), (2, 3), (0,)):
+            c = rng.standard_normal(lead + grid.nodes.shape)
+            got = transform._apply(entry, c, transposed)
+            assert got.shape == lead + out.nodes.shape
+            assert np.array_equal(got, apply_gathered(entry, c, transposed))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
