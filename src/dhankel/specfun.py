@@ -9,7 +9,8 @@ j_nu(0) = 1, and u stands for the frequency-space product lambda*x.
 B_alpha(0) = 1; |B_alpha| <= 1 holds for alpha >= 1/2 (for
 alpha in (1/4, 1/2) the sup is finite but exceeds 1 — see tests).
 
-All functions are pure and accept scalars or numpy arrays.  They need numpy
+All functions but kernel_parts_into, which writes into an array it is given,
+are pure and accept scalars or numpy arrays.  They need numpy
 and the standard library alone: the Bessel fits are power series summed in
 decimal, and only orders above 10 import scipy, for its jv.  The module also
 defines the library's two error types, DomainError and PreconditionError.
@@ -61,8 +62,13 @@ def gamma(x: float) -> float:
         raise DomainError(f"gamma({x}) overflows a double") from None
 
 
-# Entries per block of _clenshaw, so that its work arrays stay in cache.
-_CLENSHAW_BLOCK = 8192
+# Entries per chunk of one field (near, band or far) that _bessel_j works
+# at once: its scratch holds _SCRATCH_ROWS rows of at most that many
+# entries, reused across chunks, fields and orders, so that it stays small
+# and in cache.  The far field needs the most: z, 1/z^2, ln z, sqrt(2/(pi z)),
+# cos z and sin z, then P, Q, the result and one partial sum.
+_CHUNK = 8192
+_SCRATCH_ROWS = 10
 # Every fit is computed in decimal at _FIT_DIGITS digits and rounded to
 # doubles once, as coefficients.  On the band the series' largest term is
 # below 1e8, so each of its sums keeps more than 35 digits.
@@ -148,25 +154,21 @@ def _chebyshev_fit(f, degree: int) -> np.ndarray:
     return c
 
 
-def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _clenshaw(c: np.ndarray, x: np.ndarray, out: np.ndarray, x2, c0, tmp) -> None:
     # sum_k c_k T_k(x) by Clenshaw's recurrence in numpy's chebval order of
-    # operations, in place over blocks of _CLENSHAW_BLOCK entries; each entry
-    # is computed on its own, so its value does not depend on the batch.
-    out = np.empty_like(x)
-    for lo in range(0, x.size, _CLENSHAW_BLOCK):
-        xb = x[lo:lo + _CLENSHAW_BLOCK]
-        x2 = xb + xb
-        c0, c1 = np.full_like(xb, c[-2]), np.full_like(xb, c[-1])
-        tmp = np.empty_like(xb)
-        for ck in c[-3::-1]:
-            np.subtract(ck, c1, out=tmp)
-            c1 *= x2
-            c1 += c0
-            c0, tmp = tmp, c0
-        c1 *= xb
+    # operations, into out, with x2, c0 and tmp as scratch of x's size; each
+    # entry is computed on its own, so its value does not depend on the batch.
+    np.add(x, x, out=x2)
+    c0.fill(c[-2])
+    c1 = out
+    c1.fill(c[-1])
+    for ck in c[-3::-1]:
+        np.subtract(ck, c1, out=tmp)
+        c1 *= x2
         c1 += c0
-        out[lo:lo + _CLENSHAW_BLOCK] = c1
-    return out
+        c0, tmp = tmp, c0
+    c1 *= x
+    c1 += c0
 
 
 # Near field |z| <= _SEAM: j_nu(2 sqrt q) = 1 - q g(q), which keeps
@@ -217,52 +219,113 @@ def _hankel_coefficients(nu: float) -> tuple:
             math.lgamma(nu + 1.0) + nu * math.log(2.0))
 
 
-def _horner(c, w: np.ndarray) -> np.ndarray:
-    # sum c_k w^k in the order of operations of numpy's polyval
-    out = c[-1] + w * 0
+def _horner(c, w: np.ndarray, out: np.ndarray) -> None:
+    # sum_k c_k w^k into out, in the order of operations of numpy's polyval
+    np.multiply(w, 0.0, out=out)
+    out += c[-1]
     for ck in c[-2::-1]:
-        out = ck + out * w
-    return out
+        out *= w
+        out += ck
 
 
-def _bessel_j(orders: tuple, z: np.ndarray) -> list:
-    # Normalized j_nu(z) for each order, z >= 0 or NaN of any shape.  The
-    # orders share the split of z and, beyond _HANKEL_FROM, every function of
-    # z alone.  A NaN entry takes the band (or jv) and stays NaN.
+def _scaled_jv(nu: float, z: np.ndarray, out: np.ndarray) -> None:
+    # normalized j_nu from scipy's jv, for an order above _FAST_ORDER_MAX
+    try:
+        from scipy.special import jv
+    except ImportError:
+        raise DomainError(f"order {nu} above {_FAST_ORDER_MAX:g} needs scipy, "
+                          "which is not installed") from None
+    out[...] = np.exp(math.lgamma(nu + 1.0) + nu * (math.log(2.0) - np.log(z))) * jv(nu, z)
+
+
+def _near(orders: tuple, s: np.ndarray, outs, i: np.ndarray) -> None:
+    # j_nu = 1 - q g(q), q = z^2/4, at the chunk's z = s[0]
+    q, x, r, x2, c0, tmp = s[:6]
+    np.square(q, out=q)
+    q *= 0.25
+    np.divide(q, _NEAR_HALF, out=x)
+    x -= 1.0
+    for nu, out in zip(orders, outs):
+        _clenshaw(_near_coefficients(nu), x, r, x2, c0, tmp)
+        r *= q
+        np.subtract(1.0, r, out=r)
+        out[i] = r
+
+
+def _band(orders: tuple, s: np.ndarray, outs, i: np.ndarray) -> None:
+    # the band's interpolant (or jv) at the chunk's z = s[0]
+    z, x, r, x2, c0, tmp = s[:6]
+    np.subtract(z, _BAND_MID, out=x)
+    x /= _BAND_HALF
+    for nu, out in zip(orders, outs):
+        if nu <= _FAST_ORDER_MAX:
+            _clenshaw(_band_coefficients(nu), x, r, x2, c0, tmp)
+        else:
+            _scaled_jv(nu, z, r)
+        out[i] = r
+
+
+def _far(orders: tuple, s: np.ndarray, outs, i: np.ndarray) -> None:
+    # Hankel's expansion (or jv) at the chunk's z = s[0]:
+    # J_nu(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi), chi = z - c with
+    # c = (nu/2 + 1/4) pi (DLMF 10.17.3), P and Q sums in 1/z^2; cos chi and
+    # sin chi are expanded through cos z and sin z, so z - c is never
+    # rounded.  Normalized by Gamma(nu+1) (2/z)^nu.  Every step writes in
+    # place, in the order of operations of
+    # exp(ln_scale - nu ln z) * root * (cos z (P cos c + Q/z sin c)
+    #                                   + sin z (P sin c - Q/z cos c)).
+    z, w, log_z, root, cos_z, sin_z, p, q, r, e = s
+    np.multiply(z, z, out=w)
+    np.divide(1.0, w, out=w)
+    np.log(z, out=log_z)
+    np.multiply(z, math.pi, out=root)
+    np.divide(2.0, root, out=root)
+    np.sqrt(root, out=root)
+    np.cos(z, out=cos_z)
+    np.sin(z, out=sin_z)
+    for nu, out in zip(orders, outs):
+        if nu > _FAST_ORDER_MAX:
+            _scaled_jv(nu, z, r)
+            out[i] = r
+            continue
+        p_c, q_c, cos_c, sin_c, log_scale = _hankel_coefficients(nu)
+        _horner(p_c, w, p)
+        _horner(q_c, w, q)
+        q /= z
+        np.multiply(p, cos_c, out=r)
+        np.multiply(q, sin_c, out=e)
+        r += e
+        r *= cos_z
+        p *= sin_c
+        q *= cos_c
+        p -= q
+        p *= sin_z
+        r += p
+        np.multiply(log_z, nu, out=e)
+        np.subtract(log_scale, e, out=e)
+        np.exp(e, out=e)
+        e *= root
+        r *= e
+        out[i] = r
+
+
+def _bessel_j(orders: tuple, z: np.ndarray, outs) -> None:
+    # Normalized j_nu(z) of orders[j] into outs[j], for 1-D z >= 0 or NaN
+    # and 1-D outs of its size.  The orders share the split of z and, beyond
+    # _HANKEL_FROM, every function of z alone.  Each field is worked in
+    # chunks of at most _CHUNK entries in one scratch array of _SCRATCH_ROWS
+    # rows.  A NaN entry takes the band (or jv) and stays NaN.
     near = z <= _SEAM
     far = z > _HANKEL_FROM
-    band = ~(near | far)
-    q = 0.25 * z[near] ** 2
-    x_near, x_band = q / _NEAR_HALF - 1.0, (z[band] - _BAND_MID) / _BAND_HALF
-    zf = z[far]
-    # Hankel's expansion: J_nu(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi),
-    # chi = z - c with c = (nu/2 + 1/4) pi (DLMF 10.17.3), P and Q sums in
-    # 1/z^2; cos chi and sin chi are expanded through cos z and sin z, so
-    # z - c is never rounded.  Normalized by Gamma(nu+1) (2/z)^nu.
-    w, log_z, root = 1.0 / (zf * zf), np.log(zf), np.sqrt(2.0 / (math.pi * zf))
-    cos_z, sin_z = np.cos(zf), np.sin(zf)
-    outs = []
-    for nu in orders:
-        out = np.empty_like(z)
-        out[near] = 1.0 - q * _clenshaw(_near_coefficients(nu), x_near)
-        if nu <= _FAST_ORDER_MAX:
-            out[band] = _clenshaw(_band_coefficients(nu), x_band)
-            p_c, q_c, cos_c, sin_c, log_scale = _hankel_coefficients(nu)
-            p, q_sum = _horner(p_c, w), _horner(q_c, w) / zf
-            out[far] = (np.exp(log_scale - nu * log_z) * root
-                        * (cos_z * (p * cos_c + q_sum * sin_c)
-                           + sin_z * (p * sin_c - q_sum * cos_c)))
-        else:
-            try:
-                from scipy.special import jv
-            except ImportError:
-                raise DomainError(f"order {nu} above {_FAST_ORDER_MAX:g} needs scipy, "
-                                  "which is not installed") from None
-            zl = z[~near]
-            out[~near] = np.exp(math.lgamma(nu + 1.0)
-                                + nu * (math.log(2.0) - np.log(zl))) * jv(nu, zl)
-        outs.append(out)
-    return outs
+    fields = [(field, np.flatnonzero(mask)) for field, mask in
+              ((_near, near), (_band, ~(near | far)), (_far, far))]
+    scratch = np.empty((_SCRATCH_ROWS, min(_CHUNK, max(i.size for _, i in fields))))
+    for field, idx in fields:
+        for lo in range(0, idx.size, _CHUNK):
+            i = idx[lo:lo + _CHUNK]
+            s = scratch[:, :i.size]
+            np.take(z, i, out=s[0])
+            field(orders, s, outs, i)
 
 
 def bessel_j_normalized(nu: float, x):
@@ -281,8 +344,9 @@ def bessel_j_normalized(nu: float, x):
     if not nu > -1.0:
         raise DomainError(f"order must exceed -1, got {nu}")
     z = np.abs(np.asarray(x, dtype=float))
-    (out,) = _bessel_j((nu,), np.atleast_1d(z))
-    return float(out[0]) if z.ndim == 0 else out
+    out = np.empty(z.shape)
+    _bessel_j((nu,), z.reshape(-1), (out.reshape(-1),))
+    return float(out) if z.ndim == 0 else out
 
 
 def kernel_parts(params: KernelParams, t):
@@ -294,11 +358,30 @@ def kernel_parts(params: KernelParams, t):
     lets symmetric grids evaluate them once per distinct |u|.  The two
     orders share cos, sin and log of the arguments beyond 18.
     """
-    a = params.alpha
     t = np.asarray(t, dtype=float)
-    even, odd = _bessel_j((2.0 * a - 1.0, 2.0 * a + 1.0), np.atleast_1d(2.0 * np.sqrt(t)))
-    odd = t * odd / ((2.0 * a) * (2.0 * a + 1.0))
-    return (even, odd) if t.ndim else (float(even[0]), float(odd[0]))
+    out = np.empty((2,) + t.shape)
+    kernel_parts_into(params, t.reshape(-1), out.reshape(2, -1))
+    even, odd = out
+    return (even, odd) if t.ndim else (float(even), float(odd))
+
+
+def kernel_parts_into(params: KernelParams, t: np.ndarray, out: np.ndarray) -> None:
+    """kernel_parts at a 1-D array t, written into out of shape (2, t.size):
+    E into out[0], O into out[1].
+
+    Besides z = 2 sqrt(t) and the indices of its near, band and far
+    entries (t's size each), it works in one scratch array of at most
+    _SCRATCH_ROWS x _CHUNK doubles (640 KiB), so a caller that evaluates in
+    slabs bounds the memory by the slab.  Every entry is computed on its
+    own, by the operations of kernel_parts, so any split of t gives the
+    same bits.
+    """
+    a = params.alpha
+    z = np.sqrt(t)
+    z *= 2.0
+    _bessel_j((2.0 * a - 1.0, 2.0 * a + 1.0), z, out)
+    out[1] *= t
+    out[1] /= (2.0 * a) * (2.0 * a + 1.0)
 
 
 def kernel_B(params: KernelParams, u):

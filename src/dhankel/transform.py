@@ -7,8 +7,12 @@ multiplier identity F(T_h f)(lambda) = B(lambda h) F(f)(lambda), which is how
 it enters every norm computed here.  All data are real (the kernel is real).
 
 Every grid is symmetric under negation, so B(lambda_j x_i) and B(lambda_j h)
-come from the kernel's even and odd parts (specfun.kernel_parts), evaluated
-once per distinct |lambda x| on the positive half-axes.  A grid pair's
+come from the kernel's even and odd parts, evaluated once per distinct
+|lambda x| on the positive half-axes.  Every kernel array (an entry or a
+multiplier) is evaluated in one pass (_evaluate): its arguments, generated
+slab by slab of at most _SLAB_ENTRIES entries, go to
+specfun.kernel_parts_into, which writes E and O in place into the one array
+that holds them, so the evaluation's memory is bounded by the slab.  A grid pair's
 kernel is cached (kernel_matrix) as a KernelEntry for as long as the pair
 lives.  The kernel depends on lambda x alone, so on a pair that is one
 geometric grid scaled twice (make_resolved_grids) it is symmetric: the
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import WeightedGrid, conjugate_exponent, weighted_norm
-from .specfun import DomainError, KernelParams, kernel_parts
+from .specfun import DomainError, KernelParams, kernel_parts_into
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,10 @@ class SpectralData:
 
 
 _matrix_cache: dict[tuple[int, int, float], "KernelEntry"] = {}
-_SLAB_ENTRIES = 65536    # largest number of entries one kernel_parts call evaluates
+# most entries (arguments) per kernel evaluation, a kernel_parts_into call of
+# _evaluate, whose memory is a few times that: every build and multiplier
+# goes through it in slabs of whole rows
+_SLAB_ENTRIES = 65536
 _ENTRY_BYTES = 1 << 30   # largest kernel array (entry or multiplier) a call may ask for
 _MULTIPLIER_CACHE_BYTES = 16 << 20   # most multiplier bytes _multiplier_cache holds
 _SCALED_COPY_ULPS = 16   # widest spread of lpos / xpos on a pair taken as one grid scaled twice
@@ -112,19 +119,30 @@ def _check_bytes(nbytes: int, what: str) -> None:
                           f"{_ENTRY_BYTES}; use fewer nodes")
 
 
-def _outer_parts(params: KernelParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel parts (E, O) at np.outer(a, b) of 1-D magnitudes, one
-    (2, a.size, b.size) array evaluated in row slabs of at most
-    _SLAB_ENTRIES entries.  One slab is stacked after its evaluation, so that
-    the result does not add to the peak of kernel_parts' temporaries."""
-    step = max(1, _SLAB_ENTRIES // b.size)
-    if 0 < a.size <= step:
-        return np.stack(kernel_parts(params, np.outer(a, b)))
-    parts = np.empty((2, a.size, b.size))
-    for i in range(0, a.size, step):
-        parts[0, i:i + step], parts[1, i:i + step] = kernel_parts(
-            params, np.outer(a[i:i + step], b))
-    return parts
+def _evaluate(params: KernelParams, strips, out: np.ndarray) -> None:
+    """Kernel parts (E, O) at the arguments of the strips, written into out,
+    shape (2, N), row after row.  A strip is a pair (a, b) whose product
+    a * b holds its rows of arguments: a of shape (rows, 1) or (rows,
+    width), b one row of width entries or a scalar.  The rows go in slabs
+    of whole rows of at most _SLAB_ENTRIES entries (one row, when a row is
+    longer), each slab's arguments multiplied out into one reused buffer
+    and evaluated by one kernel_parts_into call, so the memory of the
+    evaluation is bounded by the slab, not by N."""
+    widths = [max(a.shape[1], np.size(b)) for a, b in strips]
+    t = np.empty(max([min(_SLAB_ENTRIES, out.shape[1])] + widths))
+    lo = at = 0   # out's column of the slab in t, and its entries so far
+    for (a, b), width in zip(strips, widths):
+        r = 0
+        while r < len(a):
+            if at and at + width > _SLAB_ENTRIES:   # no room for this row
+                kernel_parts_into(params, t[:at], out[:, lo:lo + at])
+                lo, at = lo + at, 0
+            take = min(len(a) - r, max(1, (_SLAB_ENTRIES - at) // width))
+            np.multiply(a[r:r + take], b, out=t[at:at + take * width].reshape(take, width))
+            at += take * width
+            r += take
+    if at:
+        kernel_parts_into(params, t[:at], out[:, lo:lo + at])
 
 
 def _scaled_copy(xpos: np.ndarray, lpos: np.ndarray) -> bool:
@@ -156,12 +174,14 @@ def _interior_panels(xgrid: WeightedGrid, lgrid: WeightedGrid) -> int:
 
 
 def _table_arguments(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
-    """Kernel arguments of the interior table of kernel_matrix, shape
-    (order, 2 k - 1, order) with k = _interior_panels(...).
+    """Kernel arguments of the interior table of kernel_matrix on its node
+    pairs m <= m', shape (order (order + 1) / 2, 2 k - 1) with k =
+    _interior_panels(...), the pairs in the order of np.triu_indices(order).
 
-    T[m, s, m'] is one representative product x * lambda of node m of an
-    interior x panel and node m' of an interior lambda panel whose interior
-    panel indices sum to s: the x panel is the first one that has a partner.
+    Entry [(m, m'), s] is one representative product x * lambda of node m
+    of an interior x panel and node m' of an interior lambda panel whose
+    interior panel indices sum to s: the x panel is the first one that has
+    a partner.
     """
     o = xgrid.order
     k = _interior_panels(xgrid, lgrid)
@@ -169,7 +189,8 @@ def _table_arguments(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
     ls = lgrid.pos_nodes[o:o + k * o].reshape(k, o)
     s = np.arange(2 * k - 1)
     first = np.maximum(s - (k - 1), 0)
-    return xs[first].T[:, :, None] * ls[s - first][None, :, :]
+    m, m2 = np.triu_indices(o)
+    return xs[first][:, m].T * ls[s - first][:, m2].T
 
 
 def _fft_length(k: int) -> int:
@@ -196,10 +217,13 @@ class KernelEntry:
     xgrid.pos_nodes[i] * lgrid.pos_nodes[j] (see kernel_matrix).  With k =
     panels interior panels (a pair that is one grid scaled twice, where the
     kernel is symmetric in (i, j); 0 on any other pair) the entry keeps them as
-    - rows: (2, n_x - k order, n_lambda), the rows of the first and the
-      last x panel, [:order] and [order (k + 1):] (every row when k = 0);
-      the interior rows' edge columns are rows[:, :, interior], read
-      transposed;
+    - parts: (2, N), every kernel value the build evaluated, in one pass
+      into one buffer: the rows' entries, then (k > 0) the interior table's,
+      order (order + 1) / 2 node pairs m <= m' of 2 k - 1 panel sums each;
+    - rows: (2, n_x - k order, n_lambda), a view of the first entries of
+      parts: the rows of the first and the last x panel, [:order] and
+      [order (k + 1):] (every row when k = 0); the interior rows' edge
+      columns are rows[:, :, interior], read transposed;
     - spectra: (2, L // 2 + 1, order, order), the real FFT along the
       panel-sum axis of the interior table, tab[m, s, m'] ->
       spectra[:, f, m, m'], at the smallest 5-smooth length L >= 2 k - 1
@@ -208,6 +232,7 @@ class KernelEntry:
       for bit.
     """
 
+    parts: np.ndarray
     rows: np.ndarray
     spectra: np.ndarray
     panels: int
@@ -215,13 +240,13 @@ class KernelEntry:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of kernel data held: rows and spectra."""
-        return self.rows.nbytes + self.spectra.nbytes
+        """Bytes of kernel data held: parts (the rows and the table) and spectra."""
+        return self.parts.nbytes + self.spectra.nbytes
 
     @property
     def size(self) -> int:
-        """Kernel entries held: row entries and complex spectrum entries."""
-        return self.rows.size + self.spectra.size
+        """Kernel entries held: float parts and complex spectrum entries."""
+        return self.parts.size + self.spectra.size
 
 
 def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
@@ -238,13 +263,18 @@ def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     grid scaled twice (_interior_panels), the block of interior x panel k
     and interior lambda panel l is the slice [:, k + l, :] of one table, the
     kernel parts at _table_arguments (one representative product per
-    panel-index sum and node pair); the entry keeps the table's real FFT
-    along that panel-sum axis, so that the interior product is one
+    panel-index sum and node pair m <= m'); the entry keeps the table's
+    real FFT along that panel-sum axis, so that the interior product is one
     correlation.  The edge rows (the first and the last x panel) are the
-    kernel parts at their outer product with the lambda nodes
-    (_outer_parts), and the kernel is symmetric, so they also stand for the
-    edge columns.  Any other pair has no interior and is one strip of all
-    rows.
+    kernel parts at their outer product with the lambda nodes, and the
+    kernel is symmetric, so they also stand for the edge columns.  Any
+    other pair has no interior and is one strip of all rows.
+
+    The build evaluates the edge rows' arguments, then the table's, in one
+    pass (_evaluate): slabs of whole rows of at most _SLAB_ENTRIES entries,
+    each written in place into one (2, N) array, KernelEntry.parts, whose
+    first entries are the rows and whose last the table fed to the real
+    FFT.
     """
     if xgrid.alpha != lgrid.alpha:
         raise DomainError("grids carry different alpha")
@@ -266,27 +296,34 @@ def _build_entry(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     # every row but the interior ones [o, o + k o): all rows when k = 0
     edge_rows = np.r_[0:o, o + k * o:xpos.size]
     n = _fft_length(k)
-    freqs = n // 2 + 1 if k else 0
-    # float rows and complex spectra of E and O
-    _check_bytes(16 * (edge_rows.size * lpos.size + 2 * freqs * o * o),
+    pairs, freqs = (o * (o + 1) // 2, n // 2 + 1) if k else (0, 0)
+    row_entries, table_entries = edge_rows.size * lpos.size, pairs * (2 * k - 1)
+    # float rows and table, complex spectra, of E and O
+    _check_bytes(16 * (row_entries + table_entries + 2 * freqs * o * o),
                  "the kernel of this grid pair")
     # the kernel squares its argument z = 2 sqrt(lambda x): 4 lambda x must be finite
     if not np.isfinite(4.0 * xgrid.radius * lgrid.radius):
         raise DomainError("radius_x * radius_lambda overflows the kernel argument")
-    rows = _outer_parts(params, xpos[edge_rows], lpos)
-    spectra = np.empty((2, freqs, o, o), dtype=complex)
+    # the edge rows' outer products, then the table's node pairs m <= m'
+    parts = np.empty((2, row_entries + table_entries))
+    _evaluate(params, [(xpos[edge_rows, None], lpos)]
+              + ([(_table_arguments(xgrid, lgrid), 1.0)] if k else []), parts)
+    parts.setflags(write=False)
+    rows = parts[:, :row_entries].reshape(2, edge_rows.size, lpos.size)
     if k:
         # every interior panel is [e, e rho] with one rule, so the table is
-        # symmetric in its node axes: evaluate the pairs m <= m' and scatter
-        # each series' spectrum to (m, m') and (m', m)
+        # symmetric in its node axes: scatter each pair's spectrum to (m, m')
+        # and (m', m)
         m, m2 = np.triu_indices(o)
-        tab = np.stack(kernel_parts(params, _table_arguments(xgrid, lgrid)[m, :, m2]))
-        half = np.fft.rfft(tab, n=n, axis=2).transpose(0, 2, 1)
+        tab = parts[:, row_entries:].reshape(2, pairs, 2 * k - 1)
+        half = np.fft.rfft(tab, n=n).transpose(0, 2, 1)
+        spectra = np.empty((2, freqs, o, o), dtype=complex)
         spectra[:, :, m, m2] = half
         spectra[:, :, m2, m] = half
-    for arr in (rows, spectra):
-        arr.setflags(write=False)
-    return KernelEntry(rows=rows, spectra=spectra, panels=k, order=o)
+    else:
+        spectra = np.empty((2, 0, o, o), dtype=complex)
+    spectra.setflags(write=False)
+    return KernelEntry(parts=parts, rows=rows, spectra=spectra, panels=k, order=o)
 
 
 def _interior(spectra: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
@@ -350,7 +387,7 @@ def _apply(entry: KernelEntry, c, transposed: bool = False):
 
 def kernel_multiplier(lgrid: WeightedGrid, h) -> np.ndarray:
     """Multiplier B(lambda_j h_k), one row per h of a 1-D grid, refused over
-    _ENTRY_BYTES: the kernel parts at |h| x lgrid.pos_nodes (_outer_parts)
+    _ENTRY_BYTES: the kernel parts at |h| x lgrid.pos_nodes (_evaluate)
     mirrored onto the negative half-axis, so that row k equals
     kernel_B(.., lgrid.nodes * h_k).
 
@@ -368,10 +405,12 @@ def kernel_multiplier(lgrid: WeightedGrid, h) -> np.ndarray:
     if mult is not None:
         _multiplier_cache.move_to_end(key)
         return mult
-    even, odd = _outer_parts(KernelParams(alpha=lgrid.alpha), np.abs(h), lgrid.pos_nodes)
+    n = lgrid.pos_nodes.size
+    parts = np.empty((2, h.size * n))
+    _evaluate(KernelParams(alpha=lgrid.alpha), [(np.abs(h)[:, None], lgrid.pos_nodes)], parts)
+    even, odd = parts.reshape(2, h.size, n)
     sign = np.where(h < 0, -1.0, 1.0)[:, None]
     # [rev(E + s O), E - s O] in place: s O into the right half, then both halves
-    n = even.shape[1]
     mult = np.empty((h.size, 2 * n))
     right = np.multiply(sign, odd, out=mult[:, n:])
     np.add(even, right, out=mult[:, n - 1::-1])

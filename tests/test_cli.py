@@ -20,8 +20,8 @@ import dhankel
 from dhankel import cli
 from dhankel.cli import build_parser, main
 from dhankel.modulus import FAMILIES
-from dhankel.specfun import kernel_parts
 from dhankel.titchmarsh import THEOREMS, restrict_h_grid
+from test_transform import count_evaluations
 
 
 def test_indices_output(capsys):
@@ -159,7 +159,7 @@ def test_transform_kernel_over_the_byte_cap_is_one_line_usage_error(monkeypatch,
     def untouched(*args, **kwargs):
         raise AssertionError("kernel evaluated past the byte cap")
 
-    monkeypatch.setattr(dhankel.transform, "kernel_parts", untouched)
+    monkeypatch.setattr(dhankel.transform, "kernel_parts_into", untouched)
     assert main(["transform", "--panels", "1000"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -186,7 +186,7 @@ def test_multiplier_over_the_byte_cap_is_one_line_usage_error(
         raise AssertionError("kernel evaluated past the byte cap")
 
     monkeypatch.setattr(dhankel.transform, "_ENTRY_BYTES", cap)
-    monkeypatch.setattr(dhankel.transform, "kernel_parts", untouched)
+    monkeypatch.setattr(dhankel.transform, "kernel_parts_into", untouched)
     tracemalloc.start()
     try:
         code = main([*TM, "--radius-lambda", radius, "--h-min-exp", h_min_exp])
@@ -213,20 +213,26 @@ def test_tail_runs_evaluate_one_multiplier_per_process(tmp_path, monkeypatch,
                      "8192", "--format", "json", "--output", str(path)]) == 0
         return path.read_bytes()
 
-    evaluated = []
-
-    def counting(params, u):
-        evaluated.append(np.shape(u))
-        return kernel_parts(params, u)
-
-    monkeypatch.setattr(dhankel.transform, "kernel_parts", counting)
+    evaluated = count_evaluations(monkeypatch)
     warm = [report(theorem, f"{theorem}.json") for theorem in theorems]
-    assert evaluated == [(8, 2560)]
+    assert evaluated == [8 * 2560]
     for theorem, bytes_ in zip(theorems, warm):
         dhankel.transform._multiplier_cache.clear()
         assert report(theorem, f"{theorem}-cold.json") == bytes_
-    assert evaluated == [(8, 2560)] * 4
+    assert evaluated == [8 * 2560] * 4
     capsys.readouterr()
+
+
+def test_route_check_run_evaluates_its_kernel_entry_once(monkeypatch, capsys):
+    # a --route-check run at (20, 64): its one usable h on the 256 positive
+    # frequency nodes, then the cold entry's 11,864 arguments (8192 of edge
+    # rows, 3672 of the table) in one evaluation
+    dhankel.transform._multiplier_cache.clear()
+    evaluated = count_evaluations(monkeypatch)
+    assert main([*TM, "--route-check", "--theorem", "main1_part2", "--alpha", "0.5",
+                 "--radius-lambda", "64"]) == 0
+    capsys.readouterr()
+    assert evaluated == [256, 11864]
 
 
 def test_tail_runs_compute_each_modulus_constant_once_per_process(tmp_path, monkeypatch,

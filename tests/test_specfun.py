@@ -10,12 +10,12 @@ from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, jv
 
 from dhankel import make_resolved_grids
-from dhankel.specfun import (_BAND_HALF, _BAND_MID, _CLENSHAW_BLOCK, _NEAR_HALF,
+from dhankel.specfun import (_BAND_HALF, _BAND_MID, _CHUNK, _NEAR_HALF,
                              DomainError, KernelParams, _band_coefficients,
                              _band_value, _clenshaw, _cosines,
                              _hankel_coefficients, _horner, _near_coefficients,
-                             _near_value,
-                             bessel_j_normalized, gamma, kernel_B, kernel_parts)
+                             _near_value, bessel_j_normalized, gamma, kernel_B,
+                             kernel_parts, kernel_parts_into)
 
 mp.mp.dps = 40
 
@@ -111,10 +111,12 @@ def test_bessel_even(nu, x):
 
 
 def test_clenshaw_matches_chebval():
-    # the blocked in-place recurrence repeats numpy's operations bit for bit
-    x = np.random.default_rng(3).uniform(-1.0, 1.0, _CLENSHAW_BLOCK + 901)
+    # the in-place recurrence repeats numpy's operations bit for bit
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, _CHUNK + 901)
     for c in (_band_coefficients(-0.4), _near_coefficients(1.6)):
-        assert np.array_equal(_clenshaw(c, x), chebval(x, c))
+        out, x2, c0, tmp = (np.empty_like(x) for _ in range(4))
+        _clenshaw(c, x, out, x2, c0, tmp)
+        assert np.array_equal(out, chebval(x, c))
 
 
 @pytest.mark.parametrize("nu", [-0.4, 0.6, 1.6, 2.4, 3.3, 9.5, 10.0])
@@ -123,8 +125,10 @@ def test_horner_matches_polyval(nu):
     z = np.geomspace(18.0, 1e6, 20001)[1:]
     w = 1.0 / (z * z)
     for c in _hankel_coefficients(nu)[:2]:
-        assert np.array_equal(_horner(c, w), polyval(w, c))
-        assert _horner(c, np.empty(0)).shape == (0,)
+        out = np.empty_like(w)
+        _horner(c, w, out)
+        assert np.array_equal(out, polyval(w, c))
+        _horner(c, np.empty(0), np.empty(0))
 
 
 @pytest.mark.parametrize("nu", [-0.49, -0.4, 0.0, 0.5, 1.0, 2.0, 3.5, 10.0,
@@ -164,10 +168,10 @@ def test_fit_values_match_mpmath(nu):
 def test_bessel_entry_does_not_depend_on_its_batch(nu):
     # the near-field interpolant and the band compute every entry on its
     # own, integer orders included, whatever the other entries of the call;
-    # the array spans the seam at 9 and more than one Clenshaw block, in
-    # shuffled order
+    # the array spans the seam at 9 and more than one chunk, in shuffled
+    # order
     z = np.random.default_rng(7).permutation(
-        np.linspace(0.0, 12.0, _CLENSHAW_BLOCK + 901))
+        np.linspace(0.0, 12.0, _CHUNK + 901))
     whole = bessel_j_normalized(nu, z)
     near_edge = int(np.argmax(np.where(z <= 9.0, z, 0.0)))
     for k in list(range(0, z.size, 97)) + [near_edge]:
@@ -201,9 +205,9 @@ def test_fractional_order_continuous_at_band_edges(nu, edge):
 @pytest.mark.parametrize("nu", [-0.4, 1.6, 2.4])
 def test_far_field_entry_does_not_depend_on_its_batch(nu):
     # a shuffled array across the near field, the Chebyshev band and
-    # Hankel's expansion, longer than one Clenshaw block
+    # Hankel's expansion, longer than one chunk
     z = np.random.default_rng(11).permutation(
-        np.linspace(0.0, 40.0, _CLENSHAW_BLOCK + 901))
+        np.linspace(0.0, 40.0, 3 * _CHUNK + 901))
     whole = bessel_j_normalized(nu, z)
     for k in range(0, z.size, 89):
         assert whole[k] == bessel_j_normalized(nu, z[k:k + 1])[0]
@@ -225,6 +229,83 @@ def test_kernel_parts_fractional_alpha_matches_jv():
     assert np.max(np.abs(even[far] - j_ref(2 * a - 1))) < 1e-13
     odd_ref = t[far] * j_ref(2 * a + 1) / (2 * a * (2 * a + 1))
     assert np.max(np.abs(odd[far] - odd_ref)) < 1e-13
+
+
+def reference_j(nu, z):
+    """Normalized j_nu(z) by the allocating formula that the in-place
+    fields replaced: every field through fresh temporaries, numpy's chebval
+    and polyval in place of _clenshaw and _horner."""
+    out = np.empty_like(z)
+    near, far = z <= 9.0, z > 18.0
+    band = ~(near | far)
+    q = 0.25 * z[near] ** 2
+    out[near] = 1.0 - q * chebval(q / _NEAR_HALF - 1.0, _near_coefficients(nu))
+    if nu <= 10.0:
+        out[band] = chebval((z[band] - _BAND_MID) / _BAND_HALF, _band_coefficients(nu))
+        zf = z[far]
+        p_c, q_c, cos_c, sin_c, log_scale = _hankel_coefficients(nu)
+        w = 1.0 / (zf * zf)
+        p, q_sum = polyval(w, p_c), polyval(w, q_c) / zf
+        out[far] = (np.exp(log_scale - nu * np.log(zf)) * np.sqrt(2.0 / (math.pi * zf))
+                    * (np.cos(zf) * (p * cos_c + q_sum * sin_c)
+                       + np.sin(zf) * (p * sin_c - q_sum * cos_c)))
+    else:
+        zl = z[~near]
+        out[~near] = np.exp(math.lgamma(nu + 1.0)
+                            + nu * (math.log(2.0) - np.log(zl))) * jv(nu, zl)
+    return out
+
+
+def reference_parts(alpha, t):
+    """(E, O) at t by reference_j, in kernel_parts' order of operations."""
+    z = 2.0 * np.sqrt(t)
+    return np.stack([reference_j(2.0 * alpha - 1.0, z),
+                     t * reference_j(2.0 * alpha + 1.0, z) / ((2.0 * alpha) * (2.0 * alpha + 1.0))])
+
+
+def writer_arguments():
+    """Kernel arguments t on every path, shuffled: 0, NaN, the seams z = 9
+    (t = 20.25) and z = 18 (t = 81) and their neighbours, the smallest
+    subnormal, and more than one chunk each of near, band and far entries."""
+    rng = np.random.default_rng(17)
+    edges = [0.0, np.nan, 20.25, 81.0, 5e-324, 1e-300, 1e12]
+    edges += [np.nextafter(seam, side) for seam in (20.25, 81.0) for side in (0.0, 1e3)]
+    fields = [rng.uniform(lo, hi, _CHUNK + 100) for lo, hi in ((0.0, 20.25), (20.25, 81.0),
+                                                              (81.0, 1e6))]
+    return rng.permutation(np.concatenate([edges, *fields]))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 5.0])
+def test_parts_writer_matches_the_allocating_formula(alpha):
+    # bit for bit, NaN in place, on every path: near, band and far, and
+    # scipy's jv for the order 2 alpha + 1 = 11 > 10 at alpha = 5; the
+    # writer fills its slice of a larger buffer and nothing else, and
+    # kernel_parts gives the same values
+    t = writer_arguments()
+    want = reference_parts(alpha, t)
+    params = KernelParams(alpha=alpha)
+    buf = np.full((2, t.size + 10), -1.0)
+    kernel_parts_into(params, t, buf[:, 5:-5])
+    assert np.array_equal(buf[:, 5:-5], want, equal_nan=True)
+    assert np.all(buf[:, :5] == -1.0) and np.all(buf[:, -5:] == -1.0)
+    assert np.array_equal(np.stack(kernel_parts(params, t)), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 5.0])
+def test_parts_writer_on_concatenated_arguments(alpha):
+    # every entry is computed on its own: any split of the arguments gives
+    # the same bits, including splits inside a chunk of one field
+    t = writer_arguments()
+    params = KernelParams(alpha=alpha)
+    whole = np.empty((2, t.size))
+    kernel_parts_into(params, t, whole)
+    for cuts in ([1], [4000, 4001, 20000], [_CHUNK, 2 * _CHUNK + 3]):
+        pieces = []
+        for part in np.split(t, cuts):
+            out = np.empty((2, part.size))
+            kernel_parts_into(params, part, out)
+            pieces.append(out)
+        assert np.array_equal(np.hstack(pieces), whole, equal_nan=True)
 
 
 def test_bessel_domain():

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 import dhankel as dh
 from dhankel.quadrature import _grid_ids, weight_constant
-from dhankel.specfun import DomainError, KernelParams, kernel_parts
+from dhankel.specfun import DomainError, KernelParams, kernel_parts, kernel_parts_into
 import dhankel.transform as transform
 from dhankel.transform import (_interior_panels, _matrix_cache, _table_arguments,
                                kernel_matrix, kernel_multiplier, spectral_mass)
@@ -252,12 +252,18 @@ def dense_kernel(blocks):
 
 
 def evaluated_table_arguments(xg, lg):
-    """The interior table's arguments as the build evaluates them: those of
-    _table_arguments, each cell below the node diagonal (m > m') at its
-    upper representative [m', s, m]."""
-    table = _table_arguments(xg, lg)
-    upper = np.triu(np.ones(table.shape[::2], dtype=bool))[:, None, :]
-    return np.where(upper, table, table.transpose(2, 1, 0))
+    """The interior table's arguments as the build evaluates them, shape
+    (order, 2 k - 1, order): the node pairs m <= m' of _table_arguments at
+    [m, s, m'], each cell below the node diagonal (m > m') at its upper
+    representative [m', s, m]."""
+    pairs = _table_arguments(xg, lg)
+    o = xg.order
+    m, m2 = np.triu_indices(o)
+    assert pairs.shape == (m.size, 2 * _interior_panels(xg, lg) - 1)
+    table = np.empty((o, pairs.shape[1], o))
+    table[m, :, m2] = pairs
+    table[m2, :, m] = pairs
+    return table
 
 
 # every 2^a 3^b 5^c up to 2048 (and some beyond)
@@ -401,13 +407,7 @@ def test_kernel_matrix_table_entries_match_direct_and_mpmath(alpha):
 
 def count_entry_build(monkeypatch, xg, lg):
     """(kernel entries the pair's build evaluates, its KernelEntry)."""
-    seen = []
-
-    def counting(params, t):
-        seen.append(np.size(t))
-        return kernel_parts(params, t)
-
-    monkeypatch.setattr(transform, "kernel_parts", counting)
+    seen = count_evaluations(monkeypatch)
     entry = kernel_matrix(xg, lg)
     monkeypatch.undo()
     return sum(seen), entry
@@ -417,18 +417,75 @@ def test_kernel_matrix_build_evaluates_a_tenth_of_the_quarter_block(monkeypatch)
     # the edge rows (which also stand for the edge columns) and the table's
     # node pairs m <= m', instead of all entries of the quarter block: 3.1%
     # of 1568^2 at (40, 512), 18% of 256^2 at (20, 64); the entry holds the
-    # rows and the table's spectra, 1,597,440 bytes at (40, 512) (802,816 of
-    # rows, 97 frequencies of L = 192 in the spectra), where [E | O] took
-    # 39.3 MB
+    # evaluated parts, rows and table, and the table's spectra, 2,013,056
+    # bytes at (40, 512) (802,816 of rows, 415,616 of the table, 97
+    # frequencies of L = 192 in the spectra), where [E | O] took 39.3 MB
     for radii, nodes, evaluated in (((40.0, 512.0), 1568, 76152),
                                     ((20.0, 64.0), 256, 11864)):
         xg, lg = dh.make_resolved_grids(0.5, *radii)
         assert xg.pos_nodes.size == lg.pos_nodes.size == nodes
         count, entry = count_entry_build(monkeypatch, xg, lg)
-        assert count == evaluated
-        assert entry.nbytes == entry.rows.nbytes + entry.spectra.nbytes <= 5e6
-        assert entry.size == entry.rows.size + entry.spectra.size
-    assert kernel_matrix(*dh.make_resolved_grids(0.5, 40.0, 512.0)).nbytes == 1597440
+        assert count == evaluated == entry.parts.shape[1]
+        assert entry.nbytes == entry.parts.nbytes + entry.spectra.nbytes <= 5e6
+        assert entry.size == entry.parts.size + entry.spectra.size
+        # the rows are the first entries of the parts, not a copy
+        assert np.shares_memory(entry.rows, entry.parts)
+        assert np.array_equal(entry.rows.reshape(2, -1), entry.parts[:, :entry.rows[0].size])
+    entry = kernel_matrix(*dh.make_resolved_grids(0.5, 40.0, 512.0))
+    assert (entry.rows.nbytes, entry.parts.nbytes, entry.nbytes) == (802816, 1218432, 2013056)
+
+
+@pytest.mark.parametrize("radii, evaluated, peak_mb", [
+    # (20, 64), a route check's default: the 8192 edge-row entries and the
+    # table's 136 node pairs of 27 panel sums fit one slab
+    ((20.0, 64.0), [11864], 1.25),
+    # (40, 512): 32 edge rows of 1568 and 80 of the table's 191-entry rows,
+    # then its other 56 rows; was 4.33 MB as two calls of one output each
+    ((40.0, 512.0), [65456, 10696], 4.33),
+    # (40, 8192): five slabs of edge rows of 8704, then the table's 136 rows
+    # of 1083 in four; was 21.65 MB with the table (147,288 entries) in one
+    # call; the entry is 11.4 MB
+    ((40.0, 8192.0), [60928] * 4 + [34816 + 28 * 1083, 60 * 1083, 48 * 1083], 17.0),
+])
+def test_cold_build_is_evaluated_in_bounded_slabs(radii, evaluated, peak_mb, monkeypatch):
+    # every evaluation of the build holds at most _SLAB_ENTRIES arguments,
+    # and the traced peak of the cold build stays below the bound
+    xg, lg = dh.make_resolved_grids(0.5, *radii)
+    kernel_matrix(*dh.make_resolved_grids(0.5, 1.0, 200.0, order=6))   # the fits, once
+    sizes = count_evaluations(monkeypatch)
+    peak = traced_peak(lambda: kernel_matrix(xg, lg))
+    assert sizes == evaluated and max(sizes) <= transform._SLAB_ENTRIES
+    assert peak < peak_mb * 1e6
+
+
+def test_evaluate_packs_whole_rows_into_slabs(monkeypatch):
+    # with the slab lowered to 100 entries: rows of 30 go three to a slab,
+    # a row of 150 is a slab of its own, and the rows after it start the
+    # next one; the parts are those of the strips' arguments in order
+    monkeypatch.setattr(transform, "_SLAB_ENTRIES", 100)
+    rng = np.random.default_rng(5)
+    strips = [(rng.uniform(0.0, 2.0, (4, 1)), rng.uniform(0.0, 50.0, 30)),
+              (rng.uniform(0.0, 2.0, (2, 1)), rng.uniform(0.0, 50.0, 150)),
+              (rng.uniform(0.0, 400.0, (5, 30)), 1.0)]
+    params = KernelParams(alpha=0.7)
+    sizes = count_evaluations(monkeypatch)
+    out = np.empty((2, 570))
+    transform._evaluate(params, strips, out)
+    assert sizes == [90, 30, 150, 150, 90, 60]
+    args = np.concatenate([(a * b).ravel() for a, b in strips])
+    assert np.array_equal(out, np.stack(kernel_parts(params, args)))
+
+
+def test_interleaved_cold_builds_are_identical():
+    # no scratch state carries across builds: a cold build at alpha 0.3,
+    # one at 0.7, then the first pair again on fresh grids
+    first = kernel_matrix(*dh.make_resolved_grids(0.3, 20.0, 64.0))
+    other = kernel_matrix(*dh.make_resolved_grids(0.7, 20.0, 64.0))
+    again = kernel_matrix(*dh.make_resolved_grids(0.3, 20.0, 64.0))
+    assert again is not first
+    for name in ("parts", "rows", "spectra"):
+        assert np.array_equal(getattr(again, name), getattr(first, name))
+        assert not np.array_equal(getattr(other, name), getattr(first, name))
 
 
 def nudged_lambda(grid, i, rel):
@@ -542,13 +599,7 @@ def test_kernel_matrix_without_table_is_built_in_bounded_slabs(monkeypatch):
     xg = dh.build_weighted_grid(0.5, 20.0, 50, 16)
     lg = dh.build_weighted_grid(0.5, 64.0, 40, 16)
     assert _interior_panels(xg, lg) == 0
-    sizes = []
-
-    def counting(params, u):
-        sizes.append(np.size(u))
-        return kernel_parts(params, u)
-
-    monkeypatch.setattr(transform, "kernel_parts", counting)
+    sizes = count_evaluations(monkeypatch)
     rows = kernel_matrix(xg, lg).rows
     monkeypatch.undo()
     assert max(sizes) <= 65536 and sum(sizes) == 800 * 640 and len(sizes) == 8
@@ -746,7 +797,7 @@ def test_kernel_multiplier_is_exact(alpha, h):
 
 
 def test_kernel_multiplier_rows_match_single_h():
-    # one kernel_parts call for the whole h grid; every series entry takes
+    # one kernel evaluation for the whole h grid; every series entry takes
     # the same number of terms, so each row equals its own single-h build
     for alpha in (0.3, 0.5, 0.7):
         lg = dh.make_tail_grid(alpha, 8192.0)
@@ -763,13 +814,7 @@ def test_kernel_multiplier_over_one_slab_matches_one_shot_evaluation(monkeypatch
     # the whole (28, 6144) argument array in one kernel_parts call
     lg = dh.make_tail_grid(0.5, 65536.0)
     hs = np.concatenate([0.5 * 2.0 ** -np.arange(27), [-0.3]])
-    sizes = []
-
-    def counting(params, u):
-        sizes.append(np.size(u))
-        return kernel_parts(params, u)
-
-    monkeypatch.setattr(transform, "kernel_parts", counting)
+    sizes = count_evaluations(monkeypatch)
     mat = kernel_multiplier(lg, hs)
     monkeypatch.undo()
     assert sizes == [21 * 3072, 7 * 3072]
@@ -789,7 +834,7 @@ def test_kernel_multiplier_over_the_byte_cap_evaluates_nothing(monkeypatch):
     def untouched(*args, **kwargs):
         raise AssertionError("kernel evaluated past the byte cap")
 
-    monkeypatch.setattr(transform, "kernel_parts", untouched)
+    monkeypatch.setattr(transform, "kernel_parts_into", untouched)
     with pytest.raises(DomainError, match="the multiplier of 8 h values would hold "
                        "327680 bytes, over the cap of 327679"):
         kernel_multiplier(lg, hs)
@@ -800,24 +845,25 @@ def test_kernel_multiplier_over_the_byte_cap_evaluates_nothing(monkeypatch):
 H_GRID = 0.5 * 2.0 ** -np.arange(3, 11)
 
 
-def count_kernel_parts(monkeypatch):
-    """List that grows by the argument shape of each kernel_parts call."""
-    shapes = []
+def count_evaluations(monkeypatch):
+    """List that grows by the number of arguments of each kernel evaluation
+    (kernel_parts_into call) of transform."""
+    sizes = []
 
-    def counting(params, u):
-        shapes.append(np.shape(u))
-        return kernel_parts(params, u)
+    def counting(params, t, out):
+        sizes.append(t.size)
+        kernel_parts_into(params, t, out)
 
-    monkeypatch.setattr(transform, "kernel_parts", counting)
-    return shapes
+    monkeypatch.setattr(transform, "kernel_parts_into", counting)
+    return sizes
 
 
 def test_kernel_multiplier_hit_is_the_fresh_evaluation(monkeypatch):
     lg = dh.make_tail_grid(0.5, 8192.0)
-    evaluated = count_kernel_parts(monkeypatch)
+    evaluated = count_evaluations(monkeypatch)
     first = kernel_multiplier(lg, H_GRID)
     hit = kernel_multiplier(lg, H_GRID.copy())
-    assert evaluated == [(8, 2560)] and hit is first
+    assert evaluated == [8 * 2560] and hit is first
     transform._multiplier_cache.clear()
     fresh = kernel_multiplier(lg, H_GRID)
     assert fresh is not first and hit.tobytes() == fresh.tobytes()
@@ -828,7 +874,7 @@ def test_kernel_multiplier_hits_on_a_rebuilt_tail_grid(monkeypatch):
     old = dh.make_tail_grid(0.5, 8192.0)
     first = kernel_multiplier(old, H_GRID)
     lg = dh.make_tail_grid(0.5, 8192.0)
-    evaluated = count_kernel_parts(monkeypatch)
+    evaluated = count_evaluations(monkeypatch)
     assert lg.uid != old.uid
     assert kernel_multiplier(lg, H_GRID) is first and evaluated == []
 
@@ -843,9 +889,9 @@ def test_kernel_multiplier_misses_on_other_values(alpha, radius, h, monkeypatch)
     first = kernel_multiplier(dh.make_tail_grid(0.5, 8192.0), H_GRID)
     # the alpha case keeps the first grid's nodes: alpha alone makes the miss
     lg = replace(dh.make_tail_grid(0.5, radius), alpha=alpha)
-    evaluated = count_kernel_parts(monkeypatch)
+    evaluated = count_evaluations(monkeypatch)
     other = kernel_multiplier(lg, h)
-    assert evaluated == [(8, lg.pos_nodes.size)]
+    assert evaluated == [8 * lg.pos_nodes.size]
     assert len(transform._multiplier_cache) == 2
     assert not np.array_equal(other, first)
     want = dh.kernel_B(KernelParams(alpha=alpha), np.multiply.outer(h, lg.nodes))
@@ -859,13 +905,13 @@ def test_kernel_multiplier_cache_evicts_the_least_recently_used(monkeypatch):
     a, b, c = H_GRID, 2.0 * H_GRID, 4.0 * H_GRID
     kernel_multiplier(lg, a)
     kernel_multiplier(lg, b)
-    evaluated = count_kernel_parts(monkeypatch)
+    evaluated = count_evaluations(monkeypatch)
     kernel_multiplier(lg, a)    # a hit: b is now the least recently used
     kernel_multiplier(lg, c)
-    assert evaluated == [(8, 2560)]
+    assert evaluated == [8 * 2560]
     assert [key[2] for key in transform._multiplier_cache] == [a.tobytes(), c.tobytes()]
     kernel_multiplier(lg, b)
-    assert evaluated == [(8, 2560)] * 2
+    assert evaluated == [8 * 2560] * 2
     assert [key[2] for key in transform._multiplier_cache] == [c.tobytes(), b.tobytes()]
 
 
@@ -896,7 +942,7 @@ def test_kernel_multiplier_refused_over_the_byte_cap_leaves_the_cache(monkeypatc
     lg = dh.make_tail_grid(0.5, 8192.0)
     held = kernel_multiplier(lg, H_GRID)
     monkeypatch.setattr(transform, "_ENTRY_BYTES", 327679)
-    evaluated = count_kernel_parts(monkeypatch)
+    evaluated = count_evaluations(monkeypatch)
     for h in (H_GRID, 2.0 * H_GRID):
         with pytest.raises(DomainError, match="the multiplier of 8 h values would "
                            "hold 327680 bytes, over the cap of 327679"):
@@ -979,16 +1025,25 @@ def test_plancherel_route_allocates_one_buffer():
 
 def test_kernel_multiplier_mirror_writes_into_its_result(monkeypatch):
     """A kernel_multiplier miss on a 65536 tail grid with its kernel parts
-    served precomputed peaks at 1.07 times the 393,216 multiplier bytes: the
-    result and the cache key.  Mirrored through temporaries and
-    np.concatenate it peaked at 2.07 times.  (A whole miss peaks at 4.99
-    times either way, inside kernel_parts, whose series temporaries are
-    several times its output.)"""
+    served precomputed into its parts buffer (as many bytes as the
+    multiplier) peaks at 2.07 times the 393,216 multiplier bytes: that
+    buffer, the result and the cache key.  Mirrored through temporaries and
+    np.concatenate it peaked one multiplier higher.  A whole miss, the
+    kernel evaluation included, peaks at 4.53 times (4.99 when kernel_parts
+    evaluated the slab through fresh temporaries)."""
     lg = dh.make_tail_grid(0.5, 65536.0)
-    parts = transform._outer_parts(KernelParams(alpha=0.5), H_GRID, lg.pos_nodes)
-    monkeypatch.setattr(transform, "_outer_parts", lambda *args: parts)
-    peak = traced_peak(lambda: kernel_multiplier(lg, H_GRID))
-    assert peak <= 1.25 * kernel_multiplier(lg, H_GRID).nbytes
+    mult = kernel_multiplier(lg, H_GRID)
+    transform._multiplier_cache.clear()
+    assert traced_peak(lambda: kernel_multiplier(lg, H_GRID)) <= 4.75 * mult.nbytes
+    parts = np.stack(kernel_parts(KernelParams(alpha=0.5), np.outer(H_GRID, lg.pos_nodes)))
+
+    def served(params, strips, out):
+        out[...] = parts.reshape(out.shape)
+
+    monkeypatch.setattr(transform, "_evaluate", served)
+    transform._multiplier_cache.clear()
+    assert traced_peak(lambda: kernel_multiplier(lg, H_GRID)) <= 2.25 * mult.nbytes
+    assert np.array_equal(kernel_multiplier(lg, H_GRID), mult)
 
 
 def test_kernel_cache_entry_dies_with_its_grids():
