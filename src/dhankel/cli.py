@@ -95,8 +95,9 @@ def titchmarsh_grids(ns):
 
 
 def titchmarsh_report(ns, xg, lg) -> tuple[VerificationReport, list[str]]:
-    """(report with its settings in extra["config"], stderr notes to print once
-    it is out, so an error is one line) of a run on titchmarsh_grids(ns)."""
+    """(report with the CLI's own settings in extra["config"], stderr notes to
+    print once it is out, so an error is one line) of a run on
+    titchmarsh_grids(ns)."""
     h_all = dyadic_h_grid(ns.omega.delta0, ns.h_max_exp, ns.h_min_exp)
     h_grid = restrict_h_grid(h_all, lg)
     if h_grid.size == 0:
@@ -108,8 +109,7 @@ def titchmarsh_report(ns, xg, lg) -> tuple[VerificationReport, list[str]]:
         src = synthesize_from_tail(
             SynthesisSpec(src, ns.alpha, ns.radius_lambda, profile), lg)
 
-    verify, reads = THEOREMS[ns.theorem]
-    rep = verify(src, ns.omega, h_grid, xg, lg, ns.p, ns.nu)
+    rep = THEOREMS[ns.theorem](src, ns.omega, h_grid, xg, lg, ns.p, ns.nu)
     notes = []
     if h_grid.size < h_all.size:
         # fourier_Lnu judges partial norms over radii, not the h-ratio trace
@@ -121,12 +121,11 @@ def titchmarsh_report(ns, xg, lg) -> tuple[VerificationReport, list[str]]:
         notes.append(f"note: --route-check runs no second route for {ns.theorem}; "
                      "the report has no route_agreement\n")
 
-    # only settings that shaped the run, and the node counts they produced
-    config = {"alpha": ns.alpha, "radius_lambda": ns.radius_lambda,
-              "lambda_nodes": lg.nodes.size, "order": ns.order,
-              "modulus": ns.modulus, "theorem": ns.theorem,
-              "h_max_exp": ns.h_max_exp, "h_min_exp": ns.h_min_exp,
-              "synth": ns.synth, **{name: getattr(ns, name) for name in reads}}
+    # only what the CLI alone decided (the verifier's report holds the rest)
+    # and the node counts it produced
+    config = {"radius_lambda": ns.radius_lambda, "lambda_nodes": lg.nodes.size,
+              "order": ns.order, "h_max_exp": ns.h_max_exp,
+              "h_min_exp": ns.h_min_exp, "synth": ns.synth}
     if xg is not None:
         config.update(radius_x=ns.radius_x, x_nodes=xg.nodes.size)
     rep.extra["config"] = config

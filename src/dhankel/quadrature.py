@@ -13,15 +13,13 @@ the total weight mass equals c_a R^{2a} / a.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import DomainError, gamma
 
-_grid_ids = itertools.count()
 # Largest Gauss rule order per panel and panel count per grid.  A grid's
 # nodes grow with order x panels, and a kernel entry with their square; every
 # grid of the CLI defaults to order 16.
@@ -36,7 +34,7 @@ def weight_constant(alpha: float) -> float:
     return 1.0 / (2.0 * gamma(2.0 * alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGrid:
     """Symmetric quadrature discretizing c_a |x|^{2a-1} dx on [-R, R] \\ {0}.
 
@@ -52,6 +50,8 @@ class WeightedGrid:
     log_ratio is ln rho on every grid of build_graded_grid: every panel but
     the first and the last is [e, e * rho] up to the rounding of its edges.
     It is None on the uniform grids of build_weighted_grid.
+    A grid compares and hashes by identity: transform caches a grid pair's
+    kernel under the two grid objects.
     """
 
     alpha: float
@@ -64,7 +64,6 @@ class WeightedGrid:
     cell_hi: np.ndarray
     order: int
     log_ratio: float | None = None
-    uid: int = field(default_factory=lambda: next(_grid_ids))
 
 
 def _orthonormal(t: np.ndarray, diag: np.ndarray, off: np.ndarray, p0: float):

@@ -92,11 +92,6 @@ def _scalar_str(v):
     return str(v)
 
 
-def alpha_regime(alpha: float) -> str:
-    """Label for how the translation operator is grounded at this alpha."""
-    return "spectral-translation" if alpha <= 0.5 else "kernel-translation"
-
-
 # ----------------------------- verdict rule -----------------------------
 
 def render_verdict(h_grid, ratios) -> str:
@@ -332,16 +327,8 @@ def _report(theorem_id: str, g: SpectralData, w: ModulusSpec, h_grid: np.ndarray
         estimated_constant=float(np.max(ratios)) if constant is None else constant,
         verdict=render_verdict(h_grid, ratios) if verdict is None else verdict,
         truncation_flags=tail_truncated(g.lambda_grid, h_grid),
-        extra={
-            "alpha": g.alpha,
-            "alpha_regime": alpha_regime(g.alpha),
-            "modulus_family": w.family_tag,
-            "modulus_params": {k: v for k, v in w.params.items() if k != "source"},
-            "delta0": w.delta0,
-            # hypotheses on [delta0, inf) are vacuous for grid-truncated data
-            "assumed_bounded_below_beyond_delta0": True,
-            "assumed_square_integrable_tail": True,
-            **extra})
+        extra={"alpha": g.alpha, "modulus_family": w.family_tag,
+               "modulus_params": dict(w.params), "delta0": w.delta0, **extra})
 
 
 def _lower_zygmund(w: ModulusSpec) -> float:
@@ -508,7 +495,8 @@ def verify_main2(f_or_g, w: ModulusSpec, mode: str, h_grid,
                  lgrid: WeightedGrid | None = None) -> VerificationReport:
     """Run the tail estimate (mode="part1") or its converse (mode="part2")
     with the cumulative weight W_omega in place of omega, on spectral data
-    or a function with both grids."""
+    or a function with both grids.  The report's modulus is W_omega, whose
+    params name omega's family as "source"."""
     if mode not in ("part1", "part2"):
         raise DomainError(f"mode must be part1 or part2, got {mode!r}")
     h_grid = _checked_h(w, h_grid)
@@ -516,9 +504,7 @@ def verify_main2(f_or_g, w: ModulusSpec, mode: str, h_grid,
     rep = (verify_main1_part1(f_or_g, w_cum, 2.0, h_grid, xgrid=xgrid, lgrid=lgrid)
            if mode == "part1" else
            verify_main1_part2(f_or_g, w_cum, h_grid, xgrid=xgrid, lgrid=lgrid))
-    extra = dict(rep.extra, base_modulus_family=w.family_tag,
-                 base_modulus_params=dict(w.params))
-    return replace(rep, theorem_id=f"main2_{mode}", extra=extra)
+    return replace(rep, theorem_id=f"main2_{mode}")
 
 
 def verify_inclusion_Womega(f_or_g, w: ModulusSpec, p: float, h_grid,
@@ -545,22 +531,22 @@ def verify_inclusion_Womega(f_or_g, w: ModulusSpec, p: float, h_grid,
 
 # ----------------------------- theorem table -----------------------------
 
-# theorem id -> (call on (data, modulus, h grid, x grid, frequency grid, p, nu),
-# the options among p and nu it reads); each call looks its verify_* up when it
-# runs, so patching this module works (perfbench/tracing.py times them so)
+# theorem id -> its verifier's call on (data, modulus, h grid, x grid,
+# frequency grid, p, nu); each call looks its verify_* up when it runs, so
+# patching this module works (perfbench/tracing.py times them so)
 THEOREMS = {
-    "main1_part1": (lambda s, w, h, xg, lg, p, nu: verify_main1_part1(
-        s, w, p, h, xg, lg), ("p",)),
-    "main1_part2": (lambda s, w, h, xg, lg, p, nu: verify_main1_part2(
-        s, w, h, xg, lg), ()),
-    "equivalence": (lambda s, w, h, xg, lg, p, nu: verify_equivalence(
-        s, w, h, xg, lg), ()),
-    "fourier_Lnu": (lambda s, w, h, xg, lg, p, nu: verify_fourier_Lnu(
-        s, w, p, nu, xg, lg, h), ("p", "nu")),
-    "main2_part1": (lambda s, w, h, xg, lg, p, nu: verify_main2(
-        s, w, "part1", h, xg, lg), ()),
-    "main2_part2": (lambda s, w, h, xg, lg, p, nu: verify_main2(
-        s, w, "part2", h, xg, lg), ()),
-    "inclusion_Womega": (lambda s, w, h, xg, lg, p, nu: verify_inclusion_Womega(
-        s, w, p, h, xg, lg), ("p",)),
+    "main1_part1": lambda s, w, h, xg, lg, p, nu: verify_main1_part1(
+        s, w, p, h, xg, lg),
+    "main1_part2": lambda s, w, h, xg, lg, p, nu: verify_main1_part2(
+        s, w, h, xg, lg),
+    "equivalence": lambda s, w, h, xg, lg, p, nu: verify_equivalence(
+        s, w, h, xg, lg),
+    "fourier_Lnu": lambda s, w, h, xg, lg, p, nu: verify_fourier_Lnu(
+        s, w, p, nu, xg, lg, h),
+    "main2_part1": lambda s, w, h, xg, lg, p, nu: verify_main2(
+        s, w, "part1", h, xg, lg),
+    "main2_part2": lambda s, w, h, xg, lg, p, nu: verify_main2(
+        s, w, "part2", h, xg, lg),
+    "inclusion_Womega": lambda s, w, h, xg, lg, p, nu: verify_inclusion_Womega(
+        s, w, p, h, xg, lg),
 }

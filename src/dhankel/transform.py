@@ -12,10 +12,11 @@ come from the kernel's even and odd parts, evaluated once per distinct
 multiplier) is evaluated in one pass (_evaluate): its arguments, generated
 slab by slab of at most _SLAB_ENTRIES entries, go to
 specfun.kernel_parts_into, which writes E and O in place into the one array
-that holds them, so the evaluation's memory is bounded by the slab.  A grid pair's
-kernel is cached (kernel_matrix) as a KernelEntry for as long as the pair
-lives.  The kernel depends on lambda x alone, so on a pair that is one
-geometric grid scaled twice (make_resolved_grids) it is symmetric: the
+that holds them, so the evaluation's memory is bounded by the slab.  A grid
+pair's kernel is cached (kernel_matrix) as a KernelEntry under the two grid
+objects themselves, weakly, for as long as both live.  The kernel depends
+on lambda x alone, so on a pair that is one geometric grid scaled twice
+(make_resolved_grids) it is symmetric: the
 entry keeps the rows of the first and the last x panel, which also stand
 for the edge columns, and, between interior panels, where block (k, l) is
 slice k + l of one table of the kernel parts, that table's real FFT along
@@ -99,7 +100,8 @@ class SpectralData:
         return buf.getvalue()
 
 
-_matrix_cache: dict[tuple[int, int, float], "KernelEntry"] = {}
+# x grid -> frequency grid -> the pair's KernelEntry, while both grids live
+_matrix_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # most entries (arguments) per kernel evaluation, a kernel_parts_into call of
 # _evaluate, whose memory is a few times that: every build and multiplier
 # goes through it in slabs of whole rows
@@ -278,13 +280,10 @@ def kernel_matrix(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     """
     if xgrid.alpha != lgrid.alpha:
         raise DomainError("grids carry different alpha")
-    key = (xgrid.uid, lgrid.uid, xgrid.alpha)
-    entry = _matrix_cache.get(key)
+    entries = _matrix_cache.setdefault(xgrid, weakref.WeakKeyDictionary())
+    entry = entries.get(lgrid)
     if entry is None:
-        entry = _build_entry(xgrid, lgrid)
-        _matrix_cache[key] = entry
-        for grid in (xgrid, lgrid):
-            weakref.finalize(grid, _matrix_cache.pop, key, None)
+        entry = entries[lgrid] = _build_entry(xgrid, lgrid)
     return entry
 
 

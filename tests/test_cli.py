@@ -107,7 +107,8 @@ def test_titchmarsh_matched_verdict(tmp_path, capsys):
     assert "VERDICT=bounded" in out
     payload = json.loads(out_file.read_text())
     assert payload["verdict"] == "bounded"
-    assert payload["extra"]["config"]["modulus"] == "power:gamma=0.5"
+    assert payload["extra"]["modulus_family"] == "power"
+    assert payload["extra"]["modulus_params"] == {"gamma": 0.5}
 
 
 def test_titchmarsh_precondition_exit(capsys):
@@ -334,50 +335,91 @@ def test_titchmarsh_rejects_panels(capsys):
     assert "--panels" in err
 
 
-CONFIG_KEYS = {"alpha", "radius_lambda", "lambda_nodes", "order",
-               "modulus", "theorem", "h_max_exp", "h_min_exp", "synth"}
+# the fields of every titchmarsh report, the setting _report writes into
+# extra, the keys each theorem's verifier adds, and the keys of the CLI's
+# config, which holds only what the CLI alone decided
+REPORT_FIELDS = {"theorem_id", "h_grid", "ratios", "estimated_constant", "verdict",
+                 "truncation_flags", "extra"}
+SETTING_KEYS = {"alpha", "modulus_family", "modulus_params", "delta0"}
+FORWARD_KEYS = {"p", "q", "zygmund_Z0", "dlip_seminorm"}
+CONVERSE_KEYS = {"p", "zygmund_Z1", "tail_constant", "route_agreement"}
+EXTRA_KEYS = {
+    "main1_part1": FORWARD_KEYS,
+    "main1_part2": CONVERSE_KEYS,
+    "equivalence": {"forward_verdict", "converse_verdict", "forward_constant",
+                    "converse_constant", "converse_ratios", "route_agreement"},
+    "fourier_Lnu": {"p", "q", "nu", "conditions", "radii", "partial_norms",
+                    "growth_per_doubling"},
+    "main2_part1": FORWARD_KEYS,
+    "main2_part2": CONVERSE_KEYS,
+    "inclusion_Womega": {"p", "seminorm_omega", "seminorm_womega", "seminorm_ratio"},
+}
+CONFIG_KEYS = {"radius_lambda", "lambda_nodes", "order", "h_max_exp", "h_min_exp",
+               "synth"}
+RESOLVED_CONFIG_KEYS = {"radius_x", "x_nodes"}
 
-# the options among --p and --nu each theorem's verifier reads
-READS = {"main1_part1": {"p"}, "main1_part2": set(), "equivalence": set(),
-         "fourier_Lnu": {"p", "nu"}, "main2_part1": set(),
-         "main2_part2": set(), "inclusion_Womega": {"p"}}
 
-
-@pytest.mark.parametrize("route_check", [False, True])
-@pytest.mark.parametrize("theorem", sorted(READS))
-def test_titchmarsh_config_records_what_shaped_the_run(theorem, route_check,
-                                                       tmp_path, capsys):
-    import dhankel as dh
+def titchmarsh_json(theorem, route_check, tmp_path, capsys):
+    """The JSON report of a default-sized run of theorem at nu = 1.5, tail-only
+    at p = 2 or with --route-check on function:gauss at p = 1.5 (p != 2 needs
+    x-space input)."""
     out_file = tmp_path / "rep.json"
     argv = [*TM, "--theorem", theorem, "--nu", "1.5", "--format", "json",
             "--output", str(out_file)]
-    # p != 2 needs x-space input, so the tail run keeps the default p = 2
-    p = 1.5 if route_check else 2.0
     if route_check:
         argv += ["--route-check", "--synth", "function:gauss", "--p", "1.5"]
     assert main(argv) == 0
     capsys.readouterr()
-    report = json.loads(out_file.read_text())["extra"]
-    config = report["config"]
+    return json.loads(out_file.read_text())
+
+
+@pytest.mark.parametrize("route_check", [False, True])
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_report_fields_have_one_producer(theorem, route_check, tmp_path, capsys):
+    # each field is written once: the verifier's extra holds the setting and
+    # what it computed, config only what the CLI alone decided
+    report = titchmarsh_json(theorem, route_check, tmp_path, capsys)
+    extra = report["extra"]
+    config = extra["config"]
+    assert set(report) == REPORT_FIELDS
+    assert set(extra) == SETTING_KEYS | EXTRA_KEYS[theorem] | {"config"}
+    assert set(config) == CONFIG_KEYS | (RESOLVED_CONFIG_KEYS if route_check else set())
+    assert not set(config) & (set(extra) | set(report))
+    # main2 reports on W_omega, whose params name the base family
+    assert (extra["modulus_family"], extra["modulus_params"]) == (
+        ("cumulative", {"gamma": 0.5, "source": "power"})
+        if theorem.startswith("main2_") else ("power", {"gamma": 0.5}))
+
+
+@pytest.mark.parametrize("route_check", [False, True])
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_titchmarsh_config_records_what_shaped_the_run(theorem, route_check,
+                                                       tmp_path, capsys):
+    import dhankel as dh
+    extra = titchmarsh_json(theorem, route_check, tmp_path, capsys)["extra"]
+    config = extra["config"]
     if route_check:
         xg, lg = dh.make_resolved_grids(0.5, 20.0, 64.0)
-        assert set(config) == CONFIG_KEYS | READS[theorem] | {"radius_x", "x_nodes"}
         assert config["radius_x"] == 20.0
         assert config["x_nodes"] == xg.nodes.size
     else:
         lg = dh.make_tail_grid(0.5, 64.0)
-        assert set(config) == CONFIG_KEYS | READS[theorem]
     assert config["lambda_nodes"] == lg.nodes.size
-    # a recorded option is the value the verifier ran with
-    for name in READS[theorem]:
-        assert config[name] == report[name] == {"p": p, "nu": 1.5}[name]
+    assert extra["alpha"] == 0.5
+    # the report's p and nu are the values the verifier ran with: three
+    # theorems read --p, the others run at p = 2 whatever it says
+    if "p" in extra:
+        reads_p = theorem in ("main1_part1", "fourier_Lnu", "inclusion_Womega")
+        assert extra["p"] == (1.5 if route_check and reads_p else 2.0)
+    if "nu" in extra:
+        assert extra["nu"] == 1.5
 
 
 def test_theorem_choices_are_the_table():
     tm = build_parser()._subparsers._group_actions[0].choices["titchmarsh"]
     theorem = next(a for a in tm._actions if a.dest == "theorem")
     assert list(theorem.choices) == list(THEOREMS)
-    assert set(THEOREMS) == set(READS)
+    assert set(THEOREMS) == set(EXTRA_KEYS)
 
 
 @pytest.mark.parametrize("theorem", list(THEOREMS))

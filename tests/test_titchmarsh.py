@@ -541,7 +541,7 @@ def test_inclusion_log_inverse_completes(tail_grid_8192):
 def verify(theorem, *args):
     """The table's call of theorem on (data, modulus, h grid, x grid,
     frequency grid) at p = 2, nu = 1.5."""
-    return THEOREMS[theorem][0](*args, 2.0, 1.5)
+    return THEOREMS[theorem](*args, 2.0, 1.5)
 
 
 # the verifiers whose report on a function is the report on its transform
@@ -615,13 +615,6 @@ def test_report_serialization_deterministic(tail_grid_8192):
     data_start = len(header_rows)
     assert lines[data_start] == "h,ratio,truncated"
     assert len(lines) == data_start + 1 + rep.h_grid.size
-
-
-def test_alpha_regime_labels(tail_grid_8192):
-    w = dh.make_family("power", {"gamma": 0.5})
-    g = sharp(w, tail_grid_8192)
-    rep = dh.verify_main1_part2(g, w, dh.dyadic_h_grid(D0))
-    assert rep.extra["alpha_regime"] == "spectral-translation"
 
 
 def test_spectral_data_takes_alpha_from_its_grid(tail_grid_8192):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import dhankel as dh
-from dhankel.quadrature import _grid_ids, weight_constant
+from dhankel.quadrature import weight_constant
 from dhankel.specfun import DomainError, KernelParams, kernel_parts, kernel_parts_into
 import dhankel.transform as transform
 from dhankel.transform import (_interior_panels, _matrix_cache, _table_arguments,
@@ -493,8 +493,7 @@ def nudged_lambda(grid, i, rel):
     grid scaled twice against its partner."""
     pos = grid.pos_nodes.copy()
     pos[i] *= 1.0 + rel
-    return replace(grid, nodes=np.concatenate([-pos[::-1], pos]), pos_nodes=pos,
-                   uid=next(_grid_ids))
+    return replace(grid, nodes=np.concatenate([-pos[::-1], pos]), pos_nodes=pos)
 
 
 def pairs_without_table():
@@ -564,7 +563,7 @@ def cut_short(grid, dropped):
                    nodes=np.concatenate([-pos[::-1], pos]),
                    weights=np.concatenate([wpos[::-1], wpos]),
                    pos_nodes=pos, pos_weights=wpos, cell_lo=grid.cell_lo[:keep],
-                   cell_hi=grid.cell_hi[:keep], uid=next(_grid_ids))
+                   cell_hi=grid.cell_hi[:keep])
 
 
 @pytest.mark.parametrize("dropped", [1, 3])
@@ -870,12 +869,12 @@ def test_kernel_multiplier_hit_is_the_fresh_evaluation(monkeypatch):
 
 
 def test_kernel_multiplier_hits_on_a_rebuilt_tail_grid(monkeypatch):
-    # every CLI run builds a fresh tail grid: the key is its values, not its uid
+    # every CLI run builds a fresh tail grid: the key is its values, not the grid
     old = dh.make_tail_grid(0.5, 8192.0)
     first = kernel_multiplier(old, H_GRID)
     lg = dh.make_tail_grid(0.5, 8192.0)
     evaluated = count_evaluations(monkeypatch)
-    assert lg.uid != old.uid
+    assert lg is not old
     assert kernel_multiplier(lg, H_GRID) is first and evaluated == []
 
 
@@ -1051,12 +1050,17 @@ def test_kernel_cache_entry_dies_with_its_grids():
     lg = dh.build_weighted_grid(ALPHA, 4.0, 4, 4)
     gc.collect()
     before = len(_matrix_cache)
-    key = (xg.uid, lg.uid, ALPHA)
-    kernel_matrix(xg, lg)
-    assert key in _matrix_cache and len(_matrix_cache) == before + 1
-    del xg, lg
+    entry = kernel_matrix(xg, lg)
+    assert xg in _matrix_cache and len(_matrix_cache) == before + 1
+    assert lg in _matrix_cache[xg] and len(_matrix_cache[xg]) == 1
+    assert _matrix_cache[xg][lg] is entry
+    # the entry goes with either grid: first the frequency grid, then the x grid
+    del lg
     gc.collect()
-    assert key not in _matrix_cache and len(_matrix_cache) == before
+    assert len(_matrix_cache[xg]) == 0
+    del xg
+    gc.collect()
+    assert len(_matrix_cache) == before
 
 
 def test_diff_norm_domain(grids_default, bump_spec):
