@@ -194,15 +194,12 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def weighted_norm(f, grid: WeightedGrid, p: float) -> float:
-    """L^{p,a} norm of f on the grid: (sum_i w_i |f(x_i)|^p)^{1/p}.
-
-    f may be a callable (vectorized over numpy arrays) or an array of values
-    on grid.nodes.
-    """
+def weighted_norm(values, grid: WeightedGrid, p: float) -> float:
+    """L^{p,a} norm on the grid of f's values on grid.nodes:
+    (sum_i w_i |f(x_i)|^p)^{1/p}."""
     if not p >= 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    vals = f(grid.nodes) if callable(f) else np.asarray(f, dtype=float)
+    vals = np.asarray(values, dtype=float)
     if vals.shape != grid.nodes.shape:
         raise DomainError("value array does not match the grid")
     return float(np.sum(grid.weights * np.abs(vals) ** p) ** (1.0 / p))

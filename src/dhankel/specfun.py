@@ -9,10 +9,10 @@ j_nu(0) = 1, and u stands for the frequency-space product lambda*x.
 B_alpha(0) = 1; |B_alpha| <= 1 holds for alpha >= 1/2 (for
 alpha in (1/4, 1/2) the sup is finite but exceeds 1 — see tests).
 
-All functions but kernel_parts_into, which writes into an array it is given,
-are pure and accept scalars or numpy arrays.  They need numpy
-and the standard library alone: the Bessel fits are power series summed in
-decimal, and only orders above 10 import scipy, for its jv.  The module also
+All functions are pure and accept scalars or numpy arrays, but kernel_parts
+writes into an out array when given one.  They need numpy and the standard
+library alone: the Bessel fits are power series summed in decimal, and only
+orders above 10 import scipy, for its jv.  The module also
 defines the library's two error types, DomainError and PreconditionError.
 """
 
@@ -349,7 +349,7 @@ def bessel_j_normalized(nu: float, x):
     return float(out) if z.ndim == 0 else out
 
 
-def kernel_parts(params: KernelParams, t):
+def kernel_parts(params: KernelParams, t, out=None):
     """Even and odd parts of B_alpha at t = |u| >= 0.
 
     Returns (E, O) with E(t) = j_{2a-1}(2 sqrt t) and
@@ -357,31 +357,28 @@ def kernel_parts(params: KernelParams, t):
     B_alpha(u) = E(|u|) - sign(u) O(|u|).  Both depend on |u| alone, which
     lets symmetric grids evaluate them once per distinct |u|.  The two
     orders share cos, sin and log of the arguments beyond 18.
+
+    Given out of shape (2, t.size) for a 1-D t (a strided view will do), it
+    writes E and O into out and returns out.  Besides z = 2 sqrt(t) and the
+    indices of its near, band and far entries, it works in one scratch array
+    of at most _SCRATCH_ROWS x _CHUNK doubles (640 KiB), so a caller that
+    evaluates in slabs bounds the memory by the slab.  Each entry is
+    computed on its own, so any split of t gives the same bits.
     """
     t = np.asarray(t, dtype=float)
-    out = np.empty((2,) + t.shape)
-    kernel_parts_into(params, t.reshape(-1), out.reshape(2, -1))
-    even, odd = out
-    return (even, odd) if t.ndim else (float(even), float(odd))
-
-
-def kernel_parts_into(params: KernelParams, t: np.ndarray, out: np.ndarray) -> None:
-    """kernel_parts at a 1-D array t, written into out of shape (2, t.size):
-    E into out[0], O into out[1].
-
-    Besides z = 2 sqrt(t) and the indices of its near, band and far
-    entries (t's size each), it works in one scratch array of at most
-    _SCRATCH_ROWS x _CHUNK doubles (640 KiB), so a caller that evaluates in
-    slabs bounds the memory by the slab.  Every entry is computed on its
-    own, by the operations of kernel_parts, so any split of t gives the
-    same bits.
-    """
+    if out is not None and (t.ndim != 1 or out.shape != (2, t.size)):
+        raise DomainError("out must have shape (2, t.size) for a 1-D t")
+    parts = np.empty((2,) + t.shape) if out is None else out
     a = params.alpha
-    z = np.sqrt(t)
+    z = np.sqrt(t.reshape(-1))
     z *= 2.0
-    _bessel_j((2.0 * a - 1.0, 2.0 * a + 1.0), z, out)
-    out[1] *= t
-    out[1] /= (2.0 * a) * (2.0 * a + 1.0)
+    _bessel_j((2.0 * a - 1.0, 2.0 * a + 1.0), z, parts.reshape(2, -1))
+    parts[1] *= t
+    parts[1] /= (2.0 * a) * (2.0 * a + 1.0)
+    if out is not None:
+        return out
+    even, odd = parts
+    return (even, odd) if t.ndim else (float(even), float(odd))
 
 
 def kernel_B(params: KernelParams, u):

@@ -297,24 +297,16 @@ def _as_spectral(f_or_g, xgrid, lgrid):
 
 
 def _checked_h(w: ModulusSpec, h_grid) -> np.ndarray:
-    """The h grid as a float array; it must be nonempty and every h must lie
-    in (0, delta0]."""
+    """The h grid as a float array; it must be at most 1-D and nonempty, and
+    every h must lie in (0, delta0]."""
     h_grid = np.asarray(h_grid, dtype=float)
+    if h_grid.ndim > 1:
+        raise DomainError("h grid must be a scalar or 1-D")
     if h_grid.size == 0:
         raise DomainError("h grid is empty")
     if not np.all((h_grid > 0) & (h_grid <= w.delta0)):
         raise DomainError("h grid must lie in (0, delta0]")
     return h_grid
-
-
-def _diff_trace(f_or_g, w: ModulusSpec, p: float, h_grid,
-                xgrid: WeightedGrid | None, lgrid: WeightedGrid | None):
-    """(spectral data, |T_h f - f|_{p,a} per h of an already checked grid):
-    Plancherel route for spectral data, which exists at p = 2 only (diff_norms
-    rejects any other p), honest physical route for function input."""
-    g, fx = _as_spectral(f_or_g, xgrid, lgrid)
-    fast, phys = diff_norms(g, h_grid, p, fx=fx, xgrid=xgrid)
-    return g, (fast if fx is None else phys)
 
 
 def _report(theorem_id: str, g: SpectralData, w: ModulusSpec, h_grid: np.ndarray,
@@ -357,7 +349,8 @@ def verify_main1_part1(f_or_g, w: ModulusSpec, p: float, h_grid,
     q = conjugate_exponent(p)
     h_grid = _checked_h(w, h_grid)
     z0 = _lower_zygmund(w)
-    g, diffs = _diff_trace(f_or_g, w, p, h_grid, xgrid, lgrid)
+    g, fx = _as_spectral(f_or_g, xgrid, lgrid)
+    diffs = diff_norms(g, h_grid, p, fx=fx, xgrid=xgrid)
     ratios, sem = _forward(g, w, p, h_grid, diffs)
     return _report("main1_part1", g, w, h_grid, ratios,
                    {"p": p, "q": q, "zygmund_Z0": z0, "dlip_seminorm": sem})
@@ -414,7 +407,7 @@ def _converse(g: SpectralData, w: ModulusSpec, h_grid: np.ndarray,
             condition="tail_hypothesis")
     agreement = None
     if xgrid is None:
-        trace = diff_norms(g, h_grid)[0]
+        trace = diff_norms(g, h_grid)
     else:
         # the Plancherel sum checked against an honest x-space norm
         trace, fast, phys = round_trip_norms(g, h_grid, xgrid)
@@ -519,7 +512,8 @@ def verify_inclusion_Womega(f_or_g, w: ModulusSpec, p: float, h_grid,
     h_grid = _checked_h(w, h_grid)
     w_cum = build_W_omega(w)
     # one trace, divided by both moduli (they share delta0)
-    g, diffs = _diff_trace(f_or_g, w, p, h_grid, xgrid, lgrid)
+    g, fx = _as_spectral(f_or_g, xgrid, lgrid)
+    diffs = diff_norms(g, h_grid, p, fx=fx, xgrid=xgrid)
     trace_w = diffs / w(h_grid)
     trace_cum = diffs / w_cum(h_grid)
     sem_w, sem_cum = float(np.max(trace_w)), float(np.max(trace_cum))

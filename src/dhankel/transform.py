@@ -10,12 +10,12 @@ Every grid is symmetric under negation, so B(lambda_j x_i) and B(lambda_j h)
 come from the kernel's even and odd parts, evaluated once per distinct
 |lambda x| on the positive half-axes.  Every kernel array (an entry or a
 multiplier) is evaluated in one pass (_evaluate): its arguments, generated
-slab by slab of at most _SLAB_ENTRIES entries, go to
-specfun.kernel_parts_into, which writes E and O in place into the one array
-that holds them, so the evaluation's memory is bounded by the slab.  A grid
-pair's kernel is cached (kernel_matrix) as a KernelEntry under the two grid
-objects themselves, weakly, for as long as both live.  The kernel depends
-on lambda x alone, so on a pair that is one geometric grid scaled twice
+slab by slab of at most _SLAB_ENTRIES entries, go to specfun.kernel_parts,
+which writes E and O in place into the one array (out=) that holds them, so
+the evaluation's memory is bounded by the slab.  A grid pair's kernel is
+cached (kernel_matrix) as a KernelEntry under the two grid objects
+themselves, weakly, for as long as both live.  The kernel depends on
+lambda x alone, so on a pair that is one geometric grid scaled twice
 (make_resolved_grids) it is symmetric: the
 entry keeps the rows of the first and the last x panel, which also stand
 for the edge columns, and, between interior panels, where block (k, l) is
@@ -30,14 +30,15 @@ interior by one FFT correlation, by one formula for forward and inverse
 alike on a symmetric entry.
 
 Difference norms ||T_h f - f|| come for a whole h grid at once (diff_norms),
-from one multiplier matrix B(lambda_j h_k): reduced per h (Plancherel route)
-and applied to all h in one apply of the kernel entry (physical route).  The
-multiplier depends on alpha, the positive frequency nodes and the h grid
-alone, so kernel_multiplier keeps each one it evaluates, read-only, keyed by
-those exact values (not by grid identity: every CLI run builds a fresh grid),
-in a least-recently-used cache of at most _MULTIPLIER_CACHE_BYTES multiplier
+from one multiplier matrix B(lambda_j h_k), by one of two routes: reduced
+per h (_plancherel, p = 2) or applied to all h in one apply of the kernel
+entry (_physical, any p, from samples of f).  The multiplier depends on
+alpha, the positive frequency nodes and the h grid alone, so
+kernel_multiplier keeps each one it evaluates, read-only, keyed by those
+exact values (not by grid identity: every CLI run builds a fresh grid), in a
+least-recently-used cache of at most _MULTIPLIER_CACHE_BYTES multiplier
 bytes; each distinct multiplier is evaluated once per process.  Each
-(h x node) array of a call (the multiplier, each route's terms) is built in
+(h x node) array of a call (the multiplier, the route's terms) is built in
 one buffer, in place, in its formula's order of operations, so no result
 moves by a bit and the Plancherel route allocates nothing else that large.
 Tail energies and the partial norms over |lambda| <= r come from one
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import WeightedGrid, conjugate_exponent, weighted_norm
-from .specfun import DomainError, KernelParams, kernel_parts_into
+from .specfun import DomainError, KernelParams, kernel_parts
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class SpectralData:
 
 # x grid -> frequency grid -> the pair's KernelEntry, while both grids live
 _matrix_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# most entries (arguments) per kernel evaluation, a kernel_parts_into call of
+# most entries (arguments) per kernel evaluation, a kernel_parts call of
 # _evaluate, whose memory is a few times that: every build and multiplier
 # goes through it in slabs of whole rows
 _SLAB_ENTRIES = 65536
@@ -128,7 +129,7 @@ def _evaluate(params: KernelParams, strips, out: np.ndarray) -> None:
     width), b one row of width entries or a scalar.  The rows go in slabs
     of whole rows of at most _SLAB_ENTRIES entries (one row, when a row is
     longer), each slab's arguments multiplied out into one reused buffer
-    and evaluated by one kernel_parts_into call, so the memory of the
+    and evaluated by one kernel_parts call, so the memory of the
     evaluation is bounded by the slab, not by N."""
     widths = [max(a.shape[1], np.size(b)) for a, b in strips]
     t = np.empty(max([min(_SLAB_ENTRIES, out.shape[1])] + widths))
@@ -137,14 +138,14 @@ def _evaluate(params: KernelParams, strips, out: np.ndarray) -> None:
         r = 0
         while r < len(a):
             if at and at + width > _SLAB_ENTRIES:   # no room for this row
-                kernel_parts_into(params, t[:at], out[:, lo:lo + at])
+                kernel_parts(params, t[:at], out=out[:, lo:lo + at])
                 lo, at = lo + at, 0
             take = min(len(a) - r, max(1, (_SLAB_ENTRIES - at) // width))
             np.multiply(a[r:r + take], b, out=t[at:at + take * width].reshape(take, width))
             at += take * width
             r += take
     if at:
-        kernel_parts_into(params, t[:at], out[:, lo:lo + at])
+        kernel_parts(params, t[:at], out=out[:, lo:lo + at])
 
 
 def _scaled_copy(xpos: np.ndarray, lpos: np.ndarray) -> bool:
@@ -472,6 +473,8 @@ def tail_energy(g: SpectralData, h, q: float):
     tail_truncated() to flag that situation.
     """
     h = np.asarray(h, dtype=float)
+    if h.ndim > 1:
+        raise DomainError("h must be a scalar or a 1-D grid")
     if not np.all(h > 0):
         raise DomainError("h must be positive")
     tails = spectral_mass(g, q, 1.0 / np.atleast_1d(h), beyond=True)
@@ -485,17 +488,15 @@ def tail_truncated(lgrid: WeightedGrid, h):
 
 
 def diff_norms(g: SpectralData, h, p: float = 2.0, *, fx=None,
-               xgrid: WeightedGrid | None = None):
-    """(Plancherel, physical) routes of || T_h f - f ||_{p,a} for every h of
-    a 1-D grid (a scalar h is a one-element grid); g holds the transform of f.
+               xgrid: WeightedGrid | None = None) -> np.ndarray:
+    """|| T_h f - f ||_{p,a} for every h of a finite 1-D grid (a scalar h is
+    a one-element grid); g holds the transform of f.
 
-    Both come from one multiplier matrix M[k, j] = B(lambda_j h_k).  The
-    Plancherel route, sqrt( sum_j w_j |1 - M[k, j]|^2 |g_j|^2 ), exists for
-    p = 2 only (else None).  The physical route needs fx, the samples of f
-    on xgrid.nodes with g = forward(fx, xgrid, g.lambda_grid) (else None):
-    T_h f = K (w g M[k]) for all h at once, one apply of the kernel entry,
-    then the weighted p-norm of T_h f - f per h.  On resolved grids the two
-    routes agree at p = 2.
+    Given fx, the samples of f on xgrid.nodes with g = forward(fx, xgrid,
+    g.lambda_grid), it is the physical route at any p in (1, 2] (_physical);
+    else the Plancherel route, which exists for p = 2 only (_plancherel).
+    Both come from the multiplier matrix M[k, j] = B(lambda_j h_k), and on
+    resolved grids they agree at p = 2.
     """
     conjugate_exponent(p)  # rejects p outside (1, 2]
     if p != 2.0 and fx is None:
@@ -503,13 +504,16 @@ def diff_norms(g: SpectralData, h, p: float = 2.0, *, fx=None,
                           "route is p = 2 only")
     if fx is not None and xgrid is None:
         raise DomainError("the physical route needs the x grid of fx")
-    mult = kernel_multiplier(g.lambda_grid, np.atleast_1d(h))
-    return _routes(g, mult, p, fx, xgrid)
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    if h.ndim != 1 or not np.all(np.isfinite(h)):
+        raise DomainError("h must be a finite scalar or 1-D grid")
+    mult = kernel_multiplier(g.lambda_grid, h)
+    return _plancherel(g, mult) if fx is None else _physical(g, mult, fx, xgrid, p)
 
 
 def round_trip_norms(g: SpectralData, h, xgrid: WeightedGrid):
-    """Plancherel trace of g, then (Plancherel, physical) routes for its
-    round trip f = inverse(g) sampled on xgrid and transformed back.
+    """Plancherel trace of g, then the Plancherel and the physical route for
+    its round trip f = inverse(g) sampled on xgrid and transformed back.
 
     This is the two-route check of diff_norms on an honest x-space function;
     all three traces share one multiplier matrix, as g and its round trip
@@ -519,24 +523,27 @@ def round_trip_norms(g: SpectralData, h, xgrid: WeightedGrid):
     mult = kernel_multiplier(lgrid, np.atleast_1d(h))
     fx = inverse(g, xgrid)(xgrid.nodes)
     spec = forward(fx, xgrid, lgrid)
-    return (_routes(g, mult, 2.0, None, None)[0],
-            *_routes(spec, mult, 2.0, fx, xgrid))
+    return (_plancherel(g, mult), _plancherel(spec, mult),
+            _physical(spec, mult, fx, xgrid, 2.0))
 
 
-def _routes(g: SpectralData, mult: np.ndarray, p: float, fx, xgrid):
-    """diff_norms for a given multiplier matrix mult[k, j] = B(lambda_j h_k)."""
+def _plancherel(g: SpectralData, mult: np.ndarray) -> np.ndarray:
+    """sqrt( sum_j w_j |1 - mult[k, j]|^2 |g_j|^2 ) per row k of the
+    multiplier, its terms in one buffer filled in place."""
+    buf = np.empty(mult.shape)
+    # lgrid.weights * (1.0 - mult) ** 2 * g.values ** 2, in that order
+    np.square(np.subtract(1.0, mult, out=buf), out=buf)
+    buf *= g.lambda_grid.weights
+    buf *= g.values ** 2
+    return np.sqrt(np.sum(buf, axis=1))
+
+
+def _physical(g: SpectralData, mult: np.ndarray, fx: np.ndarray,
+              xgrid: WeightedGrid, p: float) -> np.ndarray:
+    """|| T_h f - fx ||_{p,a} per row of the multiplier: T_h f = K (w g M[k])
+    for all rows at once, one apply of the kernel entry of (xgrid, g's grid)."""
     lgrid = g.lambda_grid
-    fast = phys = None
-    buf = np.empty(mult.shape)   # both routes' (h x node) array, filled in place
-    if p == 2.0:
-        # lgrid.weights * (1.0 - mult) ** 2 * g.values ** 2, in that order
-        np.square(np.subtract(1.0, mult, out=buf), out=buf)
-        buf *= lgrid.weights
-        buf *= g.values ** 2
-        fast = np.sqrt(np.sum(buf, axis=1))
-    if fx is not None:
-        np.multiply(lgrid.weights, mult, out=buf)   # lgrid.weights * mult * g.values
-        buf *= g.values
-        tfs = _apply(kernel_matrix(xgrid, lgrid), buf)
-        phys = np.array([weighted_norm(tf - fx, xgrid, p) for tf in tfs])
-    return fast, phys
+    buf = np.multiply(lgrid.weights, mult)   # lgrid.weights * mult * g.values
+    buf *= g.values
+    tfs = _apply(kernel_matrix(xgrid, lgrid), buf)
+    return np.array([weighted_norm(tf - fx, xgrid, p) for tf in tfs])

@@ -160,7 +160,7 @@ def test_transform_kernel_over_the_byte_cap_is_one_line_usage_error(monkeypatch,
     def untouched(*args, **kwargs):
         raise AssertionError("kernel evaluated past the byte cap")
 
-    monkeypatch.setattr(dhankel.transform, "kernel_parts_into", untouched)
+    monkeypatch.setattr(dhankel.transform, "kernel_parts", untouched)
     assert main(["transform", "--panels", "1000"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -187,7 +187,7 @@ def test_multiplier_over_the_byte_cap_is_one_line_usage_error(
         raise AssertionError("kernel evaluated past the byte cap")
 
     monkeypatch.setattr(dhankel.transform, "_ENTRY_BYTES", cap)
-    monkeypatch.setattr(dhankel.transform, "kernel_parts_into", untouched)
+    monkeypatch.setattr(dhankel.transform, "kernel_parts", untouched)
     tracemalloc.start()
     try:
         code = main([*TM, "--radius-lambda", radius, "--h-min-exp", h_min_exp])

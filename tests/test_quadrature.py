@@ -179,15 +179,15 @@ def test_polynomial_exactness_with_weight():
 
 def test_norm_examples():
     g = build_weighted_grid(0.5, 1.0, 8, 8)
-    assert abs(weighted_norm(lambda x: np.ones_like(x), g, 2.0) - 1.0) < 1e-12
-    assert weighted_norm(lambda x: np.zeros_like(x), g, 1.0) == 0.0
+    assert abs(weighted_norm(np.ones_like(g.nodes), g, 2.0) - 1.0) < 1e-12
+    assert weighted_norm(np.zeros_like(g.nodes), g, 1.0) == 0.0
     assert abs(weighted_norm(np.abs(g.nodes), g, 1.0) - 0.5) < 1e-12
 
 
 def test_norm_domain():
     g = build_weighted_grid(0.5, 1.0, 4, 4)
     with pytest.raises(DomainError):
-        weighted_norm(lambda x: x, g, 0.5)
+        weighted_norm(g.nodes, g, 0.5)
 
 
 @given(c=st.floats(min_value=-100.0, max_value=100.0))
@@ -214,10 +214,13 @@ def test_refinement_convergence():
     # order-2 rule halves panel width: error must drop at least 4x
     # (panels kept coarse; by 16 panels the error is below the float floor)
     alpha, radius = 0.5, 4.0
-    f = lambda x: np.exp(-x * x)
-    ref = weighted_norm(f, build_weighted_grid(alpha, radius, 256, 12), 2.0)
-    errs = [abs(weighted_norm(f, build_weighted_grid(alpha, radius, n, 2), 2.0) - ref)
-            for n in (2, 4, 8)]
+
+    def norm(panels, order):
+        g = build_weighted_grid(alpha, radius, panels, order)
+        return weighted_norm(np.exp(-g.nodes * g.nodes), g, 2.0)
+
+    ref = norm(256, 12)
+    errs = [abs(norm(n, 2) - ref) for n in (2, 4, 8)]
     assert errs[1] <= errs[0] / 4.0
     assert errs[2] <= errs[1] / 4.0
 

@@ -15,7 +15,7 @@ from dhankel.specfun import (_BAND_HALF, _BAND_MID, _CHUNK, _NEAR_HALF,
                              _band_value, _clenshaw, _cosines,
                              _hankel_coefficients, _horner, _near_coefficients,
                              _near_value, bessel_j_normalized, gamma, kernel_B,
-                             kernel_parts, kernel_parts_into)
+                             kernel_parts)
 
 mp.mp.dps = 40
 
@@ -278,17 +278,22 @@ def writer_arguments():
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 5.0])
 def test_parts_writer_matches_the_allocating_formula(alpha):
     # bit for bit, NaN in place, on every path: near, band and far, and
-    # scipy's jv for the order 2 alpha + 1 = 11 > 10 at alpha = 5; the
-    # writer fills its slice of a larger buffer and nothing else, and
-    # kernel_parts gives the same values
+    # scipy's jv for the order 2 alpha + 1 = 11 > 10 at alpha = 5; given
+    # out, a strided slice of a larger buffer, kernel_parts fills it and
+    # nothing else, with the bits of the allocating call
     t = writer_arguments()
     want = reference_parts(alpha, t)
     params = KernelParams(alpha=alpha)
     buf = np.full((2, t.size + 10), -1.0)
-    kernel_parts_into(params, t, buf[:, 5:-5])
+    view = buf[:, 5:-5]
+    assert kernel_parts(params, t, out=view) is view
     assert np.array_equal(buf[:, 5:-5], want, equal_nan=True)
     assert np.all(buf[:, :5] == -1.0) and np.all(buf[:, -5:] == -1.0)
-    assert np.array_equal(np.stack(kernel_parts(params, t)), want, equal_nan=True)
+    assert np.array_equal(np.stack(kernel_parts(params, t)), buf[:, 5:-5], equal_nan=True)
+    # an out of any other shape, or a t of more than one axis, is refused
+    for bad_t, bad_out in ((t, buf), (t[None, :], view)):
+        with pytest.raises(DomainError, match=r"out must have shape \(2, t.size\)"):
+            kernel_parts(params, bad_t, out=bad_out)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 5.0])
@@ -298,12 +303,12 @@ def test_parts_writer_on_concatenated_arguments(alpha):
     t = writer_arguments()
     params = KernelParams(alpha=alpha)
     whole = np.empty((2, t.size))
-    kernel_parts_into(params, t, whole)
+    kernel_parts(params, t, out=whole)
     for cuts in ([1], [4000, 4001, 20000], [_CHUNK, 2 * _CHUNK + 3]):
         pieces = []
         for part in np.split(t, cuts):
             out = np.empty((2, part.size))
-            kernel_parts_into(params, part, out)
+            kernel_parts(params, part, out=out)
             pieces.append(out)
         assert np.array_equal(np.hstack(pieces), whole, equal_nan=True)
 

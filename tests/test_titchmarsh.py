@@ -163,7 +163,7 @@ def seminorm(g, w, p, h_grid):
     """sup_h |T_h g - g|_{p,a} / omega(h) over the h grid, plus the trace;
     the h grid is checked first, as the verifiers check it."""
     h_grid = dhankel.titchmarsh._checked_h(w, h_grid)
-    _, diffs = dhankel.titchmarsh._diff_trace(g, w, p, h_grid, None, None)
+    diffs = dh.diff_norms(g, h_grid, p)
     ratios = diffs / np.asarray(w.evaluator(h_grid), dtype=float)
     return float(np.max(ratios)), ratios
 
@@ -575,6 +575,33 @@ def test_every_verifier_rejects_an_empty_h_grid(theorem, grids_resolved_small,
     w = dh.make_family("power", {"gamma": 0.5})
     with pytest.raises(DomainError, match="h grid is empty"):
         verify(theorem, bump_spec, w, [], xg, lg)
+
+
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_every_verifier_rejects_a_2d_h_grid(theorem, grids_resolved_small, bump_spec):
+    # refused as a usage error, not a numpy broadcast error in the transform
+    xg, lg = grids_resolved_small
+    w = dh.make_family("power", {"gamma": 0.5})
+    with pytest.raises(DomainError, match="h grid must be a scalar or 1-D"):
+        verify(theorem, bump_spec, w, [[0.1, 0.05]], xg, lg)
+
+
+@pytest.mark.parametrize("theorem", ["main1_part1", "main2_part1", "inclusion_Womega"])
+def test_seminorm_trace_takes_one_route(theorem, grids_resolved_small, tail_grid_8192,
+                                        bump_spec, monkeypatch):
+    # the seminorm of a function is its physical route alone: no Plancherel
+    # trace is computed beside it; spectral data takes the Plancherel route
+    xg, lg = grids_resolved_small
+    w = dh.make_family("power", {"gamma": 0.5})
+    plancherel = count_calls(monkeypatch, dhankel.transform, "_plancherel")
+    physical = count_calls(monkeypatch, dhankel.transform, "_physical")
+    verify(theorem, bump_spec, w, dh.dyadic_h_grid(D0), xg, lg)
+    assert (len(plancherel), len(physical)) == (0, 1)
+    plancherel.clear()
+    physical.clear()
+    g = sharp(w, tail_grid_8192)
+    verify(theorem, g, w, restrict_h_grid(dh.dyadic_h_grid(D0), tail_grid_8192), None, None)
+    assert (len(plancherel), len(physical)) == (1, 0)
 
 
 @pytest.mark.parametrize("theorem", SPECTRAL_SIDE)

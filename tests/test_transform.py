@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 import dhankel as dh
 from dhankel.quadrature import weight_constant
-from dhankel.specfun import DomainError, KernelParams, kernel_parts, kernel_parts_into
+from dhankel.specfun import DomainError, KernelParams, kernel_parts
 import dhankel.transform as transform
 from dhankel.transform import (_interior_panels, _matrix_cache, _table_arguments,
                                kernel_matrix, kernel_multiplier, spectral_mass)
@@ -200,7 +200,7 @@ def test_translate_identity_at_zero(grids_resolved_small, bump_spec):
     # B(0) = 1 exactly, so T_0 f on the x grid is the round trip of f
     xg, lg = grids_resolved_small
     spec, fx = physical_input(bump_spec, xg, lg)
-    d0 = dh.diff_norms(spec, 0.0, fx=fx, xgrid=xg)[1][0]
+    d0 = dh.diff_norms(spec, 0.0, fx=fx, xgrid=xg)[0]
     rt = dh.inverse(dh.forward(bump_spec, xg, lg), xg)
     assert d0 == pytest.approx(dh.weighted_norm(rt(xg.nodes) - fx, xg, 2.0),
                                rel=0, abs=1e-12)
@@ -214,7 +214,7 @@ def test_translate_contraction(grids_resolved_small, bump_spec):
     xg, lg = grids_resolved_small
     spec, fx = physical_input(bump_spec, xg, lg)
     nf = dh.weighted_norm(fx, xg, 2.0)
-    _, tf = dh.diff_norms(spec, [0.05, 0.3, 1.0], fx=np.zeros_like(fx), xgrid=xg)
+    tf = dh.diff_norms(spec, [0.05, 0.3, 1.0], fx=np.zeros_like(fx), xgrid=xg)
     assert np.all(tf <= nf * (1 + 1e-6))
 
 
@@ -698,7 +698,7 @@ def test_half_line_apply_matches_dense_kernel(alpha):
         with pytest.raises(DomainError, match="x grid's nodes only"):
             back(x_off)
     hs = np.array([0.5, 0.125, 0.01, -0.3])
-    phys = dh.diff_norms(spec, hs, 2.0, fx=fx, xgrid=xg)[1]
+    phys = dh.diff_norms(spec, hs, 2.0, fx=fx, xgrid=xg)
     for h, got in zip(hs, phys):
         tf = dense @ (coeff * dh.kernel_B(params, lg.nodes * h))
         close(got, dh.weighted_norm(tf - fx, xg, 2.0))
@@ -710,7 +710,7 @@ def test_diff_norms_on_an_empty_h_grid(case):
     xg, lg = entry_pair(0.5, case)
     fx = neither_even_nor_odd(xg.nodes)
     spec = dh.forward(fx, xg, lg)
-    for trace in (*dh.diff_norms(spec, [], fx=fx, xgrid=xg),
+    for trace in (dh.diff_norms(spec, [], fx=fx, xgrid=xg), dh.diff_norms(spec, []),
                   *transform.round_trip_norms(spec, [], xg)):
         assert trace.shape == (0,)
 
@@ -833,7 +833,7 @@ def test_kernel_multiplier_over_the_byte_cap_evaluates_nothing(monkeypatch):
     def untouched(*args, **kwargs):
         raise AssertionError("kernel evaluated past the byte cap")
 
-    monkeypatch.setattr(transform, "kernel_parts_into", untouched)
+    monkeypatch.setattr(transform, "kernel_parts", untouched)
     with pytest.raises(DomainError, match="the multiplier of 8 h values would hold "
                        "327680 bytes, over the cap of 327679"):
         kernel_multiplier(lg, hs)
@@ -846,14 +846,14 @@ H_GRID = 0.5 * 2.0 ** -np.arange(3, 11)
 
 def count_evaluations(monkeypatch):
     """List that grows by the number of arguments of each kernel evaluation
-    (kernel_parts_into call) of transform."""
+    (kernel_parts call) of transform."""
     sizes = []
 
-    def counting(params, t, out):
+    def counting(params, t, out=None):
         sizes.append(t.size)
-        kernel_parts_into(params, t, out)
+        return kernel_parts(params, t, out=out)
 
-    monkeypatch.setattr(transform, "kernel_parts_into", counting)
+    monkeypatch.setattr(transform, "kernel_parts", counting)
     return sizes
 
 
@@ -965,15 +965,15 @@ def test_diff_norms_match_per_h_reference(alpha, p, bump_spec):
         phys_ref.append(dh.weighted_norm(tf - fx, xg, p))
         fast_ref.append(math.sqrt(np.sum(lg.weights * (1.0 - mult) ** 2
                                          * spec.values ** 2)))
-    fast, phys = dh.diff_norms(spec, hs, p, fx=fx, xgrid=xg)
+    phys = dh.diff_norms(spec, hs, p, fx=fx, xgrid=xg)
+    assert isinstance(phys, np.ndarray)
     np.testing.assert_allclose(phys, phys_ref, rtol=1e-12, atol=0)
     if p == 2.0:
+        fast = dh.diff_norms(spec, hs)
+        assert isinstance(fast, np.ndarray)
         np.testing.assert_allclose(fast, fast_ref, rtol=1e-12, atol=0)
-        fast_only, no_phys = dh.diff_norms(spec, hs)
-        assert np.array_equal(fast_only, fast) and no_phys is None
     else:
-        assert fast is None
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="p != 2 needs x-space samples"):
             dh.diff_norms(spec, hs, p)
 
 
@@ -991,11 +991,11 @@ def test_diff_norms_routes_are_their_one_line_formulas(alpha, case, bump_spec):
         values = np.random.default_rng(3).standard_normal(lg.nodes.size)
         spec, fx, xg = dh.SpectralData(lambda_grid=lg, values=values), None, None
     mult = dh.kernel_B(KernelParams(alpha=alpha), np.multiply.outer(hs, lg.nodes))
-    fast, phys = dh.diff_norms(spec, hs, fx=fx, xgrid=xg)
-    assert np.array_equal(
-        fast, np.sqrt(np.sum(lg.weights * (1.0 - mult) ** 2 * spec.values ** 2, axis=1)))
+    assert np.array_equal(dh.diff_norms(spec, hs), np.sqrt(
+        np.sum(lg.weights * (1.0 - mult) ** 2 * spec.values ** 2, axis=1)))
     if case == "resolved":
         tfs = transform._apply(kernel_matrix(xg, lg), lg.weights * mult * spec.values)
+        phys = dh.diff_norms(spec, hs, fx=fx, xgrid=xg)
         assert np.array_equal(phys, [dh.weighted_norm(tf - fx, xg, 2.0) for tf in tfs])
 
 
@@ -1063,6 +1063,25 @@ def test_kernel_cache_entry_dies_with_its_grids():
     assert len(_matrix_cache) == before
 
 
+def test_diff_norms_rejects_a_malformed_h_grid(grids_default, bump_spec):
+    # a 2-D or non-finite h is refused before any multiplier is evaluated;
+    # h = 0 and negative h stay valid
+    xg, lg = grids_default
+    spec, fx = physical_input(bump_spec, xg, lg)
+    for h in ([[0.1, 0.2]], [np.inf], [0.1, np.nan], -np.inf):
+        for route in ({}, {"fx": fx, "xgrid": xg}):
+            with pytest.raises(DomainError, match="h must be a finite scalar or 1-D grid"):
+                dh.diff_norms(spec, h, **route)
+    assert dh.diff_norms(spec, [0.0, -0.1]).shape == (2,)
+
+
+def test_tail_energy_rejects_a_2d_h_grid(grids_default):
+    _, lg = grids_default
+    g = dh.SpectralData(lambda_grid=lg, values=np.ones(lg.nodes.size))
+    with pytest.raises(DomainError, match="h must be a scalar or a 1-D grid"):
+        dh.tail_energy(g, [[0.1, 0.2]], 2.0)
+
+
 def test_diff_norm_domain(grids_default, bump_spec):
     xg, lg = grids_default
     spec, fx = physical_input(bump_spec, xg, lg)
@@ -1078,14 +1097,14 @@ def test_diff_norm_small_at_zero_h(grids_resolved_small, bump_spec):
     xg, lg = grids_resolved_small
     spec, fx = physical_input(bump_spec, xg, lg)
     nf = dh.weighted_norm(fx, xg, 2.0)
-    assert dh.diff_norms(spec, 1e-9, fx=fx, xgrid=xg)[1][0] < 1e-6 * nf
+    assert dh.diff_norms(spec, 1e-9, fx=fx, xgrid=xg)[0] < 1e-6 * nf
 
 
 def test_diff_norm_routes_agree_on_smooth_function(grids_resolved_small, bump_spec):
     xg, lg = grids_resolved_small
     spec, fx = physical_input(bump_spec, xg, lg)
     hs = [0.0625, 0.125, 0.25]
-    fast, phys = dh.diff_norms(spec, hs, fx=fx, xgrid=xg)
+    fast, phys = dh.diff_norms(spec, hs), dh.diff_norms(spec, hs, fx=fx, xgrid=xg)
     assert np.all(np.abs(fast - phys) / fast < 1e-6)
 
 
@@ -1097,7 +1116,7 @@ def test_diff_norm_bandlimited_rate(grids_default):
     c_neg, c_pos = kernel_slope_bounds(ALPHA)
     lam = lg.nodes
     total = math.sqrt(float(np.sum(lg.weights * g.values ** 2)))
-    for h, got in zip((1e-3, 1e-4), dh.diff_norms(g, [1e-3, 1e-4])[0]):
+    for h, got in zip((1e-3, 1e-4), dh.diff_norms(g, [1e-3, 1e-4])):
         slopes = np.where(lam >= 0, c_pos, c_neg)
         oracle = math.sqrt(float(np.sum(
             lg.weights * (slopes * np.abs(lam) * h) ** 2 * g.values ** 2)))
