@@ -152,7 +152,13 @@ def make_family(tag: str, params: dict, delta0: float | None = None) -> ModulusS
     if set(params) != set(names):
         raise DomainError(
             f"family {tag!r} takes parameters {names}, got {sorted(params)}")
-    p = {k: float(v) for k, v in params.items()}
+    p = {}
+    for name, value in params.items():
+        try:
+            p[name] = float(value)
+        except (TypeError, ValueError):
+            raise DomainError(f"family {tag!r} parameter {name!r} must be a "
+                              f"number, got {value!r}") from None
 
     if delta0 is None:
         delta0 = default_delta0

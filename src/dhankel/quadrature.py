@@ -194,11 +194,16 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def check_exponent(p: float) -> None:
+    """Refuse an exponent p < 1 (or NaN) of an L^p sum as a DomainError."""
+    if not p >= 1:
+        raise DomainError(f"p must be >= 1, got {p}")
+
+
 def weighted_norm(values, grid: WeightedGrid, p: float) -> float:
     """L^{p,a} norm on the grid of f's values on grid.nodes:
     (sum_i w_i |f(x_i)|^p)^{1/p}."""
-    if not p >= 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    check_exponent(p)
     vals = np.asarray(values, dtype=float)
     if vals.shape != grid.nodes.shape:
         raise DomainError("value array does not match the grid")

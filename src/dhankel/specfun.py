@@ -11,14 +11,14 @@ alpha in (1/4, 1/2) the sup is finite but exceeds 1 — see tests).
 
 All functions are pure and accept scalars or numpy arrays, but kernel_parts
 writes into an out array when given one.  They need numpy and the standard
-library alone: the Bessel fits are power series summed in decimal, and only
-orders above 10 import scipy, for its jv.  The module also
-defines the library's two error types, DomainError and PreconditionError.
+library alone: the Bessel fits are power series summed in Python ints, as
+fixed-point numbers, and only orders above 10 import scipy, for its jv.  The
+module also defines the library's two error types, DomainError and
+PreconditionError.
 """
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -69,85 +69,30 @@ def gamma(x: float) -> float:
 # cos z and sin z, then P, Q, the result and one partial sum.
 _CHUNK = 8192
 _SCRATCH_ROWS = 10
-# Every fit is computed in decimal at _FIT_DIGITS digits and rounded to
-# doubles once, as coefficients.  On the band the series' largest term is
-# below 1e8, so each of its sums keeps more than 35 digits.
-_FIT_DIGITS = 45
-_TINY = decimal.Decimal("1e-60")
+# Every fit is computed in Python ints as fixed-point numbers with 320
+# fraction bits (_ONE is 1), from the order's exact binary value, and
+# rounded to doubles once, as coefficients.  Its series are those of
+# _SEAM = 9 and _HANKEL_FROM = 18, whose ratios appear below as integers.
+_ONE = 1 << 320
 _NEGLIGIBLE = 1e-20
-_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937511")
 
 
-def _series_g(nu: float, q: decimal.Decimal) -> decimal.Decimal:
-    # g(q) = (1 - j_nu(2 sqrt q)) / q = sum_k (-q)^k / ((k+1)! (nu+1)_{k+1})
-    # from the exact binary nu, until the terms, which fall from k > q on,
-    # are below _TINY; in the caller's decimal context
-    nu1 = decimal.Decimal(nu) + 1
-    term = total = 1 / nu1
-    k = 0
-    while k <= q or abs(term) > _TINY:
-        k += 1
-        term = -term * q / ((k + 1) * (nu1 + k))
-        total += term
-    return total
-
-
-def _near_value(nu: float, t: decimal.Decimal) -> decimal.Decimal:
-    # g at the point t of [-1, 1] mapped onto the near field's q interval
-    with decimal.localcontext() as ctx:
-        ctx.prec = _FIT_DIGITS
-        return _series_g(nu, decimal.Decimal(_NEAR_HALF) * (1 + t))
-
-
-def _band_value(nu: float, t: decimal.Decimal) -> decimal.Decimal:
-    # the normalized j_nu = 1 - q g(q) at the point t of [-1, 1] mapped onto
-    # the band, q = z^2/4
-    with decimal.localcontext() as ctx:
-        ctx.prec = _FIT_DIGITS
-        z = decimal.Decimal(_BAND_MID) + decimal.Decimal(_BAND_HALF) * t
-        q = z * z / 4
-        return 1 - q * _series_g(nu, q)
-
-
-@functools.cache
-def _cosines(n: int) -> tuple:
-    # cos(pi m / (2n)) for m = 0 .. 4n - 1 in decimal: Taylor series on the
-    # first quadrant, the rest by symmetry
-    with decimal.localcontext() as ctx:
-        ctx.prec = _FIT_DIGITS
-        quadrant = []
-        for r in range(n + 1):
-            x2 = (_PI * r / (2 * n)) ** 2
-            term = total = decimal.Decimal(1)
-            k = 0
-            while abs(term) > _TINY:
-                k += 2
-                term = -term * x2 / (k * (k - 1))
-                total += term
-            quadrant.append(total)
-        half = quadrant + [-c for c in quadrant[-2::-1]]      # m = 0 .. 2n
-        return tuple(half + half[-2:0:-1])
-
-
-def _chebyshev_fit(f, degree: int) -> np.ndarray:
-    # Read-only coefficients of f's interpolant at the n = degree + 1
-    # Chebyshev points of the first kind on [-1, 1] (not +-1), by the type-II
-    # cosine transform of f's values.  f maps a decimal point to a decimal
-    # value; the transform is summed in decimal too, so the coefficients are
-    # rounded once.  The near field multiplies their error by q, up to 20 at
-    # the seam: doubles in the transform put the normalized j 1.6e-14 off.
-    # Trailing coefficients whose magnitudes sum below _NEGLIGIBLE are
-    # dropped: they move no value by more than that, and each would cost
-    # every evaluation a Clenshaw step.
-    n = degree + 1
-    cos = _cosines(n)
-    values = [f(cos[2 * k + 1]) for k in range(n)]
-    with decimal.localcontext() as ctx:
-        ctx.prec = _FIT_DIGITS
-        c = np.array([float(2 * sum(v * cos[j * (2 * k + 1) % (4 * n)]
-                                    for k, v in enumerate(values)) / n)
-                      for j in range(n)])
-    c[0] *= 0.5
+def _chebyshev_fit(taylor: list, shift: int, degree: int) -> np.ndarray:
+    # Read-only coefficients of the interpolant, at the n = degree + 1
+    # Chebyshev points of the first kind on [-1, 1] (not +-1), of the
+    # polynomial sum_i taylor[i] y^i in y = shift + 2t, by Horner's rule in
+    # the Chebyshev basis: 2t T_m = T_{m-1} + T_{m+1}, and T_n vanishes at the
+    # points, so each step folds the aliased terms in exactly.  d holds T_0's
+    # coefficient doubled.  The near field multiplies the coefficients'
+    # error by q, up to 20 at the seam, so each is rounded once, by int/int
+    # true division.  Trailing coefficients whose magnitudes sum below
+    # _NEGLIGIBLE are dropped: they move no value by more than that, and
+    # each would cost every evaluation a Clenshaw step.
+    d = [0] * (degree + 1)
+    for v in reversed(taylor):
+        d = [shift * x + a + b for x, a, b in zip(d, [d[1]] + d[:-1], d[1:] + [0])]
+        d[0] += 2 * v
+    c = np.array([d[0] / (2 * _ONE)] + [x / _ONE for x in d[1:]])
     tail = np.cumsum(np.abs(c[::-1]))[::-1]
     c = c[:max(2, np.count_nonzero(tail >= _NEGLIGIBLE))]
     c.setflags(write=False)
@@ -183,7 +128,15 @@ _NEAR_DEGREE = 24
 
 @functools.cache
 def _near_coefficients(nu: float) -> np.ndarray:
-    return _chebyshev_fit(functools.partial(_near_value, nu), _NEAR_DEGREE)
+    # g(q) = (1 - j_nu(2 sqrt q)) / q = sum_k (-q)^k / ((k+1)! (nu+1)_{k+1})
+    # with q = _NEAR_HALF (1 + t) = (81/16) y, y = 2 + 2t, and nu = p/d; the
+    # terms fall from k = 2 on, until they vanish
+    p, d = nu.as_integer_ratio()
+    terms = [_ONE * d // (p + d)]
+    while terms[-1]:
+        k = len(terms)
+        terms.append(-terms[-1] * 81 * d // (16 * (k + 1) * (p + (k + 1) * d)))
+    return _chebyshev_fit(terms, 2, _NEAR_DEGREE)
 
 
 # Far field of the orders up to _FAST_ORDER_MAX: a Chebyshev interpolant of
@@ -202,8 +155,30 @@ _FAST_ORDER_MAX = 10.0
 
 @functools.cache
 def _band_coefficients(nu: float) -> np.ndarray:
-    # the normalized j_nu on the band mapped onto [-1, 1]
-    return _chebyshev_fit(functools.partial(_band_value, nu), _BAND_DEGREE)
+    # the normalized j_nu on the band, z = 27/2 + (9/4) y with y = 2t, by its
+    # Taylor coefficients v_n in y, nu = p/d.  Its power series, sum_k t_k
+    # with t_k = (-z^2/4)^k / (k! (nu+1)_k), whose terms fall from k = 8 on
+    # until they vanish, gives v_0 = sum_k t_k and v_1 = sum_k k t_k / 3 at
+    # z = 27/2.  z j'' + (2 nu + 1) j' + z j = 0 then gives
+    # v_{n+2} = -(16 (n+1)(n+1+2 nu) v_{n+1} + 486 v_n + 81 v_{n-1})
+    #           / (96 (n+1)(n+2))
+    # until two terms in a row vanish.  Every other solution of the
+    # recurrence falls at least like 6^-n, so no rounding error grows.
+    p, d = nu.as_integer_ratio()
+    term = v0 = _ONE
+    v1 = k = 0
+    while term:
+        k += 1
+        term = -term * 729 * d // (16 * k * (p + k * d))
+        v0 += term
+        v1 += k * term
+    v = [0, v0, v1 // 3]
+    n = 0
+    while v[-1] or v[-2]:
+        num = 16 * (n + 1) * (d * (n + 1) + 2 * p) * v[-1] + d * (486 * v[-2] + 81 * v[-3])
+        v.append(-num // (96 * d * (n + 1) * (n + 2)))
+        n += 1
+    return _chebyshev_fit(v[1:], 0, _BAND_DEGREE)
 
 
 @functools.cache
@@ -334,12 +309,12 @@ def bessel_j_normalized(nu: float, x):
     Even in x.  Up to |x| = 9 a Chebyshev interpolant in x^2/4; above it,
     for orders up to 10, a Chebyshev interpolant on (9, 18] and Hankel's
     asymptotic expansion beyond 18.  Both interpolants are fitted once per
-    order to the power series of j_nu, summed in decimal at 45 digits.
-    Orders above 10 take scipy's jv above |x| = 9, and only they import
-    scipy.  Absolute error below 2e-14 for orders in (-1/2, 10].  A NaN
-    argument gives NaN.  Every path is chosen per entry and computes each
-    entry on its own, so each entry's value does not depend on the other
-    entries of x.
+    order to the power series of j_nu, summed in 320-bit fixed point and
+    rounded once.  Orders above 10 take scipy's jv above |x| = 9, and only
+    they import scipy.  Absolute error below 2e-14 for orders in
+    (-1/2, 10].  A NaN argument gives NaN.  Every path is chosen per entry
+    and computes each entry on its own, so each entry's value does not
+    depend on the other entries of x.
     """
     if not nu > -1.0:
         raise DomainError(f"order must exceed -1, got {nu}")

@@ -131,8 +131,11 @@ _H_EXP_LIMIT = 1000
 def dyadic_h_grid(delta0: float, h_max_exp: int = 3, h_min_exp: int = 10) -> np.ndarray:
     """h_k = delta0 * 2^{-k}, k = h_max_exp .. h_min_exp (largest h first).
 
-    Every h and 1/h must be a positive finite double.
+    Integer exponents only; every h and 1/h must be a positive finite double.
     """
+    if not all(isinstance(k, (int, np.integer)) for k in (h_max_exp, h_min_exp)):
+        raise DomainError(f"h exponents must be integers, got {h_max_exp!r} "
+                          f"and {h_min_exp!r}")
     if not h_max_exp < h_min_exp:
         raise DomainError("h_max_exp must be smaller than h_min_exp")
     if not (-_H_EXP_LIMIT <= h_max_exp and h_min_exp <= _H_EXP_LIMIT):

@@ -55,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import WeightedGrid, conjugate_exponent, weighted_norm
+from .quadrature import (WeightedGrid, check_exponent, conjugate_exponent,
+                         weighted_norm)
 from .specfun import DomainError, KernelParams, kernel_parts
 
 
@@ -428,11 +429,17 @@ def forward(f, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
     """Forward transform: values_j = sum_i w_i f(x_i) B(lambda_j x_i), with
     f a FunctionSpec (any vectorized callable) or its samples on xgrid.nodes."""
     entry = kernel_matrix(xgrid, lgrid)   # refuses a bad pair before f is sampled
-    fx = np.asarray(f(xgrid.nodes) if callable(f) else f, dtype=float)
-    if fx.shape != xgrid.nodes.shape:
-        raise DomainError("samples do not match the x grid")
+    fx = _samples(f(xgrid.nodes) if callable(f) else f, xgrid)
     values = _apply(entry, xgrid.weights * fx, transposed=True)
     return SpectralData(lambda_grid=lgrid, values=values)
+
+
+def _samples(fx, xgrid: WeightedGrid) -> np.ndarray:
+    # fx as doubles, refused unless it holds one sample per node of xgrid
+    fx = np.asarray(fx, dtype=float)
+    if fx.shape != xgrid.nodes.shape:
+        raise DomainError("samples do not match the x grid")
+    return fx
 
 
 def inverse(g: SpectralData, xgrid: WeightedGrid):
@@ -454,6 +461,7 @@ def spectral_mass(g: SpectralData, q: float, radii, beyond: bool) -> np.ndarray:
     The per-node mass is computed once and each cut is one searchsorted on
     the positive nodes; every sum runs over the selected nodes in grid order.
     """
+    check_exponent(q)
     lgrid = g.lambda_grid
     mass = lgrid.weights * np.abs(g.values) ** q
     n = lgrid.pos_nodes.size
@@ -502,8 +510,10 @@ def diff_norms(g: SpectralData, h, p: float = 2.0, *, fx=None,
     if p != 2.0 and fx is None:
         raise DomainError("p != 2 needs x-space samples: the Plancherel "
                           "route is p = 2 only")
-    if fx is not None and xgrid is None:
-        raise DomainError("the physical route needs the x grid of fx")
+    if fx is not None:
+        if xgrid is None:
+            raise DomainError("the physical route needs the x grid of fx")
+        fx = _samples(fx, xgrid)
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.ndim != 1 or not np.all(np.isfinite(h)):
         raise DomainError("h must be a finite scalar or 1-D grid")

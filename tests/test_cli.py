@@ -480,16 +480,18 @@ for alpha in ("0.3", "0.5", "0.7"):
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(argv) for argv in runs]
 print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "decimal": "decimal" in sys.modules}))
 """
 
 
 def test_cli_runs_load_no_scipy(tmp_path):
     # start-up cost: below alpha = 4.5 every order is at most 10, and no
     # command loads any scipy module (importing scipy.special and scipy.fft
-    # took more than half of a tail-only run)
+    # took more than half of a tail-only run), nor decimal, which the
+    # Bessel fits no longer use
     done = json.loads(run_fresh(NUMPY_ONLY_RUNS, str(tmp_path)))
-    assert done == {"codes": [0] * 10, "scipy": []}
+    assert done == {"codes": [0] * 10, "scipy": [], "decimal": False}
 
 
 ORDER_ABOVE_TEN = """

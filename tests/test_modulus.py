@@ -97,6 +97,11 @@ def test_family_validation(tag):
             dh.make_family(tag, params)
     with pytest.raises(DomainError, match=f"^unknown family '{tag}x'"):
         dh.make_family(tag + "x", valid)
+    # a parameter that is not a number is named (it was a bare ValueError)
+    for bad in ("a", None):
+        with pytest.raises(DomainError, match=f"^family '{tag}' parameter "
+                                              f"'{names[-1]}' must be a number"):
+            dh.make_family(tag, {**valid, names[-1]: bad})
 
 
 def test_family_omega_ignores_edits_to_params():

@@ -1,3 +1,5 @@
+import decimal
+import functools
 import math
 
 import mpmath as mp
@@ -10,11 +12,11 @@ from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, jv
 
 from dhankel import make_resolved_grids
-from dhankel.specfun import (_BAND_HALF, _BAND_MID, _CHUNK, _NEAR_HALF,
-                             DomainError, KernelParams, _band_coefficients,
-                             _band_value, _clenshaw, _cosines,
+from dhankel.specfun import (_BAND_DEGREE, _BAND_HALF, _BAND_MID, _CHUNK,
+                             _NEAR_DEGREE, _NEAR_HALF, DomainError,
+                             KernelParams, _band_coefficients, _clenshaw,
                              _hankel_coefficients, _horner, _near_coefficients,
-                             _near_value, bessel_j_normalized, gamma, kernel_B,
+                             bessel_j_normalized, gamma, kernel_B,
                              kernel_parts)
 
 mp.mp.dps = 40
@@ -46,6 +48,81 @@ def j_mp(nu, x):
     """Normalized j_nu from mpmath's besselj, for large arguments."""
     x, nu = mp.mpf(x), mp.mpf(nu)
     return float(mp.gamma(1 + nu) * (2 / x) ** nu * mp.besselj(nu, x))
+
+
+# The oracle of the Bessel fits: the same interpolants computed in decimal,
+# from the values of the power series at the Chebyshev points, by the
+# type-II cosine transform, rounded once to doubles and trimmed as the fits
+# are.  At 45 digits it put one band coefficient of nu = -0.99934 an ulp
+# off: near nu = -1 the series' terms carry 1/(nu + 1), so its sums lose
+# three more digits.  At 60 digits it agrees with 80.
+ORACLE_DIGITS = 60
+ORACLE_TINY = decimal.Decimal("1e-75")
+ORACLE_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510"
+                            "58209749445923078164062862089986280348253421170679")
+
+
+def oracle_series_g(nu, q):
+    """g(q) = (1 - j_nu(2 sqrt q)) / q = sum_k (-q)^k / ((k+1)! (nu+1)_{k+1})
+    from the exact binary nu, in the caller's decimal context, until the
+    terms, which fall from k > q on, are below ORACLE_TINY."""
+    nu1 = decimal.Decimal(nu) + 1
+    term = total = 1 / nu1
+    k = 0
+    while k <= q or abs(term) > ORACLE_TINY:
+        k += 1
+        term = -term * q / ((k + 1) * (nu1 + k))
+        total += term
+    return total
+
+
+def oracle_near_value(nu, t):
+    """g at the point t of [-1, 1] mapped onto the near field's q interval."""
+    return oracle_series_g(nu, decimal.Decimal(_NEAR_HALF) * (1 + t))
+
+
+def oracle_band_value(nu, t):
+    """The normalized j_nu = 1 - q g(q), q = z^2/4, at the point t of
+    [-1, 1] mapped onto the band."""
+    z = decimal.Decimal(_BAND_MID) + decimal.Decimal(_BAND_HALF) * t
+    q = z * z / 4
+    return 1 - q * oracle_series_g(nu, q)
+
+
+@functools.cache
+def oracle_cosines(n):
+    """cos(pi m / (2n)) for m = 0 .. 4n - 1: Taylor series on the first
+    quadrant, the rest by symmetry."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
+        quadrant = []
+        for r in range(n + 1):
+            x2 = (ORACLE_PI * r / (2 * n)) ** 2
+            term = total = decimal.Decimal(1)
+            k = 0
+            while abs(term) > ORACLE_TINY:
+                k += 2
+                term = -term * x2 / (k * (k - 1))
+                total += term
+            quadrant.append(total)
+        half = quadrant + [-c for c in quadrant[-2::-1]]      # m = 0 .. 2n
+        return tuple(half + half[-2:0:-1])
+
+
+def oracle_fit(value, nu, degree):
+    """Coefficients of value(nu, .)'s interpolant at the degree + 1
+    Chebyshev points of the first kind, trimmed as the run-time fits are."""
+    n = degree + 1
+    cos = oracle_cosines(n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
+        values = [value(nu, cos[2 * k + 1]) for k in range(n)]
+        c = np.array([float(2 * sum(v * cos[j * (2 * k + 1) % (4 * n)]
+                                    for k, v in enumerate(values)) / n)
+                      for j in range(n)])
+    c[0] *= 0.5
+    tail = np.cumsum(np.abs(c[::-1]))[::-1]
+    return c[:max(2, np.count_nonzero(tail >= 1e-20))]
 
 
 # z across the Chebyshev band (9, 18] and Hankel's expansion (18, 300]
@@ -143,25 +220,45 @@ def test_near_field_oracle(nu):
 
 @pytest.mark.parametrize("nu", [-0.48, 0.0, 1.6, 2.0, 7.4, 10.0])
 def test_fit_values_match_mpmath(nu):
-    # the decimal values behind the near fit (g at 25 points) and the band
-    # fit (the normalized j at 41 points): Chebyshev nodes within 1e-40 and
-    # values within a relative 1e-30 of mpmath's besselj in 50 digits
+    # the oracle's decimal values behind the near fit (g at 25 points) and
+    # the band fit (the normalized j at 41 points): Chebyshev nodes within
+    # 1e-40 and values within a relative 1e-30 of mpmath's besselj in 50 digits
     def j(z):
         return mp.gamma(1 + nu) * (2 / z) ** nu * mp.besselj(nu, z)
 
     def g(q):
         return (1 - j(2 * mp.sqrt(q))) / q
 
-    with mp.workdps(50):
+    with mp.workdps(50), decimal.localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
         for n, fit_value, exact in (
-                (25, _near_value, lambda t: g(_NEAR_HALF * (1 + t))),
-                (41, _band_value, lambda t: j(_BAND_MID + _BAND_HALF * t))):
+                (25, oracle_near_value, lambda t: g(_NEAR_HALF * (1 + t))),
+                (41, oracle_band_value, lambda t: j(_BAND_MID + _BAND_HALF * t))):
             for k in range(n):
-                t = _cosines(n)[2 * k + 1]
+                t = oracle_cosines(n)[2 * k + 1]
                 t_mp = mp.mpf(str(t))
                 assert abs(t_mp - mp.cos(mp.pi * (2 * k + 1) / (2 * n))) < 1e-40
                 want = exact(t_mp)
                 assert abs(mp.mpf(str(fit_value(nu, t))) - want) <= 1e-30 * abs(want)
+
+
+# seeded orders across (-1, 10], the menu's and the extremes, the order where
+# the oracle at 45 digits was an ulp off, and orders above 10, which have
+# only the near fit
+FIT_ORDERS = ([float(nu) for nu in np.random.default_rng(36).uniform(-1.0, 10.0, 40)]
+              + [-0.999, -0.9993369507747897, -0.4, 0.0, 0.4, 1.6, 2.4, 10.0,
+                 12.0, 20.4, 199.0])
+
+
+@pytest.mark.parametrize("nu", FIT_ORDERS)
+def test_fits_equal_the_decimal_oracle_to_the_bit(nu):
+    # the integer fits round the same interpolants once, so every
+    # coefficient and the trimmed length are the oracle's
+    assert np.array_equal(_near_coefficients(nu),
+                          oracle_fit(oracle_near_value, nu, _NEAR_DEGREE))
+    if nu <= 10.0:
+        assert np.array_equal(_band_coefficients(nu),
+                              oracle_fit(oracle_band_value, nu, _BAND_DEGREE))
 
 
 @pytest.mark.parametrize("nu", [-0.4, 0.0, 1.6, 2.4, 6.0])

@@ -65,6 +65,12 @@ def test_h_grid_helpers():
     assert h[0] == D0 / 8 and h[-1] == D0 / 1024
     with pytest.raises(DomainError):
         dh.dyadic_h_grid(D0, 5, 5)
+    # fractional exponents made h off the dyadic grid; integral floats too
+    # are refused, and numpy's integers are taken
+    for exps in ((2.5, 7.5), (3, 7.5), (3.0, 10)):
+        with pytest.raises(DomainError, match="^h exponents must be integers"):
+            dh.dyadic_h_grid(D0, *exps)
+    assert np.array_equal(dh.dyadic_h_grid(D0, np.int64(3), 10), h)
     lg = dh.build_weighted_grid(ALPHA, 64.0, 8, 8)
     kept = restrict_h_grid(h, lg)
     assert np.all(1.0 / kept <= 16.0)

@@ -1091,6 +1091,28 @@ def test_diff_norm_domain(grids_default, bump_spec):
         dh.diff_norms(spec, 0.1, 2.5, fx=fx, xgrid=xg)
     with pytest.raises(DomainError):
         dh.diff_norms(spec, 0.1, 2.0, fx=fx)
+    # samples that are not one per x node, as forward refuses them: a
+    # scalar fx returned ||T_h f|| as the difference norm, and three
+    # samples ended in numpy's broadcast error
+    for bad in (0.0, np.zeros(3)):
+        with pytest.raises(DomainError, match="^samples do not match the x grid$"):
+            dh.diff_norms(spec, [0.1], fx=bad, xgrid=xg)
+
+
+def test_spectral_sums_refuse_an_exponent_below_one(grids_default):
+    # tail_energy and spectral_mass take weighted_norm's rule for the
+    # exponent: here q = -1 returned 6.2e27 with a RuntimeWarning, and
+    # q = 0.5 a finite 0.013
+    _, lg = grids_default
+    g = dh.SpectralData(lambda_grid=lg, values=np.exp(-np.abs(lg.nodes)))
+    for q in (-1.0, 0.0, 0.5, math.nan):
+        with pytest.raises(DomainError, match=f"^p must be >= 1, got {q}$"):
+            dh.tail_energy(g, 0.1, q)
+        with pytest.raises(DomainError, match=f"^p must be >= 1, got {q}$"):
+            spectral_mass(g, q, np.array([1.0]), beyond=False)
+        with pytest.raises(DomainError, match=f"^p must be >= 1, got {q}$"):
+            g.norm(q)
+    assert dh.tail_energy(g, 0.1, 1.0) > 0.0
 
 
 def test_diff_norm_small_at_zero_h(grids_resolved_small, bump_spec):
