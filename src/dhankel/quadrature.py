@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DomainError, gamma
+from .specfun import DomainError, KernelParams, gamma
 
 # Largest Gauss rule order per panel and panel count per grid.  A grid's
 # nodes grow with order x panels, and a kernel entry with their square; every
@@ -115,8 +115,7 @@ def _gauss_rule(order: int, beta: float | None = None):
 
 def check_grid_inputs(alpha: float, radius: float, order: int) -> None:
     """The input checks of every grid, made before any edge is computed."""
-    if not alpha > 0.25:
-        raise DomainError(f"alpha must exceed 1/4, got {alpha}")
+    KernelParams(alpha)                 # the kernel's own rule: alpha > 1/4
     if not 0 < radius <= _MAX_RADIUS:
         raise DomainError(f"radius must be positive and at most {_MAX_RADIUS:.6g}, "
                           f"got {radius}")

@@ -11,10 +11,9 @@ alpha in (1/4, 1/2) the sup is finite but exceeds 1 — see tests).
 
 All functions are pure and accept scalars or numpy arrays, but kernel_parts
 writes into an out array when given one.  They need numpy and the standard
-library alone: the Bessel fits are power series summed in Python ints, as
-fixed-point numbers, and only orders above 10 import scipy, for its jv.  The
-module also defines the library's two error types, DomainError and
-PreconditionError.
+library alone: the Bessel fits are power series summed in Python ints, and
+only orders above 10 import scipy, for its jv beyond z = 18.  The module
+also defines the library's two error types, DomainError and PreconditionError.
 """
 
 from __future__ import annotations
@@ -71,8 +70,9 @@ _CHUNK = 8192
 _SCRATCH_ROWS = 10
 # Every fit is computed in Python ints as fixed-point numbers with 320
 # fraction bits (_ONE is 1), from the order's exact binary value, and
-# rounded to doubles once, as coefficients.  Its series are those of
-# _SEAM = 9 and _HANKEL_FROM = 18, whose ratios appear below as integers.
+# rounded to doubles once, as coefficients.  Both fits take the power
+# series in q = z^2/4 = (81/16) y or (81/4) y, whose ratios appear below as
+# integers.
 _ONE = 1 << 320
 _NEGLIGIBLE = 1e-20
 
@@ -139,15 +139,12 @@ def _near_coefficients(nu: float) -> np.ndarray:
     return _chebyshev_fit(terms, 2, _NEAR_DEGREE)
 
 
-# Far field of the orders up to _FAST_ORDER_MAX: a Chebyshev interpolant of
-# the normalized j_nu on the band (_SEAM, _HANKEL_FROM] and Hankel's
-# expansion above it.  Measured against mpmath over z in (9, 2000], both keep
-# the normalized j within 1.5e-14 for -1/2 < nu <= _FAST_ORDER_MAX.  The
-# 8-term expansion at z = 18 is off by 2e-14 at nu = 10.75 and 1e-13 at
-# nu = 12, so higher orders take scipy's jv, imported for them alone.
+# Band (_SEAM, _HANKEL_FROM]: j_nu itself, interpolated on q in [81/4, 405/4]
+# (z up to 20.1), then Hankel's expansion: within 1.5e-14 of mpmath over z in
+# (9, 2000] for -1/2 < nu <= _FAST_ORDER_MAX.  At z = 18 its 8 terms are off
+# by 2e-14 at nu = 10.75 and 1e-13 at nu = 12, so there higher orders take
+# scipy's jv, imported for them alone.
 _HANKEL_FROM = 18.0
-_BAND_MID = 0.5 * (_HANKEL_FROM + _SEAM)
-_BAND_HALF = 0.5 * (_HANKEL_FROM - _SEAM)
 _BAND_DEGREE = 40
 _HANKEL_TERMS = 8
 _FAST_ORDER_MAX = 10.0
@@ -155,30 +152,14 @@ _FAST_ORDER_MAX = 10.0
 
 @functools.cache
 def _band_coefficients(nu: float) -> np.ndarray:
-    # the normalized j_nu on the band, z = 27/2 + (9/4) y with y = 2t, by its
-    # Taylor coefficients v_n in y, nu = p/d.  Its power series, sum_k t_k
-    # with t_k = (-z^2/4)^k / (k! (nu+1)_k), whose terms fall from k = 8 on
-    # until they vanish, gives v_0 = sum_k t_k and v_1 = sum_k k t_k / 3 at
-    # z = 27/2.  z j'' + (2 nu + 1) j' + z j = 0 then gives
-    # v_{n+2} = -(16 (n+1)(n+1+2 nu) v_{n+1} + 486 v_n + 81 v_{n-1})
-    #           / (96 (n+1)(n+2))
-    # until two terms in a row vanish.  Every other solution of the
-    # recurrence falls at least like 6^-n, so no rounding error grows.
+    # j_nu(2 sqrt q) = sum_k (-q)^k / (k! (nu+1)_k) with q = (81/4) y,
+    # y = 3 + 2t, and nu = p/d; the terms fall from k = 6 on, until they vanish
     p, d = nu.as_integer_ratio()
-    term = v0 = _ONE
-    v1 = k = 0
-    while term:
-        k += 1
-        term = -term * 729 * d // (16 * k * (p + k * d))
-        v0 += term
-        v1 += k * term
-    v = [0, v0, v1 // 3]
-    n = 0
-    while v[-1] or v[-2]:
-        num = 16 * (n + 1) * (d * (n + 1) + 2 * p) * v[-1] + d * (486 * v[-2] + 81 * v[-3])
-        v.append(-num // (96 * d * (n + 1) * (n + 2)))
-        n += 1
-    return _chebyshev_fit(v[1:], 0, _BAND_DEGREE)
+    terms = [_ONE]
+    while terms[-1]:
+        k = len(terms)
+        terms.append(-terms[-1] * 81 * d // (4 * k * (p + k * d)))
+    return _chebyshev_fit(terms, 3, _BAND_DEGREE)
 
 
 @functools.cache
@@ -203,14 +184,14 @@ def _horner(c, w: np.ndarray, out: np.ndarray) -> None:
         out += ck
 
 
-def _scaled_jv(nu: float, z: np.ndarray, out: np.ndarray) -> None:
+def _scaled_jv(nu: float, z: np.ndarray) -> np.ndarray:
     # normalized j_nu from scipy's jv, for an order above _FAST_ORDER_MAX
     try:
         from scipy.special import jv
     except ImportError:
         raise DomainError(f"order {nu} above {_FAST_ORDER_MAX:g} needs scipy, "
                           "which is not installed") from None
-    out[...] = np.exp(math.lgamma(nu + 1.0) + nu * (math.log(2.0) - np.log(z))) * jv(nu, z)
+    return np.exp(math.lgamma(nu + 1.0) + nu * (math.log(2.0) - np.log(z))) * jv(nu, z)
 
 
 def _near(orders: tuple, s: np.ndarray, outs, i: np.ndarray) -> None:
@@ -228,15 +209,14 @@ def _near(orders: tuple, s: np.ndarray, outs, i: np.ndarray) -> None:
 
 
 def _band(orders: tuple, s: np.ndarray, outs, i: np.ndarray) -> None:
-    # the band's interpolant (or jv) at the chunk's z = s[0]
-    z, x, r, x2, c0, tmp = s[:6]
-    np.subtract(z, _BAND_MID, out=x)
-    x /= _BAND_HALF
+    # j_nu at the chunk's z = s[0], by x = (z^2/4 - 60.75) / 40.5 in place
+    x, r, x2, c0, tmp = s[:5]
+    np.square(x, out=x)
+    x *= 0.25
+    x -= 60.75
+    x /= 40.5
     for nu, out in zip(orders, outs):
-        if nu <= _FAST_ORDER_MAX:
-            _clenshaw(_band_coefficients(nu), x, r, x2, c0, tmp)
-        else:
-            _scaled_jv(nu, z, r)
+        _clenshaw(_band_coefficients(nu), x, r, x2, c0, tmp)
         out[i] = r
 
 
@@ -260,8 +240,7 @@ def _far(orders: tuple, s: np.ndarray, outs, i: np.ndarray) -> None:
     np.sin(z, out=sin_z)
     for nu, out in zip(orders, outs):
         if nu > _FAST_ORDER_MAX:
-            _scaled_jv(nu, z, r)
-            out[i] = r
+            out[i] = _scaled_jv(nu, z)
             continue
         p_c, q_c, cos_c, sin_c, log_scale = _hankel_coefficients(nu)
         _horner(p_c, w, p)
@@ -289,7 +268,7 @@ def _bessel_j(orders: tuple, z: np.ndarray, outs) -> None:
     # and 1-D outs of its size.  The orders share the split of z and, beyond
     # _HANKEL_FROM, every function of z alone.  Each field is worked in
     # chunks of at most _CHUNK entries in one scratch array of _SCRATCH_ROWS
-    # rows.  A NaN entry takes the band (or jv) and stays NaN.
+    # rows.  A NaN entry takes the band and stays NaN.
     near = z <= _SEAM
     far = z > _HANKEL_FROM
     fields = [(field, np.flatnonzero(mask)) for field, mask in
@@ -306,15 +285,13 @@ def _bessel_j(orders: tuple, z: np.ndarray, outs) -> None:
 def bessel_j_normalized(nu: float, x):
     """Normalized Bessel function of the first kind, j_nu(0) = 1.
 
-    Even in x.  Up to |x| = 9 a Chebyshev interpolant in x^2/4; above it,
-    for orders up to 10, a Chebyshev interpolant on (9, 18] and Hankel's
-    asymptotic expansion beyond 18.  Both interpolants are fitted once per
-    order to the power series of j_nu, summed in 320-bit fixed point and
-    rounded once.  Orders above 10 take scipy's jv above |x| = 9, and only
-    they import scipy.  Absolute error below 2e-14 for orders in
-    (-1/2, 10].  A NaN argument gives NaN.  Every path is chosen per entry
-    and computes each entry on its own, so each entry's value does not
-    depend on the other entries of x.
+    Even in x.  Up to |x| = 9 and on (9, 18] a Chebyshev interpolant in
+    x^2/4, fitted once per order to the power series of j_nu in 320-bit
+    fixed point; beyond 18 Hankel's asymptotic expansion for orders up to
+    10, and for higher orders scipy's jv, the one path that imports scipy.
+    Absolute error below 2e-14 for orders in (-1/2, 10].  A NaN argument
+    gives NaN.  Every path is chosen per entry and computes each entry on
+    its own, so each entry's value does not depend on the other entries.
     """
     if not nu > -1.0:
         raise DomainError(f"order must exceed -1, got {nu}")

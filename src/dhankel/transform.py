@@ -89,6 +89,8 @@ class SpectralData:
     def __post_init__(self):
         if self.values.shape != self.lambda_grid.nodes.shape:
             raise DomainError("values length must match the frequency grid")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("spectral values must be finite")
 
     def norm(self, q: float) -> float:
         return weighted_norm(self.values, self.lambda_grid, q)
@@ -435,10 +437,12 @@ def forward(f, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
 
 
 def _samples(fx, xgrid: WeightedGrid) -> np.ndarray:
-    # fx as doubles, refused unless it holds one sample per node of xgrid
+    # fx as doubles, refused unless it holds one finite sample per x node
     fx = np.asarray(fx, dtype=float)
     if fx.shape != xgrid.nodes.shape:
         raise DomainError("samples do not match the x grid")
+    if not np.all(np.isfinite(fx)):
+        raise DomainError("samples must be finite")
     return fx
 
 

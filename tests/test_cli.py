@@ -494,6 +494,24 @@ def test_cli_runs_load_no_scipy(tmp_path):
     assert done == {"codes": [0] * 10, "scipy": [], "decimal": False}
 
 
+HIGH_ORDERS_BELOW_EIGHTEEN = """
+import contextlib, io, json, sys
+from dhankel.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(["titchmarsh", "--modulus", "power:gamma=0.5", "--alpha", "5",
+                 "--radius-lambda", "1024"])
+print(json.dumps({"code": code, "scipy.special": "scipy.special" in sys.modules}))
+"""
+
+
+def test_high_orders_below_eighteen_load_no_scipy():
+    # alpha = 5 takes orders 9 and 11; at radius 1024 every kernel argument
+    # z is at most 16, inside the near field and the band, which fit every
+    # order from its power series, so scipy's jv is never imported
+    done = json.loads(run_fresh(HIGH_ORDERS_BELOW_EIGHTEEN))
+    assert done == {"code": 0, "scipy.special": False}
+
+
 ORDER_ABOVE_TEN = """
 import contextlib, io, json, sys
 import numpy as np

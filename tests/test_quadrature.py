@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dhankel.quadrature import (_assemble, _gauss_rule, build_graded_grid,
                                 build_weighted_grid, conjugate_exponent,
                                 panel_integrals, weight_constant, weighted_norm)
-from dhankel.specfun import DomainError
+from dhankel.specfun import DomainError, KernelParams
 from dhankel.titchmarsh import make_resolved_grids, make_tail_grid
 
 
@@ -277,6 +277,18 @@ def test_construction_errors():
             build_graded_grid(0.5, 1.0, 4, first, rho)
     with pytest.raises(DomainError, match="too many panels"):
         build_graded_grid(0.5, 1.0, 4, 0.25, 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.2, -1.0, math.nan])
+def test_grid_alpha_rule_is_the_kernels(alpha):
+    # both grid builders refuse alpha by KernelParams' own rule and message
+    with pytest.raises(DomainError) as kernel:
+        KernelParams(alpha)
+    for build in (lambda: build_weighted_grid(alpha, 1.0, 4, 4),
+                  lambda: build_graded_grid(alpha, 1.0, 4, 0.25, 1.1)):
+        with pytest.raises(DomainError) as grid:
+            build()
+        assert str(grid.value) == str(kernel.value)
 
 
 @pytest.mark.parametrize("build", [

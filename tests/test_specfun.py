@@ -12,14 +12,15 @@ from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, jv
 
 from dhankel import make_resolved_grids
-from dhankel.specfun import (_BAND_DEGREE, _BAND_HALF, _BAND_MID, _CHUNK,
-                             _NEAR_DEGREE, _NEAR_HALF, DomainError,
-                             KernelParams, _band_coefficients, _clenshaw,
-                             _hankel_coefficients, _horner, _near_coefficients,
-                             bessel_j_normalized, gamma, kernel_B,
-                             kernel_parts)
+from dhankel.specfun import (_BAND_DEGREE, _CHUNK, _NEAR_DEGREE, _NEAR_HALF,
+                             DomainError, KernelParams, _band_coefficients,
+                             _clenshaw, _hankel_coefficients, _horner,
+                             _near_coefficients, bessel_j_normalized, gamma,
+                             kernel_B, kernel_parts)
 
 mp.mp.dps = 40
+# the centre and half the width of the band fit's q interval [81/4, 405/4]
+BAND_MID, BAND_HALF = 60.75, 40.5
 
 
 def kernel_slope_bounds(alpha: float) -> tuple[float, float]:
@@ -82,10 +83,9 @@ def oracle_near_value(nu, t):
 
 
 def oracle_band_value(nu, t):
-    """The normalized j_nu = 1 - q g(q), q = z^2/4, at the point t of
-    [-1, 1] mapped onto the band."""
-    z = decimal.Decimal(_BAND_MID) + decimal.Decimal(_BAND_HALF) * t
-    q = z * z / 4
+    """The normalized j_nu(2 sqrt q) = 1 - q g(q) at the point t of [-1, 1]
+    mapped onto the band's q interval."""
+    q = decimal.Decimal(BAND_MID) + decimal.Decimal(BAND_HALF) * t
     return 1 - q * oracle_series_g(nu, q)
 
 
@@ -221,8 +221,9 @@ def test_near_field_oracle(nu):
 @pytest.mark.parametrize("nu", [-0.48, 0.0, 1.6, 2.0, 7.4, 10.0])
 def test_fit_values_match_mpmath(nu):
     # the oracle's decimal values behind the near fit (g at 25 points) and
-    # the band fit (the normalized j at 41 points): Chebyshev nodes within
-    # 1e-40 and values within a relative 1e-30 of mpmath's besselj in 50 digits
+    # the band fit (the normalized j at 41 points of q = z^2/4): Chebyshev
+    # nodes within 1e-40 and values within a relative 1e-30 of mpmath's
+    # besselj in 50 digits
     def j(z):
         return mp.gamma(1 + nu) * (2 / z) ** nu * mp.besselj(nu, z)
 
@@ -233,7 +234,7 @@ def test_fit_values_match_mpmath(nu):
         ctx.prec = ORACLE_DIGITS
         for n, fit_value, exact in (
                 (25, oracle_near_value, lambda t: g(_NEAR_HALF * (1 + t))),
-                (41, oracle_band_value, lambda t: j(_BAND_MID + _BAND_HALF * t))):
+                (41, oracle_band_value, lambda t: j(2 * mp.sqrt(BAND_MID + BAND_HALF * t)))):
             for k in range(n):
                 t = oracle_cosines(n)[2 * k + 1]
                 t_mp = mp.mpf(str(t))
@@ -243,8 +244,8 @@ def test_fit_values_match_mpmath(nu):
 
 
 # seeded orders across (-1, 10], the menu's and the extremes, the order where
-# the oracle at 45 digits was an ulp off, and orders above 10, which have
-# only the near fit
+# the oracle at 45 digits was an ulp off, and orders above 10, which take
+# both fits too
 FIT_ORDERS = ([float(nu) for nu in np.random.default_rng(36).uniform(-1.0, 10.0, 40)]
               + [-0.999, -0.9993369507747897, -0.4, 0.0, 0.4, 1.6, 2.4, 10.0,
                  12.0, 20.4, 199.0])
@@ -256,9 +257,8 @@ def test_fits_equal_the_decimal_oracle_to_the_bit(nu):
     # coefficient and the trimmed length are the oracle's
     assert np.array_equal(_near_coefficients(nu),
                           oracle_fit(oracle_near_value, nu, _NEAR_DEGREE))
-    if nu <= 10.0:
-        assert np.array_equal(_band_coefficients(nu),
-                              oracle_fit(oracle_band_value, nu, _BAND_DEGREE))
+    assert np.array_equal(_band_coefficients(nu),
+                          oracle_fit(oracle_band_value, nu, _BAND_DEGREE))
 
 
 @pytest.mark.parametrize("nu", [-0.4, 0.0, 1.6, 2.4, 6.0])
@@ -281,6 +281,14 @@ def test_fractional_order_far_field_oracle(nu):
     got = bessel_j_normalized(nu, FAR_Z)
     for z, j in zip(FAR_Z, got):
         assert abs(j - j_mp(nu, z)) < 1e-13, z
+
+
+@pytest.mark.parametrize("nu", [10.5, 12.0, 20.4, 30.4, 50.0, 199.0])
+def test_band_of_orders_above_ten_matches_mpmath(nu):
+    # orders above 10 take the band's fit, as the lower orders do, not jv
+    z = np.concatenate([np.linspace(9.0, 18.0, 91)[1:], [np.nextafter(9.0, 10.0)]])
+    got = bessel_j_normalized(nu, z)
+    assert max(abs(j - j_mp(nu, x)) for x, j in zip(z, got)) <= 1e-14
 
 
 @pytest.mark.parametrize("nu", [20.4, 30.4])
@@ -337,9 +345,10 @@ def reference_j(nu, z):
     band = ~(near | far)
     q = 0.25 * z[near] ** 2
     out[near] = 1.0 - q * chebval(q / _NEAR_HALF - 1.0, _near_coefficients(nu))
+    q = 0.25 * z[band] ** 2
+    out[band] = chebval((q - BAND_MID) / BAND_HALF, _band_coefficients(nu))
+    zf = z[far]
     if nu <= 10.0:
-        out[band] = chebval((z[band] - _BAND_MID) / _BAND_HALF, _band_coefficients(nu))
-        zf = z[far]
         p_c, q_c, cos_c, sin_c, log_scale = _hankel_coefficients(nu)
         w = 1.0 / (zf * zf)
         p, q_sum = polyval(w, p_c), polyval(w, q_c) / zf
@@ -347,9 +356,8 @@ def reference_j(nu, z):
                     * (np.cos(zf) * (p * cos_c + q_sum * sin_c)
                        + np.sin(zf) * (p * sin_c - q_sum * cos_c)))
     else:
-        zl = z[~near]
-        out[~near] = np.exp(math.lgamma(nu + 1.0)
-                            + nu * (math.log(2.0) - np.log(zl))) * jv(nu, zl)
+        out[far] = np.exp(math.lgamma(nu + 1.0)
+                          + nu * (math.log(2.0) - np.log(zf))) * jv(nu, zf)
     return out
 
 
@@ -375,9 +383,9 @@ def writer_arguments():
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 5.0])
 def test_parts_writer_matches_the_allocating_formula(alpha):
     # bit for bit, NaN in place, on every path: near, band and far, and
-    # scipy's jv for the order 2 alpha + 1 = 11 > 10 at alpha = 5; given
-    # out, a strided slice of a larger buffer, kernel_parts fills it and
-    # nothing else, with the bits of the allocating call
+    # scipy's jv beyond 18 for the order 2 alpha + 1 = 11 > 10 at alpha = 5;
+    # given out, a strided slice of a larger buffer, kernel_parts fills it
+    # and nothing else, with the bits of the allocating call
     t = writer_arguments()
     want = reference_parts(alpha, t)
     params = KernelParams(alpha=alpha)

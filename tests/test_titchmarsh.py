@@ -252,6 +252,27 @@ def test_main1_part1_zygmund_precondition(tail_grid_8192):
     assert err.value.condition == "Z0"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_main1_part1_non_finite_data_is_a_domain_error(tail_grid_8192,
+                                                       grids_resolved_small,
+                                                       bump_spec, bad):
+    # a bad input, not a failed hypothesis: NaN spectral data reached the
+    # seminorm and was reported as PreconditionError [dlip_seminorm]
+    w = dh.make_family("power", {"gamma": 0.5})
+    values = sharp(w, tail_grid_8192).values.copy()
+    values[-1] = bad
+    with pytest.raises(DomainError, match="^spectral values must be finite$"):
+        dh.verify_main1_part1(dh.SpectralData(tail_grid_8192, values), w, 2.0,
+                              dh.dyadic_h_grid(D0))
+    # function input is sampled once, and the samples are checked before
+    # the transform
+    xg, lg = grids_resolved_small
+    h = restrict_h_grid(dh.dyadic_h_grid(D0), lg)
+    with pytest.raises(DomainError, match="^samples must be finite$"):
+        dh.verify_main1_part1(lambda x: np.where(x > 3.0, bad, bump_spec(x)), w, 2.0, h,
+                              xgrid=xg, lgrid=lg)
+
+
 # ----------------------------- converse direction -----------------------------
 
 def test_main1_part2_matched(tail_grid_8192):

@@ -1075,6 +1075,25 @@ def test_diff_norms_rejects_a_malformed_h_grid(grids_default, bump_spec):
     assert dh.diff_norms(spec, [0.0, -0.1]).shape == (2,)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_refused_where_it_enters(grids_default, bump_spec, bad):
+    # spectral values by SpectralData itself, x samples by the one check
+    # that forward and diff_norms share, as an array or a function's values
+    xg, lg = grids_default
+    values = np.ones(lg.nodes.size)
+    values[3] = bad
+    with pytest.raises(DomainError, match="^spectral values must be finite$"):
+        dh.SpectralData(lambda_grid=lg, values=values)
+    spec, fx = physical_input(bump_spec, xg, lg)
+    fx = fx.copy()
+    fx[3] = bad
+    for call in (lambda: dh.forward(fx, xg, lg),
+                 lambda: dh.forward(lambda x: fx, xg, lg),
+                 lambda: dh.diff_norms(spec, [0.1], fx=fx, xgrid=xg)):
+        with pytest.raises(DomainError, match="^samples must be finite$"):
+            call()
+
+
 def test_tail_energy_rejects_a_2d_h_grid(grids_default):
     _, lg = grids_default
     g = dh.SpectralData(lambda_grid=lg, values=np.ones(lg.nodes.size))
