@@ -179,10 +179,10 @@ def _interior_panels(xgrid: WeightedGrid, lgrid: WeightedGrid) -> int:
     return xgrid.pos_nodes.size // xgrid.order - 2
 
 
-def _table_arguments(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
+def _table_arguments(xgrid: WeightedGrid, lgrid: WeightedGrid, pairs) -> np.ndarray:
     """Kernel arguments of the interior table of kernel_matrix on its node
     pairs m <= m', shape (order (order + 1) / 2, 2 k - 1) with k =
-    _interior_panels(...), the pairs in the order of np.triu_indices(order).
+    _interior_panels(...), the pairs (m, m') = pairs, np.triu_indices(order).
 
     Entry [(m, m'), s] is one representative product x * lambda of node m
     of an interior x panel and node m' of an interior lambda panel whose
@@ -195,7 +195,7 @@ def _table_arguments(xgrid: WeightedGrid, lgrid: WeightedGrid) -> np.ndarray:
     ls = lgrid.pos_nodes[o:o + k * o].reshape(k, o)
     s = np.arange(2 * k - 1)
     first = np.maximum(s - (k - 1), 0)
-    m, m2 = np.triu_indices(o)
+    m, m2 = pairs
     return xs[first][:, m].T * ls[s - first][:, m2].T
 
 
@@ -299,8 +299,9 @@ def _build_entry(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     # every row but the interior ones [o, o + k o): all rows when k = 0
     edge_rows = np.r_[0:o, o + k * o:xpos.size]
     n = _fft_length(k)
-    pairs, freqs = (o * (o + 1) // 2, n // 2 + 1) if k else (0, 0)
-    row_entries, table_entries = edge_rows.size * lpos.size, pairs * (2 * k - 1)
+    m, m2 = pairs = np.triu_indices(o)
+    sums, freqs = (2 * k - 1, n // 2 + 1) if k else (0, 0)
+    row_entries, table_entries = edge_rows.size * lpos.size, m.size * sums
     # float rows and table, complex spectra, of E and O
     _check_bytes(16 * (row_entries + table_entries + 2 * freqs * o * o),
                  "the kernel of this grid pair")
@@ -310,19 +311,18 @@ def _build_entry(xgrid: WeightedGrid, lgrid: WeightedGrid) -> KernelEntry:
     # the edge rows' outer products, then the table's node pairs m <= m'
     parts = np.empty((2, row_entries + table_entries))
     _evaluate(params, [(xpos[edge_rows, None], lpos)]
-              + ([(_table_arguments(xgrid, lgrid), 1.0)] if k else []), parts)
+              + ([(_table_arguments(xgrid, lgrid, pairs), 1.0)] if k else []), parts)
     parts.setflags(write=False)
     rows = parts[:, :row_entries].reshape(2, edge_rows.size, lpos.size)
     if k:
         # every interior panel is [e, e rho] with one rule, so the table is
-        # symmetric in its node axes: scatter each pair's spectrum to (m, m')
-        # and (m', m)
-        m, m2 = np.triu_indices(o)
-        tab = parts[:, row_entries:].reshape(2, pairs, 2 * k - 1)
-        half = np.fft.rfft(tab, n=n).transpose(0, 2, 1)
-        spectra = np.empty((2, freqs, o, o), dtype=complex)
-        spectra[:, :, m, m2] = half
-        spectra[:, :, m2, m] = half
+        # symmetric in its node axes: (m, m') and (m', m) both gather the
+        # spectrum of pair index[m, m'], by np.take, whose result is
+        # C-contiguous (the matmuls of _interior read it)
+        index = np.empty((o, o), dtype=np.intp)
+        index[m, m2] = index[m2, m] = np.arange(m.size)
+        tab = parts[:, row_entries:].reshape(2, m.size, sums)
+        spectra = np.take(np.fft.rfft(tab, n=n).transpose(0, 2, 1), index, axis=2)
     else:
         spectra = np.empty((2, 0, o, o), dtype=complex)
     spectra.setflags(write=False)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import cheb2poly, chebval
 from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, jv
 
@@ -109,20 +109,28 @@ def oracle_cosines(n):
         return tuple(half + half[-2:0:-1])
 
 
-def oracle_fit(value, nu, degree):
+def oracle_fit(value, nu, degree, monomial=False):
     """Coefficients of value(nu, .)'s interpolant at the degree + 1
-    Chebyshev points of the first kind, trimmed as the run-time fits are."""
+    Chebyshev points of the first kind, trimmed as the run-time fits are;
+    with monomial, those of the trimmed interpolant in powers of t,
+    converted in decimal by numpy's cheb2poly of each T_k and rounded once."""
     n = degree + 1
     cos = oracle_cosines(n)
     with decimal.localcontext() as ctx:
         ctx.prec = ORACLE_DIGITS
         values = [value(nu, cos[2 * k + 1]) for k in range(n)]
-        c = np.array([float(2 * sum(v * cos[j * (2 * k + 1) % (4 * n)]
-                                    for k, v in enumerate(values)) / n)
-                      for j in range(n)])
-    c[0] *= 0.5
-    tail = np.cumsum(np.abs(c[::-1]))[::-1]
-    return c[:max(2, np.count_nonzero(tail >= 1e-20))]
+        a = [2 * sum(v * cos[j * (2 * k + 1) % (4 * n)] for k, v in enumerate(values)) / n
+             for j in range(n)]
+        c = np.array([float(x) for x in a])
+        c[0] *= 0.5
+        tail = np.cumsum(np.abs(c[::-1]))[::-1]
+        keep = max(2, np.count_nonzero(tail >= 1e-20))
+        if not monomial:
+            return c[:keep]
+        a[0] /= 2
+        powers = [[int(x) for x in cheb2poly(np.eye(keep)[k])] for k in range(keep)]
+        return np.array([float(sum(a[k] * powers[k][m] for k in range(m, keep)))
+                         for m in range(keep)])
 
 
 # z across the Chebyshev band (9, 18] and Hankel's expansion (18, 300]
@@ -190,7 +198,7 @@ def test_bessel_even(nu, x):
 def test_clenshaw_matches_chebval():
     # the in-place recurrence repeats numpy's operations bit for bit
     x = np.random.default_rng(3).uniform(-1.0, 1.0, _CHUNK + 901)
-    for c in (_band_coefficients(-0.4), _near_coefficients(1.6)):
+    for c in (_band_coefficients(-0.4), _band_coefficients(1.6)):
         out, x2, c0, tmp = (np.empty_like(x) for _ in range(4))
         _clenshaw(c, x, out, x2, c0, tmp)
         assert np.array_equal(out, chebval(x, c))
@@ -198,10 +206,12 @@ def test_clenshaw_matches_chebval():
 
 @pytest.mark.parametrize("nu", [-0.4, 0.6, 1.6, 2.4, 3.3, 9.5, 10.0])
 def test_horner_matches_polyval(nu):
-    # the Hankel expansion's P and Q sums repeat numpy's operations bit for bit
+    # the Hankel expansion's P and Q sums in 1/z^2 and the near field's sum
+    # in x on [-1, 1] repeat numpy's operations bit for bit
     z = np.geomspace(18.0, 1e6, 20001)[1:]
-    w = 1.0 / (z * z)
-    for c in _hankel_coefficients(nu)[:2]:
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, _CHUNK + 901)
+    for c, w in [(c, 1.0 / (z * z)) for c in _hankel_coefficients(nu)[:2]] + [
+            (_near_coefficients(nu), x)]:
         out = np.empty_like(w)
         _horner(c, w, out)
         assert np.array_equal(out, polyval(w, c))
@@ -254,9 +264,10 @@ FIT_ORDERS = ([float(nu) for nu in np.random.default_rng(36).uniform(-1.0, 10.0,
 @pytest.mark.parametrize("nu", FIT_ORDERS)
 def test_fits_equal_the_decimal_oracle_to_the_bit(nu):
     # the integer fits round the same interpolants once, so every
-    # coefficient and the trimmed length are the oracle's
+    # coefficient and the trimmed length are the oracle's, the near field's
+    # in powers of t
     assert np.array_equal(_near_coefficients(nu),
-                          oracle_fit(oracle_near_value, nu, _NEAR_DEGREE))
+                          oracle_fit(oracle_near_value, nu, _NEAR_DEGREE, monomial=True))
     assert np.array_equal(_band_coefficients(nu),
                           oracle_fit(oracle_band_value, nu, _BAND_DEGREE))
 
@@ -318,12 +329,16 @@ def test_far_field_entry_does_not_depend_on_its_batch(nu):
         assert whole[k] == bessel_j_normalized(nu, z[k:k + 1])[0]
 
 
-def test_kernel_parts_fractional_alpha_matches_jv():
-    # the quarter block's large-argument entries (z > 9, about half of them);
-    # the near field below the switch has its own oracle test above
-    a = 0.3
-    xg, lg = make_resolved_grids(a, 20.0, 128.0)
-    t = np.multiply.outer(xg.pos_nodes, lg.pos_nodes)
+@pytest.mark.parametrize("a", [0.3, 0.7, 1.0, 2.5])
+@pytest.mark.parametrize("radii, stride", [((20.0, 128.0), 1), ((40.0, 512.0), 7)],
+                         ids=["20-128", "40-512"])
+def test_kernel_parts_fractional_alpha_matches_jv(a, radii, stride):
+    # the quarter block's large-argument entries (z > 9, about half of them;
+    # at (40, 512) every 7th row, the last one included, z up to about 286),
+    # where the odd part's scale is the even part's times 4 (2a) (2a+1) /
+    # z^2; the near field below the switch has its own oracle test above
+    xg, lg = make_resolved_grids(a, *radii)
+    t = np.multiply.outer(xg.pos_nodes[::-stride], lg.pos_nodes)
     z = 2.0 * np.sqrt(t)
     far = z > 9.0
 
@@ -336,36 +351,43 @@ def test_kernel_parts_fractional_alpha_matches_jv():
     assert np.max(np.abs(odd[far] - odd_ref)) < 1e-13
 
 
-def reference_j(nu, z):
-    """Normalized j_nu(z) by the allocating formula that the in-place
-    fields replaced: every field through fresh temporaries, numpy's chebval
-    and polyval in place of _clenshaw and _horner."""
-    out = np.empty_like(z)
+def reference_j(orders, z):
+    """Normalized j of each order (each 2 above the one before) at z, by
+    the allocating formula that the in-place fields replaced: every field
+    through fresh temporaries, numpy's polyval and chebval in place of
+    _horner and _clenshaw; beyond 18 the first order's cos chi and sin chi
+    / z serve every order, negated, and each scale is the one before's
+    times 4 (nu+1) (nu+2) / z^2."""
+    out = np.empty((len(orders),) + z.shape)
     near, far = z <= 9.0, z > 18.0
     band = ~(near | far)
-    q = 0.25 * z[near] ** 2
-    out[near] = 1.0 - q * chebval(q / _NEAR_HALF - 1.0, _near_coefficients(nu))
-    q = 0.25 * z[band] ** 2
-    out[band] = chebval((q - BAND_MID) / BAND_HALF, _band_coefficients(nu))
     zf = z[far]
-    if nu <= 10.0:
-        p_c, q_c, cos_c, sin_c, log_scale = _hankel_coefficients(nu)
-        w = 1.0 / (zf * zf)
-        p, q_sum = polyval(w, p_c), polyval(w, q_c) / zf
-        out[far] = (np.exp(log_scale - nu * np.log(zf)) * np.sqrt(2.0 / (math.pi * zf))
-                    * (np.cos(zf) * (p * cos_c + q_sum * sin_c)
-                       + np.sin(zf) * (p * sin_c - q_sum * cos_c)))
-    else:
-        out[far] = np.exp(math.lgamma(nu + 1.0)
-                          + nu * (math.log(2.0) - np.log(zf))) * jv(nu, zf)
+    w = 1.0 / (zf * zf)
+    _, _, cos_c, sin_c, _ = _hankel_coefficients(orders[0])
+    cos_x = np.cos(zf) * cos_c + np.sin(zf) * sin_c
+    sin_x = (np.sin(zf) * cos_c - np.cos(zf) * sin_c) / zf
+    for j, nu in enumerate(orders):
+        q = 0.25 * z[near] ** 2
+        out[j, near] = 1.0 - polyval(q / _NEAR_HALF - 1.0, _near_coefficients(nu)) * q
+        q = 0.25 * z[band] ** 2
+        out[j, band] = chebval((q - BAND_MID) / BAND_HALF, _band_coefficients(nu))
+        if nu > 10.0:
+            out[j, far] = np.exp(math.lgamma(nu + 1.0)
+                                 + nu * (math.log(2.0) - np.log(zf))) * jv(nu, zf)
+            continue
+        p_c, q_c, _, _, log_scale = _hankel_coefficients(nu)
+        if j:
+            e = e * w * (-4.0 * (orders[j - 1] + 1.0) * (orders[j - 1] + 2.0))
+        else:
+            e = np.exp(log_scale - np.log(zf) * (nu + 0.5))
+        out[j, far] = (polyval(w, p_c) * cos_x - polyval(w, q_c) * sin_x) * e
     return out
 
 
 def reference_parts(alpha, t):
     """(E, O) at t by reference_j, in kernel_parts' order of operations."""
-    z = 2.0 * np.sqrt(t)
-    return np.stack([reference_j(2.0 * alpha - 1.0, z),
-                     t * reference_j(2.0 * alpha + 1.0, z) / ((2.0 * alpha) * (2.0 * alpha + 1.0))])
+    even, odd = reference_j((2.0 * alpha - 1.0, 2.0 * alpha + 1.0), 2.0 * np.sqrt(t))
+    return np.stack([even, t * odd / ((2.0 * alpha) * (2.0 * alpha + 1.0))])
 
 
 def writer_arguments():
@@ -438,6 +460,20 @@ def test_nan_argument_gives_nan(nu):
     got = bessel_j_normalized(nu, np.array([1.0, np.nan, 30.0]))
     assert np.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]]))
     assert math.isnan(bessel_j_normalized(nu, math.nan))
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf])
+def test_infinite_argument_is_a_domain_error(x):
+    # no path has a value at infinity: refused where the argument enters,
+    # not a NaN from cos; NaN beside it stays NaN (above)
+    with pytest.raises(DomainError, match="finite"):
+        bessel_j_normalized(0.5, x)
+    with pytest.raises(DomainError, match="finite"):
+        bessel_j_normalized(0.5, np.array([1.0, np.nan, x]))
+    with pytest.raises(DomainError, match="finite"):
+        kernel_B(KernelParams(alpha=0.5), x)
+    with pytest.raises(DomainError, match="finite"):
+        kernel_parts(KernelParams(alpha=0.3), np.array([2.0, abs(x)]), out=np.empty((2, 2)))
 
 
 def test_kernel_params_validation():

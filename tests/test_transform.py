@@ -256,9 +256,9 @@ def evaluated_table_arguments(xg, lg):
     (order, 2 k - 1, order): the node pairs m <= m' of _table_arguments at
     [m, s, m'], each cell below the node diagonal (m > m') at its upper
     representative [m', s, m]."""
-    pairs = _table_arguments(xg, lg)
     o = xg.order
     m, m2 = np.triu_indices(o)
+    pairs = _table_arguments(xg, lg, (m, m2))
     assert pairs.shape == (m.size, 2 * _interior_panels(xg, lg) - 1)
     table = np.empty((o, pairs.shape[1], o))
     table[m, :, m2] = pairs
@@ -297,7 +297,8 @@ def entry_blocks(xg, lg):
     for: its edge rows, their interior columns read transposed as the
     interior rows' edge columns, and between interior panels the kernel
     parts at the table's arguments.  Checks on the way that the entry's
-    spectra are the real FFT of that table, bit for bit."""
+    spectra are the real FFT of that table, bit for bit, laid out
+    C-contiguous for the correlation's matmuls."""
     entry = kernel_matrix(xg, lg)
     k, o = entry.panels, entry.order
     blocks = np.full((2, xg.pos_nodes.size, lg.pos_nodes.size), np.nan)
@@ -313,6 +314,7 @@ def entry_blocks(xg, lg):
         assert length == smallest_5_smooth(2 * k - 1)
         assert np.array_equal(entry.spectra, np.fft.rfft(tab, n=length, axis=2)
                               .transpose(0, 2, 1, 3))
+        assert entry.spectra.flags.c_contiguous
         for i in range(k):
             for j in range(k):
                 blocks[:, o + i * o:o + (i + 1) * o, o + j * o:o + (j + 1) * o] = \

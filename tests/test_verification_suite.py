@@ -36,6 +36,32 @@ def test_suite_reports_are_the_cli_reports(suite, tmp_path, capsys):
     assert {p.stem for p in outdir.iterdir()} == reported
 
 
+def test_menu_digest_comparison_names_every_moved_outcome():
+    # ops whose report bytes alone moved are counted, constants moved within
+    # the relative gate too; a moved exit, verdict, precondition or
+    # constant, a route agreement over its gate and an op in one output
+    # only are named
+    spec = importlib.util.spec_from_file_location(
+        "menu_digests", SUITE.parent / "menu_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    op = {"exit": 0, "verdict": "bounded", "condition": None, "constant": 2.0,
+          "route_agreement": 1e-9, "digest": "a", "error": None}
+    failed = {**op, "exit": 2, "verdict": None, "condition": "Z0", "constant": None}
+    old = {"same": op, "bytes": op, "tiny": op, "verdict": op, "constant": op,
+           "route": op, "gone": op, "failed": failed, "condition": failed}
+    new = {"same": op, "bytes": {**op, "digest": "b"},
+           "tiny": {**op, "constant": 2.0 + 4e-12, "digest": "b"},
+           "verdict": {**op, "verdict": "unbounded"}, "constant": {**op, "constant": 2.1},
+           "route": {**op, "route_agreement": 2e-6}, "added": op, "failed": failed,
+           "condition": {**failed, "condition": "Z1"}}
+    named, bytes_only, largest = digests.compare(old, new, 1e-9, 1e-6)
+    assert bytes_only == 2
+    assert largest == pytest.approx(0.05)
+    assert [line.split(":")[0] for line in named] == [
+        "added", "condition", "constant", "gone", "route", "verdict"]
+
+
 @pytest.mark.parametrize("radius", ["0", "nan", "2", "-5", "inf"])
 def test_suite_bad_radius_is_one_line_usage_error(suite, radius, tmp_path, capsys):
     # 2 leaves no usable h; the rest are no grid radius
