@@ -190,11 +190,7 @@ def parse_family(text: str, delta0: float | None = None) -> ModulusSpec:
         name, sep2, value = piece.partition("=")
         if not sep2 or not name:
             raise DomainError(f"cannot parse modulus {text!r}; {grammar}")
-        try:
-            params[name.strip()] = float(value)
-        except ValueError:
-            raise DomainError(
-                f"cannot parse modulus {text!r}; bad number {value!r}; {grammar}")
+        params[name.strip()] = value
     return make_family(tag.strip(), params, delta0)
 
 

@@ -43,8 +43,8 @@ class WeightedGrid:
     weights == [pos_weights[::-1], pos_weights] exactly.  The kernel matrix
     and multiplier builds in transform rely on it to evaluate the kernel on
     the positive half-axis only.
-    cell_lo/cell_hi bound the per-node cells on the positive axis: midpoints
-    between consecutive nodes, with 0 and R closing the ends.
+    cell_hi ends the per-node cells on the positive axis: midpoints between
+    consecutive nodes, then R; each cell starts at 0 or the cell_hi before it.
     pos_nodes holds `order` nodes per panel, panel after panel from the
     Gauss-Jacobi panel at the origin.
     log_ratio is ln rho on every grid of build_graded_grid: every panel but
@@ -60,7 +60,6 @@ class WeightedGrid:
     weights: np.ndarray
     pos_nodes: np.ndarray
     pos_weights: np.ndarray
-    cell_lo: np.ndarray
     cell_hi: np.ndarray
     order: int
     log_ratio: float | None = None
@@ -142,16 +141,14 @@ def _assemble(alpha: float, radius: float, edges: np.ndarray, order: int,
     if not np.all((wpos > 0) & (wpos < math.inf)):
         raise DomainError(f"alpha = {alpha} takes the quadrature weights out "
                           "of the range of doubles")
-    cell_lo = np.concatenate([[0.0], 0.5 * (pos[1:] + pos[:-1])])
     cell_hi = np.concatenate([0.5 * (pos[1:] + pos[:-1]), [radius]])
     nodes = np.concatenate([-pos[::-1], pos])
     weights = np.concatenate([wpos[::-1], wpos])
-    for arr in (nodes, weights, pos, wpos, cell_lo, cell_hi):
+    for arr in (nodes, weights, pos, wpos, cell_hi):
         arr.setflags(write=False)
     return WeightedGrid(alpha=alpha, radius=radius, nodes=nodes, weights=weights,
-                        pos_nodes=pos, pos_weights=wpos,
-                        cell_lo=cell_lo, cell_hi=cell_hi, order=order,
-                        log_ratio=log_ratio)
+                        pos_nodes=pos, pos_weights=wpos, cell_hi=cell_hi,
+                        order=order, log_ratio=log_ratio)
 
 
 def build_weighted_grid(alpha: float, radius: float, panels: int,
@@ -194,18 +191,27 @@ def conjugate_exponent(p: float) -> float:
 
 
 def check_exponent(p: float) -> None:
-    """Refuse an exponent p < 1 (or NaN) of an L^p sum as a DomainError."""
-    if not p >= 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    """Refuse an exponent p of an L^p sum outside [1, inf), or NaN, as a DomainError."""
+    if not 1 <= p < math.inf:
+        raise DomainError(f"p must be finite and >= 1, got {p}")
+
+
+def grid_values(values, grid: WeightedGrid, what: str) -> np.ndarray:
+    """values as doubles, refused unless they hold one finite number per node
+    of grid: the rule for every array of data on a grid, named by what."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != grid.nodes.shape:
+        raise DomainError(f"{what} do not match the grid")
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"{what} must be finite")
+    return vals
 
 
 def weighted_norm(values, grid: WeightedGrid, p: float) -> float:
     """L^{p,a} norm on the grid of f's values on grid.nodes:
     (sum_i w_i |f(x_i)|^p)^{1/p}."""
     check_exponent(p)
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != grid.nodes.shape:
-        raise DomainError("value array does not match the grid")
+    vals = grid_values(values, grid, "values")
     return float(np.sum(grid.weights * np.abs(vals) ** p) ** (1.0 / p))
 
 

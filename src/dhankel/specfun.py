@@ -71,11 +71,26 @@ _CHUNK = 8192
 _SCRATCH_ROWS = 8
 # Every fit is computed in Python ints as fixed-point numbers with 320
 # fraction bits (_ONE is 1), from the order's exact binary value, and
-# rounded to doubles once, as coefficients.  Both fits take the power
-# series in q = z^2/4 = (81/16) y or (81/4) y, whose ratios appear below as
-# integers.
+# rounded to doubles once, as coefficients.  A fit's q interval (q = z^2/4)
+# is one (num, den, shift): q = (num/den) y, y = shift + 2t, t in [-1, 1],
+# with integer ratios in y and exact doubles as centre and half width.
 _ONE = 1 << 320
 _NEGLIGIBLE = 1e-20
+
+
+def _series(nu: float, num: int, den: int) -> list:
+    # Taylor terms in y of j_nu(2 sqrt q) = sum_k (-q)^k / (k! (nu+1)_k),
+    # q = (num/den) y, from nu = p/d exactly, until they vanish
+    p, d = nu.as_integer_ratio()
+    terms = [_ONE]
+    while terms[-1]:
+        k = len(terms)
+        terms.append(-terms[-1] * num * d // (den * k * (p + k * d)))
+    return terms
+
+
+def _centre_half(num: int, den: int, shift: int) -> tuple:
+    return shift * num / den, 2 * num / den
 
 
 def _chebyshev_fit(taylor: list, shift: int, degree: int, monomial: bool = False) -> np.ndarray:
@@ -127,36 +142,32 @@ def _clenshaw(c: np.ndarray, x: np.ndarray, out: np.ndarray, x2, c0, tmp) -> Non
 
 
 # Near field |z| <= _SEAM: j_nu(2 sqrt q) = 1 - q g(q), which keeps
-# j_nu(0) = 1 exactly, with g, entire in q = z^2/4, interpolated on
+# j_nu(0) = 1 exactly, with g, entire in q, interpolated on _NEAR_Q's
 # [0, _SEAM^2/4] by one Chebyshev polynomial per order, summed by Horner in
-# x = q / _NEAR_HALF - 1: its monomial coefficients alternate, their
-# magnitudes summing to g(0) = 1/(nu+1) as the Chebyshev ones do.  Against
-# mpmath, the normalized j is within 1e-14 for -1/2 < nu <= 10.  The same
-# degree reaches 2e-14 on [0, 18] but 7.7e-13 on [0, 24] (nu = -0.49).
+# t = q / half - 1: its monomial coefficients alternate, their magnitudes
+# summing to g(0) = 1/(nu+1) as the Chebyshev ones do.  Against mpmath, the
+# normalized j is within 1e-14 for -1/2 < nu <= 10.  The same degree
+# reaches 2e-14 on [0, 18] but 7.7e-13 on [0, 24] (nu = -0.49).
 _SEAM = 9.0
-_NEAR_HALF = 0.125 * _SEAM ** 2     # half the width of the q interval
+_NEAR_Q = (81, 16, 2)
 _NEAR_DEGREE = 24
 
 
 @functools.cache
 def _near_coefficients(nu: float) -> np.ndarray:
-    # g(q) = (1 - j_nu(2 sqrt q)) / q = sum_k (-q)^k / ((k+1)! (nu+1)_{k+1})
-    # with q = _NEAR_HALF (1 + t) = (81/16) y, y = 2 + 2t, and nu = p/d; the
-    # terms fall from k = 2 on, until they vanish
-    p, d = nu.as_integer_ratio()
-    terms = [_ONE * d // (p + d)]
-    while terms[-1]:
-        k = len(terms)
-        terms.append(-terms[-1] * 81 * d // (16 * (k + 1) * (p + (k + 1) * d)))
-    return _chebyshev_fit(terms, 2, _NEAR_DEGREE, monomial=True)
+    # g(q) = (1 - j_nu(2 sqrt q)) / q: j's terms from k = 1 on, times -den/num
+    num, den, shift = _NEAR_Q
+    g = [-a * den // num for a in _series(nu, num, den)[1:]]
+    return _chebyshev_fit(g, shift, _NEAR_DEGREE, monomial=True)
 
 
-# Band (_SEAM, _HANKEL_FROM]: j_nu itself, interpolated on q in [81/4, 405/4]
-# (z up to 20.1) and summed by Clenshaw (monomials would be 24-46 times
-# worse conditioned), then Hankel's expansion: within 1.5e-14 of mpmath over
-# z in (9, 2000] for -1/2 < nu <= _FAST_ORDER_MAX.  At z = 18 its 8 terms are
-# off by 2e-14 at nu = 10.75 and 1e-13 at nu = 12, so there higher orders
-# take scipy's jv, imported for them alone.
+# Band (_SEAM, _HANKEL_FROM]: j_nu itself, interpolated on _BAND_Q's
+# [_SEAM^2/4, 405/4] (z up to 20.1) and summed by Clenshaw (monomials would
+# be 24-46 times worse conditioned), then Hankel's expansion: within 1.5e-14
+# of mpmath over z in (9, 2000] for -1/2 < nu <= _FAST_ORDER_MAX.  At z = 18
+# its 8 terms are off by 2e-14 at nu = 10.75 and 1e-13 at nu = 12, so there
+# higher orders take scipy's jv, imported for them alone.
+_BAND_Q = (81, 4, 3)
 _HANKEL_FROM = 18.0
 _BAND_DEGREE = 40
 _HANKEL_TERMS = 8
@@ -165,14 +176,8 @@ _FAST_ORDER_MAX = 10.0
 
 @functools.cache
 def _band_coefficients(nu: float) -> np.ndarray:
-    # j_nu(2 sqrt q) = sum_k (-q)^k / (k! (nu+1)_k) with q = (81/4) y,
-    # y = 3 + 2t, and nu = p/d; the terms fall from k = 6 on, until they vanish
-    p, d = nu.as_integer_ratio()
-    terms = [_ONE]
-    while terms[-1]:
-        k = len(terms)
-        terms.append(-terms[-1] * 81 * d // (4 * k * (p + k * d)))
-    return _chebyshev_fit(terms, 3, _BAND_DEGREE)
+    num, den, shift = _BAND_Q
+    return _chebyshev_fit(_series(nu, num, den), shift, _BAND_DEGREE)
 
 
 @functools.cache
@@ -209,12 +214,13 @@ def _scaled_jv(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def _near(orders: tuple, s: np.ndarray, outs, i: np.ndarray) -> None:
-    # j_nu = 1 - q g(q), q = z^2/4, at the chunk's z = s[0]
+    # j_nu = 1 - q g(q), q = z^2/4, at the chunk's z = s[0], by t = q / half - 1
+    centre, half = _centre_half(*_NEAR_Q)
     q, x, r = s[:3]
     np.square(q, out=q)
     q *= 0.25
-    np.divide(q, _NEAR_HALF, out=x)
-    x -= 1.0
+    np.divide(q, half, out=x)
+    x -= centre / half
     for nu, out in zip(orders, outs):
         _horner(_near_coefficients(nu), x, r)
         r *= q
@@ -223,12 +229,13 @@ def _near(orders: tuple, s: np.ndarray, outs, i: np.ndarray) -> None:
 
 
 def _band(orders: tuple, s: np.ndarray, outs, i: np.ndarray) -> None:
-    # j_nu at the chunk's z = s[0], by x = (z^2/4 - 60.75) / 40.5 in place
+    # j_nu at the chunk's z = s[0], by t = (z^2/4 - centre) / half in place
+    centre, half = _centre_half(*_BAND_Q)
     x, r, x2, c0, tmp = s[:5]
     np.square(x, out=x)
     x *= 0.25
-    x -= 60.75
-    x /= 40.5
+    x -= centre
+    x /= half
     for nu, out in zip(orders, outs):
         _clenshaw(_band_coefficients(nu), x, r, x2, c0, tmp)
         out[i] = r
@@ -311,8 +318,8 @@ def bessel_j_normalized(nu: float, x):
     computes each entry on its own, so each entry's value does not depend
     on the other entries.
     """
-    if not nu > -1.0:
-        raise DomainError(f"order must exceed -1, got {nu}")
+    if not -1.0 < nu < math.inf:
+        raise DomainError(f"order must be finite and exceed -1, got {nu}")
     z = np.abs(np.asarray(x, dtype=float))
     out = np.empty(z.shape)
     _bessel_j((nu,), z.reshape(-1), (out.reshape(-1),))
@@ -334,9 +341,12 @@ def kernel_parts(params: KernelParams, t, out=None):
     indices of its near, band and far entries, it works in one scratch array
     of at most _SCRATCH_ROWS x _CHUNK doubles (512 KiB), so a caller that
     evaluates in slabs bounds the memory by the slab.  Each entry is
-    computed on its own, so any split of t gives the same bits.
+    computed on its own, so any split of t gives the same bits.  A NaN t
+    gives NaN; a negative or an infinite one is a DomainError.
     """
     t = np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise DomainError(f"kernel arguments must be >= 0, got {np.nanmin(t)}")
     if out is not None and (t.ndim != 1 or out.shape != (2, t.size)):
         raise DomainError("out must have shape (2, t.size) for a 1-D t")
     parts = np.empty((2,) + t.shape) if out is None else out

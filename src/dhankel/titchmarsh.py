@@ -229,8 +229,8 @@ def _erf(x: np.ndarray) -> np.ndarray:
 def synthesize_from_tail(spec: SynthesisSpec, lgrid: WeightedGrid) -> SpectralData:
     """Even nonnegative spectral data whose tail tracks Phi(y) = omega^2(1/y).
 
-    sharp_tail assigns each node's cell the exact mass Phi(cell_lo) -
-    Phi(cell_hi), with the outermost cell absorbing the full remaining mass,
+    sharp_tail assigns each node's cell [lo, hi] the exact mass Phi(lo) -
+    Phi(hi), with the outermost cell absorbing the full remaining mass,
     so partial sums telescope: the discrete tail from any cell boundary
     equals Phi there exactly (two-sided match up to half-cell jitter).
 
@@ -251,9 +251,8 @@ def synthesize_from_tail(spec: SynthesisSpec, lgrid: WeightedGrid) -> SpectralDa
     phi = _phi_of(w)
     y = lgrid.pos_nodes
     if spec.profile == "sharp_tail":
-        # cell_lo is 0 followed by cell_hi without its last entry
         phi_hi = phi(lgrid.cell_hi)
-        phi_lo = np.concatenate([phi(lgrid.cell_lo[:1]), phi_hi[:-1]])
+        phi_lo = np.concatenate([phi(np.zeros(1)), phi_hi[:-1]])
         phi_hi[-1] = 0.0                     # outermost cell keeps all remaining mass
         # clip cells where Phi wobbles upward (log factors near delta0);
         # genuinely invalid inputs already failed the almost-decreasing check

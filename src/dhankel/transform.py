@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import (WeightedGrid, check_exponent, conjugate_exponent,
-                         weighted_norm)
+                         grid_values, weighted_norm)
 from .specfun import DomainError, KernelParams, kernel_parts
 
 
@@ -87,10 +87,8 @@ class SpectralData:
         return self.lambda_grid.alpha
 
     def __post_init__(self):
-        if self.values.shape != self.lambda_grid.nodes.shape:
-            raise DomainError("values length must match the frequency grid")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("spectral values must be finite")
+        object.__setattr__(self, "values",
+                           grid_values(self.values, self.lambda_grid, "spectral values"))
 
     def norm(self, q: float) -> float:
         return weighted_norm(self.values, self.lambda_grid, q)
@@ -431,19 +429,9 @@ def forward(f, xgrid: WeightedGrid, lgrid: WeightedGrid) -> SpectralData:
     """Forward transform: values_j = sum_i w_i f(x_i) B(lambda_j x_i), with
     f a FunctionSpec (any vectorized callable) or its samples on xgrid.nodes."""
     entry = kernel_matrix(xgrid, lgrid)   # refuses a bad pair before f is sampled
-    fx = _samples(f(xgrid.nodes) if callable(f) else f, xgrid)
+    fx = grid_values(f(xgrid.nodes) if callable(f) else f, xgrid, "samples")
     values = _apply(entry, xgrid.weights * fx, transposed=True)
     return SpectralData(lambda_grid=lgrid, values=values)
-
-
-def _samples(fx, xgrid: WeightedGrid) -> np.ndarray:
-    # fx as doubles, refused unless it holds one finite sample per x node
-    fx = np.asarray(fx, dtype=float)
-    if fx.shape != xgrid.nodes.shape:
-        raise DomainError("samples do not match the x grid")
-    if not np.all(np.isfinite(fx)):
-        raise DomainError("samples must be finite")
-    return fx
 
 
 def inverse(g: SpectralData, xgrid: WeightedGrid):
@@ -517,7 +505,7 @@ def diff_norms(g: SpectralData, h, p: float = 2.0, *, fx=None,
     if fx is not None:
         if xgrid is None:
             raise DomainError("the physical route needs the x grid of fx")
-        fx = _samples(fx, xgrid)
+        fx = grid_values(fx, xgrid, "samples")
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.ndim != 1 or not np.all(np.isfinite(h)):
         raise DomainError("h must be a finite scalar or 1-D grid")

@@ -116,7 +116,9 @@ def test_parse_family_grammar():
     assert w.params == {"gamma": 0.5, "theta": 1.0}
     with pytest.raises(DomainError):
         dh.parse_family("power")
-    with pytest.raises(DomainError):
+    # a value that is no number is make_family's to name
+    with pytest.raises(DomainError, match="^family 'power' parameter 'gamma' must be "
+                                          "a number, got 'abc'$"):
         dh.parse_family("power:gamma=abc")
 
 

@@ -67,11 +67,10 @@ def test_grid_invariants():
     # symmetric: node set closed under negation with equal weights
     assert np.allclose(g.nodes, -g.nodes[::-1])
     assert np.allclose(g.weights, g.weights[::-1])
-    # cells partition (0, R]
-    assert g.cell_lo[0] == 0.0
+    # cells partition (0, R]: each starts at 0 or the cell_hi before it
     assert g.cell_hi[-1] == g.radius
-    assert np.all(g.cell_lo < g.pos_nodes) and np.all(g.pos_nodes < g.cell_hi)
-    assert np.allclose(g.cell_hi[:-1], g.cell_lo[1:])
+    assert np.all(np.concatenate([[0.0], g.cell_hi[:-1]]) < g.pos_nodes)
+    assert np.all(g.pos_nodes < g.cell_hi)
 
 
 @pytest.mark.parametrize("order", [2, 5, 16, 64])

@@ -12,14 +12,16 @@ from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaln, jv
 
 from dhankel import make_resolved_grids
-from dhankel.specfun import (_BAND_DEGREE, _CHUNK, _NEAR_DEGREE, _NEAR_HALF,
-                             DomainError, KernelParams, _band_coefficients,
+from dhankel.specfun import (_BAND_DEGREE, _CHUNK, _NEAR_DEGREE, DomainError, KernelParams, _band_coefficients,
                              _clenshaw, _hankel_coefficients, _horner,
                              _near_coefficients, bessel_j_normalized, gamma,
                              kernel_B, kernel_parts)
 
 mp.mp.dps = 40
-# the centre and half the width of the band fit's q interval [81/4, 405/4]
+# the oracle's own statement of the fits' q intervals: half the width of the
+# near fit's [0, 81/4], and the centre and half the width of the band fit's
+# [81/4, 405/4]
+NEAR_HALF = 10.125
 BAND_MID, BAND_HALF = 60.75, 40.5
 
 
@@ -79,7 +81,7 @@ def oracle_series_g(nu, q):
 
 def oracle_near_value(nu, t):
     """g at the point t of [-1, 1] mapped onto the near field's q interval."""
-    return oracle_series_g(nu, decimal.Decimal(_NEAR_HALF) * (1 + t))
+    return oracle_series_g(nu, decimal.Decimal(NEAR_HALF) * (1 + t))
 
 
 def oracle_band_value(nu, t):
@@ -243,7 +245,7 @@ def test_fit_values_match_mpmath(nu):
     with mp.workdps(50), decimal.localcontext() as ctx:
         ctx.prec = ORACLE_DIGITS
         for n, fit_value, exact in (
-                (25, oracle_near_value, lambda t: g(_NEAR_HALF * (1 + t))),
+                (25, oracle_near_value, lambda t: g(NEAR_HALF * (1 + t))),
                 (41, oracle_band_value, lambda t: j(2 * mp.sqrt(BAND_MID + BAND_HALF * t)))):
             for k in range(n):
                 t = oracle_cosines(n)[2 * k + 1]
@@ -368,7 +370,7 @@ def reference_j(orders, z):
     sin_x = (np.sin(zf) * cos_c - np.cos(zf) * sin_c) / zf
     for j, nu in enumerate(orders):
         q = 0.25 * z[near] ** 2
-        out[j, near] = 1.0 - polyval(q / _NEAR_HALF - 1.0, _near_coefficients(nu)) * q
+        out[j, near] = 1.0 - polyval(q / NEAR_HALF - 1.0, _near_coefficients(nu)) * q
         q = 0.25 * z[band] ** 2
         out[j, band] = chebval((q - BAND_MID) / BAND_HALF, _band_coefficients(nu))
         if nu > 10.0:
@@ -474,6 +476,18 @@ def test_infinite_argument_is_a_domain_error(x):
         kernel_B(KernelParams(alpha=0.5), x)
     with pytest.raises(DomainError, match="finite"):
         kernel_parts(KernelParams(alpha=0.3), np.array([2.0, abs(x)]), out=np.empty((2, 2)))
+
+
+def test_negative_kernel_argument_is_a_domain_error():
+    # kernel_parts takes t = |u|: a negative t ended in NaN from sqrt, with
+    # a RuntimeWarning; NaN beside a valid t stays NaN, and kernel_B passes |u|
+    params = KernelParams(alpha=0.5)
+    for t in (-1.0, np.array([2.0, np.nan, -1e-300])):
+        with pytest.raises(DomainError, match="^kernel arguments must be >= 0, got -"):
+            kernel_parts(params, t)
+    even, odd = kernel_parts(params, np.array([2.0, np.nan]))
+    assert np.isnan(even[1]) and np.isnan(odd[1]) and np.isfinite(even[0])
+    assert kernel_B(params, -1.0) == kernel_parts(params, 1.0)[0] + kernel_parts(params, 1.0)[1]
 
 
 def test_kernel_params_validation():

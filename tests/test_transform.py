@@ -564,8 +564,7 @@ def cut_short(grid, dropped):
     return replace(grid, radius=grid.cell_hi[keep - 1],
                    nodes=np.concatenate([-pos[::-1], pos]),
                    weights=np.concatenate([wpos[::-1], wpos]),
-                   pos_nodes=pos, pos_weights=wpos, cell_lo=grid.cell_lo[:keep],
-                   cell_hi=grid.cell_hi[:keep])
+                   pos_nodes=pos, pos_weights=wpos, cell_hi=grid.cell_hi[:keep])
 
 
 @pytest.mark.parametrize("dropped", [1, 3])
@@ -1116,22 +1115,22 @@ def test_diff_norm_domain(grids_default, bump_spec):
     # scalar fx returned ||T_h f|| as the difference norm, and three
     # samples ended in numpy's broadcast error
     for bad in (0.0, np.zeros(3)):
-        with pytest.raises(DomainError, match="^samples do not match the x grid$"):
+        with pytest.raises(DomainError, match="^samples do not match the grid$"):
             dh.diff_norms(spec, [0.1], fx=bad, xgrid=xg)
 
 
 def test_spectral_sums_refuse_an_exponent_below_one(grids_default):
     # tail_energy and spectral_mass take weighted_norm's rule for the
-    # exponent: here q = -1 returned 6.2e27 with a RuntimeWarning, and
-    # q = 0.5 a finite 0.013
+    # exponent: here q = -1 returned 6.2e27 with a RuntimeWarning, q = 0.5
+    # a finite 0.013, and q = inf a tail energy of 0.0 and a norm of 1.0
     _, lg = grids_default
     g = dh.SpectralData(lambda_grid=lg, values=np.exp(-np.abs(lg.nodes)))
-    for q in (-1.0, 0.0, 0.5, math.nan):
-        with pytest.raises(DomainError, match=f"^p must be >= 1, got {q}$"):
+    for q in (-1.0, 0.0, 0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"^p must be finite and >= 1, got {q}$"):
             dh.tail_energy(g, 0.1, q)
-        with pytest.raises(DomainError, match=f"^p must be >= 1, got {q}$"):
+        with pytest.raises(DomainError, match=f"^p must be finite and >= 1, got {q}$"):
             spectral_mass(g, q, np.array([1.0]), beyond=False)
-        with pytest.raises(DomainError, match=f"^p must be >= 1, got {q}$"):
+        with pytest.raises(DomainError, match=f"^p must be finite and >= 1, got {q}$"):
             g.norm(q)
     assert dh.tail_energy(g, 0.1, 1.0) > 0.0
 
